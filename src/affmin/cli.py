@@ -19,6 +19,7 @@ from .compatibility import (
     TOL_COMPAT,
     TOL_EQUIV,
     TOL_SEED,
+    FundamentalData,
     affine_equivalence,
     canonical_seed,
     compatibility_residuals,
@@ -52,7 +53,7 @@ from .gridio import (
     write_grid,
     write_json,
 )
-from .grids import GridDomain
+from .grids import TINY, GridDomain
 from .lelieuvre import (
     TOL_INTEGRATE,
     Immersion,
@@ -70,6 +71,19 @@ DEFAULT_BOXES = {
     "cubic": (1, 11, 1, 11),
     "paraboloid": (0, 10, 0, 10),
     "sphere": (1, 11, -10, 0),
+}
+
+# Tolerance name -> (default, help); the flag is --tol-<name>.
+_TOLERANCES = {
+    "harmonic": (TOL_HARMONIC, "harmonicity tolerance"),
+    "integrate": (TOL_INTEGRATE, "edge-equation tolerance"),
+    "asymptotic": (TOL_ASYMPTOTIC, "asymptotic-certificate tolerance"),
+    "dual": (TOL_DUAL, "duality/recovery tolerance"),
+    "forms": (TOL_FORMS, "cubic-form tolerance"),
+    "compat": (TOL_COMPAT, "compatibility tolerance"),
+    "seed": (TOL_SEED, "seed determinant tolerance"),
+    "equiv": (TOL_EQUIV, "affine-equivalence tolerance"),
+    "crit": (TOL_CRIT, "criticality tolerance"),
 }
 
 
@@ -102,10 +116,12 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _surface_checks(surface: Immersion, field: ConormalField | None, tols) -> dict:
-    """Run the geometry (and, with a field, the Lelieuvre) certificates."""
-    vols = face_volumes(surface)
-    normals = affine_normal(surface, vols.areas)
+def _surface_checks(surface: Immersion, field: ConormalField | None, tols,
+                    vols, normals) -> dict:
+    """Run the geometry (and, with a field, the Lelieuvre) certificates.
+
+    ``vols`` and ``normals`` are the surface's face volumes and affine normal.
+    """
     asym = asymptotic_certificate(surface, tols["asymptotic"], tols["asymptotic"])
     recovery = recover_conormal(surface)
 
@@ -172,17 +188,8 @@ def _surface_checks(surface: Immersion, field: ConormalField | None, tols) -> di
 
 
 def _tols(args) -> dict:
-    return {
-        "harmonic": getattr(args, "tol_harmonic", TOL_HARMONIC),
-        "integrate": getattr(args, "tol_integrate", TOL_INTEGRATE),
-        "asymptotic": getattr(args, "tol_asymptotic", TOL_ASYMPTOTIC),
-        "dual": getattr(args, "tol_dual", TOL_DUAL),
-        "forms": getattr(args, "tol_forms", TOL_FORMS),
-        "compat": getattr(args, "tol_compat", TOL_COMPAT),
-        "seed": getattr(args, "tol_seed", TOL_SEED),
-        "equiv": getattr(args, "tol_equiv", TOL_EQUIV),
-        "crit": getattr(args, "tol_crit", TOL_CRIT),
-    }
+    return {name: getattr(args, f"tol_{name}", default)
+            for name, (default, _) in _TOLERANCES.items()}
 
 
 def _cmd_generate(args) -> int:
@@ -212,7 +219,9 @@ def _cmd_check(args) -> int:
     if args.conormal:
         field = validate(read_grid(args.conormal, "vertex"), tols["harmonic"])
     try:
-        report = _surface_checks(surface, field, tols)
+        vols = face_volumes(surface)
+        normals = affine_normal(surface, vols.areas)
+        report = _surface_checks(surface, field, tols, vols, normals)
     except AffminError as exc:
         # Data so broken the certificates cannot even be evaluated (e.g. a
         # non-positive face volume) still produces a report naming it.
@@ -230,7 +239,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_forms(args) -> int:
     surface = _load_surface(args.surface)
-    data = extract_fundamental_data(surface)
+    data = extract_fundamental_data(surface, args.tol_forms)
     write_forms(data, args.out)
     print(f"wrote fundamental data {args.out}")
     return 0
@@ -290,7 +299,7 @@ def _cmd_critical(args) -> int:
     if report.vacuous:
         print("critical: vacuous pass (no interior vertex)")
         return 0
-    ratio = report.max_gradient / max(report.mean_area, 1e-300)
+    ratio = report.max_gradient / max(report.mean_area, TINY)
     status = "pass" if report.passed else "FAIL"
     print(f"critical: {status} (|grad|_inf / mean F = {ratio:.3e}, tol {args.tol:g})")
     return 0 if report.passed else 1
@@ -324,17 +333,17 @@ def _cmd_pipeline(args) -> int:
         "n": args.n,
         "tolerances": tols,
     }
-    checks = _surface_checks(surface, field, tols)
-    write_json(checks, paths["check_report.json"])
-
     vols = face_volumes(surface)
     normals = affine_normal(surface, vols.areas)
+    checks = _surface_checks(surface, field, tols, vols, normals)
+    write_json(checks, paths["check_report.json"])
+
     form = cubic_coefficients(surface, normals, tols["forms"])
     structural = structural_residuals(surface, vols.areas, form, tols["forms"])
     derivs, closed = a2_b1_closed_form(surface, normals, vols.areas, form)
     normal_derivs = normal_derivative_residuals(surface, normals, vols.areas,
                                                 derivs, tols["forms"])
-    data = extract_fundamental_data(surface)
+    data = FundamentalData(vols.areas, form.u_coeff, form.v_coeff)
     write_forms(data, paths["forms.json"])
     forms_report = {
         "max_face_choice_spread": max(form.max_spread_u, form.max_spread_v),
@@ -351,7 +360,7 @@ def _cmd_pipeline(args) -> int:
     p = surface.positions.values
     own_seed = np.stack([p[0, 0], p[1, 0], p[0, 1], p[1, 1]])
     roundtrip = reconstruct(data, own_seed, tols["seed"], tols["compat"])
-    scale = max(float(np.abs(p - p[0, 0]).max()), 1e-300)
+    scale = max(float(np.abs(p - p[0, 0]).max()), TINY)
     roundtrip_gap = float(np.abs(roundtrip.positions.values - p).max()) / scale
     canonical = reconstruct(data, canonical_seed(float(data.areas.values[0, 0])),
                             tols["seed"], tols["compat"])
@@ -412,20 +421,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _add_tolerance_flags(parser, names):
-    flags = {
-        "harmonic": ("--tol-harmonic", TOL_HARMONIC, "harmonicity tolerance"),
-        "integrate": ("--tol-integrate", TOL_INTEGRATE, "edge-equation tolerance"),
-        "asymptotic": ("--tol-asymptotic", TOL_ASYMPTOTIC, "asymptotic-certificate tolerance"),
-        "dual": ("--tol-dual", TOL_DUAL, "duality/recovery tolerance"),
-        "forms": ("--tol-forms", TOL_FORMS, "cubic-form tolerance"),
-        "compat": ("--tol-compat", TOL_COMPAT, "compatibility tolerance"),
-        "seed": ("--tol-seed", TOL_SEED, "seed determinant tolerance"),
-        "equiv": ("--tol-equiv", TOL_EQUIV, "affine-equivalence tolerance"),
-        "crit": ("--tol-crit", TOL_CRIT, "criticality tolerance"),
-    }
     for name in names:
-        flag, default, help_text = flags[name]
-        parser.add_argument(flag, type=float, default=default, help=help_text)
+        default, help_text = _TOLERANCES[name]
+        parser.add_argument(f"--tol-{name}", type=float, default=default, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True)
     p.add_argument("--resolutions", type=int, nargs=2, default=(1, 8),
                    metavar=("R1", "R2"), help="the two mesh export resolutions")
-    _add_tolerance_flags(p, ["harmonic", "integrate", "asymptotic", "dual",
-                             "forms", "compat", "seed", "equiv", "crit"])
+    _add_tolerance_flags(p, _TOLERANCES)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

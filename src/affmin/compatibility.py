@@ -23,9 +23,9 @@ from .errors import (
     NotEquivalent,
     SeedDeterminantMismatch,
 )
-from .forms import cubic_coefficients
+from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .grids import FaceGrid, GridDomain, VertexGrid
+from .grids import TINY, FaceGrid, GridDomain, VertexGrid, relative_residual, worst_index
 from .lelieuvre import Immersion
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
 TOL_COMPAT = 1e-7
 TOL_EQUIV = 1e-6
 TOL_SEED = 1e-9
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -71,22 +69,19 @@ class FundamentalData:
             raise DomainMismatch(
                 f"v_coeff domain {self.v_coeff.domain} is not the v-interior of {dom}"
             )
-        f = self.areas.values
-        if f.min() <= 0.0:
-            i, j = np.unravel_index(np.argmin(f), f.shape)
-            raise NonConvexFace(
-                (dom.u_min + int(i), dom.v_min + int(j)), float(f[i, j])
-            )
+        lowest = self.areas.values.min()
+        if not lowest > 0.0:
+            raise NonConvexFace(worst_index(-self.areas.values, dom), float(lowest))
 
     @property
     def domain(self) -> GridDomain:
         return self.areas.domain
 
 
-def extract_fundamental_data(surface) -> FundamentalData:
-    """Read (F, A, B) off an immersion."""
+def extract_fundamental_data(surface, tol: float = TOL_FORMS) -> FundamentalData:
+    """Read (F, A, B) off an immersion; ``tol`` bounds the face-choice spread."""
     vols = face_volumes(surface)
-    form = cubic_coefficients(surface, affine_normal(surface, vols.areas))
+    form = cubic_coefficients(surface, affine_normal(surface, vols.areas), tol)
     return FundamentalData(vols.areas, form.u_coeff, form.v_coeff)
 
 
@@ -128,25 +123,15 @@ def compatibility_residuals(data: FundamentalData) -> CompatibilityResiduals:
     sig_a = float(np.abs(a).max()) + sig_f
     sig_b = float(np.abs(b).max()) + sig_f
 
-    def worst(terms_lhs, rhs, floor=0.0):
-        lhs = sum(terms_lhs)
-        scale = np.maximum.reduce([np.abs(t) for t in terms_lhs] + [np.abs(rhs)])
-        return float((np.abs(lhs - rhs) / np.maximum(scale, max(floor, _TINY))).max())
-
-    r0 = worst(
-        [f[:-1, 1:] * f[1:, :-1], -f[1:, 1:] * f[:-1, :-1]],
-        a[:, 1:-1] * b[1:-1, :],
-    )
-    r1 = worst(
-        [f[:-1, :-1] * b1[1:, :], -f[1:, :-1] * b1[:-1, :]],
-        b[1:-1, :] * a2[:, :-1],
-        floor=max(sig_f, sig_a) * sig_b,
-    )
-    r2 = worst(
-        [f[:-1, :-1] * a2[:, 1:], -f[:-1, 1:] * a2[:, :-1]],
-        a[:, 1:-1] * b1[:-1, :],
-        floor=max(sig_f, sig_b) * sig_a,
-    )
+    r0 = relative_residual([t[..., None] for t in (
+        f[:-1, 1:] * f[1:, :-1], f[1:, 1:] * f[:-1, :-1], a[:, 1:-1] * b[1:-1, :],
+    )])
+    r1 = relative_residual([t[..., None] for t in (
+        f[:-1, :-1] * b1[1:, :], f[1:, :-1] * b1[:-1, :], b[1:-1, :] * a2[:, :-1],
+    )], floor=max(sig_f, sig_a) * sig_b)
+    r2 = relative_residual([t[..., None] for t in (
+        f[:-1, :-1] * a2[:, 1:], f[:-1, 1:] * a2[:, :-1], a[:, 1:-1] * b1[:-1, :],
+    )], floor=max(sig_f, sig_b) * sig_a)
     return CompatibilityResiduals(r0, r1, r2)
 
 
@@ -180,7 +165,7 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
     face's F.  Raises SeedDeterminantMismatch if the seed violates the
     corner determinant condition and IncompatibleData if the two marching
     routes disagree on any interior face beyond ``tol_compat`` (relative
-    to the longest marched edge).
+    to the longest marched edge) or the march leaves the finite numbers.
     """
     dom = data.domain
     f = data.areas.values
@@ -230,8 +215,13 @@ def _two_way_sweep(q, f, a, b, dom: GridDomain, tol: float):
     For each face with its lower-left corner interior, predict the NE corner
     once by the u-expansion from the row above and once by the v-expansion
     from the column to the right; the worst relative gap over faces must stay
-    below ``tol``.
+    below ``tol``.  A NaN gap fails, and so does a non-finite position.
     """
+    edge_scale = np.max([np.abs(np.diff(q, axis=0)).max(),
+                         np.abs(np.diff(q, axis=1)).max(), TINY])
+    if not edge_scale < np.inf:
+        raise IncompatibleData(worst_index(~np.isfinite(q).all(axis=2), dom),
+                               float(edge_scale))
     nu, nv = dom.n_u, dom.n_v
     if nu < 3 or nv < 3:
         return
@@ -247,16 +237,10 @@ def _two_way_sweep(q, f, a, b, dom: GridDomain, tol: float):
            + (f[1:, 1:] - f[1:, :-1])[..., None] * (q[2:, 1:-1] - q[2:, :-2]))
         / f[1:, :-1, None]
     )
-    edge_scale = max(
-        float(np.abs(np.diff(q, axis=0)).max()),
-        float(np.abs(np.diff(q, axis=1)).max()),
-        _TINY,
-    )
     gaps = np.abs(way1 - way2).max(axis=2) / edge_scale
-    if gaps.max() > tol:
-        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
-        face = (dom.u_min + 1 + int(i), dom.v_min + 1 + int(j))
-        raise IncompatibleData(face, float(gaps[i, j]))
+    worst = gaps.max()
+    if not worst <= tol:
+        raise IncompatibleData(worst_index(gaps, dom, 1, 1), float(worst))
 
 
 @dataclass(frozen=True)
@@ -287,7 +271,7 @@ def _corner_frame(positions: VertexGrid) -> tuple[np.ndarray, np.ndarray]:
     base = p[0, 0]
     frame = np.column_stack([p[1, 0] - base, p[0, 1] - base, p[1, 1] - base])
     norms = np.linalg.norm(frame, axis=0)
-    if abs(np.linalg.det(frame)) <= 1e-14 * max(float(norms.prod()), _TINY):
+    if abs(np.linalg.det(frame)) <= 1e-14 * max(float(norms.prod()), TINY):
         raise DegenerateQuadrangle(
             f"corner quadrangle at {positions.domain.u_min, positions.domain.v_min} "
             "spans no volume"
@@ -301,7 +285,8 @@ def affine_equivalence(qa: Immersion, qb: Immersion,
 
     The four lower-left corner points fix the map; it is then verified on
     every vertex.  Raises NotEquivalent (with the worst vertex and relative
-    gap) if the map fails globally, DegenerateQuadrangle if no map exists.
+    gap, NaN included) if the map fails globally, DegenerateQuadrangle if no
+    map exists.
     """
     if qa.domain != qb.domain:
         raise DomainMismatch(f"domains differ: {qa.domain} vs {qb.domain}")
@@ -312,10 +297,10 @@ def affine_equivalence(qa: Immersion, qb: Immersion,
     mapped = qa.positions.values @ linear.T + translation
 
     pb = qb.positions.values
-    scale = max(float(np.abs(pb - pb[0, 0]).max()), _TINY)
+    # nanmax keeps a NaN in qb from hiding which vertex carries it.
+    scale = max(float(np.nanmax(np.abs(pb - pb[0, 0]))), TINY)
     gaps = np.abs(mapped - pb).max(axis=2) / scale
-    if gaps.max() > tol:
-        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
-        dom = qa.domain
-        raise NotEquivalent((dom.u_min + int(i), dom.v_min + int(j)), float(gaps.max()))
+    worst = gaps.max()
+    if not worst <= tol:
+        raise NotEquivalent(worst_index(gaps, qa.domain), float(worst))
     return AffineMap(linear, translation)

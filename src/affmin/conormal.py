@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvexFace, NotHarmonic
-from .grids import FaceGrid, GridDomain, VertexGrid, d12
+from .grids import FaceGrid, GridDomain, VertexGrid, d12, det3, worst_index
 
 __all__ = [
     "TOL_HARMONIC",
@@ -40,8 +40,7 @@ def face_area_density(vectors: VertexGrid) -> FaceGrid:
     """Area density F per face of a co-normal vertex grid (sign not checked)."""
     vectors.domain.require_faces("co-normal field")
     nu = vectors.values
-    tripled = np.einsum("ijk,ijk->ij", nu[:-1, :-1], np.cross(nu[:-1, 1:], nu[1:, :-1]))
-    return FaceGrid(vectors.domain, tripled)
+    return FaceGrid(vectors.domain, det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]))
 
 
 class ConormalField:
@@ -99,21 +98,18 @@ class SeparableConormalSpec:
 
 
 def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
-    mixed = d12(vectors).values
-    residuals = np.abs(mixed).max(axis=2)
+    """Validate a co-normal grid and wrap it; a NaN residual or F fails too."""
+    dom = vectors.domain
+    residuals = np.abs(d12(vectors).values).max(axis=2)
     max_residual = float(residuals.max())
-    if max_residual > tol_harmonic:
-        dom = vectors.domain
-        bad = np.argwhere(residuals > tol_harmonic)
-        faces = [(dom.u_min + i, dom.v_min + j) for i, j in bad]
-        raise NotHarmonic(max_residual, faces)
+    if not max_residual <= tol_harmonic:
+        bad = np.argwhere(~(residuals <= tol_harmonic))
+        raise NotHarmonic(max_residual, [(dom.u_min + i, dom.v_min + j) for i, j in bad])
 
     areas = face_area_density(vectors)
-    if areas.values.min() <= 0.0:
-        dom = vectors.domain
-        i, j = np.unravel_index(np.argmin(areas.values), areas.values.shape)
-        face = (dom.u_min + int(i), dom.v_min + int(j))
-        raise NonConvexFace(face, float(areas.values[i, j]))
+    lowest = areas.values.min()
+    if not lowest > 0.0:
+        raise NonConvexFace(worst_index(-areas.values, dom), float(lowest))
     return ConormalField(vectors, areas, max_residual)
 
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllDefinedForm
-from .geometry import _det3, _positions, face_volumes
-from .grids import FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, d1, d2, d11, d22
+from .geometry import face_volumes
+from .grids import (TINY, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, as_positions, d1, d2,
+                    d11, d22, det3, dot3, face_choice_mean, relative_residual, worst_index)
 
 __all__ = [
     "TOL_FORMS",
@@ -39,8 +40,6 @@ __all__ = [
 
 # Relative agreement required between the face choices defining A and B.
 TOL_FORMS = 1e-8
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -72,34 +71,23 @@ class FormDerivatives:
 def _coefficient(dets_by_face, out_shape, domain, offset, tol):
     """Average determinant over face choices, asserting their agreement.
 
-    ``dets_by_face`` yields ((determinant slab, area slab), output slice)
+    ``dets_by_face`` holds ((determinant slab, area slab), output slice)
     pairs; spreads are judged relative to |mean| plus the mean participating
-    area density.
+    area density, and a NaN spread fails.
     """
-    total = np.zeros(out_shape)
-    f_total = np.zeros(out_shape)
-    count = np.zeros(out_shape)
-    lo = np.full(out_shape, np.inf)
-    hi = np.full(out_shape, -np.inf)
-    for (det, f_vals), sl in dets_by_face:
-        total[sl] += det
-        f_total[sl] += f_vals
-        count[sl] += 1.0
-        np.minimum(lo[sl], det, out=lo[sl])
-        np.maximum(hi[sl], det, out=hi[sl])
-    mean = total / count
-    spread = hi - lo
-    scale = np.abs(mean) + f_total / count
-    if np.any(spread > tol * scale):
-        i, j = np.unravel_index(np.argmax(spread - tol * scale), spread.shape)
-        vertex = (domain.u_min + offset[0] + int(i), domain.v_min + offset[1] + int(j))
-        raise IllDefinedForm(vertex, float(spread[i, j]))
-    return mean, float((spread / np.maximum(scale, _TINY)).max())
+    mean, spread = face_choice_mean(((det, sl) for (det, _), sl in dets_by_face), out_shape)
+    f_mean, _ = face_choice_mean(((f, sl) for (_, f), sl in dets_by_face), out_shape)
+    scale = np.abs(mean) + f_mean
+    excess = spread - tol * scale
+    if not excess.max() <= 0.0:
+        vertex = worst_index(excess, domain, *offset)
+        raise IllDefinedForm(vertex, float(spread.flat[np.argmax(excess)]))
+    return mean, float((spread / np.maximum(scale, TINY)).max())
 
 
 def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> CubicForm:
     """Cubic coefficients of an immersion given its affine normal field."""
-    q = _positions(surface)
+    q = as_positions(surface)
     dom = q.domain
     if dom.n_u < 3 or dom.n_v < 3:
         raise IllDefinedForm((dom.u_min, dom.v_min), float("nan"))
@@ -110,19 +98,19 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
 
     cross_u = np.cross(e1[:-1, :], e1[1:, :])          # u-interior vertices
     a_faces = (
-        ((_det3_slab(cross_u[:, :-1], xi[1:, :]), f[1:, :]), (slice(None), slice(None, -1))),
-        ((_det3_slab(cross_u[:, :-1], xi[:-1, :]), f[:-1, :]), (slice(None), slice(None, -1))),
-        ((_det3_slab(cross_u[:, 1:], xi[1:, :]), f[1:, :]), (slice(None), slice(1, None))),
-        ((_det3_slab(cross_u[:, 1:], xi[:-1, :]), f[:-1, :]), (slice(None), slice(1, None))),
+        ((dot3(cross_u[:, :-1], xi[1:, :]), f[1:, :]), (slice(None), slice(None, -1))),
+        ((dot3(cross_u[:, :-1], xi[:-1, :]), f[:-1, :]), (slice(None), slice(None, -1))),
+        ((dot3(cross_u[:, 1:], xi[1:, :]), f[1:, :]), (slice(None), slice(1, None))),
+        ((dot3(cross_u[:, 1:], xi[:-1, :]), f[:-1, :]), (slice(None), slice(1, None))),
     )
     a_mean, a_rel = _coefficient(a_faces, (dom.n_u - 2, dom.n_v), dom, (1, 0), tol)
 
     cross_v = np.cross(e2[:, 1:], e2[:, :-1])          # v-interior vertices
     b_faces = (
-        ((_det3_slab(cross_v[:-1, :], xi[:, 1:]), f[:, 1:]), (slice(None, -1), slice(None))),
-        ((_det3_slab(cross_v[:-1, :], xi[:, :-1]), f[:, :-1]), (slice(None, -1), slice(None))),
-        ((_det3_slab(cross_v[1:, :], xi[:, 1:]), f[:, 1:]), (slice(1, None), slice(None))),
-        ((_det3_slab(cross_v[1:, :], xi[:, :-1]), f[:, :-1]), (slice(1, None), slice(None))),
+        ((dot3(cross_v[:-1, :], xi[:, 1:]), f[:, 1:]), (slice(None, -1), slice(None))),
+        ((dot3(cross_v[:-1, :], xi[:, :-1]), f[:, :-1]), (slice(None, -1), slice(None))),
+        ((dot3(cross_v[1:, :], xi[:, 1:]), f[:, 1:]), (slice(1, None), slice(None))),
+        ((dot3(cross_v[1:, :], xi[:, :-1]), f[:, :-1]), (slice(1, None), slice(None))),
     )
     b_mean, b_rel = _coefficient(b_faces, (dom.n_u, dom.n_v - 2), dom, (0, 1), tol)
 
@@ -132,10 +120,6 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
         max_spread_u=a_rel,
         max_spread_v=b_rel,
     )
-
-
-def _det3_slab(cross, xi):
-    return np.einsum("ijk,ijk->ij", cross, xi)
 
 
 @dataclass(frozen=True)
@@ -154,7 +138,7 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
 
     Residuals are normalized by the largest participating term per stencil.
     """
-    q = _positions(surface)
+    q = as_positions(surface)
     dom = q.domain
     e1 = d1(q).values
     e2 = d2(q).values
@@ -166,21 +150,10 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
     f1 = d1(areas).values
     f2 = d2(areas).values
 
+    # The per-stencil scale is floored by F times the participating edge
+    # lengths so identities whose every term vanishes (straight rulings,
+    # constant F) register as satisfied instead of comparing noise to noise.
     per = {}
-
-    def record(name, t_main, t_edge1, t_edge2, floor):
-        # Floor the per-stencil scale by F times the participating edge
-        # lengths so identities whose every term vanishes (straight rulings,
-        # constant F) register as satisfied instead of comparing noise to
-        # noise.
-        resid = np.abs(t_main - t_edge1 - t_edge2).max(axis=2)
-        scale = np.maximum.reduce([
-            np.abs(t_main).max(axis=2),
-            np.abs(t_edge1).max(axis=2),
-            np.abs(t_edge2).max(axis=2),
-            floor,
-        ])
-        per[name] = float((resid / np.maximum(scale, _TINY)).max())
 
     # q11 expansions (vertex u-interior; vsign picks the v+1/2 or v-1/2 row).
     for vsign, vsl in ((+1, np.s_[:, :-1]), (-1, np.s_[:, 1:])):
@@ -194,13 +167,9 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
             floor = f_face * np.maximum(
                 np.abs(e1_used).max(axis=2), np.abs(q2_used).max(axis=2)
             )
-            record(
-                f"q11[v{'+' if vsign > 0 else '-'}][u{'+' if uside > 0 else '-'}]",
-                f_face[..., None] * quu_used,
-                f1[..., None] * e1_used,
-                a_used * q2_used,
-                floor,
-            )
+            name = f"q11[v{'+' if vsign > 0 else '-'}][u{'+' if uside > 0 else '-'}]"
+            per[name] = relative_residual(
+                [f_face[..., None] * quu_used, f1[..., None] * e1_used, a_used * q2_used], floor)
 
     # q22 expansions (vertex v-interior; usign picks the u+1/2 or u-1/2 column).
     for usign, usl in ((+1, np.s_[:-1, :]), (-1, np.s_[1:, :])):
@@ -214,13 +183,9 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
             floor = f_face * np.maximum(
                 np.abs(q1_used).max(axis=2), np.abs(e2_used).max(axis=2)
             )
-            record(
-                f"q22[u{'+' if usign > 0 else '-'}][v{'+' if vside > 0 else '-'}]",
-                f_face[..., None] * qvv_used,
-                b_used * q1_used,
-                f2[..., None] * e2_used,
-                floor,
-            )
+            name = f"q22[u{'+' if usign > 0 else '-'}][v{'+' if vside > 0 else '-'}]"
+            per[name] = relative_residual(
+                [f_face[..., None] * qvv_used, b_used * q1_used, f2[..., None] * e2_used], floor)
 
     worst = max(per, key=per.get)
     return StructuralReport(
@@ -251,14 +216,14 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
     q1(u-1/2,v) x q1(u+1/2,v) = A nu and q2(u,v+1/2) x q2(u,v-1/2) = B nu
     and expanding the shifted edges through the affine normal.
     """
-    q = _positions(surface)
+    q = as_positions(surface)
     e1 = d1(q).values
     e2 = d2(q).values
     xi = normals.values
     f = areas.values
 
-    a2_closed = -f[:-1, :] * _det3(e1[1:, :-1], xi[:-1, :], xi[1:, :])
-    b1_closed = f[:, :-1] * _det3(e2[:-1, 1:], xi[:, :-1], xi[:, 1:])
+    a2_closed = -f[:-1, :] * det3(e1[1:, :-1], xi[:-1, :], xi[1:, :])
+    b1_closed = f[:, :-1] * det3(e2[:-1, 1:], xi[:, :-1], xi[:, 1:])
 
     a2_direct = d2(form.u_coeff)
     b1_direct = d1(form.v_coeff)
@@ -278,7 +243,7 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
         float(np.abs(b1_direct.values).max()), float(np.abs(b1_closed).max()),
     )
     return derivs, ClosedFormReport(
-        max_gap=gap, scale=scale, relative_gap=gap / max(scale, _TINY)
+        max_gap=gap, scale=scale, relative_gap=gap / max(scale, TINY)
     )
 
 
@@ -303,7 +268,7 @@ class NormalDerivativeReport:
 def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
                                 derivs: FormDerivatives,
                                 tol: float = TOL_FORMS) -> NormalDerivativeReport:
-    q = _positions(surface)
+    q = as_positions(surface)
     e1 = d1(q).values
     e2 = d2(q).values
     xi = normals.values
@@ -311,25 +276,16 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
     a2 = derivs.u_coeff_dv.values
     b1 = derivs.v_coeff_du.values
 
-    def relative(term1, term2, floor):
-        # Floored by F F |xi| so constant-normal regions do not compare
-        # rounding noise against rounding noise.
-        resid = np.abs(term1 - term2).max(axis=2)
-        scale = np.maximum.reduce([
-            np.abs(term1).max(axis=2), np.abs(term2).max(axis=2), floor,
-        ])
-        return float((resid / np.maximum(scale, _TINY)).max())
-
+    # Floored by F F |xi| so constant-normal regions do not compare rounding
+    # noise against rounding noise.
     ff_u = f[:-1, :] * f[1:, :]
-    res_u = relative(
-        ff_u[..., None] * (xi[1:, :] - xi[:-1, :]),
-        a2[..., None] * e2[1:-1, :],
+    res_u = relative_residual(
+        [ff_u[..., None] * (xi[1:, :] - xi[:-1, :]), a2[..., None] * e2[1:-1, :]],
         ff_u * np.maximum(np.abs(xi[1:, :]).max(axis=2), np.abs(xi[:-1, :]).max(axis=2)),
     )
     ff_v = f[:, :-1] * f[:, 1:]
-    res_v = relative(
-        ff_v[..., None] * (xi[:, 1:] - xi[:, :-1]),
-        b1[..., None] * e1[:, 1:-1],
+    res_v = relative_residual(
+        [ff_v[..., None] * (xi[:, 1:] - xi[:, :-1]), b1[..., None] * e1[:, 1:-1]],
         ff_v * np.maximum(np.abs(xi[:, 1:]).max(axis=2), np.abs(xi[:, :-1]).max(axis=2)),
     )
     return NormalDerivativeReport(

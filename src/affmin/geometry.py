@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatch, NonPositiveVolume
-from .grids import FaceGrid, VertexGrid, d1, d2, d11, d12, d22
+from .grids import (TINY, FaceGrid, VertexGrid, as_positions, d1, d2, d11, d12, d22,
+                    det3, dot3, face_choice_mean, worst_index)
 
 __all__ = [
     "TOL_DUAL",
@@ -33,25 +34,6 @@ __all__ = [
 TOL_DUAL = 1e-9
 TOL_ASYMPTOTIC = 1e-9
 
-_TINY = 1e-300
-
-
-def _positions(surface) -> VertexGrid:
-    """Accept an Immersion or a bare position VertexGrid."""
-    grid = getattr(surface, "positions", surface)
-    if not isinstance(grid, VertexGrid) or grid.components != 3:
-        raise TypeError("expected an Immersion or a 3-vector VertexGrid")
-    return grid
-
-
-def _det3(a, b, c):
-    return np.einsum("...k,...k->...", a, np.cross(b, c))
-
-
-def _worst(arr, domain, du=0, dv=0):
-    i, j = np.unravel_index(np.argmax(arr), arr.shape)
-    return (domain.u_min + du + int(i), domain.v_min + dv + int(j))
-
 
 @dataclass(frozen=True)
 class FaceVolumes:
@@ -65,23 +47,23 @@ def face_volumes(surface) -> FaceVolumes:
     """Corner-tetrahedron volume per face; raises unless every M > 0.
 
     M(u+1/2, v+1/2) is the determinant of the three edges from q(u, v) to
-    its face neighbors q(u+1, v), q(u, v+1), q(u+1, v+1).
+    its face neighbors q(u+1, v), q(u, v+1), q(u+1, v+1).  A NaN M (from a
+    NaN position) fails too.
     """
-    q = _positions(surface)
+    q = as_positions(surface)
     q.domain.require_faces("face volumes")
     p = q.values
     base = p[:-1, :-1]
-    m = _det3(p[1:, :-1] - base, p[:-1, 1:] - base, p[1:, 1:] - base)
-    if m.min() <= 0.0:
-        dom = q.domain
-        i, j = np.unravel_index(np.argmin(m), m.shape)
-        raise NonPositiveVolume((dom.u_min + int(i), dom.v_min + int(j)), float(m[i, j]))
+    m = det3(p[1:, :-1] - base, p[:-1, 1:] - base, p[1:, 1:] - base)
+    lowest = m.min()
+    if not lowest > 0.0:
+        raise NonPositiveVolume(worst_index(-m, q.domain), float(lowest))
     return FaceVolumes(FaceGrid(q.domain, m), FaceGrid(q.domain, np.sqrt(m)))
 
 
 def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
     """Affine normal per face: the mixed difference of q divided by F."""
-    q = _positions(surface)
+    q = as_positions(surface)
     if areas.domain != q.domain:
         raise DomainMismatch("area grid and surface live on different domains")
     return FaceGrid(q.domain, d12(q).values / areas.values[:, :, None])
@@ -102,19 +84,12 @@ class ConormalRecovery:
 
 def recover_conormal(surface) -> ConormalRecovery:
     """Evaluate the cross-product co-normal formula on every incident face."""
-    q = _positions(surface)
-    areas = face_volumes(q).areas.values
+    q = as_positions(surface)
+    f = face_volumes(q).areas.values[:, :, None]
     e1 = d1(q).values
     e2 = d2(q).values
     dom = q.domain
 
-    shape = (dom.n_u, dom.n_v, 3)
-    total = np.zeros(shape)
-    count = np.zeros((dom.n_u, dom.n_v, 1))
-    lo = np.full(shape, np.inf)
-    hi = np.full(shape, -np.inf)
-
-    f = areas[:, :, None]
     # (estimate, vertex slice) per corner role of each face.
     corner_estimates = (
         (np.cross(e1[:, :-1], e2[:-1, :]) / f, (slice(None, -1), slice(None, -1))),
@@ -122,17 +97,12 @@ def recover_conormal(surface) -> ConormalRecovery:
         (np.cross(e1[:, 1:], e2[:-1, :]) / f, (slice(None, -1), slice(1, None))),
         (np.cross(e1[:, 1:], e2[1:, :]) / f, (slice(1, None), slice(1, None))),
     )
-    for est, sl in corner_estimates:
-        total[sl] += est
-        count[sl] += 1.0
-        np.minimum(lo[sl], est, out=lo[sl])
-        np.maximum(hi[sl], est, out=hi[sl])
-
-    spread = (hi - lo).max(axis=2)
+    mean, spread = face_choice_mean(corner_estimates, (dom.n_u, dom.n_v, 3))
+    spread = spread.max(axis=2)
     return ConormalRecovery(
-        vectors=VertexGrid(dom, total / count),
+        vectors=VertexGrid(dom, mean),
         max_deviation=float(spread.max()),
-        worst_vertex=_worst(spread, dom),
+        worst_vertex=worst_index(spread, dom),
     )
 
 
@@ -155,7 +125,7 @@ class AsymptoticReport:
 
 def asymptotic_certificate(surface, tol_zero: float = TOL_ASYMPTOTIC,
                            tol_mixed: float = TOL_ASYMPTOTIC) -> AsymptoticReport:
-    q = _positions(surface)
+    q = as_positions(surface)
     e1 = d1(q).values
     e2 = d2(q).values
     dom = q.domain
@@ -171,31 +141,31 @@ def asymptotic_certificate(surface, tol_zero: float = TOL_ASYMPTOTIC,
         m = float(res.max())
         if m > zero_best:
             zero_best = m
-            zero_worst = _worst(res, dom, du, dv)
+            zero_worst = worst_index(res, dom, du, dv)
 
     if dom.n_u >= 3:
         quu = d11(q).values
         for e1_pick in (e1[:-1, :], e1[1:, :]):
-            track_zero(_det3(e1_pick[:, :-1], e2[1:-1, :], quu[:, :-1]), 1, 0)
-            track_zero(_det3(e1_pick[:, 1:], e2[1:-1, :], quu[:, 1:]), 1, 1)
+            track_zero(det3(e1_pick[:, :-1], e2[1:-1, :], quu[:, :-1]), 1, 0)
+            track_zero(det3(e1_pick[:, 1:], e2[1:-1, :], quu[:, 1:]), 1, 1)
     if dom.n_v >= 3:
         qvv = d22(q).values
         for e2_pick in (e2[:, :-1], e2[:, 1:]):
-            track_zero(_det3(e1[:, 1:-1], e2_pick[:-1, :], qvv[:-1, :]), 0, 1)
-            track_zero(_det3(e1[:, 1:-1], e2_pick[1:, :], qvv[1:, :]), 1, 1)
+            track_zero(det3(e1[:, 1:-1], e2_pick[:-1, :], qvv[:-1, :]), 0, 1)
+            track_zero(det3(e1[:, 1:-1], e2_pick[1:, :], qvv[1:, :]), 1, 1)
 
     m = face_volumes(q).volumes.values
     quv = d12(q).values
     mixed = np.zeros_like(m)
     for e1_pick in (e1[:, :-1], e1[:, 1:]):
         for e2_pick in (e2[:-1, :], e2[1:, :]):
-            np.maximum(mixed, np.abs(_det3(e1_pick, e2_pick, quv) - m) / m, out=mixed)
+            np.maximum(mixed, np.abs(det3(e1_pick, e2_pick, quv) - m) / m, out=mixed)
 
     return AsymptoticReport(
         max_zero_residual=zero_best,
         worst_zero_vertex=zero_worst,
         max_mixed_residual=float(mixed.max()),
-        worst_mixed_face=_worst(mixed, dom),
+        worst_mixed_face=worst_index(mixed, dom),
         passed=zero_best <= tol_zero and float(mixed.max()) <= tol_mixed,
     )
 
@@ -219,7 +189,7 @@ def planarity_and_saddle(surface, vectors: VertexGrid,
     edge and co-normal lengths); (b) the four diagonal increments dotted
     with nu alternate in sign cyclically (saddle condition).
     """
-    q = _positions(surface)
+    q = as_positions(surface)
     if vectors.domain != q.domain:
         raise DomainMismatch("co-normal grid and surface live on different domains")
     p = q.values
@@ -233,13 +203,13 @@ def planarity_and_saddle(surface, vectors: VertexGrid,
     ortho = np.zeros(center.shape[:2])
     for edge in (p[2:, 1:-1], p[:-2, 1:-1], p[1:-1, 2:], p[1:-1, :-2]):
         e = edge - center
-        res = np.abs(np.einsum("ijk,ijk->ij", e, nu))
-        res /= np.maximum(np.linalg.norm(e, axis=2) * nu_norm, _TINY)
+        res = np.abs(dot3(e, nu))
+        res /= np.maximum(np.linalg.norm(e, axis=2) * nu_norm, TINY)
         np.maximum(ortho, res, out=ortho)
 
     # Diagonal dot products in cyclic order NE, NW, SW, SE must alternate.
     diag = [
-        np.einsum("ijk,ijk->ij", corner - center, nu)
+        dot3(corner - center, nu)
         for corner in (p[2:, 2:], p[:-2, 2:], p[:-2, :-2], p[2:, :-2])
     ]
     alternating = np.ones(center.shape[:2], dtype=bool)
@@ -251,7 +221,7 @@ def planarity_and_saddle(surface, vectors: VertexGrid,
     ]
     return PlanarSaddleReport(
         max_orthogonality_residual=float(ortho.max()),
-        worst_vertex=_worst(ortho, dom, 1, 1),
+        worst_vertex=worst_index(ortho, dom, 1, 1),
         saddle_ok=not failures,
         passed=not failures and float(ortho.max()) <= tol,
         saddle_failures=failures,
@@ -284,11 +254,10 @@ def duality_certificate(vectors: VertexGrid, normals: FaceGrid, areas: FaceGrid,
 
     pairing = np.zeros(xi.shape[:2])
     for corner in (nu[:-1, :-1], nu[1:, :-1], nu[:-1, 1:], nu[1:, 1:]):
-        np.maximum(pairing, np.abs(np.einsum("ijk,ijk->ij", corner, xi) - 1.0),
-                   out=pairing)
+        np.maximum(pairing, np.abs(dot3(corner, xi) - 1.0), out=pairing)
 
     f_xi = areas.values[:, :, None] * xi
-    scale = np.maximum(np.abs(f_xi).max(axis=2), _TINY)
+    scale = np.maximum(np.abs(f_xi).max(axis=2), TINY)
     nu1 = d1(VertexGrid(dom, nu)).values
     nu2 = d2(VertexGrid(dom, nu)).values
     cross = np.zeros(xi.shape[:2])
@@ -299,8 +268,8 @@ def duality_certificate(vectors: VertexGrid, normals: FaceGrid, areas: FaceGrid,
 
     return DualityReport(
         max_pairing_residual=float(pairing.max()),
-        worst_pairing_face=_worst(pairing, dom),
+        worst_pairing_face=worst_index(pairing, dom),
         max_cross_residual=float(cross.max()),
-        worst_cross_face=_worst(cross, dom),
+        worst_cross_face=worst_index(cross, dom),
         passed=float(pairing.max()) <= tol and float(cross.max()) <= tol,
     )

@@ -16,6 +16,11 @@ First differences move an index by one half step:
 
 (* on the interior of the differenced direction).  All arrays are float64,
 dense, row-major with the u index first, and read-only after construction.
+
+The pointwise kernels shared by every certificate live here too: the dot
+and triple products of 3-vector arrays, the worst-entry lookup that names a
+grid index, the face-choice average, the relative residual of a stencil
+identity, and the ``TINY`` floor for denominators.
 """
 
 from dataclasses import dataclass
@@ -36,7 +41,17 @@ __all__ = [
     "d11",
     "d22",
     "d12",
+    "TINY",
+    "dot3",
+    "det3",
+    "as_positions",
+    "worst_index",
+    "face_choice_mean",
+    "relative_residual",
 ]
+
+# Floor for denominators that may vanish (scales of all-zero fields).
+TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -273,3 +288,62 @@ def d12(grid: VertexGrid) -> FaceGrid:
     _require_extent(grid, 1, 2, "d12")
     g = grid.values
     return FaceGrid(grid.domain, g[1:, 1:] + g[:-1, :-1] - g[1:, :-1] - g[:-1, 1:])
+
+
+def dot3(a, b):
+    """Dot product of 3-vector arrays along their last axis."""
+    return np.einsum("...k,...k->...", a, b)
+
+
+def det3(a, b, c):
+    """Triple product [a, b, c] = a . (b x c) of 3-vector arrays."""
+    return dot3(a, np.cross(b, c))
+
+
+def as_positions(surface) -> VertexGrid:
+    """Accept an Immersion or a bare position VertexGrid."""
+    grid = getattr(surface, "positions", surface)
+    if not isinstance(grid, VertexGrid) or grid.components != 3:
+        raise TypeError("expected an Immersion or a 3-vector VertexGrid")
+    return grid
+
+
+def worst_index(values, domain: GridDomain, du=0, dv=0):
+    """Grid index of the largest entry of a 2-D array (the first NaN, if any).
+
+    Entry (0, 0) of ``values`` sits at (u_min + du, v_min + dv) of ``domain``.
+    """
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    return (domain.u_min + du + int(i), domain.v_min + dv + int(j))
+
+
+def face_choice_mean(choices, shape):
+    """Mean and spread (max - min) of estimates gathered over face choices.
+
+    ``choices`` yields (estimate, output slice) pairs; each output entry
+    averages the estimates of the faces whose slices reach it.
+    """
+    total = np.zeros(shape)
+    count = np.zeros(shape)
+    lo = np.full(shape, np.inf)
+    hi = np.full(shape, -np.inf)
+    for est, sl in choices:
+        total[sl] += est
+        count[sl] += 1.0
+        np.minimum(lo[sl], est, out=lo[sl])
+        np.maximum(hi[sl], est, out=hi[sl])
+    return total / count, hi - lo
+
+
+def relative_residual(terms, floor=0.0) -> float:
+    """Worst |t0 - t1 - t2 ...| relative to the largest |t_k| or ``floor``.
+
+    Each term is an array of stencils with the components on the last axis
+    (length 1 for scalars); the residual and the scale of a stencil are
+    maxima over its components.
+    """
+    resid = terms[0]
+    for term in terms[1:]:
+        resid = resid - term
+    scale = np.maximum(np.maximum.reduce([np.abs(t).max(axis=-1) for t in terms]), floor)
+    return float((np.abs(resid).max(axis=-1) / np.maximum(scale, TINY)).max())

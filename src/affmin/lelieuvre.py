@@ -16,7 +16,7 @@ import numpy as np
 
 from .conormal import ConormalField
 from .errors import DomainMismatch
-from .grids import GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, d1, d2
+from .grids import TINY, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, d1, d2, worst_index
 
 __all__ = [
     "TOL_INTEGRATE",
@@ -46,14 +46,6 @@ class Immersion:
     @property
     def domain(self) -> GridDomain:
         return self.positions.domain
-
-    def translated(self, offset) -> "Immersion":
-        offset = np.asarray(offset, dtype=float)
-        return Immersion(
-            self.positions.with_values(self.positions.values + offset),
-            self.base_vertex,
-            self.base_value + offset,
-        )
 
     def __repr__(self):
         return f"Immersion(domain={self.domain.as_tuple()}, base={self.base_vertex})"
@@ -155,18 +147,12 @@ def verify_lelieuvre(immersion: Immersion, field: ConormalField,
     res_v = np.abs(d2(immersion.positions).values - q2.values).max(axis=2)
     scale = max(float(np.abs(q1.values).max()), float(np.abs(q2.values).max()))
 
-    dom = immersion.domain
-    if res_u.max() >= res_v.max():
-        i, j = np.unravel_index(np.argmax(res_u), res_u.shape)
-        worst = ("u", (dom.u_min + int(i), dom.v_min + int(j)))
-    else:
-        i, j = np.unravel_index(np.argmax(res_v), res_v.shape)
-        worst = ("v", (dom.u_min + int(i), dom.v_min + int(j)))
     max_u, max_v = float(res_u.max()), float(res_v.max())
+    side, res = ("u", res_u) if max_u >= max_v else ("v", res_v)
     return LelieuvreReport(
         max_residual_u=max_u,
         max_residual_v=max_v,
         edge_scale=scale,
-        worst_edge=worst,
-        passed=max(max_u, max_v) <= tol * max(scale, 1e-300),
+        worst_edge=(side, worst_index(res, immersion.domain)),
+        passed=max(max_u, max_v) <= tol * max(scale, TINY),
     )

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _positions, face_volumes
-from .grids import VertexGrid
+from .geometry import face_volumes
+from .grids import VertexGrid, as_positions, det3
 
 __all__ = [
     "TriangleMesh",
@@ -28,11 +28,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Indexed triangle soup with optional per-vertex normals."""
+    """Indexed triangle soup."""
 
     positions: np.ndarray
     triangles: np.ndarray
-    normals: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
@@ -66,7 +65,7 @@ def patch_point(surface, face, s: float, t: float) -> np.ndarray:
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"patch parameters must lie in [0, 1], got ({s}, {t})")
-    c00, c10, c01, c11 = _face_corners(_positions(surface), face)
+    c00, c10, c01, c11 = _face_corners(as_positions(surface), face)
     return ((1.0 - s) * (1.0 - t)) * c00 + (s * (1.0 - t)) * c10 \
         + ((1.0 - s) * t) * c01 + (s * t) * c11
 
@@ -88,7 +87,7 @@ def patch_area_check(surface, face, n_quad: int) -> PatchAreaResult:
     """
     if n_quad < 2:
         raise ValueError(f"n_quad must be at least 2, got {n_quad}")
-    q = _positions(surface)
+    q = as_positions(surface)
     c00, c10, c01, c11 = _face_corners(q, face)
     e1 = c10 - c00
     e2 = c01 - c00
@@ -100,8 +99,7 @@ def patch_area_check(surface, face, n_quad: int) -> PatchAreaResult:
     ss, tt = np.meshgrid(s, s, indexing="ij")
     r_s = e1[None, None, :] + tt[:, :, None] * w
     r_t = e2[None, None, :] + ss[:, :, None] * w
-    det = np.einsum("ijk,ijk->ij", r_s, np.cross(r_t, w[None, None, :]))
-    element = np.sqrt(det)
+    element = np.sqrt(det3(r_s, r_t, w))
 
     f = float(face_volumes(q).areas.face_at(*face))
     area = float(np.einsum("i,j,ij->", wts, wts, element))
@@ -119,7 +117,7 @@ def tessellate(surface, resolution: int) -> TriangleMesh:
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    q = _positions(surface)
+    q = as_positions(surface)
     q.domain.require_faces("tessellation")
     p = q.values
     nfu, nfv = q.domain.n_u - 1, q.domain.n_v - 1
@@ -157,14 +155,8 @@ def export_obj(mesh: TriangleMesh, path):
     lines = []
     for x, y, z in mesh.positions:
         lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    if mesh.normals is not None:
-        for x, y, z in mesh.normals:
-            lines.append(f"vn {x:.17g} {y:.17g} {z:.17g}")
-        for i, j, k in mesh.triangles + 1:
-            lines.append(f"f {i}//{i} {j}//{j} {k}//{k}")
-    else:
-        for i, j, k in mesh.triangles + 1:
-            lines.append(f"f {i} {j} {k}")
+    for i, j, k in mesh.triangles + 1:
+        lines.append(f"f {i} {j} {k}")
     try:
         with open(path, "w", encoding="ascii") as handle:
             handle.write("\n".join(lines) + "\n")

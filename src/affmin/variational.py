@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonPositiveVolume
-from .geometry import _positions, _worst, face_volumes
-from .grids import VertexGrid, d1, d2
+from .geometry import face_volumes
+from .grids import VertexGrid, as_positions, d1, d2, det3, worst_index
 
 __all__ = [
     "TOL_CRIT",
@@ -43,12 +43,15 @@ def area_gradient(surface) -> VertexGrid:
     sum h1 + h2 + h3 + h4 of the four incident-face area variations.
     Identically zero (to rounding) exactly on discrete affine minimal nets.
     """
-    q = _positions(surface)
+    q = as_positions(surface)
     q.domain.interior()  # raises DomainTooSmall when no interior vertex exists
+    return _gradient(q, face_volumes(q).areas.values)
+
+
+def _gradient(q: VertexGrid, f) -> VertexGrid:
+    """Area gradient of positions ``q`` whose face area densities are ``f``."""
     e1 = d1(q).values
     e2 = d2(q).values
-    f = face_volumes(q).areas.values
-
     h1 = np.cross(e1[:-1, :-2], e2[:-2, :-1]) / (2.0 * f[:-1, :-1, None])
     h2 = -np.cross(e1[1:, :-2], e2[2:, :-1]) / (2.0 * f[1:, :-1, None])
     h3 = np.cross(e1[1:, 2:], e2[2:, 1:]) / (2.0 * f[1:, 1:, None])
@@ -75,18 +78,15 @@ def fd_gradient_check(surface, vertex, direction, h: float) -> FdGradientCheck:
     cancellation; what remains of the gap is pure O(h^2) truncation.
     Both probes must keep every face volume positive.
     """
-    q = _positions(surface)
+    q = as_positions(surface)
     dom = q.domain
     if not dom.interior().contains_vertex(*vertex):
         raise IndexError(f"vertex {vertex} is not interior to {dom}")
     direction = np.asarray(direction, dtype=float)
-    face_volumes(q)  # the base net itself must have M > 0 everywhere
+    f = face_volumes(q).areas.values  # the base net must have M > 0 everywhere
     p = q.values
     i = vertex[0] - dom.u_min
     j = vertex[1] - dom.v_min
-
-    def det3(a, b, c):
-        return float(a @ np.cross(b, c))
 
     numeric = 0.0
     # The four incident faces, each with the moving vertex in another corner.
@@ -116,8 +116,7 @@ def fd_gradient_check(surface, vertex, direction, h: float) -> FdGradientCheck:
         # (sqrt(m+) - sqrt(m-)) / 2h, with the difference taken exactly.
         numeric += slope / (np.sqrt(m_plus) + np.sqrt(m_minus))
 
-    g = area_gradient(q)
-    analytic = float(g.vertex_at(*vertex) @ direction)
+    analytic = float(_gradient(q, f).vertex_at(*vertex) @ direction)
     return FdGradientCheck(analytic, numeric, abs(analytic - numeric))
 
 
@@ -138,17 +137,17 @@ class CriticalityReport:
 
 
 def criticality_certificate(surface, tol: float = TOL_CRIT) -> CriticalityReport:
-    q = _positions(surface)
-    mean_area = float(face_volumes(q).areas.values.mean())
+    q = as_positions(surface)
+    f = face_volumes(q).areas.values
+    mean_area = float(f.mean())
     dom = q.domain
     if dom.n_u < 3 or dom.n_v < 3:
         return CriticalityReport(0.0, mean_area, (dom.u_min, dom.v_min),
                                  passed=True, vacuous=True)
-    g = area_gradient(q)
-    norms = np.abs(g.values).max(axis=2)
+    norms = np.abs(_gradient(q, f).values).max(axis=2)
     return CriticalityReport(
         max_gradient=float(norms.max()),
         mean_area=mean_area,
-        worst_vertex=_worst(norms, dom, 1, 1),
+        worst_vertex=worst_index(norms, dom, 1, 1),
         passed=float(norms.max()) <= tol * mean_area,
     )

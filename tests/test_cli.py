@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,20 @@ from affmin.gridio import read_grid
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# Artifacts of `pipeline --example paraboloid --box 0 6 0 6` (resolutions 1 8).
+# Its arithmetic is integer or dyadic (F = 1, every residual exactly 0), so
+# these bytes depend neither on the platform nor on summation order.
+GOLDEN_PARABOLOID = {
+    "conormal.json": "f36fa3e1446fb537d2441895e905b7d0737e3b7d4784ad767fed19d624082e30",
+    "surface.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
+    "reconstructed.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
+    "check_report.json": "45ea1001ab5fba97e377c28dcc6457d8bc3fbb7b725d49d4f5b7669a35896f07",
+    "forms.json": "63e9c87ccdb97eb540b97485dfcb44b76068992a5ed96a75c6ec7b0e125d2c37",
+    "mesh_res1.obj": "9c4431c22a37c475282c05e900b47d9be183de200ec68bfde709c06f01de0669",
+    "mesh_res8.obj": "796b9674b9940cec261f3f291eae84545fdfa8d8bfe6662166a161d52dc87192",
+}
 
 
 @pytest.fixture()
@@ -142,6 +157,24 @@ class TestFormsReconstructCompare:
         assert parsed["det"] == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(parsed["linear"], linear, atol=1e-9)
 
+    def test_forms_tolerance_flag_takes_effect(self, tmp_path):
+        conormal = tmp_path / "c.json"
+        surface = tmp_path / "s.json"
+        forms = tmp_path / "forms.json"
+        assert run("generate", "--example", "cubic", "--box", 1, 8, 1, 8,
+                   "--out", conormal) == 0
+        assert run("integrate", "--conormal", conormal, "--out", surface) == 0
+        body = json.loads(surface.read_text())
+        values = np.asarray(body["values"], dtype=float).reshape(8, 8, 3)
+        values[4, 4, 2] += 1e-6  # face-choice spread 2.1e-7, above the default 1e-8
+        body["values"] = values.reshape(-1).tolist()
+        surface.write_text(json.dumps(body))
+        assert run("forms", "--surface", surface, "--out", forms) == 1
+        assert not forms.exists()
+        assert run("forms", "--surface", surface, "--out", forms,
+                   "--tol-forms", 1e-2) == 0
+        assert forms.exists()
+
     def test_reconstruct_with_seed_file(self, tmp_path, paraboloid_files):
         _, surface = paraboloid_files
         forms = tmp_path / "forms.json"
@@ -203,6 +236,12 @@ class TestPipeline:
                      "reconstructed.json", "mesh_res1.obj", "mesh_res8.obj",
                      "check_report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_golden_artifact_digests(self, tmp_path):
+        assert run("pipeline", "--example", "paraboloid", "--box", 0, 6, 0, 6,
+                   "--outdir", tmp_path) == 0
+        for name, digest in GOLDEN_PARABOLOID.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_default_boxes_per_example(self, tmp_path):
         # the sphere default box must respect u > v

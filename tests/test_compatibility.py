@@ -219,3 +219,37 @@ class TestAffineEquivalence:
         np.testing.assert_array_equal(mapping.apply(np.array([1.0, 1.0, 1.0])),
                                       (3.0, 2.0, 2.0))
         assert mapping.det == pytest.approx(8.0)
+
+
+class TestNanGates:
+    def test_fundamental_data_rejects_nan_area(self, paraboloid):
+        _, surf = paraboloid
+        data = extract_fundamental_data(surf)
+        areas = np.array(data.areas.values)
+        areas[2, 5] = np.nan
+        with pytest.raises(NonConvexFace) as err:
+            FundamentalData(data.areas.with_values(areas), data.u_coeff, data.v_coeff)
+        assert err.value.face == (2, 5)
+
+    def test_reconstruct_rejects_overflowing_march(self, paraboloid):
+        _, surf = paraboloid
+        data = extract_fundamental_data(surf)
+        shifted = FundamentalData(
+            data.areas,
+            data.u_coeff.with_values(data.u_coeff.values + 1e150),
+            data.v_coeff.with_values(data.v_coeff.values + 1e150),
+        )
+        with np.errstate(all="ignore"), pytest.raises(IncompatibleData):
+            reconstruct(shifted)
+
+    def test_equivalence_rejects_nan_vertex(self, paraboloid):
+        _, surf = paraboloid
+        values = np.array(surf.positions.values)
+        values[4, 2, 0] = np.nan
+        broken = Immersion(VertexGrid(surf.domain, values), surf.base_vertex,
+                           surf.base_value)
+        for qa, qb in ((broken, surf), (surf, broken)):
+            with pytest.raises(NotEquivalent) as err:
+                affine_equivalence(qa, qb)
+            assert err.value.vertex == (4, 2)
+            assert np.isnan(err.value.gap)

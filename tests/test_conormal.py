@@ -153,3 +153,13 @@ def test_mixed_difference_zero_on_every_face(all_examples):
         residual = np.abs(d12(field.vectors).values).max()
         bound = 4 * np.finfo(float).eps * np.abs(field.vectors.values).max()
         assert residual <= bound, name
+
+
+def test_validate_rejects_nan_vector():
+    field = am.hyperbolic_paraboloid(GridDomain(0, 4, 0, 4))
+    values = np.array(field.vectors.values)
+    values[2, 3, 1] = np.nan
+    with pytest.raises(NotHarmonic) as err:
+        validate(VertexGrid(field.domain, values))
+    assert sorted(err.value.faces) == [(1, 2), (1, 3), (2, 2), (2, 3)]
+    assert np.isnan(err.value.max_residual)

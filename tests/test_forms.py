@@ -175,3 +175,15 @@ def test_improper_sphere_flag(sphere, helicoid):
         is_sphere = xi_spread <= tol
         assert is_sphere == expect_sphere
         assert (a2 <= tol * scale and b1 <= tol * scale) == expect_sphere
+
+
+def test_nan_normal_is_ill_defined(cubic):
+    _, surf = cubic
+    _, xi, _ = setup_chain(surf)
+    bent = np.array(xi.values)
+    bent[4, 2, 2] = np.nan
+    with pytest.raises(IllDefinedForm) as err:
+        cubic_coefficients(surf, xi.with_values(bent))
+    # Face (5, 3) feeds A at vertices (5, 3), (5, 4), (6, 3), (6, 4).
+    assert err.value.vertex == (5, 3)
+    assert np.isnan(err.value.spread)

@@ -197,3 +197,12 @@ def test_area_density_bridge(all_examples):
         surface_side = face_volumes(surf).areas.values
         gap = np.abs(field.areas.values / surface_side - 1.0).max()
         assert gap <= 1e-9, name
+
+
+def test_nan_position_fails_face_volumes(paraboloid):
+    _, surf = paraboloid
+    with pytest.raises(NonPositiveVolume) as err:
+        face_volumes(perturbed(surf, (3, 4), (np.nan, 0.0, 0.0)))
+    # (3, 4) is a corner of faces (2..3, 3..4); the first one in grid order is named.
+    assert err.value.face == (2, 3)
+    assert np.isnan(err.value.value)
