@@ -94,7 +94,7 @@ class CompatibilityResiduals(NamedTuple):
 
     @property
     def max(self) -> float:
-        return max(self)
+        return float(np.max(tuple(self)))   # np.max(self) would call this property
 
 
 def compatibility_residuals(data: FundamentalData) -> CompatibilityResiduals:

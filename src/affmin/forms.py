@@ -187,7 +187,7 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
             per[name] = relative_residual(
                 [f_face[..., None] * qvv_used, b_used * q1_used, f2[..., None] * e2_used], floor)
 
-    worst = max(per, key=per.get)
+    worst = list(per)[int(np.argmax(list(per.values())))]   # a NaN counts as worst
     return StructuralReport(
         max_residual=per[worst],
         per_identity=per,
@@ -234,16 +234,16 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
         area_du=d1(areas),
         area_dv=d2(areas),
     )
-    gap = max(
-        float(np.abs(a2_closed - a2_direct.values).max()),
-        float(np.abs(b1_closed - b1_direct.values).max()),
-    )
-    scale = max(
-        float(np.abs(a2_direct.values).max()), float(np.abs(a2_closed).max()),
-        float(np.abs(b1_direct.values).max()), float(np.abs(b1_closed).max()),
-    )
+    gap = float(np.max([
+        np.abs(a2_closed - a2_direct.values).max(),
+        np.abs(b1_closed - b1_direct.values).max(),
+    ]))
+    scale = float(np.max([
+        np.abs(a2_direct.values).max(), np.abs(a2_closed).max(),
+        np.abs(b1_direct.values).max(), np.abs(b1_closed).max(),
+    ]))
     return derivs, ClosedFormReport(
-        max_gap=gap, scale=scale, relative_gap=gap / max(scale, TINY)
+        max_gap=gap, scale=scale, relative_gap=float(gap / np.maximum(scale, TINY))
     )
 
 
@@ -262,7 +262,7 @@ class NormalDerivativeReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_residual_u, self.max_residual_v)
+        return float(np.max([self.max_residual_u, self.max_residual_v]))
 
 
 def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
@@ -291,5 +291,5 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
     return NormalDerivativeReport(
         max_residual_u=res_u,
         max_residual_v=res_v,
-        passed=max(res_u, res_v) <= tol,
+        passed=bool(np.max([res_u, res_v]) <= tol),
     )

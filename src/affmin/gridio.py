@@ -8,7 +8,9 @@ A grid file is one JSON object:
      "values": [...row-major numbers...]}
 
 Numbers are written with 17 significant digits, so round trips are exact and
-repeated writes are byte-identical.  The forms bundle stores F as a face
+repeated writes are byte-identical.  Grid values must be finite: writers
+and readers reject NaN and infinities (which JSON cannot spell) and name
+the first offending grid index.  The forms bundle stores F as a face
 grid and the cubic coefficients as full vertex grids padded with nulls where
 their stencil does not reach.
 """
@@ -18,7 +20,7 @@ import json
 import numpy as np
 
 from .compatibility import FundamentalData
-from .grids import GRID_KINDS, FaceGrid, Grid, GridDomain, VertexGrid
+from .grids import GRID_KINDS, FaceGrid, Grid, GridDomain, VertexGrid, worst_index
 
 __all__ = [
     "dumps_json",
@@ -62,6 +64,10 @@ def dumps_json(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
+        if seq and set(map(type, seq)) == {float}:
+            # One "%" for the whole list; "%.17g" spells a float as
+            # _format_number does.
+            return "[" + (", ".join(["%.17g"] * len(seq)) % tuple(seq)) + "]"
         if all(isinstance(x, (bool, int, float, np.integer, np.floating)) or x is None
                for x in seq):
             return "[" + ", ".join(
@@ -80,8 +86,17 @@ def write_json(obj, path):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _require_finite(values: np.ndarray, domain: GridDomain, what: str):
+    """Raise ValueError naming the first grid index holding a NaN or inf."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index = worst_index(bad.reshape(bad.shape[0], bad.shape[1], -1).any(axis=2), domain)
+        raise ValueError(f"{what} has a non-finite value at grid index {index}")
+
+
 def grid_to_obj(grid: Grid, pad_values=None) -> dict:
     """Grid file object; ``pad_values`` overrides the flat value list."""
+    _require_finite(grid.values, grid.domain, f"{grid.kind} grid")
     values = grid.values.reshape(-1).tolist() if pad_values is None else pad_values
     return {
         "kind": grid.kind,
@@ -113,7 +128,9 @@ def grid_from_obj(obj: dict) -> Grid:
             f"grid value count {array.size} does not match domain {domain} "
             f"({int(np.prod(shape))} expected)"
         )
-    return cls(domain, array.reshape(shape))
+    array = array.reshape(shape)
+    _require_finite(array, domain, f"{kind} grid")
+    return cls(domain, array)
 
 
 def write_grid(grid: Grid, path):
@@ -134,14 +151,16 @@ def read_grid(path, expected_kind: str | None = None) -> Grid:
     return grid
 
 
-def _pad_coefficient(grid: VertexGrid, full: GridDomain) -> list:
+def _pad_coefficient(grid: VertexGrid, full: GridDomain, name: str) -> list:
     """Flat value list over ``full`` with nulls where the stencil is missing."""
-    values = np.full((full.n_u, full.n_v), np.nan)
     sub = grid.domain
+    _require_finite(grid.values, sub, f"{name} grid")
+    values = np.full((full.n_u, full.n_v), np.nan)
     i0 = sub.u_min - full.u_min
     j0 = sub.v_min - full.v_min
     values[i0:i0 + sub.n_u, j0:j0 + sub.n_v] = grid.values
-    return [None if np.isnan(x) else x for x in values.reshape(-1)]
+    flat = values.reshape(-1)
+    return [None if missing else x for x, missing in zip(flat.tolist(), np.isnan(flat).tolist())]
 
 
 def write_forms(data: FundamentalData, path):
@@ -152,13 +171,13 @@ def write_forms(data: FundamentalData, path):
             "kind": "vertex",
             "domain": list(full.as_tuple()),
             "components": 1,
-            "values": _pad_coefficient(data.u_coeff, full),
+            "values": _pad_coefficient(data.u_coeff, full, "A"),
         },
         "B": {
             "kind": "vertex",
             "domain": list(full.as_tuple()),
             "components": 1,
-            "values": _pad_coefficient(data.v_coeff, full),
+            "values": _pad_coefficient(data.v_coeff, full, "B"),
         },
     }
     write_json(obj, path)
@@ -168,18 +187,19 @@ def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) 
     values = obj["values"]
     if len(values) != full.n_u * full.n_v:
         raise ValueError(f"{name} grid has wrong length for domain {full}")
-    arr = np.array([np.nan if x is None else float(x) for x in values])
-    arr = arr.reshape(full.n_u, full.n_v)
+    shape = (full.n_u, full.n_v)
+    nulls = np.array([x is None for x in values]).reshape(shape)
+    arr = np.array(values, dtype=float).reshape(shape)   # null -> NaN
+    _require_finite(np.where(nulls, 0.0, arr), full, f"{name} grid")
+    inside = np.zeros(shape, dtype=bool)
     i0 = sub.u_min - full.u_min
     j0 = sub.v_min - full.v_min
-    core = arr[i0:i0 + sub.n_u, j0:j0 + sub.n_v]
-    if np.isnan(core).any():
+    inside[i0:i0 + sub.n_u, j0:j0 + sub.n_v] = True
+    if (nulls & inside).any():
         raise ValueError(f"{name} grid has nulls inside its stencil domain {sub}")
-    mask = np.zeros_like(arr, dtype=bool)
-    mask[i0:i0 + sub.n_u, j0:j0 + sub.n_v] = True
-    if not np.isnan(arr[~mask]).all():
+    if not nulls[~inside].all():
         raise ValueError(f"{name} grid has values outside its stencil domain {sub}")
-    return VertexGrid(sub, core)
+    return VertexGrid(sub, arr[i0:i0 + sub.n_u, j0:j0 + sub.n_v])
 
 
 def read_forms(path) -> FundamentalData:

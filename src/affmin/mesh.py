@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import face_volumes
-from .grids import VertexGrid, as_positions, det3
+from .grids import GridDomain, VertexGrid, as_positions, det3, worst_index
 
 __all__ = [
     "TriangleMesh",
@@ -26,9 +26,14 @@ __all__ = [
 ]
 
 
+# Rows formatted per write: enough that one ``%`` call per block costs
+# nothing next to its rows, few enough that a block's text stays a few MB.
+_BLOCK_ROWS = 1 << 15
+
+
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Indexed triangle soup."""
+    """Indexed triangle soup with finite vertex coordinates."""
 
     positions: np.ndarray
     triangles: np.ndarray
@@ -40,6 +45,10 @@ class TriangleMesh:
             raise ValueError("positions must be an (n, 3) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be an (m, 3) index array")
+        bad = ~np.isfinite(self.positions)
+        if bad.any():
+            vertex, axis = worst_index(bad, GridDomain(0, len(bad) - 1, 0, 2))
+            raise ValueError(f"mesh vertex {vertex} has a non-finite coordinate {axis}")
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.positions)
         ):
@@ -150,16 +159,26 @@ def tessellate(surface, resolution: int) -> TriangleMesh:
     return TriangleMesh(points.reshape(-1, 3), tris.reshape(-1, 3))
 
 
+def _blocks(rows: np.ndarray):
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield rows[start:start + _BLOCK_ROWS]
+
+
 def export_obj(mesh: TriangleMesh, path):
-    """Write a Wavefront OBJ (17-significant-digit vertices, 1-based faces)."""
-    lines = []
-    for x, y, z in mesh.positions:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for i, j, k in mesh.triangles + 1:
-        lines.append(f"f {i} {j} {k}")
+    """Write a Wavefront OBJ (17-significant-digit vertices, 1-based faces).
+
+    Rows are formatted a block at a time by one ``%`` over a repeated line
+    template; ``%.17g`` and ``%d`` spell a float and an int exactly as
+    ``f"{x:.17g}"`` and ``str(i)`` do.
+    """
     try:
         with open(path, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
+            for block in _blocks(mesh.positions):
+                handle.write("v %.17g %.17g %.17g\n" * len(block)
+                             % tuple(block.ravel().tolist()))
+            for block in _blocks(mesh.triangles):
+                handle.write("f %d %d %d\n" * len(block)
+                             % tuple((block + 1).ravel().tolist()))
     except OSError as exc:
         raise OSError(f"cannot write OBJ to {path}: {exc}") from exc
 

@@ -242,6 +242,16 @@ class TestNanGates:
         with np.errstate(all="ignore"), pytest.raises(IncompatibleData):
             reconstruct(shifted)
 
+    def test_residual_max_keeps_a_later_nan(self):
+        data = constant_data(GridDomain(0, 5, 0, 5))
+        b = np.array(data.v_coeff.values)
+        b[0, 1] = np.nan   # outside r0's stencils, inside r1's
+        res = compatibility_residuals(
+            FundamentalData(data.areas, data.u_coeff, data.v_coeff.with_values(b)))
+        assert res.r0 == 0.0 and np.isnan(res.r1)
+        assert np.isnan(res.max)
+        assert not res.max <= 1e-8
+
     def test_equivalence_rejects_nan_vertex(self, paraboloid):
         _, surf = paraboloid
         values = np.array(surf.positions.values)

@@ -6,6 +6,7 @@ import pytest
 from affmin.errors import IllDefinedForm
 from affmin.forms import (
     CubicForm,
+    FormDerivatives,
     a2_b1_closed_form,
     cubic_coefficients,
     normal_derivative_residuals,
@@ -187,3 +188,41 @@ def test_nan_normal_is_ill_defined(cubic):
     # Face (5, 3) feeds A at vertices (5, 3), (5, 4), (6, 3), (6, 4).
     assert err.value.vertex == (5, 3)
     assert np.isnan(err.value.spread)
+
+
+class TestNanGates:
+    """A NaN residual fails its report even when it is not the first term."""
+
+    @staticmethod
+    def nan_b(form):
+        b = np.array(form.v_coeff.values)
+        b[0, 0] = np.nan   # reaches only the B-side (q22, B_1) terms
+        return CubicForm(form.u_coeff, form.v_coeff.with_values(b),
+                         form.max_spread_u, form.max_spread_v)
+
+    def test_structural_residuals(self, cubic):
+        _, surf = cubic
+        vols, _, form = setup_chain(surf)
+        report = structural_residuals(surf, vols.areas, self.nan_b(form))
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+        assert report.worst_identity.startswith("q22")
+
+    def test_closed_form_gap(self, cubic):
+        _, surf = cubic
+        vols, xi, form = setup_chain(surf)
+        _, report = a2_b1_closed_form(surf, xi, vols.areas, self.nan_b(form))
+        assert np.isnan(report.max_gap) and np.isnan(report.scale)
+        assert not report.relative_gap <= 1e-9
+
+    def test_normal_derivative_residuals(self, cubic):
+        _, surf = cubic
+        vols, xi, form = setup_chain(surf)
+        derivs, _ = a2_b1_closed_form(surf, xi, vols.areas, form)
+        b1 = np.array(derivs.v_coeff_du.values)
+        b1[1, 1] = np.nan
+        bent = FormDerivatives(derivs.u_coeff_dv, derivs.v_coeff_du.with_values(b1),
+                               derivs.area_du, derivs.area_dv)
+        report = normal_derivative_residuals(surf, xi, vols.areas, bent)
+        assert not report.passed
+        assert np.isnan(report.max_residual)

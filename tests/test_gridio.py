@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import affmin as am
-from affmin.compatibility import extract_fundamental_data
+from affmin.compatibility import FundamentalData, extract_fundamental_data
 from affmin.gridio import (
     dumps_json,
     grid_from_obj,
@@ -133,3 +133,46 @@ def test_dumps_json_values():
     text = dumps_json({"x": 0.5, "flag": True, "items": [1, None, 2.5]})
     parsed = json.loads(text)
     assert parsed == {"x": 0.5, "flag": True, "items": [1, None, 2.5]}
+
+
+class TestNonFinite:
+    def test_grid_writer_names_first_non_finite_entry(self, helicoid, tmp_path):
+        _, surf = helicoid
+        values = np.array(surf.positions.values)
+        values[3, 5, 2] = np.inf
+        values[4, 1, 0] = np.nan
+        grid = surf.positions.with_values(values)
+        with pytest.raises(ValueError, match=r"non-finite value at grid index \(3, 5\)"):
+            write_grid(grid, tmp_path / "g.json")
+        assert not (tmp_path / "g.json").exists()
+
+    def test_forms_writer_rejects_nan_coefficient(self, cubic, tmp_path):
+        _, surf = cubic
+        data = extract_fundamental_data(surf)
+        b = np.array(data.v_coeff.values)
+        b[2, 3] = np.nan
+        broken = FundamentalData(data.areas, data.u_coeff, data.v_coeff.with_values(b))
+        sub = data.v_coeff.domain
+        where = (sub.u_min + 2, sub.v_min + 3)
+        with pytest.raises(ValueError, match=rf"B grid .* index \({where[0]}, {where[1]}\)"):
+            write_forms(broken, tmp_path / "forms.json")
+
+    def test_grid_reader_rejects_nan_and_infinity_tokens(self, tmp_path):
+        grid = VertexGrid(GridDomain(0, 1, 0, 1), np.arange(4.0).reshape(2, 2))
+        path = tmp_path / "g.json"
+        write_grid(grid, path)
+        text = path.read_text()
+        for token in ("NaN", "Infinity", "-Infinity"):
+            path.write_text(text.replace("[0, 1, 2, 3]", f"[0, 1, {token}, 3]"))
+            with pytest.raises(ValueError, match=r"grid index \(1, 0\)"):
+                read_grid(path)
+
+    def test_forms_reader_rejects_nan_token_outside_stencil(self, cubic, tmp_path):
+        _, surf = cubic
+        path = tmp_path / "forms.json"
+        write_forms(extract_fundamental_data(surf), path)
+        obj = json.loads(path.read_text())
+        obj["A"]["values"][0] = float("nan")   # a padding slot, null before
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="A grid has a non-finite value"):
+            read_forms(path)

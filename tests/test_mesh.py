@@ -198,3 +198,10 @@ class TestExportObj:
         with pytest.raises(ValueError):
             TriangleMesh(positions=np.zeros((2, 3)),
                          triangles=np.array([[0, 1, 2]]))
+
+    def test_non_finite_vertex_rejected(self):
+        positions = np.zeros((4, 3))
+        positions[2, 1] = np.nan
+        positions[3, 0] = np.inf
+        with pytest.raises(ValueError, match="mesh vertex 2 has a non-finite coordinate 1"):
+            TriangleMesh(positions, np.array([[0, 1, 2]]))
