@@ -25,7 +25,7 @@ from .errors import (
 )
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .grids import TINY, FaceGrid, GridDomain, VertexGrid, relative_residual, worst_index
+from .grids import TINY, FaceGrid, GridDomain, VertexGrid, absmax, relative_residual, worst_index
 from .lelieuvre import Immersion
 
 __all__ = [
@@ -152,7 +152,7 @@ def _seed_check(seed: np.ndarray, f00: float, tol: float):
         seed[1] - seed[0], seed[2] - seed[0], seed[3] - seed[0]
     ])))
     expected = f00 * f00
-    if abs(det - expected) > tol * expected:
+    if not abs(det - expected) <= tol * expected:   # a NaN seed fails too
         raise SeedDeterminantMismatch(expected, det)
 
 
@@ -237,7 +237,7 @@ def _two_way_sweep(q, f, a, b, dom: GridDomain, tol: float):
            + (f[1:, 1:] - f[1:, :-1])[..., None] * (q[2:, 1:-1] - q[2:, :-2]))
         / f[1:, :-1, None]
     )
-    gaps = np.abs(way1 - way2).max(axis=2) / edge_scale
+    gaps = absmax(way1 - way2) / edge_scale
     worst = gaps.max()
     if not worst <= tol:
         raise IncompatibleData(worst_index(gaps, dom, 1, 1), float(worst))
@@ -299,7 +299,7 @@ def affine_equivalence(qa: Immersion, qb: Immersion,
     pb = qb.positions.values
     # nanmax keeps a NaN in qb from hiding which vertex carries it.
     scale = max(float(np.nanmax(np.abs(pb - pb[0, 0]))), TINY)
-    gaps = np.abs(mapped - pb).max(axis=2) / scale
+    gaps = absmax(mapped - pb) / scale
     worst = gaps.max()
     if not worst <= tol:
         raise NotEquivalent(worst_index(gaps, qa.domain), float(worst))

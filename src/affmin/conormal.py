@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvexFace, NotHarmonic
-from .grids import FaceGrid, GridDomain, VertexGrid, d12, det3, worst_index
+from .grids import FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, worst_index
 
 __all__ = [
     "TOL_HARMONIC",
@@ -100,7 +100,7 @@ class SeparableConormalSpec:
 def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
     """Validate a co-normal grid and wrap it; a NaN residual or F fails too."""
     dom = vectors.domain
-    residuals = np.abs(d12(vectors).values).max(axis=2)
+    residuals = absmax(d12(vectors).values)
     max_residual = float(residuals.max())
     if not max_residual <= tol_harmonic:
         bad = np.argwhere(~(residuals <= tol_harmonic))

@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import IllDefinedForm
 from .geometry import face_volumes
-from .grids import (TINY, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, as_positions, d1, d2,
-                    d11, d22, det3, dot3, face_choice_mean, relative_residual, worst_index)
+from .grids import (TINY, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, absmax, as_positions,
+                    cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean, relative_residual,
+                    worst_index)
 
 __all__ = [
     "TOL_FORMS",
@@ -96,7 +97,7 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
     xi = normals.values
     f = face_volumes(q).areas.values
 
-    cross_u = np.cross(e1[:-1, :], e1[1:, :])          # u-interior vertices
+    cross_u = cross3(e1[:-1, :], e1[1:, :])            # u-interior vertices
     a_faces = (
         ((dot3(cross_u[:, :-1], xi[1:, :]), f[1:, :]), (slice(None), slice(None, -1))),
         ((dot3(cross_u[:, :-1], xi[:-1, :]), f[:-1, :]), (slice(None), slice(None, -1))),
@@ -105,7 +106,7 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
     )
     a_mean, a_rel = _coefficient(a_faces, (dom.n_u - 2, dom.n_v), dom, (1, 0), tol)
 
-    cross_v = np.cross(e2[:, 1:], e2[:, :-1])          # v-interior vertices
+    cross_v = cross3(e2[:, 1:], e2[:, :-1])            # v-interior vertices
     b_faces = (
         ((dot3(cross_v[:-1, :], xi[:, 1:]), f[:, 1:]), (slice(None, -1), slice(None))),
         ((dot3(cross_v[:-1, :], xi[:, :-1]), f[:, :-1]), (slice(None, -1), slice(None))),
@@ -164,9 +165,7 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
             (+1, f[1:, :], e1[1:, :][vsl]),
             (-1, f[:-1, :], e1[:-1, :][vsl]),
         ):
-            floor = f_face * np.maximum(
-                np.abs(e1_used).max(axis=2), np.abs(q2_used).max(axis=2)
-            )
+            floor = f_face * np.maximum(absmax(e1_used), absmax(q2_used))
             name = f"q11[v{'+' if vsign > 0 else '-'}][u{'+' if uside > 0 else '-'}]"
             per[name] = relative_residual(
                 [f_face[..., None] * quu_used, f1[..., None] * e1_used, a_used * q2_used], floor)
@@ -180,9 +179,7 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
             (+1, f[:, 1:], e2[:, 1:][usl]),
             (-1, f[:, :-1], e2[:, :-1][usl]),
         ):
-            floor = f_face * np.maximum(
-                np.abs(q1_used).max(axis=2), np.abs(e2_used).max(axis=2)
-            )
+            floor = f_face * np.maximum(absmax(q1_used), absmax(e2_used))
             name = f"q22[u{'+' if usign > 0 else '-'}][v{'+' if vside > 0 else '-'}]"
             per[name] = relative_residual(
                 [f_face[..., None] * qvv_used, b_used * q1_used, f2[..., None] * e2_used], floor)
@@ -281,12 +278,12 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
     ff_u = f[:-1, :] * f[1:, :]
     res_u = relative_residual(
         [ff_u[..., None] * (xi[1:, :] - xi[:-1, :]), a2[..., None] * e2[1:-1, :]],
-        ff_u * np.maximum(np.abs(xi[1:, :]).max(axis=2), np.abs(xi[:-1, :]).max(axis=2)),
+        ff_u * np.maximum(absmax(xi[1:, :]), absmax(xi[:-1, :])),
     )
     ff_v = f[:, :-1] * f[:, 1:]
     res_v = relative_residual(
         [ff_v[..., None] * (xi[:, 1:] - xi[:, :-1]), b1[..., None] * e1[:, 1:-1]],
-        ff_v * np.maximum(np.abs(xi[:, 1:]).max(axis=2), np.abs(xi[:, :-1]).max(axis=2)),
+        ff_v * np.maximum(absmax(xi[:, 1:]), absmax(xi[:, :-1])),
     )
     return NormalDerivativeReport(
         max_residual_u=res_u,

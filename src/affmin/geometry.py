@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatch, NonPositiveVolume
-from .grids import (TINY, FaceGrid, VertexGrid, as_positions, d1, d2, d11, d12, d22,
-                    det3, dot3, face_choice_mean, worst_index)
+from .grids import (TINY, FaceGrid, VertexGrid, absmax, as_positions, cross3, d1, d2, d11,
+                    d12, d22, det3, dot3, face_choice_mean, norm3, worst_index)
 
 __all__ = [
     "TOL_DUAL",
@@ -92,13 +92,13 @@ def recover_conormal(surface) -> ConormalRecovery:
 
     # (estimate, vertex slice) per corner role of each face.
     corner_estimates = (
-        (np.cross(e1[:, :-1], e2[:-1, :]) / f, (slice(None, -1), slice(None, -1))),
-        (np.cross(e1[:, :-1], e2[1:, :]) / f, (slice(1, None), slice(None, -1))),
-        (np.cross(e1[:, 1:], e2[:-1, :]) / f, (slice(None, -1), slice(1, None))),
-        (np.cross(e1[:, 1:], e2[1:, :]) / f, (slice(1, None), slice(1, None))),
+        (cross3(e1[:, :-1], e2[:-1, :]) / f, (slice(None, -1), slice(None, -1))),
+        (cross3(e1[:, :-1], e2[1:, :]) / f, (slice(1, None), slice(None, -1))),
+        (cross3(e1[:, 1:], e2[:-1, :]) / f, (slice(None, -1), slice(1, None))),
+        (cross3(e1[:, 1:], e2[1:, :]) / f, (slice(1, None), slice(1, None))),
     )
     mean, spread = face_choice_mean(corner_estimates, (dom.n_u, dom.n_v, 3))
-    spread = spread.max(axis=2)
+    spread = absmax(spread)
     return ConormalRecovery(
         vectors=VertexGrid(dom, mean),
         max_deviation=float(spread.max()),
@@ -198,13 +198,13 @@ def planarity_and_saddle(surface, vectors: VertexGrid,
     if dom.n_u < 3 or dom.n_v < 3:
         return PlanarSaddleReport(0.0, (dom.u_min, dom.v_min), True, True, [])
     center = p[1:-1, 1:-1]
-    nu_norm = np.linalg.norm(nu, axis=2)
+    nu_norm = norm3(nu)
 
     ortho = np.zeros(center.shape[:2])
     for edge in (p[2:, 1:-1], p[:-2, 1:-1], p[1:-1, 2:], p[1:-1, :-2]):
         e = edge - center
         res = np.abs(dot3(e, nu))
-        res /= np.maximum(np.linalg.norm(e, axis=2) * nu_norm, TINY)
+        res /= np.maximum(norm3(e) * nu_norm, TINY)
         np.maximum(ortho, res, out=ortho)
 
     # Diagonal dot products in cyclic order NE, NW, SW, SE must alternate.
@@ -257,13 +257,13 @@ def duality_certificate(vectors: VertexGrid, normals: FaceGrid, areas: FaceGrid,
         np.maximum(pairing, np.abs(dot3(corner, xi) - 1.0), out=pairing)
 
     f_xi = areas.values[:, :, None] * xi
-    scale = np.maximum(np.abs(f_xi).max(axis=2), TINY)
+    scale = np.maximum(absmax(f_xi), TINY)
     nu1 = d1(VertexGrid(dom, nu)).values
     nu2 = d2(VertexGrid(dom, nu)).values
     cross = np.zeros(xi.shape[:2])
     for nu1_pick in (nu1[:, :-1], nu1[:, 1:]):
         for nu2_pick in (nu2[:-1, :], nu2[1:, :]):
-            res = np.abs(np.cross(nu1_pick, nu2_pick) + f_xi).max(axis=2) / scale
+            res = absmax(cross3(nu1_pick, nu2_pick) + f_xi) / scale
             np.maximum(cross, res, out=cross)
 
     return DualityReport(

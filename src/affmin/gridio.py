@@ -8,11 +8,11 @@ A grid file is one JSON object:
      "values": [...row-major numbers...]}
 
 Numbers are written with 17 significant digits, so round trips are exact and
-repeated writes are byte-identical.  Grid values must be finite: writers
-and readers reject NaN and infinities (which JSON cannot spell) and name
-the first offending grid index.  The forms bundle stores F as a face
-grid and the cubic coefficients as full vertex grids padded with nulls where
-their stencil does not reach.
+repeated writes are byte-identical.  Grid and seed values must be finite:
+writers and readers reject NaN and infinities (which JSON cannot spell) and
+name the first offending grid index or seed point.  The forms bundle stores
+F as a face grid and the cubic coefficients as full vertex grids padded with
+nulls where their stencil does not reach.
 """
 
 import json
@@ -224,10 +224,19 @@ def read_forms(path) -> FundamentalData:
     return FundamentalData(f_grid, a, b)
 
 
-def write_seed(points, path):
+def _seed_points(points, what: str) -> np.ndarray:
+    """Four finite 3-points; ValueError names a wrong shape or the first bad point."""
     points = np.asarray(points, dtype=float)
     if points.shape != (4, 3):
-        raise ValueError(f"seed must be four 3-points, got shape {points.shape}")
+        raise ValueError(f"{what} must hold four 3-points, got shape {points.shape}")
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{what} has a non-finite value at point {int(np.argmax(bad))}")
+    return points
+
+
+def write_seed(points, path):
+    points = _seed_points(points, "seed")
     write_json({"points": [list(p) for p in points]}, path)
 
 
@@ -239,7 +248,4 @@ def read_seed(path) -> np.ndarray:
         raise OSError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    points = np.asarray(obj.get("points"), dtype=float)
-    if points.shape != (4, 3):
-        raise ValueError(f"seed file {path} must hold four 3-points")
-    return points
+    return _seed_points(obj.get("points"), f"seed file {path}")

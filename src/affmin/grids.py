@@ -17,12 +17,13 @@ First differences move an index by one half step:
 (* on the interior of the differenced direction).  All arrays are float64,
 dense, row-major with the u index first, and read-only after construction.
 
-The pointwise kernels shared by every certificate live here too: the dot
-and triple products of 3-vector arrays, the worst-entry lookup that names a
-grid index, the face-choice average, the relative residual of a stencil
-identity, and the ``TINY`` floor for denominators.
+The pointwise kernels shared by every certificate live here too: dot, cross
+and triple products, norm and largest |component| of 3-vector arrays, the
+worst-entry lookup that names a grid index, the face-choice average, the
+relative residual of a stencil identity, and the ``TINY`` denominator floor.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,10 @@ __all__ = [
     "d12",
     "TINY",
     "dot3",
+    "cross3",
     "det3",
+    "norm3",
+    "absmax",
     "as_positions",
     "worst_index",
     "face_choice_mean",
@@ -291,13 +295,32 @@ def d12(grid: VertexGrid) -> FaceGrid:
 
 
 def dot3(a, b):
-    """Dot product of 3-vector arrays along their last axis."""
+    """Dot product of 3-vector arrays along their last axis, in einsum's sum order."""
     return np.einsum("...k,...k->...", a, b)
+
+
+def cross3(a, b):
+    """Cross product of broadcastable 3-vector arrays: numpy's sums, no input copies."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[..., k])
+    return out
 
 
 def det3(a, b, c):
     """Triple product [a, b, c] = a . (b x c) of 3-vector arrays."""
-    return dot3(a, np.cross(b, c))
+    return dot3(a, cross3(b, c))
+
+
+def norm3(x):
+    """Euclidean length of 3-vectors along the last axis, summed as numpy's norm does."""
+    return np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
+
+
+def absmax(x):
+    """Largest |component| along the last axis (a NaN wins), one slice at a time."""
+    return functools.reduce(np.maximum, np.moveaxis(np.abs(x), -1, 0))
 
 
 def as_positions(surface) -> VertexGrid:
@@ -345,5 +368,5 @@ def relative_residual(terms, floor=0.0) -> float:
     resid = terms[0]
     for term in terms[1:]:
         resid = resid - term
-    scale = np.maximum(np.maximum.reduce([np.abs(t).max(axis=-1) for t in terms]), floor)
-    return float((np.abs(resid).max(axis=-1) / np.maximum(scale, TINY)).max())
+    scale = np.maximum(np.maximum.reduce([absmax(t) for t in terms]), floor)
+    return float((absmax(resid) / np.maximum(scale, TINY)).max())

@@ -16,7 +16,8 @@ import numpy as np
 
 from .conormal import ConormalField
 from .errors import DomainMismatch
-from .grids import TINY, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, d1, d2, worst_index
+from .grids import (TINY, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax, cross3, d1, d2,
+                    worst_index)
 
 __all__ = [
     "TOL_INTEGRATE",
@@ -54,8 +55,8 @@ class Immersion:
 def lelieuvre_edges(vectors: VertexGrid) -> tuple[UEdgeGrid, VEdgeGrid]:
     """Edge vectors prescribed by a co-normal vertex grid (not validated)."""
     nu = vectors.values
-    q1 = np.cross(nu[:-1, :], nu[1:, :])
-    q2 = np.cross(nu[:, 1:], nu[:, :-1])
+    q1 = cross3(nu[:-1, :], nu[1:, :])
+    q2 = cross3(nu[:, 1:], nu[:, :-1])
     return UEdgeGrid(vectors.domain, q1), VEdgeGrid(vectors.domain, q2)
 
 
@@ -116,7 +117,7 @@ def path_independence_residual(field) -> float:
     """
     vectors = field.vectors if isinstance(field, ConormalField) else field
     nu = vectors.values
-    obstruction = np.cross(nu[1:, :-1] + nu[:-1, 1:], nu[1:, 1:] + nu[:-1, :-1])
+    obstruction = cross3(nu[1:, :-1] + nu[:-1, 1:], nu[1:, 1:] + nu[:-1, :-1])
     return float(np.abs(obstruction).max())
 
 
@@ -132,7 +133,7 @@ class LelieuvreReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_residual_u, self.max_residual_v)
+        return float(np.max([self.max_residual_u, self.max_residual_v]))
 
 
 def verify_lelieuvre(immersion: Immersion, field: ConormalField,
@@ -143,16 +144,16 @@ def verify_lelieuvre(immersion: Immersion, field: ConormalField,
             f"immersion domain {immersion.domain} != field domain {field.domain}"
         )
     q1, q2 = lelieuvre_edges(field.vectors)
-    res_u = np.abs(d1(immersion.positions).values - q1.values).max(axis=2)
-    res_v = np.abs(d2(immersion.positions).values - q2.values).max(axis=2)
-    scale = max(float(np.abs(q1.values).max()), float(np.abs(q2.values).max()))
+    res_u = absmax(d1(immersion.positions).values - q1.values)
+    res_v = absmax(d2(immersion.positions).values - q2.values)
+    scale = float(np.max([np.abs(q1.values).max(), np.abs(q2.values).max()]))
 
     max_u, max_v = float(res_u.max()), float(res_v.max())
-    side, res = ("u", res_u) if max_u >= max_v else ("v", res_v)
+    side = int(np.argmax([max_u, max_v]))   # a NaN counts as worst
     return LelieuvreReport(
         max_residual_u=max_u,
         max_residual_v=max_v,
         edge_scale=scale,
-        worst_edge=(side, worst_index(res, immersion.domain)),
-        passed=max(max_u, max_v) <= tol * max(scale, TINY),
+        worst_edge=("uv"[side], worst_index((res_u, res_v)[side], immersion.domain)),
+        passed=bool(np.max([max_u, max_v]) <= tol * np.maximum(scale, TINY)),
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonPositiveVolume
 from .geometry import face_volumes
-from .grids import VertexGrid, as_positions, d1, d2, det3, worst_index
+from .grids import VertexGrid, absmax, as_positions, cross3, d1, d2, det3, worst_index
 
 __all__ = [
     "TOL_CRIT",
@@ -52,10 +52,10 @@ def _gradient(q: VertexGrid, f) -> VertexGrid:
     """Area gradient of positions ``q`` whose face area densities are ``f``."""
     e1 = d1(q).values
     e2 = d2(q).values
-    h1 = np.cross(e1[:-1, :-2], e2[:-2, :-1]) / (2.0 * f[:-1, :-1, None])
-    h2 = -np.cross(e1[1:, :-2], e2[2:, :-1]) / (2.0 * f[1:, :-1, None])
-    h3 = np.cross(e1[1:, 2:], e2[2:, 1:]) / (2.0 * f[1:, 1:, None])
-    h4 = -np.cross(e1[:-1, 2:], e2[:-2, 1:]) / (2.0 * f[:-1, 1:, None])
+    h1 = cross3(e1[:-1, :-2], e2[:-2, :-1]) / (2.0 * f[:-1, :-1, None])
+    h2 = -cross3(e1[1:, :-2], e2[2:, :-1]) / (2.0 * f[1:, :-1, None])
+    h3 = cross3(e1[1:, 2:], e2[2:, 1:]) / (2.0 * f[1:, 1:, None])
+    h4 = -cross3(e1[:-1, 2:], e2[:-2, 1:]) / (2.0 * f[:-1, 1:, None])
     return VertexGrid(q.domain.interior(), h1 + h2 + h3 + h4)
 
 
@@ -144,7 +144,7 @@ def criticality_certificate(surface, tol: float = TOL_CRIT) -> CriticalityReport
     if dom.n_u < 3 or dom.n_v < 3:
         return CriticalityReport(0.0, mean_area, (dom.u_min, dom.v_min),
                                  passed=True, vacuous=True)
-    norms = np.abs(_gradient(q, f).values).max(axis=2)
+    norms = absmax(_gradient(q, f).values)
     return CriticalityReport(
         max_gradient=float(norms.max()),
         mean_area=mean_area,

@@ -167,6 +167,25 @@ class TestNonFinite:
             with pytest.raises(ValueError, match=r"grid index \(1, 0\)"):
                 read_grid(path)
 
+    def test_seed_writer_names_non_finite_point(self, tmp_path):
+        path = tmp_path / "seed.json"
+        for bad in (np.nan, np.inf, -np.inf):
+            seed = am.canonical_seed(2.0)
+            seed[2, 1] = bad
+            with pytest.raises(ValueError, match=r"seed has a non-finite value at point 2"):
+                write_seed(seed, path)
+            assert not path.exists()
+
+    def test_seed_reader_rejects_nan_and_infinity_tokens(self, tmp_path):
+        path = tmp_path / "seed.json"
+        write_seed(am.canonical_seed(2.0), path)
+        text = path.read_text()
+        assert text.count("[1, 1, 4]") == 1
+        for token in ("NaN", "Infinity", "-Infinity"):
+            path.write_text(text.replace("[1, 1, 4]", f"[1, {token}, 4]"))
+            with pytest.raises(ValueError, match=r"non-finite value at point 3"):
+                read_seed(path)
+
     def test_forms_reader_rejects_nan_token_outside_stencil(self, cubic, tmp_path):
         _, surf = cubic
         path = tmp_path / "forms.json"

@@ -7,6 +7,7 @@ from affmin.errors import DomainMismatch
 from affmin.grids import GridDomain, VertexGrid
 from affmin.lelieuvre import (
     Immersion,
+    LelieuvreReport,
     integrate,
     lelieuvre_edges,
     path_independence_residual,
@@ -124,3 +125,22 @@ class TestVerify:
         _, other = helicoid
         with pytest.raises(DomainMismatch):
             verify_lelieuvre(other, field)
+
+    def test_report_keeps_a_later_nan(self):
+        report = LelieuvreReport(max_residual_u=1e-3, max_residual_v=np.nan,
+                                 edge_scale=1.0, worst_edge=("v", (0, 0)), passed=False)
+        assert np.isnan(report.max_residual)
+
+    def test_nan_only_in_v_residual_fails(self, paraboloid):
+        # Two v-adjacent infinite positions: d1 is infinite there, d2 is NaN.
+        field, surf = paraboloid
+        values = np.array(surf.positions.values)
+        values[3, 2:4, 1] = np.inf
+        broken = Immersion(VertexGrid(surf.domain, values), surf.base_vertex,
+                           surf.base_value)
+        with np.errstate(invalid="ignore"):
+            report = verify_lelieuvre(broken, field)
+        assert report.max_residual_u == np.inf and np.isnan(report.max_residual_v)
+        assert np.isnan(report.max_residual)
+        assert report.worst_edge == ("v", (3, 2))
+        assert report.passed is False
