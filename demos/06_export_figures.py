@@ -23,9 +23,8 @@ for name, field in fields.items():
     surface = am.integrate(field)
     for resolution in (1, 8):
         path = os.path.join(outdir, f"{name}_res{resolution}.obj")
-        mesh = am.export_surface_obj(surface, resolution, path)
-        print(f"{path}: {len(mesh.positions)} vertices, "
-              f"{len(mesh.triangles)} triangles")
+        counts = am.export_surface_obj(surface, resolution, path)
+        print(f"{path}: {counts.vertices} vertices, {counts.triangles} triangles")
 
 print(f"\nOpen the files in any OBJ viewer; every surface is saddle-shaped "
       f"at each vertex.")

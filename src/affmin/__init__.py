@@ -76,6 +76,7 @@ from .lelieuvre import (
     verify_lelieuvre,
 )
 from .mesh import (
+    ObjCounts,
     TriangleMesh,
     export_obj,
     export_surface_obj,

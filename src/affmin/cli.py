@@ -112,7 +112,8 @@ def _load_surface(path) -> Immersion:
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        digest.update(handle.read())
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -306,8 +307,8 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    mesh = export_surface_obj(_load_surface(args.surface), args.resolution, args.out)
-    print(f"wrote {args.out} ({len(mesh.positions)} vertices, {len(mesh.triangles)} triangles)")
+    counts = export_surface_obj(_load_surface(args.surface), args.resolution, args.out)
+    print(f"wrote {args.out} ({counts.vertices} vertices, {counts.triangles} triangles)")
     return 0
 
 
@@ -389,11 +390,7 @@ def _cmd_pipeline(args) -> int:
     meshes = {}
     for res in args.resolutions:
         mesh_path = os.path.join(args.outdir, f"mesh_res{res}.obj")
-        mesh = export_surface_obj(surface, res, mesh_path)
-        meshes[f"mesh_res{res}.obj"] = {
-            "vertices": len(mesh.positions),
-            "triangles": len(mesh.triangles),
-        }
+        meshes[f"mesh_res{res}.obj"] = export_surface_obj(surface, res, mesh_path)._asdict()
 
     digests = {}
     for name in ("conormal.json", "surface.json", "forms.json", "reconstructed.json"):

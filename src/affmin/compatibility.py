@@ -148,11 +148,14 @@ def canonical_seed(f00: float) -> np.ndarray:
 
 
 def _seed_check(seed: np.ndarray, f00: float, tol: float):
+    expected = f00 * f00
+    if not np.isfinite(seed).all():
+        # Rejected before det, which warns (or raises under errstate) on NaN.
+        raise SeedDeterminantMismatch(expected, float("nan"))
     det = float(np.linalg.det(np.stack([
         seed[1] - seed[0], seed[2] - seed[0], seed[3] - seed[0]
     ])))
-    expected = f00 * f00
-    if not abs(det - expected) <= tol * expected:   # a NaN seed fails too
+    if not abs(det - expected) <= tol * expected:
         raise SeedDeterminantMismatch(expected, det)
 
 

@@ -10,12 +10,15 @@ A grid file is one JSON object:
 Numbers are written with 17 significant digits, so round trips are exact and
 repeated writes are byte-identical.  Grid and seed values must be finite:
 writers and readers reject NaN and infinities (which JSON cannot spell) and
-name the first offending grid index or seed point.  The forms bundle stores
+name the first offending grid index or seed point.  Reports written by
+``dumps_json`` spell a NaN or infinite value as null.  The forms bundle stores
 F as a face grid and the cubic coefficients as full vertex grids padded with
 nulls where their stencil does not reach.
 """
 
 import json
+import math
+import re
 
 import numpy as np
 
@@ -36,16 +39,44 @@ __all__ = [
 ]
 
 
+# What "%.17g" makes of NaN and the infinities; no finite spelling holds
+# "nan" or "inf".
+_NON_FINITE = re.compile(r"-?(?:nan|inf)")
+
+
 def _format_number(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return f"{float(x):.17g}"
+    x = float(x)
+    return f"{x:.17g}" if math.isfinite(x) else "null"
+
+
+def _format_floats(seq, has_none: bool) -> str:
+    """Comma-separated floats and Nones with one ``%``; NaN and inf become null.
+
+    "%.17g" spells a finite float as _format_number does, so the text is
+    the per-number text.
+    """
+    if has_none:
+        fields = ["null" if x is None else "%.17g" for x in seq]
+        seq = [x for x in seq if x is not None]
+    else:
+        fields = ["%.17g"] * len(seq)
+    text = ", ".join(fields) % tuple(seq)
+    # Finite spellings and "null" hold neither letter; one-letter searches
+    # are memchr scans, several times faster than searching for "nan".
+    if "a" in text or "i" in text:
+        text = _NON_FINITE.sub("null", text)
+    return text
 
 
 def dumps_json(obj, indent: int = 0) -> str:
-    """Serialize with deterministic 17-significant-digit floats."""
+    """Serialize with deterministic 17-significant-digit floats.
+
+    NaN and the infinities, which JSON cannot spell, are written as null.
+    """
     pad = " " * indent
     inner = " " * (indent + 2)
     if obj is None:
@@ -64,10 +95,9 @@ def dumps_json(obj, indent: int = 0) -> str:
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
-        if seq and set(map(type, seq)) == {float}:
-            # One "%" for the whole list; "%.17g" spells a float as
-            # _format_number does.
-            return "[" + (", ".join(["%.17g"] * len(seq)) % tuple(seq)) + "]"
+        kinds = set(map(type, seq))
+        if seq and kinds <= {float, type(None)}:
+            return "[" + _format_floats(seq, type(None) in kinds) + "]"
         if all(isinstance(x, (bool, int, float, np.integer, np.floating)) or x is None
                for x in seq):
             return "[" + ", ".join(

@@ -7,6 +7,8 @@ depends only on that edge's corners, so sampling all faces on a common
 parameter lattice produces a watertight triangle mesh.
 """
 
+import contextlib
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,12 +25,21 @@ __all__ = [
     "tessellate",
     "export_obj",
     "export_surface_obj",
+    "ObjCounts",
 ]
 
 
 # Rows formatted per write: enough that one ``%`` call per block costs
 # nothing next to its rows, few enough that a block's text stays a few MB.
 _BLOCK_ROWS = 1 << 15
+
+
+def _require_finite(positions: np.ndarray, first: int = 0):
+    """Raise ValueError naming the first non-finite vertex; row 0 is vertex ``first``."""
+    bad = ~np.isfinite(positions)
+    if bad.any():
+        vertex, axis = worst_index(bad, GridDomain(first, first + len(bad) - 1, 0, 2))
+        raise ValueError(f"mesh vertex {vertex} has a non-finite coordinate {axis}")
 
 
 @dataclass(frozen=True)
@@ -45,14 +56,18 @@ class TriangleMesh:
             raise ValueError("positions must be an (n, 3) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be an (m, 3) index array")
-        bad = ~np.isfinite(self.positions)
-        if bad.any():
-            vertex, axis = worst_index(bad, GridDomain(0, len(bad) - 1, 0, 2))
-            raise ValueError(f"mesh vertex {vertex} has a non-finite coordinate {axis}")
+        _require_finite(self.positions)
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.positions)
         ):
             raise ValueError("triangle indices out of range")
+
+
+class ObjCounts(NamedTuple):
+    """Vertex and triangle counts of an OBJ file written by export_surface_obj."""
+
+    vertices: int
+    triangles: int
 
 
 def _face_corners(q: VertexGrid, face):
@@ -116,25 +131,25 @@ def patch_area_check(surface, face, n_quad: int) -> PatchAreaResult:
     return PatchAreaResult(area=area, face_area=f, gap=gap)
 
 
-def tessellate(surface, resolution: int) -> TriangleMesh:
-    """Sample every patch on a shared (resolution+1)^2 lattice and triangulate.
-
-    Lattice points on shared face boundaries are evaluated once, from a
-    single owning face, so the mesh is watertight and bit-deterministic.
-    Each parameter cell splits into two triangles along its (0,0)-(1,1)
-    diagonal.
-    """
+def _lattice(surface, resolution: int):
+    """Validated corner array, resolution and lattice size (ni, nj) of a surface."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     q = as_positions(surface)
     q.domain.require_faces("tessellation")
-    p = q.values
-    nfu, nfv = q.domain.n_u - 1, q.domain.n_v - 1
     res = int(resolution)
-    ni, nj = nfu * res + 1, nfv * res + 1
+    return q.values, res, (q.domain.n_u - 1) * res + 1, (q.domain.n_v - 1) * res + 1
 
-    gi = np.arange(ni)
-    gj = np.arange(nj)
+
+def _lattice_points(p: np.ndarray, res: int, i0: int, i1: int) -> np.ndarray:
+    """Lattice rows i0..i1-1 of the patches over the corner array ``p``, as (n, 3).
+
+    Every point depends only on its own lattice index, so a range of rows
+    holds the same bits as those rows of the full lattice.
+    """
+    nfu, nfv = p.shape[0] - 1, p.shape[1] - 1
+    gi = np.arange(i0, i1)
+    gj = np.arange(nfv * res + 1)
     fi = np.minimum(gi // res, nfu - 1)
     fj = np.minimum(gj // res, nfv - 1)
     s = (gi - fi * res) / float(res)
@@ -148,15 +163,30 @@ def tessellate(surface, resolution: int) -> TriangleMesh:
     tt = t[None, :, None]
     points = ((1.0 - ss) * (1.0 - tt)) * c00 + (ss * (1.0 - tt)) * c10 \
         + ((1.0 - ss) * tt) * c01 + (ss * tt) * c11
+    return points.reshape(-1, 3)
 
-    v00 = (np.arange(ni - 1)[:, None] * nj + np.arange(nj - 1)[None, :]).ravel()
+
+def _cell_triangles(nj: int, c0: int, c1: int) -> np.ndarray:
+    """Triangles of cell rows c0..c1-1 of a lattice with ``nj`` points per row.
+
+    Each cell splits along its (0,0)-(1,1) diagonal; indices are 0-based and
+    global.
+    """
+    v00 = (np.arange(c0, c1)[:, None] * nj + np.arange(nj - 1)[None, :]).ravel()
     v10 = v00 + nj
-    v01 = v00 + 1
-    v11 = v10 + 1
-    tris = np.empty((v00.size, 2, 3), dtype=int)
-    tris[:, 0] = np.column_stack([v00, v10, v11])
-    tris[:, 1] = np.column_stack([v00, v11, v01])
-    return TriangleMesh(points.reshape(-1, 3), tris.reshape(-1, 3))
+    return np.stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1], axis=1).reshape(-1, 3)
+
+
+def tessellate(surface, resolution: int) -> TriangleMesh:
+    """Sample every patch on a shared (resolution+1)^2 lattice and triangulate.
+
+    Lattice points on shared face boundaries are evaluated once, from a
+    single owning face, so the mesh is watertight and bit-deterministic.
+    Each parameter cell splits into two triangles along its (0,0)-(1,1)
+    diagonal.
+    """
+    p, res, ni, nj = _lattice(surface, resolution)
+    return TriangleMesh(_lattice_points(p, res, 0, ni), _cell_triangles(nj, 0, ni - 1))
 
 
 def _blocks(rows: np.ndarray):
@@ -164,27 +194,57 @@ def _blocks(rows: np.ndarray):
         yield rows[start:start + _BLOCK_ROWS]
 
 
-def export_obj(mesh: TriangleMesh, path):
-    """Write a Wavefront OBJ (17-significant-digit vertices, 1-based faces).
+def _write_obj(path, vertex_blocks, triangle_blocks):
+    """Write (n, 3) vertex blocks, then 0-based (m, 3) triangle blocks, as OBJ.
 
     Rows are formatted a block at a time by one ``%`` over a repeated line
     template; ``%.17g`` and ``%d`` spell a float and an int exactly as
-    ``f"{x:.17g}"`` and ``str(i)`` do.
+    ``f"{x:.17g}"`` and ``str(i)`` do.  If anything fails once the file is
+    open (including a block generator raising), the partial file is removed.
     """
     try:
         with open(path, "w", encoding="ascii") as handle:
-            for block in _blocks(mesh.positions):
-                handle.write("v %.17g %.17g %.17g\n" * len(block)
-                             % tuple(block.ravel().tolist()))
-            for block in _blocks(mesh.triangles):
-                handle.write("f %d %d %d\n" * len(block)
-                             % tuple((block + 1).ravel().tolist()))
+            try:
+                for block in vertex_blocks:
+                    handle.write("v %.17g %.17g %.17g\n" * len(block)
+                                 % tuple(block.ravel().tolist()))
+                for block in triangle_blocks:
+                    handle.write("f %d %d %d\n" * len(block)
+                                 % tuple((block + 1).ravel().tolist()))
+            except BaseException:
+                handle.close()
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+                raise
     except OSError as exc:
         raise OSError(f"cannot write OBJ to {path}: {exc}") from exc
 
 
-def export_surface_obj(surface, resolution: int, path) -> TriangleMesh:
-    """Tessellate a surface and write it as OBJ; returns the mesh."""
-    mesh = tessellate(surface, resolution)
-    export_obj(mesh, path)
-    return mesh
+def export_obj(mesh: TriangleMesh, path):
+    """Write a Wavefront OBJ (17-significant-digit vertices, 1-based faces)."""
+    _write_obj(path, _blocks(mesh.positions), _blocks(mesh.triangles))
+
+
+def export_surface_obj(surface, resolution: int, path) -> ObjCounts:
+    """Tessellate a surface band by band into an OBJ file; returns the counts.
+
+    The file holds the bytes of ``export_obj(tessellate(surface, resolution),
+    path)``, but only one band of lattice rows (about ``_BLOCK_ROWS``
+    vertices or triangles, at least one row) exists at a time.  A non-finite
+    vertex raises the ``ValueError`` that ``TriangleMesh`` raises, naming
+    its index in the whole mesh, and leaves no file behind.
+    """
+    p, res, ni, nj = _lattice(surface, resolution)
+    rows = max(1, _BLOCK_ROWS // nj)
+    cell_rows = max(1, _BLOCK_ROWS // (2 * (nj - 1)))
+
+    def vertex_bands():
+        for i0 in range(0, ni, rows):
+            points = _lattice_points(p, res, i0, min(i0 + rows, ni))
+            _require_finite(points, i0 * nj)
+            yield points
+
+    triangle_bands = (_cell_triangles(nj, c0, min(c0 + cell_rows, ni - 1))
+                      for c0 in range(0, ni - 1, cell_rows))
+    _write_obj(path, vertex_bands(), triangle_bands)
+    return ObjCounts(ni * nj, 2 * (ni - 1) * (nj - 1))

@@ -251,6 +251,15 @@ class TestNanGates:
             reconstruct(data, seed)
         assert np.isnan(err.value.actual)
 
+    def test_nan_seed_rejected_without_a_floating_point_error(self, paraboloid):
+        _, surf = paraboloid
+        data = extract_fundamental_data(surf)
+        seed = canonical_seed(1.0)
+        seed[3, 2] = np.nan
+        with np.errstate(all="raise"), pytest.raises(SeedDeterminantMismatch) as err:
+            reconstruct(data, seed)
+        assert np.isnan(err.value.actual)
+
     def test_residual_max_keeps_a_later_nan(self):
         data = constant_data(GridDomain(0, 5, 0, 5))
         b = np.array(data.v_coeff.values)

@@ -15,6 +15,7 @@ from affmin.gridio import (
     read_seed,
     write_forms,
     write_grid,
+    write_json,
     write_seed,
 )
 from affmin.grids import FaceGrid, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid
@@ -136,6 +137,28 @@ def test_dumps_json_values():
 
 
 class TestNonFinite:
+    def test_report_spells_nan_and_infinity_as_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        nan, inf = float("nan"), float("inf")
+        report = {
+            "scalar": nan,
+            "numpy_scalar": np.float64(-inf),
+            "floats": [0.5, nan, inf, -inf, 1e-300],
+            "padded": [None, nan, 2.5, -inf],
+            "mixed": [1, nan, True, np.float64(inf), None],
+        }
+        path = tmp_path / "report.json"
+        write_json(report, path)
+        assert json.loads(path.read_text(), parse_constant=reject) == {
+            "scalar": None,
+            "numpy_scalar": None,
+            "floats": [0.5, None, None, None, 1e-300],
+            "padded": [None, None, 2.5, None],
+            "mixed": [1, None, True, None, None],
+        }
+
     def test_grid_writer_names_first_non_finite_entry(self, helicoid, tmp_path):
         _, surf = helicoid
         values = np.array(surf.positions.values)

@@ -1,10 +1,13 @@
 """Bilinear patches, tessellation, and OBJ export."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import affmin as am
+from affmin import mesh as mesh_module
 from affmin.geometry import affine_normal, face_volumes
 from affmin.mesh import (
     TriangleMesh,
@@ -205,3 +208,39 @@ class TestExportObj:
         positions[3, 0] = np.inf
         with pytest.raises(ValueError, match="mesh vertex 2 has a non-finite coordinate 1"):
             TriangleMesh(positions, np.array([[0, 1, 2]]))
+
+
+class TestStreamingExport:
+    def test_non_finite_vertex_in_a_later_band(self, helicoid, tmp_path, monkeypatch):
+        _, surf = helicoid
+        values = np.array(surf.positions.values)
+        values[8, 3, 1] = np.nan
+        grid = surf.positions.with_values(values)
+        with pytest.raises(ValueError) as whole:
+            tessellate(grid, 23)
+        vertex = int(str(whole.value).split()[2])
+        monkeypatch.setattr(mesh_module, "_BLOCK_ROWS", 1000)
+        assert vertex >= 1000   # not in the first band
+        path = tmp_path / "nan.obj"
+        with pytest.raises(ValueError) as streamed:
+            export_surface_obj(grid, 23, path)
+        assert str(streamed.value) == str(whole.value)
+        assert not path.exists()
+
+    def test_returns_counts(self, cubic, tmp_path):
+        _, surf = cubic
+        counts = export_surface_obj(surf, 3, tmp_path / "c.obj")
+        assert counts == (22 * 22, 2 * 21 * 21)
+        assert (counts.vertices, counts.triangles) == tuple(counts)
+
+    def test_peak_memory_is_bounded_by_a_band(self, tmp_path):
+        # The mesh is 255,025 vertices and 508,032 triangles (25 MB of OBJ);
+        # holding it whole peaked at 57 MB.
+        surf = am.integrate(am.minimal_cubic(am.GridDomain(1, 64, 1, 64)))
+        tracemalloc.start()
+        try:
+            export_surface_obj(surf, 8, tmp_path / "cubic.obj")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6

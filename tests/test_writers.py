@@ -2,15 +2,20 @@
 
 ``reference_export_obj`` and ``reference_dumps_json`` are the earlier
 one-f-string-per-number writers, kept verbatim as oracles: every byte the
-block writers produce must equal theirs.
+block writers produce, and every byte the streaming surface export writes
+band by band, must equal theirs.
 """
 
 import json
 
 import numpy as np
+import pytest
 
-from affmin.gridio import dumps_json, grid_to_obj
-from affmin.mesh import TriangleMesh, export_obj, tessellate
+import affmin as am
+from affmin import mesh as mesh_module
+from affmin.compatibility import extract_fundamental_data
+from affmin.gridio import _pad_coefficient, dumps_json, grid_to_obj, write_forms
+from affmin.mesh import TriangleMesh, export_obj, export_surface_obj, tessellate
 
 
 def reference_export_obj(mesh, path):
@@ -123,3 +128,67 @@ def test_dumps_json_matches_reference(helicoid):
     assert dumps_json(obj) == reference_dumps_json(obj)
     for value in obj.values():
         assert dumps_json(value) == reference_dumps_json(value)
+
+
+def test_dumps_json_matches_reference_on_null_padded_lists():
+    obj = {
+        "leading": [None] + SPECIAL,
+        "trailing": SPECIAL + [None, None],
+        "interleaved": [x for pair in zip(SPECIAL, [None] * len(SPECIAL)) for x in pair],
+        "only_nulls": [None, None, None],
+        "rows": [[None, 0.1], [2.5, None], [None]],
+    }
+    assert dumps_json(obj) == reference_dumps_json(obj)
+    for value in obj.values():
+        assert dumps_json(value) == reference_dumps_json(value)
+
+
+def test_forms_file_matches_reference(helicoid, tmp_path):
+    _, surf = helicoid
+    data = extract_fundamental_data(surf)
+    full = data.domain
+    obj = {"F": grid_to_obj(data.areas)}
+    for key, grid in (("A", data.u_coeff), ("B", data.v_coeff)):
+        obj[key] = {
+            "kind": "vertex",
+            "domain": list(full.as_tuple()),
+            "components": 1,
+            "values": _pad_coefficient(grid, full, key),
+        }
+    assert None in obj["A"]["values"] and None in obj["B"]["values"]
+    path = tmp_path / "forms.json"
+    write_forms(data, path)
+    assert path.read_text() == reference_dumps_json(obj) + "\n"
+
+
+def streamed_and_reference(tmp_path, surface, resolution):
+    ours, theirs = tmp_path / "streamed.obj", tmp_path / "reference.obj"
+    counts = export_surface_obj(surface, resolution, ours)
+    mesh = tessellate(surface, resolution)
+    reference_export_obj(mesh, theirs)
+    assert counts == (len(mesh.positions), len(mesh.triangles))
+    return ours.read_bytes(), theirs.read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [mesh_module._BLOCK_ROWS, 997])
+def test_streamed_export_matches_reference_over_several_bands(helicoid, tmp_path,
+                                                              monkeypatch, block_rows):
+    _, surf = helicoid
+    monkeypatch.setattr(mesh_module, "_BLOCK_ROWS", block_rows)
+    ours, theirs = streamed_and_reference(tmp_path, surf, 23)   # k / 23 lattice
+    assert (8 * 23 + 1) ** 2 > block_rows   # more than one band
+    assert ours == theirs
+
+
+def test_streamed_export_matches_reference_on_one_face(tmp_path):
+    surf = am.integrate(am.hyperbolic_paraboloid(am.GridDomain(0, 1, 0, 1)))
+    ours, theirs = streamed_and_reference(tmp_path, surf, 1)
+    assert ours == theirs
+    assert ours.count(b"\n") == 4 + 2
+
+
+def test_streamed_export_matches_reference_on_rows_wider_than_a_block(tmp_path):
+    n_v = mesh_module._BLOCK_ROWS + 1
+    surf = am.integrate(am.hyperbolic_paraboloid(am.GridDomain(0, 2, 0, n_v - 1)))
+    ours, theirs = streamed_and_reference(tmp_path, surf, 1)   # one lattice row per band
+    assert ours == theirs
