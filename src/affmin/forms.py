@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllDefinedForm
+from .errors import DomainTooSmall, IllDefinedForm
 from .geometry import face_volumes
-from .grids import (TINY, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, absmax, as_positions,
-                    cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean, relative_residual,
-                    worst_index)
+from .grids import (TINY, BandMax, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
+                    as_positions, cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean,
+                    relative_residual, row_bands)
 
 __all__ = [
     "TOL_FORMS",
@@ -69,21 +69,26 @@ class FormDerivatives:
     area_dv: UEdgeGrid      # F_2(u+1/2, v) = F(u+1/2,v+1/2) - F(u+1/2,v-1/2)
 
 
-def _coefficient(dets_by_face, out_shape, domain, offset, tol):
-    """Average determinant over face choices, asserting their agreement.
+class _Coefficient:
+    """A cubic coefficient averaged over face choices, band by band; the spread
+    of the choices is judged relative to |mean| plus their mean area density,
+    and a NaN spread fails."""
 
-    ``dets_by_face`` holds ((determinant slab, area slab), output slice)
-    pairs; spreads are judged relative to |mean| plus the mean participating
-    area density, and a NaN spread fails.
-    """
-    mean, spread = face_choice_mean(((det, sl) for (det, _), sl in dets_by_face), out_shape)
-    f_mean, _ = face_choice_mean(((f, sl) for (_, f), sl in dets_by_face), out_shape)
-    scale = np.abs(mean) + f_mean
-    excess = spread - tol * scale
-    if not excess.max() <= 0.0:
-        vertex = worst_index(excess, domain, *offset)
-        raise IllDefinedForm(vertex, float(spread.flat[np.argmax(excess)]))
-    return mean, float((spread / np.maximum(scale, TINY)).max())
+    def __init__(self, shape, domain, du, dv):
+        self.mean, self.excess, self.relative = np.empty(shape), BandMax(domain, du, dv), []
+        self.spread = None   # the spread at the worst excess
+
+    def add(self, dets_by_face, shape, rows, own, lo, tol):
+        """Fill ``rows`` of the mean from ((determinant, area), slice) pairs
+        that cover a band of ``shape``."""
+        mean, spread = face_choice_mean(((det, sl) for (det, _), sl in dets_by_face), shape)
+        f_mean, _ = face_choice_mean(((f, sl) for (_, f), sl in dets_by_face), shape)
+        mean, spread, scale = mean[own], spread[own], np.abs(mean[own]) + f_mean[own]
+        self.mean[rows][own] = mean
+        excess = spread - tol * scale
+        if self.excess.add(excess, lo):
+            self.spread = float(spread.flat[np.argmax(excess)])
+        self.relative.append((spread / np.maximum(scale, TINY)).max())
 
 
 def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> CubicForm:
@@ -91,35 +96,38 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
     q = as_positions(surface)
     dom = q.domain
     if dom.n_u < 3 or dom.n_v < 3:
-        raise IllDefinedForm((dom.u_min, dom.v_min), float("nan"))
-    e1 = d1(q).values
-    e2 = d2(q).values
-    xi = normals.values
-    f = face_volumes(q).areas.values
+        raise DomainTooSmall(f"the cubic form needs at least 3 vertices along u and v, "
+                             f"got {dom.n_u} x {dom.n_v} on {dom}")
+    areas = face_volumes(q).areas.values
+    a = _Coefficient((dom.n_u - 2, dom.n_v), dom, 1, 0)
+    b = _Coefficient((dom.n_u, dom.n_v - 2), dom, 0, 1)
+    for lo, band, rows, own in row_bands(q, before=1, after=2):
+        e1, e2 = d1(band).values, d2(band).values
+        xi, f = normals.values[rows[1]], areas[rows[1]]
+        cross_u = cross3(e1[:-1, :], e1[1:, :])            # u-interior vertices
+        a.add((
+            ((dot3(cross_u[:, :-1], xi[1:, :]), f[1:, :]), (slice(None), slice(None, -1))),
+            ((dot3(cross_u[:, :-1], xi[:-1, :]), f[:-1, :]), (slice(None), slice(None, -1))),
+            ((dot3(cross_u[:, 1:], xi[1:, :]), f[1:, :]), (slice(None), slice(1, None))),
+            ((dot3(cross_u[:, 1:], xi[:-1, :]), f[:-1, :]), (slice(None), slice(1, None))),
+        ), cross_u.shape[:2], rows[2], own, lo, tol)
 
-    cross_u = cross3(e1[:-1, :], e1[1:, :])            # u-interior vertices
-    a_faces = (
-        ((dot3(cross_u[:, :-1], xi[1:, :]), f[1:, :]), (slice(None), slice(None, -1))),
-        ((dot3(cross_u[:, :-1], xi[:-1, :]), f[:-1, :]), (slice(None), slice(None, -1))),
-        ((dot3(cross_u[:, 1:], xi[1:, :]), f[1:, :]), (slice(None), slice(1, None))),
-        ((dot3(cross_u[:, 1:], xi[:-1, :]), f[:-1, :]), (slice(None), slice(1, None))),
-    )
-    a_mean, a_rel = _coefficient(a_faces, (dom.n_u - 2, dom.n_v), dom, (1, 0), tol)
-
-    cross_v = cross3(e2[:, 1:], e2[:, :-1])            # v-interior vertices
-    b_faces = (
-        ((dot3(cross_v[:-1, :], xi[:, 1:]), f[:, 1:]), (slice(None, -1), slice(None))),
-        ((dot3(cross_v[:-1, :], xi[:, :-1]), f[:, :-1]), (slice(None, -1), slice(None))),
-        ((dot3(cross_v[1:, :], xi[:, 1:]), f[:, 1:]), (slice(1, None), slice(None))),
-        ((dot3(cross_v[1:, :], xi[:, :-1]), f[:, :-1]), (slice(1, None), slice(None))),
-    )
-    b_mean, b_rel = _coefficient(b_faces, (dom.n_u, dom.n_v - 2), dom, (0, 1), tol)
+        cross_v = cross3(e2[:, 1:], e2[:, :-1])            # v-interior vertices
+        b.add((
+            ((dot3(cross_v[:-1, :], xi[:, 1:]), f[:, 1:]), (slice(None, -1), slice(None))),
+            ((dot3(cross_v[:-1, :], xi[:, :-1]), f[:, :-1]), (slice(None, -1), slice(None))),
+            ((dot3(cross_v[1:, :], xi[:, 1:]), f[:, 1:]), (slice(1, None), slice(None))),
+            ((dot3(cross_v[1:, :], xi[:, :-1]), f[:, :-1]), (slice(1, None), slice(None))),
+        ), cross_v.shape[:2], rows[0], own, lo, tol)
+    for coeff in (a, b):
+        if not coeff.excess.value <= 0.0:
+            raise IllDefinedForm(coeff.excess.index, coeff.spread)
 
     return CubicForm(
-        u_coeff=VertexGrid(dom.shrink(du_lo=1, du_hi=1), a_mean),
-        v_coeff=VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), b_mean),
-        max_spread_u=a_rel,
-        max_spread_v=b_rel,
+        u_coeff=VertexGrid(dom.shrink(du_lo=1, du_hi=1), a.mean),
+        v_coeff=VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), b.mean),
+        max_spread_u=float(np.max(a.relative)),
+        max_spread_v=float(np.max(b.relative)),
     )
 
 
@@ -140,50 +148,48 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
     Residuals are normalized by the largest participating term per stencil.
     """
     q = as_positions(surface)
-    dom = q.domain
-    e1 = d1(q).values
-    e2 = d2(q).values
-    f = areas.values
-    quu = d11(q).values
-    qvv = d22(q).values
-    a = form.u_coeff.values
-    b = form.v_coeff.values
-    f1 = d1(areas).values
-    f2 = d2(areas).values
+    f1_all, f2_all = d1(areas).values, d2(areas).values
 
     # The per-stencil scale is floored by F times the participating edge
     # lengths so identities whose every term vanishes (straight rulings,
     # constant F) register as satisfied instead of comparing noise to noise.
     per = {}
+    for _, band, rows, _ in row_bands(q, after=2):
+        e1, e2 = d1(band).values, d2(band).values
+        quu, qvv = d11(band).values, d22(band).values
+        f, f1, f2 = areas.values[rows[1]], f1_all[rows[2]], f2_all[rows[1]]
+        a, b = form.u_coeff.values[rows[2]], form.v_coeff.values[rows[0]]
+        abs_e1, abs_e2 = absmax(e1), absmax(e2)
 
-    # q11 expansions (vertex u-interior; vsign picks the v+1/2 or v-1/2 row).
-    for vsign, vsl in ((+1, np.s_[:, :-1]), (-1, np.s_[:, 1:])):
-        a_used = a[vsl][..., None]
-        quu_used = quu[vsl]
+        # q11 expansions (vertex u-interior; vsign picks the v+1/2 or v-1/2 row).
         q2_used = e2[1:-1, :]
-        for uside, f_face, e1_used in (
-            (+1, f[1:, :], e1[1:, :][vsl]),
-            (-1, f[:-1, :], e1[:-1, :][vsl]),
-        ):
-            floor = f_face * np.maximum(absmax(e1_used), absmax(q2_used))
-            name = f"q11[v{'+' if vsign > 0 else '-'}][u{'+' if uside > 0 else '-'}]"
-            per[name] = relative_residual(
-                [f_face[..., None] * quu_used, f1[..., None] * e1_used, a_used * q2_used], floor)
+        for vsign, vsl in ((+1, np.s_[:, :-1]), (-1, np.s_[:, 1:])):
+            a_q2 = a[vsl][..., None] * q2_used
+            quu_used = quu[vsl]
+            for uside, f_face, e1_used, abs_e1_used in (
+                (+1, f[1:, :], e1[1:, :][vsl], abs_e1[1:, :][vsl]),
+                (-1, f[:-1, :], e1[:-1, :][vsl], abs_e1[:-1, :][vsl]),
+            ):
+                floor = f_face * np.maximum(abs_e1_used, abs_e2[1:-1, :])
+                name = f"q11[v{'+' if vsign > 0 else '-'}][u{'+' if uside > 0 else '-'}]"
+                per.setdefault(name, []).append(relative_residual(
+                    [f_face[..., None] * quu_used, f1[..., None] * e1_used, a_q2], floor))
 
-    # q22 expansions (vertex v-interior; usign picks the u+1/2 or u-1/2 column).
-    for usign, usl in ((+1, np.s_[:-1, :]), (-1, np.s_[1:, :])):
-        b_used = b[usl][..., None]
-        qvv_used = qvv[usl]
+        # q22 expansions (vertex v-interior; usign picks the u+1/2 or u-1/2 column).
         q1_used = e1[:, 1:-1]
-        for vside, f_face, e2_used in (
-            (+1, f[:, 1:], e2[:, 1:][usl]),
-            (-1, f[:, :-1], e2[:, :-1][usl]),
-        ):
-            floor = f_face * np.maximum(absmax(q1_used), absmax(e2_used))
-            name = f"q22[u{'+' if usign > 0 else '-'}][v{'+' if vside > 0 else '-'}]"
-            per[name] = relative_residual(
-                [f_face[..., None] * qvv_used, b_used * q1_used, f2[..., None] * e2_used], floor)
+        for usign, usl in ((+1, np.s_[:-1, :]), (-1, np.s_[1:, :])):
+            b_q1 = b[usl][..., None] * q1_used
+            qvv_used = qvv[usl]
+            for vside, f_face, e2_used, abs_e2_used in (
+                (+1, f[:, 1:], e2[:, 1:][usl], abs_e2[:, 1:][usl]),
+                (-1, f[:, :-1], e2[:, :-1][usl], abs_e2[:, :-1][usl]),
+            ):
+                floor = f_face * np.maximum(abs_e1[:, 1:-1], abs_e2_used)
+                name = f"q22[u{'+' if usign > 0 else '-'}][v{'+' if vside > 0 else '-'}]"
+                per.setdefault(name, []).append(relative_residual(
+                    [f_face[..., None] * qvv_used, b_q1, f2[..., None] * e2_used], floor))
 
+    per = {name: float(np.max(values)) for name, values in per.items()}
     worst = list(per)[int(np.argmax(list(per.values())))]   # a NaN counts as worst
     return StructuralReport(
         max_residual=per[worst],
@@ -214,16 +220,14 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
     and expanding the shifted edges through the affine normal.
     """
     q = as_positions(surface)
-    e1 = d1(q).values
-    e2 = d2(q).values
-    xi = normals.values
-    f = areas.values
-
-    a2_closed = -f[:-1, :] * det3(e1[1:, :-1], xi[:-1, :], xi[1:, :])
-    b1_closed = f[:, :-1] * det3(e2[:-1, 1:], xi[:, :-1], xi[:, 1:])
-
     a2_direct = d2(form.u_coeff)
     b1_direct = d1(form.v_coeff)
+    a2_closed = np.empty_like(a2_direct.values)
+    b1_closed = np.empty_like(b1_direct.values)
+    for _, band, rows, _ in row_bands(q, after=2):
+        xi, f = normals.values[rows[1]], areas.values[rows[1]]
+        a2_closed[rows[2]] = -f[:-1, :] * det3(d1(band).values[1:, :-1], xi[:-1, :], xi[1:, :])
+        b1_closed[rows[1]] = f[:, :-1] * det3(d2(band).values[:-1, 1:], xi[:, :-1], xi[:, 1:])
 
     derivs = FormDerivatives(
         u_coeff_dv=a2_direct.with_values(a2_closed),
@@ -266,25 +270,23 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
                                 derivs: FormDerivatives,
                                 tol: float = TOL_FORMS) -> NormalDerivativeReport:
     q = as_positions(surface)
-    e1 = d1(q).values
-    e2 = d2(q).values
-    xi = normals.values
-    f = areas.values
-    a2 = derivs.u_coeff_dv.values
-    b1 = derivs.v_coeff_du.values
-
+    res_u, res_v = [], []
     # Floored by F F |xi| so constant-normal regions do not compare rounding
     # noise against rounding noise.
-    ff_u = f[:-1, :] * f[1:, :]
-    res_u = relative_residual(
-        [ff_u[..., None] * (xi[1:, :] - xi[:-1, :]), a2[..., None] * e2[1:-1, :]],
-        ff_u * np.maximum(absmax(xi[1:, :]), absmax(xi[:-1, :])),
-    )
-    ff_v = f[:, :-1] * f[:, 1:]
-    res_v = relative_residual(
-        [ff_v[..., None] * (xi[:, 1:] - xi[:, :-1]), b1[..., None] * e1[:, 1:-1]],
-        ff_v * np.maximum(absmax(xi[:, 1:]), absmax(xi[:, :-1])),
-    )
+    for _, band, rows, _ in row_bands(q, after=2):
+        xi, f = normals.values[rows[1]], areas.values[rows[1]]
+        a2, b1 = derivs.u_coeff_dv.values[rows[2]], derivs.v_coeff_du.values[rows[1]]
+        ff_u = f[:-1, :] * f[1:, :]
+        res_u.append(relative_residual(
+            [ff_u[..., None] * (xi[1:, :] - xi[:-1, :]), a2[..., None] * d2(band).values[1:-1, :]],
+            ff_u * np.maximum(absmax(xi[1:, :]), absmax(xi[:-1, :])),
+        ))
+        ff_v = f[:, :-1] * f[:, 1:]
+        res_v.append(relative_residual(
+            [ff_v[..., None] * (xi[:, 1:] - xi[:, :-1]), b1[..., None] * d1(band).values[:, 1:-1]],
+            ff_v * np.maximum(absmax(xi[:, 1:]), absmax(xi[:, :-1])),
+        ))
+    res_u, res_v = float(np.max(res_u)), float(np.max(res_v))
     return NormalDerivativeReport(
         max_residual_u=res_u,
         max_residual_v=res_v,

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatch, NonPositiveVolume
-from .grids import (TINY, FaceGrid, VertexGrid, absmax, as_positions, cross3, d1, d2, d11,
-                    d12, d22, det3, dot3, face_choice_mean, norm3, worst_index)
+from .grids import (TINY, BandMax, FaceGrid, VertexGrid, absmax, as_positions, cross3, d1, d2,
+                    d11, d12, d22, det3, dot3, face_choice_mean, norm3, row_bands, worst_index)
 
 __all__ = [
     "TOL_DUAL",
@@ -52,9 +52,10 @@ def face_volumes(surface) -> FaceVolumes:
     """
     q = as_positions(surface)
     q.domain.require_faces("face volumes")
-    p = q.values
-    base = p[:-1, :-1]
-    m = det3(p[1:, :-1] - base, p[:-1, 1:] - base, p[1:, 1:] - base)
+    m = np.empty((q.domain.n_u - 1, q.domain.n_v - 1))
+    for _, band, rows, _ in row_bands(q, after=1):
+        p, base = band.values, band.values[:-1, :-1]
+        m[rows[1]] = det3(p[1:, :-1] - base, p[:-1, 1:] - base, p[1:, 1:] - base)
     lowest = m.min()
     if not lowest > 0.0:
         raise NonPositiveVolume(worst_index(-m, q.domain), float(lowest))
@@ -85,25 +86,23 @@ class ConormalRecovery:
 def recover_conormal(surface) -> ConormalRecovery:
     """Evaluate the cross-product co-normal formula on every incident face."""
     q = as_positions(surface)
-    f = face_volumes(q).areas.values[:, :, None]
-    e1 = d1(q).values
-    e2 = d2(q).values
+    areas = face_volumes(q).areas.values
     dom = q.domain
-
-    # (estimate, vertex slice) per corner role of each face.
-    corner_estimates = (
-        (cross3(e1[:, :-1], e2[:-1, :]) / f, (slice(None, -1), slice(None, -1))),
-        (cross3(e1[:, :-1], e2[1:, :]) / f, (slice(1, None), slice(None, -1))),
-        (cross3(e1[:, 1:], e2[:-1, :]) / f, (slice(None, -1), slice(1, None))),
-        (cross3(e1[:, 1:], e2[1:, :]) / f, (slice(1, None), slice(1, None))),
-    )
-    mean, spread = face_choice_mean(corner_estimates, (dom.n_u, dom.n_v, 3))
-    spread = absmax(spread)
-    return ConormalRecovery(
-        vectors=VertexGrid(dom, mean),
-        max_deviation=float(spread.max()),
-        worst_vertex=worst_index(spread, dom),
-    )
+    mean = np.empty((dom.n_u, dom.n_v, 3))
+    worst = BandMax(dom)
+    for lo, band, rows, own in row_bands(q, before=1, after=1):
+        e1, e2, f = d1(band).values, d2(band).values, areas[rows[1]][:, :, None]
+        # (estimate, vertex slice) per corner role of each face.
+        corner_estimates = (
+            (cross3(e1[:, :-1], e2[:-1, :]) / f, (slice(None, -1), slice(None, -1))),
+            (cross3(e1[:, :-1], e2[1:, :]) / f, (slice(1, None), slice(None, -1))),
+            (cross3(e1[:, 1:], e2[:-1, :]) / f, (slice(None, -1), slice(1, None))),
+            (cross3(e1[:, 1:], e2[1:, :]) / f, (slice(1, None), slice(1, None))),
+        )
+        band_mean, spread = face_choice_mean(corner_estimates, band.values.shape)
+        mean[rows[0]][own] = band_mean[own]
+        worst.add(absmax(spread[own]), lo)
+    return ConormalRecovery(VertexGrid(dom, mean), worst.value, worst.index)
 
 
 @dataclass(frozen=True)
@@ -126,47 +125,45 @@ class AsymptoticReport:
 def asymptotic_certificate(surface, tol_zero: float = TOL_ASYMPTOTIC,
                            tol_mixed: float = TOL_ASYMPTOTIC) -> AsymptoticReport:
     q = as_positions(surface)
-    e1 = d1(q).values
-    e2 = d2(q).values
     dom = q.domain
+    volumes = face_volumes(q).volumes.values
+    zero = {}   # the worst |det| of each determinant group, in the order listed
+    mixed = BandMax(dom)
+    for lo, band, rows, own in row_bands(q, after=2):
+        e1, e2 = d1(band).values, d2(band).values
+        # [a, b, c] = a . (b x c), with each cross product taken once.
+        dets = []   # (a, b x c, du, dv)
+        if dom.n_u >= 3:
+            quu = d11(band).values
+            cross = (cross3(e2[1:-1, :], quu[:, :-1]), cross3(e2[1:-1, :], quu[:, 1:]))
+            for e1_pick in (e1[:-1, :], e1[1:, :]):
+                dets += [(e1_pick[:, :-1], cross[0], 1, 0), (e1_pick[:, 1:], cross[1], 1, 1)]
+        if dom.n_v >= 3:
+            qvv = d22(band).values
+            for e2_pick in (e2[:, :-1], e2[:, 1:]):
+                cross = cross3(e2_pick, qvv)
+                dets += [(e1[:, 1:-1], cross[:-1], 0, 1), (e1[:, 1:-1], cross[1:], 1, 1)]
+        for k, (a, bc, du, dv) in enumerate(dets):
+            zero.setdefault(k, BandMax(dom, du, dv)).add(np.abs(dot3(a[own], bc[own])), lo)
+        m = volumes[rows[1]]
+        quv = d12(band).values
+        cross = (cross3(e2[:-1, :], quv), cross3(e2[1:, :], quv))
+        band_mixed = np.zeros_like(m)
+        for e1_pick in (e1[:, :-1], e1[:, 1:]):
+            for c in cross:
+                np.maximum(band_mixed, np.abs(dot3(e1_pick, c) - m) / m, out=band_mixed)
+        mixed.add(band_mixed[own], lo)
 
-    zero_best = 0.0
-    zero_worst = (dom.u_min, dom.v_min)
-
-    def track_zero(dets, du, dv):
-        nonlocal zero_best, zero_worst
-        if dets.size == 0:
-            return
-        res = np.abs(dets)
-        m = float(res.max())
-        if m > zero_best:
-            zero_best = m
-            zero_worst = worst_index(res, dom, du, dv)
-
-    if dom.n_u >= 3:
-        quu = d11(q).values
-        for e1_pick in (e1[:-1, :], e1[1:, :]):
-            track_zero(det3(e1_pick[:, :-1], e2[1:-1, :], quu[:, :-1]), 1, 0)
-            track_zero(det3(e1_pick[:, 1:], e2[1:-1, :], quu[:, 1:]), 1, 1)
-    if dom.n_v >= 3:
-        qvv = d22(q).values
-        for e2_pick in (e2[:, :-1], e2[:, 1:]):
-            track_zero(det3(e1[:, 1:-1], e2_pick[:-1, :], qvv[:-1, :]), 0, 1)
-            track_zero(det3(e1[:, 1:-1], e2_pick[1:, :], qvv[1:, :]), 1, 1)
-
-    m = face_volumes(q).volumes.values
-    quv = d12(q).values
-    mixed = np.zeros_like(m)
-    for e1_pick in (e1[:, :-1], e1[:, 1:]):
-        for e2_pick in (e2[:-1, :], e2[1:, :]):
-            np.maximum(mixed, np.abs(det3(e1_pick, e2_pick, quv) - m) / m, out=mixed)
-
+    zero_best, zero_worst = 0.0, (dom.u_min, dom.v_min)
+    for group in zero.values():
+        if group.value > zero_best:
+            zero_best, zero_worst = group.value, group.index
     return AsymptoticReport(
         max_zero_residual=zero_best,
         worst_zero_vertex=zero_worst,
-        max_mixed_residual=float(mixed.max()),
-        worst_mixed_face=worst_index(mixed, dom),
-        passed=zero_best <= tol_zero and float(mixed.max()) <= tol_mixed,
+        max_mixed_residual=mixed.value,
+        worst_mixed_face=mixed.index,
+        passed=zero_best <= tol_zero and mixed.value <= tol_mixed,
     )
 
 
@@ -192,38 +189,39 @@ def planarity_and_saddle(surface, vectors: VertexGrid,
     q = as_positions(surface)
     if vectors.domain != q.domain:
         raise DomainMismatch("co-normal grid and surface live on different domains")
-    p = q.values
-    nu = vectors.values[1:-1, 1:-1]
     dom = q.domain
     if dom.n_u < 3 or dom.n_v < 3:
         return PlanarSaddleReport(0.0, (dom.u_min, dom.v_min), True, True, [])
-    center = p[1:-1, 1:-1]
-    nu_norm = norm3(nu)
+    worst = BandMax(dom, 1, 1)
+    failures = []
+    for lo, band, rows, _ in row_bands(q, after=2):
+        p, nu = band.values, vectors.values[rows[0]][1:-1, 1:-1]
+        center = p[1:-1, 1:-1]
+        nu_norm = norm3(nu)
 
-    ortho = np.zeros(center.shape[:2])
-    for edge in (p[2:, 1:-1], p[:-2, 1:-1], p[1:-1, 2:], p[1:-1, :-2]):
-        e = edge - center
-        res = np.abs(dot3(e, nu))
-        res /= np.maximum(norm3(e) * nu_norm, TINY)
-        np.maximum(ortho, res, out=ortho)
+        ortho = np.zeros(center.shape[:2])
+        for edge in (p[2:, 1:-1], p[:-2, 1:-1], p[1:-1, 2:], p[1:-1, :-2]):
+            e = edge - center
+            res = np.abs(dot3(e, nu))
+            res /= np.maximum(norm3(e) * nu_norm, TINY)
+            np.maximum(ortho, res, out=ortho)
+        worst.add(ortho, lo)
 
-    # Diagonal dot products in cyclic order NE, NW, SW, SE must alternate.
-    diag = [
-        dot3(corner - center, nu)
-        for corner in (p[2:, 2:], p[:-2, 2:], p[:-2, :-2], p[2:, :-2])
-    ]
-    alternating = np.ones(center.shape[:2], dtype=bool)
-    for a, b in zip(diag, diag[1:] + diag[:1]):
-        alternating &= (a * b) < 0.0
-    failures = [
-        (dom.u_min + 1 + int(i), dom.v_min + 1 + int(j))
-        for i, j in np.argwhere(~alternating)
-    ]
+        # Diagonal dot products in cyclic order NE, NW, SW, SE must alternate.
+        diag = [
+            dot3(corner - center, nu)
+            for corner in (p[2:, 2:], p[:-2, 2:], p[:-2, :-2], p[2:, :-2])
+        ]
+        alternating = np.ones(center.shape[:2], dtype=bool)
+        for a, b in zip(diag, diag[1:] + diag[:1]):
+            alternating &= (a * b) < 0.0
+        failures += [(dom.u_min + 1 + lo + int(i), dom.v_min + 1 + int(j))
+                     for i, j in np.argwhere(~alternating)]
     return PlanarSaddleReport(
-        max_orthogonality_residual=float(ortho.max()),
-        worst_vertex=worst_index(ortho, dom, 1, 1),
+        max_orthogonality_residual=worst.value,
+        worst_vertex=worst.index,
         saddle_ok=not failures,
-        passed=not failures and float(ortho.max()) <= tol,
+        passed=not failures and worst.value <= tol,
         saddle_failures=failures,
     )
 
@@ -248,28 +246,28 @@ def duality_certificate(vectors: VertexGrid, normals: FaceGrid, areas: FaceGrid,
                         tol: float = TOL_DUAL) -> DualityReport:
     if not (vectors.domain == normals.domain == areas.domain):
         raise DomainMismatch("co-normals, normals and areas must share a domain")
-    nu = vectors.values
-    xi = normals.values
     dom = vectors.domain
-
-    pairing = np.zeros(xi.shape[:2])
-    for corner in (nu[:-1, :-1], nu[1:, :-1], nu[:-1, 1:], nu[1:, 1:]):
-        np.maximum(pairing, np.abs(dot3(corner, xi) - 1.0), out=pairing)
-
-    f_xi = areas.values[:, :, None] * xi
-    scale = np.maximum(absmax(f_xi), TINY)
-    nu1 = d1(VertexGrid(dom, nu)).values
-    nu2 = d2(VertexGrid(dom, nu)).values
-    cross = np.zeros(xi.shape[:2])
-    for nu1_pick in (nu1[:, :-1], nu1[:, 1:]):
-        for nu2_pick in (nu2[:-1, :], nu2[1:, :]):
-            res = absmax(cross3(nu1_pick, nu2_pick) + f_xi) / scale
-            np.maximum(cross, res, out=cross)
+    worst_pairing, worst_cross = BandMax(dom), BandMax(dom)
+    for lo, band, rows, _ in row_bands(vectors, after=1):
+        nu, xi = band.values, normals.values[rows[1]]
+        pairing = np.zeros(xi.shape[:2])
+        for corner in (nu[:-1, :-1], nu[1:, :-1], nu[:-1, 1:], nu[1:, 1:]):
+            np.maximum(pairing, np.abs(dot3(corner, xi) - 1.0), out=pairing)
+        worst_pairing.add(pairing, lo)
+        f_xi = areas.values[rows[1]][:, :, None] * xi
+        scale = np.maximum(absmax(f_xi), TINY)
+        nu1, nu2 = d1(band).values, d2(band).values
+        cross = np.zeros(xi.shape[:2])
+        for nu1_pick in (nu1[:, :-1], nu1[:, 1:]):
+            for nu2_pick in (nu2[:-1, :], nu2[1:, :]):
+                res = absmax(cross3(nu1_pick, nu2_pick) + f_xi) / scale
+                np.maximum(cross, res, out=cross)
+        worst_cross.add(cross, lo)
 
     return DualityReport(
-        max_pairing_residual=float(pairing.max()),
-        worst_pairing_face=worst_index(pairing, dom),
-        max_cross_residual=float(cross.max()),
-        worst_cross_face=worst_index(cross, dom),
-        passed=float(pairing.max()) <= tol and float(cross.max()) <= tol,
+        max_pairing_residual=worst_pairing.value,
+        worst_pairing_face=worst_pairing.index,
+        max_cross_residual=worst_cross.value,
+        worst_cross_face=worst_cross.index,
+        passed=worst_pairing.value <= tol and worst_cross.value <= tol,
     )

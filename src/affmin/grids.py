@@ -21,6 +21,8 @@ The pointwise kernels shared by every certificate live here too: dot, cross
 and triple products, norm and largest |component| of 3-vector arrays, the
 worst-entry lookup that names a grid index, the face-choice average, the
 relative residual of a stencil identity, and the ``TINY`` denominator floor.
+So do the row bands that every whole-grid certificate is evaluated on, and
+the worst-entry reducer that joins their results.
 """
 
 import functools
@@ -52,10 +54,15 @@ __all__ = [
     "worst_index",
     "face_choice_mean",
     "relative_residual",
+    "row_bands",
+    "BandMax",
 ]
 
 # Floor for denominators that may vanish (scales of all-zero fields).
 TINY = 1e-300
+
+# Vertices per row band: a band's 3-vector temporaries (384 KiB) stay in L2.
+_BAND_VERTICES = 2**14
 
 
 @dataclass(frozen=True)
@@ -370,3 +377,48 @@ def relative_residual(terms, floor=0.0) -> float:
         resid = resid - term
     scale = np.maximum(np.maximum.reduce([absmax(t) for t in terms]), floor)
     return float((absmax(resid) / np.maximum(scale, TINY)).max())
+
+
+def row_bands(grid: VertexGrid, before: int = 0, after: int = 0):
+    """Row bands of about ``_BAND_VERTICES`` vertices for a stencil that reads
+    ``before`` vertex rows behind its own row and ``after`` rows ahead.
+
+    Yields ``(lo, band, rows, own)``.  ``band`` holds the vertex rows that the
+    band reads, a view of ``grid`` on their own box; ``rows[k]`` slices the
+    same rows of a grid k rows shorter (faces, u-edges: 1; u-interior
+    vertices: 2).  ``own`` cuts from any grid computed on the band the rows
+    it owns, from grid row ``lo`` on.  The bands split the first ``n_u -
+    after`` rows and the last one owns the rest.  A stencil that fits in the
+    band gives the bits of the whole grid, and a row of it past ``own`` comes
+    again, with the same bits, in the next band.
+    """
+    dom = grid.domain
+    step = max(_BAND_VERTICES // dom.n_v, 1)
+    n_out = max(dom.n_u - after, 1)
+    for lo in range(0, n_out, step):
+        start, stop = max(lo - before, 0), (dom.n_u if lo + step >= n_out else lo + step + after)
+        band = VertexGrid(dom.shrink(start, dom.n_u - stop), grid.values[start:stop])
+        yield (lo, band, [slice(start, stop - k) for k in range(3)],
+               slice(lo - start, None if stop == dom.n_u else lo + step - start))
+
+
+class BandMax:
+    """Largest entry of a grid fed band by band in row order, and its index.
+
+    ``value`` and ``index`` equal ``x.max()`` and ``worst_index(x, domain,
+    du, dv)`` of the whole grid x: a later band wins only with a larger
+    entry (ties keep the first in row-major order), and a NaN wins.
+    """
+
+    def __init__(self, domain: GridDomain, du=0, dv=0):
+        self.value = self.index = None
+        self._origin = (domain, du, dv)
+
+    def add(self, values, lo: int) -> bool:
+        """Offer ``values``, whose first row is grid row ``lo``; True if it holds the new worst."""
+        m = float(values.max())
+        if self.value is not None and (np.isnan(self.value) or m <= self.value):
+            return False
+        domain, du, dv = self._origin
+        self.value, self.index = m, worst_index(values, domain, du + lo, dv)
+        return True

@@ -16,8 +16,8 @@ import numpy as np
 
 from .conormal import ConormalField
 from .errors import DomainMismatch
-from .grids import (TINY, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax, cross3, d1, d2,
-                    worst_index)
+from .grids import (TINY, BandMax, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax, cross3,
+                    d1, d2, row_bands)
 
 __all__ = [
     "TOL_INTEGRATE",
@@ -72,14 +72,12 @@ def _line_integral(steps: np.ndarray, anchor: int, start: np.ndarray) -> np.ndar
     return out
 
 
-def integrate(field: ConormalField, base_vertex=None, base_value=None,
-              order: str = "u-first") -> Immersion:
+def integrate(field: ConormalField, base_vertex=None, base_value=None) -> Immersion:
     """Sum the Lelieuvre edge vectors into vertex positions.
 
     The base vertex (default: the lower-left corner) receives ``base_value``
-    (default: the origin).  ``order`` picks the deterministic fill sequence:
-    "u-first" walks the base row then every column, "v-first" the transpose;
-    harmonicity guarantees both agree up to summation rounding.
+    (default: the origin).  The sums run in u through the base vertex, then
+    in v from there; harmonicity makes every other path agree up to rounding.
     """
     dom = field.domain
     if base_vertex is None:
@@ -94,16 +92,9 @@ def integrate(field: ConormalField, base_vertex=None, base_value=None,
 
     q1, q2 = lelieuvre_edges(field.vectors)
     q = np.empty((dom.n_u, dom.n_v, 3))
-    if order == "u-first":
-        q[:, jb] = _line_integral(q1.values[:, jb], ib, base_value)
-        for i in range(dom.n_u):
-            q[i] = _line_integral(q2.values[i], jb, q[i, jb])
-    elif order == "v-first":
-        q[ib, :] = _line_integral(q2.values[ib], jb, base_value)
-        for j in range(dom.n_v):
-            q[:, j] = _line_integral(q1.values[:, j], ib, q[ib, j])
-    else:
-        raise ValueError(f"unknown integration order {order!r}")
+    q[:, jb] = _line_integral(q1.values[:, jb], ib, base_value)
+    for i in range(dom.n_u):
+        q[i] = _line_integral(q2.values[i], jb, q[i, jb])
     return Immersion(VertexGrid(dom, q), base_vertex, base_value)
 
 
@@ -116,9 +107,12 @@ def path_independence_residual(field) -> float:
         (nu(u+1,v) + nu(u,v+1)) x (nu(u+1,v+1) + nu(u,v)).
     """
     vectors = field.vectors if isinstance(field, ConormalField) else field
-    nu = vectors.values
-    obstruction = cross3(nu[1:, :-1] + nu[:-1, 1:], nu[1:, 1:] + nu[:-1, :-1])
-    return float(np.abs(obstruction).max())
+    worst = []
+    for _, band, _, _ in row_bands(vectors, after=1):
+        nu = band.values
+        obstruction = cross3(nu[1:, :-1] + nu[:-1, 1:], nu[1:, 1:] + nu[:-1, :-1])
+        worst.append(np.abs(obstruction).max())
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True)
@@ -143,17 +137,22 @@ def verify_lelieuvre(immersion: Immersion, field: ConormalField,
         raise DomainMismatch(
             f"immersion domain {immersion.domain} != field domain {field.domain}"
         )
-    q1, q2 = lelieuvre_edges(field.vectors)
-    res_u = absmax(d1(immersion.positions).values - q1.values)
-    res_v = absmax(d2(immersion.positions).values - q2.values)
-    scale = float(np.max([np.abs(q1.values).max(), np.abs(q2.values).max()]))
+    res = (BandMax(immersion.domain), BandMax(immersion.domain))
+    scale = []
+    for lo, band, rows, _ in row_bands(immersion.positions, after=1):
+        nu = VertexGrid(band.domain, field.vectors.values[rows[0]])
+        q1, q2 = (edges.values for edges in lelieuvre_edges(nu))
+        res[0].add(absmax(d1(band).values - q1), lo)
+        res[1].add(absmax(d2(band).values - q2), lo)
+        scale += [np.abs(q1).max(), np.abs(q2).max()]
+    scale = float(np.max(scale))
 
-    max_u, max_v = float(res_u.max()), float(res_v.max())
+    max_u, max_v = res[0].value, res[1].value
     side = int(np.argmax([max_u, max_v]))   # a NaN counts as worst
     return LelieuvreReport(
         max_residual_u=max_u,
         max_residual_v=max_v,
         edge_scale=scale,
-        worst_edge=("uv"[side], worst_index((res_u, res_v)[side], immersion.domain)),
+        worst_edge=("uv"[side], res[side].index),
         passed=bool(np.max([max_u, max_v]) <= tol * np.maximum(scale, TINY)),
     )

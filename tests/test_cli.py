@@ -243,6 +243,14 @@ class TestPipeline:
         for name, digest in GOLDEN_PARABOLOID.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+    def test_thin_box_names_the_size_requirement(self, tmp_path, capsys):
+        # Two vertices along u: the cubic form has no u-interior vertex.
+        assert run("pipeline", "--example", "paraboloid", "--box", 0, 1, 0, 5,
+                   "--outdir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "the cubic form needs at least 3 vertices along u and v" in err
+        assert "got 2 x 6" in err
+
     def test_default_boxes_per_example(self, tmp_path):
         # the sphere default box must respect u > v
         assert run("pipeline", "--example", "sphere",

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from affmin.errors import IllDefinedForm
+import affmin as am
+from affmin.errors import DomainTooSmall, IllDefinedForm
 from affmin.forms import (
     CubicForm,
     FormDerivatives,
@@ -34,6 +35,14 @@ class TestCubicCoefficients:
         _, _, form = setup_chain(surf)
         assert np.abs(form.u_coeff.values).max() > 0.1
         assert np.abs(form.v_coeff.values).max() > 0.1
+
+    @pytest.mark.parametrize("box", [(0, 1, 0, 5), (0, 5, 0, 1)])
+    def test_thin_box_needs_three_vertices_per_direction(self, box):
+        surf = am.integrate(am.hyperbolic_paraboloid(am.GridDomain(*box)))
+        xi = affine_normal(surf, face_volumes(surf).areas)
+        with pytest.raises(DomainTooSmall, match=r"at least 3 vertices along u and v") as err:
+            cubic_coefficients(surf, xi)
+        assert str(surf.domain) in str(err.value)
 
     def test_matches_direct_determinant(self, cubic, rng):
         """Oracle: the defining determinant evaluated with an explicit loop."""
