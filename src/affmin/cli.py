@@ -117,12 +117,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _surface_checks(surface: Immersion, field: ConormalField | None, tols,
-                    vols, normals) -> dict:
-    """Run the geometry (and, with a field, the Lelieuvre) certificates.
-
-    ``vols`` and ``normals`` are the surface's face volumes and affine normal.
-    """
+def _surface_checks(surface: Immersion, field: ConormalField | None, tols) -> dict:
+    """Run the geometry (and, with a field, the Lelieuvre) certificates."""
+    vols = face_volumes(surface)
+    normals = affine_normal(surface, vols.areas)
     asym = asymptotic_certificate(surface, tols["asymptotic"], tols["asymptotic"])
     recovery = recover_conormal(surface)
 
@@ -220,9 +218,7 @@ def _cmd_check(args) -> int:
     if args.conormal:
         field = validate(read_grid(args.conormal, "vertex"), tols["harmonic"])
     try:
-        vols = face_volumes(surface)
-        normals = affine_normal(surface, vols.areas)
-        report = _surface_checks(surface, field, tols, vols, normals)
+        report = _surface_checks(surface, field, tols)
     except AffminError as exc:
         # Data so broken the certificates cannot even be evaluated (e.g. a
         # non-positive face volume) still produces a report naming it.
@@ -334,11 +330,11 @@ def _cmd_pipeline(args) -> int:
         "n": args.n,
         "tolerances": tols,
     }
-    vols = face_volumes(surface)
-    normals = affine_normal(surface, vols.areas)
-    checks = _surface_checks(surface, field, tols, vols, normals)
+    checks = _surface_checks(surface, field, tols)
     write_json(checks, paths["check_report.json"])
 
+    vols = face_volumes(surface)
+    normals = affine_normal(surface, vols.areas)
     form = cubic_coefficients(surface, normals, tols["forms"])
     structural = structural_residuals(surface, vols.areas, form, tols["forms"])
     derivs, closed = a2_b1_closed_form(surface, normals, vols.areas, form)

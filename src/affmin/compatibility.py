@@ -25,7 +25,8 @@ from .errors import (
 )
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .grids import TINY, FaceGrid, GridDomain, VertexGrid, absmax, relative_residual, worst_index
+from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, relative_residual,
+                    row_bands, worst_index)
 from .lelieuvre import Immersion
 
 __all__ = [
@@ -183,67 +184,75 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
         raise ValueError(f"seed must be four 3-points, got shape {seed.shape}")
     _seed_check(seed, float(f[0, 0]), tol_seed)
 
-    q = np.empty((nu, nv, 3))
-    q[0, 0], q[1, 0], q[0, 1], q[1, 1] = seed
+    # The march runs v-major: q[j] holds vertex column v_min + j, so every
+    # marched row is contiguous.
+    q = np.empty((nv, nu, 3))
+    q[0, 0], q[0, 1], q[1, 0], q[1, 1] = seed
 
     # Bottom two rows, marching +u.  Row 0 expands q11 through the face
     # above (v+1/2); row 1 through the face below (v-1/2); both faces are
     # the already-known strip j=0.
     for i in range(1, nu - 1):
-        f_w, f_e = f[i - 1, 0], f[i, 0]
-        df = f_e - f_w
-        q11 = (df * (q[i, 0] - q[i - 1, 0]) + a[i - 1, 0] * (q[i, 1] - q[i, 0])) / f_w
-        q[i + 1, 0] = 2.0 * q[i, 0] - q[i - 1, 0] + q11
-        q11 = (df * (q[i, 1] - q[i - 1, 1]) + a[i - 1, 1] * (q[i, 1] - q[i, 0])) / f_w
-        q[i + 1, 1] = 2.0 * q[i, 1] - q[i - 1, 1] + q11
+        f_w = f[i - 1, 0]
+        q11 = ((f[i, 0] - f_w) * (q[:2, i] - q[:2, i - 1])
+               + a[i - 1, :2, None] * (q[1, i] - q[0, i])) / f_w
+        q[:2, i + 1] = 2.0 * q[:2, i] - q[:2, i - 1] + q11
 
     # Remaining rows, marching +v with the q22 expansion through the face
-    # below; every column except the last uses its right-hand face pair.
+    # below; every column except the last uses its right-hand face pair, so
+    # the last vertex row repeats the face row and the u-edge before it.
+    f_t = np.ascontiguousarray(np.concatenate([f, f[-1:]]).T)
+    df_t = f_t[1:] - f_t[:-1]
+    b_t = np.ascontiguousarray(b.T)
+    q1p = np.empty((nu, 3))
     for j in range(1, nv - 1):
-        q1p = q[1:, j] - q[:-1, j]
-        q2m = q[:, j] - q[:, j - 1]
-        df = f[:, j] - f[:, j - 1]
-        q22 = np.empty((nu, 3))
-        q22[:-1] = (b[:-1, j - 1, None] * q1p + df[:, None] * q2m[:-1]) / f[:, j - 1, None]
-        q22[-1] = (b[-1, j - 1] * q1p[-1] + df[-1] * q2m[-1]) / f[-1, j - 1]
-        q[:, j + 1] = 2.0 * q[:, j] - q[:, j - 1] + q22
+        np.subtract(q[j, 1:], q[j, :-1], out=q1p[:-1])
+        q1p[-1] = q1p[-2]
+        q22 = (b_t[j - 1, :, None] * q1p + df_t[j - 1, :, None] * (q[j] - q[j - 1])) \
+            / f_t[j - 1, :, None]
+        q[j + 1] = 2.0 * q[j] - q[j - 1] + q22
 
-    _two_way_sweep(q, f, a, b, dom, tol_compat)
-    return Immersion(VertexGrid(dom, q), (dom.u_min, dom.v_min), q[0, 0])
+    # A contiguous u-major copy: dot3's summation order follows the layout.
+    positions = VertexGrid(dom, q.transpose(1, 0, 2).copy())
+    _two_way_sweep(positions, f, a, b, tol_compat)
+    return Immersion(positions, (dom.u_min, dom.v_min), positions.values[0, 0])
 
 
-def _two_way_sweep(q, f, a, b, dom: GridDomain, tol: float):
+def _two_way_sweep(q: VertexGrid, f, a, b, tol: float):
     """Certify that both extensions of every interior face agree.
 
     For each face with its lower-left corner interior, predict the NE corner
     once by the u-expansion from the row above and once by the v-expansion
     from the column to the right; the worst relative gap over faces must stay
     below ``tol``.  A NaN gap fails, and so does a non-finite position.
+    Both passes run on row bands.
     """
-    edge_scale = np.max([np.abs(np.diff(q, axis=0)).max(),
-                         np.abs(np.diff(q, axis=1)).max(), TINY])
+    dom = q.domain
+    edge_scale = np.max([TINY] + [np.abs(np.diff(band.values, axis=axis)).max()
+                                  for _, band, _, _ in row_bands(q, after=1) for axis in (0, 1)])
     if not edge_scale < np.inf:
-        raise IncompatibleData(worst_index(~np.isfinite(q).all(axis=2), dom),
+        raise IncompatibleData(worst_index(~np.isfinite(q.values).all(axis=2), dom),
                                float(edge_scale))
-    nu, nv = dom.n_u, dom.n_v
-    if nu < 3 or nv < 3:
+    if dom.n_u < 3 or dom.n_v < 3:
         return
-    way1 = (
-        2.0 * q[1:-1, 2:] - q[:-2, 2:]
-        + ((f[1:, 1:] - f[:-1, 1:])[..., None] * (q[1:-1, 2:] - q[:-2, 2:])
-           + a[:, 2:, None] * (q[1:-1, 2:] - q[1:-1, 1:-1]))
-        / f[:-1, 1:, None]
-    )
-    way2 = (
-        2.0 * q[2:, 1:-1] - q[2:, :-2]
-        + (b[2:, :, None] * (q[2:, 1:-1] - q[1:-1, 1:-1])
-           + (f[1:, 1:] - f[1:, :-1])[..., None] * (q[2:, 1:-1] - q[2:, :-2]))
-        / f[1:, :-1, None]
-    )
-    gaps = absmax(way1 - way2) / edge_scale
-    worst = gaps.max()
-    if not worst <= tol:
-        raise IncompatibleData(worst_index(gaps, dom, 1, 1), float(worst))
+    worst = BandMax(dom, 1, 1)
+    for lo, band, rows, own in row_bands(q, after=2):
+        p, fb, ab, bb = band.values, f[rows[1]], a[rows[2]], b[rows[0]]
+        way1 = (
+            2.0 * p[1:-1, 2:] - p[:-2, 2:]
+            + ((fb[1:, 1:] - fb[:-1, 1:])[..., None] * (p[1:-1, 2:] - p[:-2, 2:])
+               + ab[:, 2:, None] * (p[1:-1, 2:] - p[1:-1, 1:-1]))
+            / fb[:-1, 1:, None]
+        )
+        way2 = (
+            2.0 * p[2:, 1:-1] - p[2:, :-2]
+            + (bb[2:, :, None] * (p[2:, 1:-1] - p[1:-1, 1:-1])
+               + (fb[1:, 1:] - fb[1:, :-1])[..., None] * (p[2:, 1:-1] - p[2:, :-2]))
+            / fb[1:, :-1, None]
+        )
+        worst.add((absmax(way1 - way2) / edge_scale)[own], lo)
+    if not worst.value <= tol:
+        raise IncompatibleData(worst.index, worst.value)
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,19 @@ class _Coefficient:
 
 
 def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> CubicForm:
-    """Cubic coefficients of an immersion given its affine normal field."""
+    """Cubic coefficients of an immersion given its affine normal field.
+
+    Stored on the position grid under ``tol`` when ``normals`` is the affine
+    normal that ``affine_normal`` stored there; other normals are used once.
+    """
     q = as_positions(surface)
+    own = q.memo("affine_normal")
+    if own is not None and normals is own:
+        return q.memo(("cubic_coefficients", tol), lambda: _cubic_coefficients(q, normals, tol))
+    return _cubic_coefficients(q, normals, tol)
+
+
+def _cubic_coefficients(q: VertexGrid, normals: FaceGrid, tol: float) -> CubicForm:
     dom = q.domain
     if dom.n_u < 3 or dom.n_v < 3:
         raise DomainTooSmall(f"the cubic form needs at least 3 vertices along u and v, "

@@ -48,9 +48,14 @@ def face_volumes(surface) -> FaceVolumes:
 
     M(u+1/2, v+1/2) is the determinant of the three edges from q(u, v) to
     its face neighbors q(u+1, v), q(u, v+1), q(u+1, v+1).  A NaN M (from a
-    NaN position) fails too.
+    NaN position) fails too.  The result is stored on the position grid
+    (``Grid.memo``); a failing call stores nothing and fails again.
     """
     q = as_positions(surface)
+    return q.memo("face_volumes", lambda: _face_volumes(q))
+
+
+def _face_volumes(q: VertexGrid) -> FaceVolumes:
     q.domain.require_faces("face volumes")
     m = np.empty((q.domain.n_u - 1, q.domain.n_v - 1))
     for _, band, rows, _ in row_bands(q, after=1):
@@ -63,11 +68,22 @@ def face_volumes(surface) -> FaceVolumes:
 
 
 def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
-    """Affine normal per face: the mixed difference of q divided by F."""
+    """Affine normal per face: the mixed difference of q divided by F.
+
+    Stored on the position grid when ``areas`` is the area density that
+    ``face_volumes`` stored there; other areas are used once.
+    """
     q = as_positions(surface)
     if areas.domain != q.domain:
         raise DomainMismatch("area grid and surface live on different domains")
-    return FaceGrid(q.domain, d12(q).values / areas.values[:, :, None])
+    own = q.memo("face_volumes")   # a look-up only: computing it may raise
+
+    def compute():
+        return FaceGrid(q.domain, d12(q).values / areas.values[:, :, None])
+
+    if own is not None and areas is own.areas:
+        return q.memo("affine_normal", compute)
+    return compute()
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,8 @@ class Grid:
     ``values`` has shape ``(nu, nv)`` for scalars or ``(nu, nv, 3)`` for
     vectors, where ``(nu, nv)`` depends on the lattice kind.  Values are
     frozen after construction; grids are safe to share across threads.
+    Writing to the array a grid was built from, through another view, is
+    unsupported: it would also stale what ``memo`` stored.
     """
 
     kind = "abstract"
@@ -160,6 +162,18 @@ class Grid:
     def with_values(self, values):
         """Same-kind grid on the same domain with new values."""
         return type(self)(self.domain, values)
+
+    def memo(self, key, compute=None):
+        """What ``compute()`` returns, computed once per grid and ``key``.
+
+        Values are frozen, so a quantity derived from this grid alone is
+        stored on it.  A ``compute`` that raises stores nothing.  Without
+        ``compute``, return what is stored under ``key``, or None.
+        """
+        store = self.__dict__.setdefault("_memo", {})
+        if compute is not None and key not in store:
+            store[key] = compute()
+        return store.get(key)
 
     def _index(self, u: int, v: int):
         nu, nv = self._entry_shape(self.domain)

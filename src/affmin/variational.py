@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import NonPositiveVolume
 from .geometry import face_volumes
-from .grids import BandMax, VertexGrid, absmax, as_positions, cross3, d1, d2, det3, row_bands
+from .grids import (BandMax, GridDomain, VertexGrid, absmax, as_positions, cross3, d1, d2,
+                    det3, row_bands)
 
 __all__ = [
     "TOL_CRIT",
@@ -123,7 +124,10 @@ def fd_gradient_check(surface, vertex, direction, h: float) -> FdGradientCheck:
         # (sqrt(m+) - sqrt(m-)) / 2h, with the difference taken exactly.
         numeric += slope / (np.sqrt(m_plus) + np.sqrt(m_minus))
 
-    analytic = float(_gradient(q, f).vertex_at(*vertex) @ direction)
+    # The gradient at the vertex reads only its 3x3 vertex box and 2x2 faces.
+    box = VertexGrid(GridDomain(vertex[0] - 1, vertex[0] + 1, vertex[1] - 1, vertex[1] + 1),
+                     p[i - 1:i + 2, j - 1:j + 2])
+    analytic = float(_gradient(box, f[i - 1:i + 1, j - 1:j + 1]).vertex_at(*vertex) @ direction)
     return FdGradientCheck(analytic, numeric, abs(analytic - numeric))
 
 

@@ -1,7 +1,7 @@
 """Row-band evaluation: any band size gives the whole-grid bits and indices.
 
-Every whole-grid certificate runs on row bands of ``grids._BAND_VERTICES``
-vertices.  The nets below fit one band at the default size, so the default
+Every whole-grid certificate, and the two-way sweep of ``reconstruct``, runs
+on row bands of ``grids._BAND_VERTICES`` vertices.  The nets below fit one band at the default size, so the default
 call is the whole-grid evaluation; shrinking the bands to one row, or to
 seven rows (which divide none of the row counts), must change no bit of any
 report field, no worst index and no order of a failure list.
@@ -14,7 +14,7 @@ import pytest
 
 import affmin as am
 from affmin import grids
-from affmin.errors import IllDefinedForm
+from affmin.errors import IllDefinedForm, IncompatibleData
 from affmin.grids import BandMax, GridDomain, VertexGrid, row_bands, worst_index
 
 from test_kernels import PINS, certificate_values
@@ -39,8 +39,34 @@ def canonical(x):
     return x
 
 
+def reconstructions(surf, data):
+    """Positions rebuilt with the net's own and the canonical seed, and the
+    rejection of a corrupted coefficient, each as bytes or (face, gap)."""
+    p = surf.positions.values
+    bumped = np.array(data.u_coeff.values)
+    bumped[bumped.shape[0] // 2, bumped.shape[1] // 3] += 1.0
+    corrupt = am.FundamentalData(data.areas, data.u_coeff.with_values(bumped), data.v_coeff)
+    out = {}
+    for name, data, seed in (
+        ("own seed", data, np.stack([p[0, 0], p[1, 0], p[0, 1], p[1, 1]])),
+        ("canonical seed", data, None),
+        ("corrupted", corrupt, None),
+    ):
+        try:
+            out[name] = am.reconstruct(data, seed).positions
+        except IncompatibleData as err:
+            out[name] = (err.face, err.gap)
+    assert isinstance(out["corrupted"], tuple)
+    return out
+
+
 def reports(field, positions, vectors):
-    """Every banded function's result on one net, with the derived inputs."""
+    """Every banded function's result on one net, with the derived inputs.
+
+    The net is a new grid on each call, so nothing computed on another call
+    (at another band size) is reused through ``Grid.memo``.
+    """
+    positions = VertexGrid(positions.domain, positions.values)
     surf = am.Immersion(positions, (positions.domain.u_min, positions.domain.v_min),
                         positions.values[0, 0])
     vols = am.face_volumes(surf)
@@ -58,6 +84,7 @@ def reports(field, positions, vectors):
         "closed_form": (derivs, closed),
         "normal": am.normal_derivative_residuals(surf, xi, vols.areas, derivs),
         "fundamental": am.extract_fundamental_data(surf, tol=1.0),
+        "reconstruct": reconstructions(surf, am.extract_fundamental_data(surf, tol=1.0)),
         "criticality": am.criticality_certificate(surf),
         "gradient": am.area_gradient(surf),
         "area": am.affine_area(surf),

@@ -1,5 +1,7 @@
 """Compatibility equations, reconstruction and affine-equivalence certificates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,14 @@ class TestCanonicalSeed:
             canonical_seed(0.0)
 
 
+MARCH_DIGESTS = {
+    ("helicoid", "own"): "73bf91054875ae3b90dd60e10312719ae30474c28e7804679fcbb67db4a42795",
+    ("helicoid", "canonical"): "b4b7fee036bba10e1f717ef4069d359644091092eede5ce1b947cc378e06711f",
+    ("cubic", "own"): "34a5f13b36d50f5c5f5fdbd99a2cbf2403693b1c7ab0dbe4d1f63f8bec9d01d4",
+    ("cubic", "canonical"): "a27ea120058d55888f971581e6575eae1e4c84f5881e2e203046d576184b41e4",
+}
+
+
 class TestReconstruct:
     def test_paraboloid_canonical_seed(self, paraboloid):
         _, surf = paraboloid
@@ -134,6 +144,21 @@ class TestReconstruct:
                                    rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(again.v_coeff.values, data.v_coeff.values,
                                    rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("name, field", [
+        ("helicoid", lambda: am.helicoid(32, (-10, 10), (0, 20))),
+        ("cubic", lambda: am.minimal_cubic(GridDomain(1, 150, 1, 140))),   # two row bands
+    ])
+    def test_march_bits_on_rounded_data(self, name, field):
+        # Neither net has dyadic data, so every marching step rounds: the
+        # SHA-256 of the positions pins the order of every operation.
+        surf = integrate(field())
+        data = extract_fundamental_data(surf)
+        for seed_name, seed in (("own", own_seed(surf)), ("canonical", None)):
+            positions = reconstruct(data, seed).positions.values
+            assert positions.flags.c_contiguous
+            digest = hashlib.sha256(positions.tobytes()).hexdigest()
+            assert digest == MARCH_DIGESTS[name, seed_name], (name, seed_name)
 
     def test_bad_seed_rejected(self, paraboloid):
         _, surf = paraboloid

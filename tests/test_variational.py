@@ -89,6 +89,25 @@ class TestAreaGradient:
             assert np.abs(g.values - diag).max() <= 1e-8 * scale, name
 
 
+# float.hex of (analytic, numeric at h = 1e-5, numeric at h = 5e-6) for the
+# probe along the unit gradient at the bumped center of each example.
+PROBE_PINS = {
+    "paraboloid": ("0x1.1daa3c1c22e3ep-8", "0x1.1daa3ace25700p-8", "0x1.1daa3bc8a3600p-8"),
+    "helicoid": ("0x1.74724e6ac63e5p-5", "0x1.74724ea434b40p-5", "0x1.74724e7921d80p-5"),
+    "cubic": ("0x1.3390ad8ff26b9p-5", "0x1.3390ad869b900p-5", "0x1.3390ad8d9c900p-5"),
+    "sphere": ("0x1.29184ea752b8bp-9", "0x1.29184fd74ce00p-9", "0x1.29184ef351400p-9"),
+}
+
+# float.hex of (analytic, numeric) on cubic (1, 150) x (1, 140), bumped at
+# each probed vertex; u = 117 and 118 sit on either side of a band boundary.
+BAND_PROBE_PINS = {
+    (117, 70): ("-0x1.04b5db9f4680fp+4", "-0x1.04b5db9f67300p+4"),
+    (118, 71): ("-0x1.08eab1a09f8d5p+4", "-0x1.08eab1a0c0b00p+4"),
+    (2, 139): ("-0x1.aec9889cab5d6p+3", "-0x1.aec9889ce3200p+3"),
+    (149, 2): ("-0x1.f2e7205f11e19p+3", "-0x1.f2e7205f53000p+3"),
+}
+
+
 class TestFdGradientCheck:
     def test_matches_on_perturbed_surfaces(self, all_examples):
         for name, (_, surf) in all_examples.items():
@@ -140,6 +159,27 @@ class TestFdGradientCheck:
                 d /= np.linalg.norm(d)
                 probe = fd_gradient_check(surf, (u, v), d, 1e-5)
                 assert probe.gap <= 1e-7 * abs(probe.numeric) + 1e-8 * (1 + mean_f), name
+
+    def test_probe_bits_are_pinned(self, all_examples):
+        # The analytic value reads the gradient off the vertex's 3x3 box;
+        # it must keep the bits of the whole-grid gradient.
+        for name, (_, surf) in all_examples.items():
+            dom = surf.domain
+            center = ((dom.u_min + dom.u_max) // 2, (dom.v_min + dom.v_max) // 2)
+            bumped = perturbed(surf, center, (0.0, 0.0, 1e-3))
+            gv = area_gradient(bumped).vertex_at(*center)
+            for h, numeric in zip((1e-5, 5e-6), PROBE_PINS[name][1:]):
+                probe = fd_gradient_check(bumped, center, gv / np.linalg.norm(gv), h)
+                assert (probe.analytic.hex(), float(probe.numeric).hex()) == (
+                    PROBE_PINS[name][0], numeric), (name, h)
+
+    def test_probe_bits_across_row_bands(self):
+        surf = integrate(am.minimal_cubic(GridDomain(1, 150, 1, 140)))   # two row bands
+        for vertex in BAND_PROBE_PINS:
+            surf = perturbed(surf, vertex, (0.0, 0.0, 1e-3))
+        for vertex, pins in BAND_PROBE_PINS.items():
+            probe = fd_gradient_check(surf, vertex, (0.3, -0.5, 0.7), 1e-5)
+            assert (probe.analytic.hex(), float(probe.numeric).hex()) == pins, vertex
 
     def test_boundary_vertex_rejected(self, cubic):
         _, surf = cubic
