@@ -30,8 +30,10 @@ print("cubic coefficients vanish:",
       np.abs(form.u_coeff.values).max(), np.abs(form.v_coeff.values).max())
 
 # The bilinear patches lie exactly on z = x y, so the interpolated surface
-# IS the smooth paraboloid.
-mesh = am.tessellate(surface, 8)
-gap = np.abs(mesh.positions[:, 2]
-             - mesh.positions[:, 0] * mesh.positions[:, 1]).max()
-print("tessellation max |z - xy|:", gap)
+# IS the smooth paraboloid: sample every patch on the 9 x 9 parameter grid
+# that OBJ export at resolution 8 uses.
+st = np.linspace(0.0, 1.0, 9)
+samples = np.array([am.patch_point(surface, (u, v), s, t)
+                    for u in range(10) for v in range(10) for s in st for t in st])
+gap = np.abs(samples[:, 2] - samples[:, 0] * samples[:, 1]).max()
+print("patch samples max |z - xy|:", gap)

@@ -77,12 +77,9 @@ from .lelieuvre import (
 )
 from .mesh import (
     ObjCounts,
-    TriangleMesh,
-    export_obj,
     export_surface_obj,
     patch_area_check,
     patch_point,
-    tessellate,
 )
 from .variational import (
     affine_area,

@@ -201,7 +201,11 @@ def _cmd_generate(args) -> int:
 def _cmd_integrate(args) -> int:
     field = validate(read_grid(args.conormal, "vertex"), _tols(args)["harmonic"])
     if args.base is not None:
-        base_vertex = (int(args.base[0]), int(args.base[1]))
+        u, v = args.base[:2]
+        if not (u.is_integer() and v.is_integer() and field.domain.contains_vertex(u, v)):
+            raise ValueError(f"--base vertex ({u:g}, {v:g}) is not an integer vertex of the box "
+                             f"{field.domain.as_tuple()}")
+        base_vertex = (int(u), int(v))
         base_value = np.array(args.base[2:], dtype=float)
     else:
         base_vertex, base_value = None, None

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DegenerateQuadrangle,
     DomainMismatch,
-    DomainTooSmall,
     IncompatibleData,
     NonConvexFace,
     NotEquivalent,
@@ -108,9 +107,6 @@ def compatibility_residuals(data: FundamentalData) -> CompatibilityResiduals:
     with A_2 = d2(A), B_1 = d1(B); each residual is normalized by the
     largest magnitude among its terms.
     """
-    dom = data.domain
-    if dom.n_u < 3 or dom.n_v < 3:
-        raise DomainTooSmall(f"compatibility equations need interior vertices, got {dom}")
     f = data.areas.values
     a = data.u_coeff.values
     b = data.v_coeff.values
@@ -233,8 +229,6 @@ def _two_way_sweep(q: VertexGrid, f, a, b, tol: float):
     if not edge_scale < np.inf:
         raise IncompatibleData(worst_index(~np.isfinite(q.values).all(axis=2), dom),
                                float(edge_scale))
-    if dom.n_u < 3 or dom.n_v < 3:
-        return
     worst = BandMax(dom, 1, 1)
     for lo, band, rows, own in row_bands(q, after=2):
         p, fb, ab, bb = band.values, f[rows[1]], a[rows[2]], b[rows[0]]

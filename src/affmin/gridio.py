@@ -144,7 +144,7 @@ def grid_from_obj(obj: dict) -> Grid:
         values = obj["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed grid object: {exc}") from exc
-    if kind not in GRID_KINDS:
+    if not isinstance(kind, str) or kind not in GRID_KINDS:
         raise ValueError(f"unknown grid kind {kind!r}")
     if components not in (1, 3):
         raise ValueError(f"components must be 1 or 3, got {components}")
@@ -152,7 +152,10 @@ def grid_from_obj(obj: dict) -> Grid:
     shape = cls._entry_shape(domain)
     if components == 3:
         shape = shape + (3,)
-    array = np.asarray(values, dtype=float)
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed grid values: {exc}") from exc
     if array.size != int(np.prod(shape)):
         raise ValueError(
             f"grid value count {array.size} does not match domain {domain} "
@@ -167,7 +170,8 @@ def write_grid(grid: Grid, path):
     write_json(grid_to_obj(grid), path)
 
 
-def read_grid(path, expected_kind: str | None = None) -> Grid:
+def _load_json(path) -> dict:
+    """The JSON object in ``path``; OSError if unreadable, ValueError if not an object."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             obj = json.load(handle)
@@ -175,7 +179,13 @@ def read_grid(path, expected_kind: str | None = None) -> Grid:
         raise OSError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    grid = grid_from_obj(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return obj
+
+
+def read_grid(path, expected_kind: str | None = None) -> Grid:
+    grid = grid_from_obj(_load_json(path))
     if expected_kind is not None and grid.kind != expected_kind:
         raise ValueError(f"{path} holds a {grid.kind} grid, expected {expected_kind}")
     return grid
@@ -195,26 +205,21 @@ def _pad_coefficient(grid: VertexGrid, full: GridDomain, name: str) -> list:
 
 def write_forms(data: FundamentalData, path):
     full = data.domain
-    obj = {
-        "F": grid_to_obj(data.areas),
-        "A": {
+    obj = {"F": grid_to_obj(data.areas)}
+    for name, grid in (("A", data.u_coeff), ("B", data.v_coeff)):
+        obj[name] = {
             "kind": "vertex",
             "domain": list(full.as_tuple()),
             "components": 1,
-            "values": _pad_coefficient(data.u_coeff, full, "A"),
-        },
-        "B": {
-            "kind": "vertex",
-            "domain": list(full.as_tuple()),
-            "components": 1,
-            "values": _pad_coefficient(data.v_coeff, full, "B"),
-        },
-    }
+            "values": _pad_coefficient(grid, full, name),
+        }
     write_json(obj, path)
 
 
 def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) -> VertexGrid:
-    values = obj["values"]
+    values = obj.get("values") if isinstance(obj, dict) else None
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a grid object with a list of values")
     if len(values) != full.n_u * full.n_v:
         raise ValueError(f"{name} grid has wrong length for domain {full}")
     shape = (full.n_u, full.n_v)
@@ -233,13 +238,7 @@ def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) 
 
 
 def read_forms(path) -> FundamentalData:
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    obj = _load_json(path)
     try:
         f_grid = grid_from_obj(obj["F"])
         a_obj = obj["A"]
@@ -256,7 +255,10 @@ def read_forms(path) -> FundamentalData:
 
 def _seed_points(points, what: str) -> np.ndarray:
     """Four finite 3-points; ValueError names a wrong shape or the first bad point."""
-    points = np.asarray(points, dtype=float)
+    try:
+        points = np.asarray(points, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what} must hold four 3-points: {exc}") from exc
     if points.shape != (4, 3):
         raise ValueError(f"{what} must hold four 3-points, got shape {points.shape}")
     bad = ~np.isfinite(points).all(axis=1)
@@ -271,11 +273,4 @@ def write_seed(points, path):
 
 
 def read_seed(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    return _seed_points(obj.get("points"), f"seed file {path}")
+    return _seed_points(_load_json(path).get("points"), f"seed file {path}")

@@ -9,7 +9,6 @@ parameter lattice produces a watertight triangle mesh.
 
 import contextlib
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,12 +17,9 @@ from .geometry import face_volumes
 from .grids import GridDomain, VertexGrid, as_positions, det3, worst_index
 
 __all__ = [
-    "TriangleMesh",
     "patch_point",
     "PatchAreaResult",
     "patch_area_check",
-    "tessellate",
-    "export_obj",
     "export_surface_obj",
     "ObjCounts",
 ]
@@ -34,33 +30,12 @@ __all__ = [
 _BLOCK_ROWS = 1 << 15
 
 
-def _require_finite(positions: np.ndarray, first: int = 0):
+def _require_finite(positions: np.ndarray, first: int):
     """Raise ValueError naming the first non-finite vertex; row 0 is vertex ``first``."""
     bad = ~np.isfinite(positions)
     if bad.any():
         vertex, axis = worst_index(bad, GridDomain(first, first + len(bad) - 1, 0, 2))
         raise ValueError(f"mesh vertex {vertex} has a non-finite coordinate {axis}")
-
-
-@dataclass(frozen=True)
-class TriangleMesh:
-    """Indexed triangle soup with finite vertex coordinates."""
-
-    positions: np.ndarray
-    triangles: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=int))
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError("positions must be an (n, 3) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise ValueError("triangles must be an (m, 3) index array")
-        _require_finite(self.positions)
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= len(self.positions)
-        ):
-            raise ValueError("triangle indices out of range")
 
 
 class ObjCounts(NamedTuple):
@@ -131,16 +106,6 @@ def patch_area_check(surface, face, n_quad: int) -> PatchAreaResult:
     return PatchAreaResult(area=area, face_area=f, gap=gap)
 
 
-def _lattice(surface, resolution: int):
-    """Validated corner array, resolution and lattice size (ni, nj) of a surface."""
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
-    q = as_positions(surface)
-    q.domain.require_faces("tessellation")
-    res = int(resolution)
-    return q.values, res, (q.domain.n_u - 1) * res + 1, (q.domain.n_v - 1) * res + 1
-
-
 def _lattice_points(p: np.ndarray, res: int, i0: int, i1: int) -> np.ndarray:
     """Lattice rows i0..i1-1 of the patches over the corner array ``p``, as (n, 3).
 
@@ -177,23 +142,6 @@ def _cell_triangles(nj: int, c0: int, c1: int) -> np.ndarray:
     return np.stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1], axis=1).reshape(-1, 3)
 
 
-def tessellate(surface, resolution: int) -> TriangleMesh:
-    """Sample every patch on a shared (resolution+1)^2 lattice and triangulate.
-
-    Lattice points on shared face boundaries are evaluated once, from a
-    single owning face, so the mesh is watertight and bit-deterministic.
-    Each parameter cell splits into two triangles along its (0,0)-(1,1)
-    diagonal.
-    """
-    p, res, ni, nj = _lattice(surface, resolution)
-    return TriangleMesh(_lattice_points(p, res, 0, ni), _cell_triangles(nj, 0, ni - 1))
-
-
-def _blocks(rows: np.ndarray):
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        yield rows[start:start + _BLOCK_ROWS]
-
-
 def _write_obj(path, vertex_blocks, triangle_blocks):
     """Write (n, 3) vertex blocks, then 0-based (m, 3) triangle blocks, as OBJ.
 
@@ -220,21 +168,23 @@ def _write_obj(path, vertex_blocks, triangle_blocks):
         raise OSError(f"cannot write OBJ to {path}: {exc}") from exc
 
 
-def export_obj(mesh: TriangleMesh, path):
-    """Write a Wavefront OBJ (17-significant-digit vertices, 1-based faces)."""
-    _write_obj(path, _blocks(mesh.positions), _blocks(mesh.triangles))
-
-
 def export_surface_obj(surface, resolution: int, path) -> ObjCounts:
     """Tessellate a surface band by band into an OBJ file; returns the counts.
 
-    The file holds the bytes of ``export_obj(tessellate(surface, resolution),
-    path)``, but only one band of lattice rows (about ``_BLOCK_ROWS``
-    vertices or triangles, at least one row) exists at a time.  A non-finite
-    vertex raises the ``ValueError`` that ``TriangleMesh`` raises, naming
+    Every patch is sampled on a shared (resolution+1)^2 lattice; a point on
+    a shared face boundary is evaluated once, from a single owning face, so
+    the mesh is watertight and bit-deterministic.  Each parameter cell splits
+    into two triangles along its (0,0)-(1,1) diagonal.  Only one band of
+    lattice rows (about ``_BLOCK_ROWS`` vertices or triangles, at least one
+    row) exists at a time.  A non-finite vertex raises ``ValueError`` naming
     its index in the whole mesh, and leaves no file behind.
     """
-    p, res, ni, nj = _lattice(surface, resolution)
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    q = as_positions(surface)
+    q.domain.require_faces("tessellation")
+    p, res = q.values, int(resolution)
+    ni, nj = (q.domain.n_u - 1) * res + 1, (q.domain.n_v - 1) * res + 1
     rows = max(1, _BLOCK_ROWS // nj)
     cell_rows = max(1, _BLOCK_ROWS // (2 * (nj - 1)))
 

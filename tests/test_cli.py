@@ -71,6 +71,20 @@ class TestIntegrateAndCheck:
         grid = read_grid(out)
         np.testing.assert_array_equal(grid.values[0, 0], (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("u, v, shown", [(99, 99, "(99, 99)"), (1.7, 1, "(1.7, 1)"),
+                                              (-1, 0, "(-1, 0)")])
+    def test_integrate_rejects_a_base_that_is_no_vertex(self, tmp_path, capsys, paraboloid_files,
+                                                        u, v, shown):
+        conormal, _ = paraboloid_files
+        out = tmp_path / "shifted.json"
+        capsys.readouterr()
+        assert run("integrate", "--conormal", conormal, "--out", out,
+                   "--base", u, v, 0, 0, 0) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: --base vertex {shown} is not an integer vertex "
+                       "of the box (0, 5, 0, 5)\n")
+        assert not out.exists()
+
     def test_check_passes(self, tmp_path, paraboloid_files):
         conormal, surface = paraboloid_files
         report = tmp_path / "report.json"
@@ -174,6 +188,25 @@ class TestFormsReconstructCompare:
         assert run("forms", "--surface", surface, "--out", forms,
                    "--tol-forms", 1e-2) == 0
         assert forms.exists()
+
+    @pytest.mark.parametrize("which", ["seed", "forms", "A"])
+    def test_reconstruct_rejects_json_that_is_not_an_object(self, tmp_path, capsys,
+                                                            paraboloid_files, which):
+        _, surface = paraboloid_files
+        forms = tmp_path / "forms.json"
+        assert run("forms", "--surface", surface, "--out", forms) == 0
+        bad = tmp_path / "bad.json"
+        if which == "A":
+            obj = json.loads(forms.read_text())
+            obj["A"] = [1, 2]
+            bad.write_text(json.dumps(obj))
+        else:
+            bad.write_text("[1, 2]")
+        args = ["--forms", forms, "--seed", bad] if which == "seed" else ["--forms", bad]
+        capsys.readouterr()
+        assert run("reconstruct", *args, "--out", tmp_path / "rebuilt.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_reconstruct_with_seed_file(self, tmp_path, paraboloid_files):
         _, surface = paraboloid_files

@@ -70,8 +70,37 @@ def test_malformed_files_rejected(tmp_path):
     with pytest.raises(ValueError):
         grid_from_obj({"kind": "vertex", "domain": [0, 1, 0, 1],
                        "components": 1, "values": [0, 0, 0]})
+    with pytest.raises(ValueError, match="unknown grid kind"):
+        grid_from_obj({"kind": ["vertex"], "domain": [0, 1, 0, 1],
+                       "components": 1, "values": [0, 0, 0, 0]})
+    for values in ({"0": 0}, [[0, 0], [0]], ["x", 0, 0, 0]):
+        with pytest.raises(ValueError, match="malformed grid values"):
+            grid_from_obj({"kind": "vertex", "domain": [0, 1, 0, 1],
+                           "components": 1, "values": values})
     with pytest.raises(OSError):
         read_grid(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3.5", "null", '"points"'])
+def test_readers_require_a_json_object(tmp_path, text):
+    path = tmp_path / "not_an_object.json"
+    path.write_text(text)
+    for reader in (read_grid, read_forms, read_seed):
+        with pytest.raises(ValueError, match="does not hold a JSON object"):
+            reader(path)
+
+
+@pytest.mark.parametrize("key", ["A", "B"])
+@pytest.mark.parametrize("bad", [[1, 2], "values", None, {"values": 3}, {"kind": "vertex"}])
+def test_forms_reader_requires_coefficient_objects(cubic, tmp_path, key, bad):
+    _, surf = cubic
+    path = tmp_path / "forms.json"
+    write_forms(extract_fundamental_data(surf), path)
+    obj = json.loads(path.read_text())
+    obj[key] = bad
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=f"{key} must be a grid object with a list of values"):
+        read_forms(path)
 
 
 def test_forms_bundle_round_trip(cubic, tmp_path):
@@ -120,6 +149,9 @@ def test_seed_round_trip(tmp_path):
     np.testing.assert_array_equal(read_seed(path), seed)
     with pytest.raises(ValueError):
         write_seed(np.zeros((3, 3)), path)
+    path.write_text('{"points": {"q00": [0, 0, 0]}}')
+    with pytest.raises(ValueError, match="must hold four 3-points"):
+        read_seed(path)
 
 
 def test_write_is_deterministic(helicoid, tmp_path):

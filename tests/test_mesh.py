@@ -1,4 +1,8 @@
-"""Bilinear patches, tessellation, and OBJ export."""
+"""Bilinear patches, tessellation, and OBJ export.
+
+The tessellation is read back from the OBJ files that ``export_surface_obj``
+writes; 17 significant digits round-trip every coordinate exactly.
+"""
 
 import tracemalloc
 from collections import Counter
@@ -9,20 +13,31 @@ import pytest
 import affmin as am
 from affmin import mesh as mesh_module
 from affmin.geometry import affine_normal, face_volumes
-from affmin.mesh import (
-    TriangleMesh,
-    export_obj,
-    export_surface_obj,
-    patch_area_check,
-    patch_point,
-    tessellate,
-)
+from affmin.mesh import _write_obj, export_surface_obj, patch_area_check, patch_point
 from affmin.variational import affine_area
 
 
-def edge_histogram(mesh):
+def read_obj(path):
+    """Vertices (n, 3) and 0-based triangles (m, 3) of an OBJ file."""
+    vertices, triangles = [], []
+    for line in path.read_text().splitlines():
+        tag, *fields = line.split()
+        if tag == "v":
+            vertices.append([float(x) for x in fields])
+        else:
+            triangles.append([int(x) - 1 for x in fields])
+    return np.array(vertices).reshape(-1, 3), np.array(triangles, dtype=int).reshape(-1, 3)
+
+
+def tessellation(surface, resolution, tmp_path):
+    path = tmp_path / f"res{resolution}.obj"
+    export_surface_obj(surface, resolution, path)
+    return read_obj(path)
+
+
+def edge_histogram(triangles):
     counts = Counter()
-    for a, b, c in mesh.triangles:
+    for a, b, c in triangles:
         for lo, hi in ((a, b), (b, c), (c, a)):
             counts[(min(lo, hi), max(lo, hi))] += 1
     return Counter(counts.values())
@@ -118,55 +133,54 @@ class TestPatchArea:
 
 
 class TestTessellate:
-    def test_resolution_one_uses_quad_corners(self, paraboloid):
+    def test_resolution_one_uses_quad_corners(self, paraboloid, tmp_path):
         _, surf = paraboloid
-        mesh = tessellate(surf, 1)
+        positions, triangles = tessellation(surf, 1, tmp_path)
         dom = surf.domain
-        assert len(mesh.positions) == dom.n_u * dom.n_v
-        assert len(mesh.triangles) == 2 * (dom.n_u - 1) * (dom.n_v - 1)
+        assert len(positions) == dom.n_u * dom.n_v
+        assert len(triangles) == 2 * (dom.n_u - 1) * (dom.n_v - 1)
         np.testing.assert_array_equal(
-            mesh.positions.reshape(dom.n_u, dom.n_v, 3), surf.positions.values)
+            positions.reshape(dom.n_u, dom.n_v, 3), surf.positions.values)
 
-    def test_paraboloid_lies_on_z_equals_xy(self, paraboloid):
+    def test_paraboloid_lies_on_z_equals_xy(self, paraboloid, tmp_path):
         _, surf = paraboloid
-        mesh = tessellate(surf, 8)
-        gap = np.abs(mesh.positions[:, 2]
-                     - mesh.positions[:, 0] * mesh.positions[:, 1]).max()
+        positions, _ = tessellation(surf, 8, tmp_path)
+        gap = np.abs(positions[:, 2] - positions[:, 0] * positions[:, 1]).max()
         assert gap <= 1e-12
 
-    def test_watertight(self, helicoid):
+    def test_watertight(self, helicoid, tmp_path):
         _, surf = helicoid
         res = 4
-        mesh = tessellate(surf, res)
+        _, triangles = tessellation(surf, res, tmp_path)
         dom = surf.domain
-        hist = edge_histogram(mesh)
+        hist = edge_histogram(triangles)
         boundary = 2 * ((dom.n_u - 1) + (dom.n_v - 1)) * res
         assert set(hist) == {1, 2}
         assert hist[1] == boundary
 
-    def test_two_resolutions(self, helicoid):
+    def test_two_resolutions(self, helicoid, tmp_path):
         _, surf = helicoid
-        coarse = tessellate(surf, 1)
-        fine = tessellate(surf, 8)
-        assert len(fine.triangles) == 64 * len(coarse.triangles)
+        coarse_positions, coarse_triangles = tessellation(surf, 1, tmp_path)
+        fine_positions, fine_triangles = tessellation(surf, 8, tmp_path)
+        assert len(fine_triangles) == 64 * len(coarse_triangles)
         # corner samples agree exactly across resolutions
-        np.testing.assert_array_equal(coarse.positions[0], fine.positions[0])
+        np.testing.assert_array_equal(coarse_positions[0], fine_positions[0])
 
-    def test_resolution_validated(self, helicoid):
+    def test_resolution_validated(self, helicoid, tmp_path):
         _, surf = helicoid
+        path = tmp_path / "res0.obj"
         with pytest.raises(ValueError):
-            tessellate(surf, 0)
+            export_surface_obj(surf, 0, path)
+        assert not path.exists()
 
 
 class TestExportObj:
     def test_line_counts(self, tmp_path):
-        mesh = TriangleMesh(
-            positions=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                                [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
-            triangles=np.array([[0, 1, 3], [0, 3, 2]]),
-        )
+        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        triangles = np.array([[0, 1, 3], [0, 3, 2]])
         path = tmp_path / "two.obj"
-        export_obj(mesh, path)
+        _write_obj(path, [positions], [triangles])
         lines = path.read_text().splitlines()
         assert sum(1 for x in lines if x.startswith("v ")) == 4
         assert sum(1 for x in lines if x.startswith("f ")) == 2
@@ -182,12 +196,7 @@ class TestExportObj:
 
     def test_paraboloid_obj_vertices_on_surface(self, paraboloid, tmp_path):
         _, surf = paraboloid
-        path = tmp_path / "p.obj"
-        export_surface_obj(surf, 6, path)
-        verts = np.array([
-            [float(t) for t in line.split()[1:]]
-            for line in path.read_text().splitlines() if line.startswith("v ")
-        ])
+        verts, _ = tessellation(surf, 6, tmp_path)
         assert len(verts) > 0
         assert np.abs(verts[:, 2] - verts[:, 0] * verts[:, 1]).max() <= 1e-12
 
@@ -197,17 +206,19 @@ class TestExportObj:
             export_surface_obj(surf, 1, "/nonexistent-dir/mesh.obj")
         assert "mesh.obj" in str(err.value)
 
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            TriangleMesh(positions=np.zeros((2, 3)),
-                         triangles=np.array([[0, 1, 2]]))
-
-    def test_non_finite_vertex_rejected(self):
-        positions = np.zeros((4, 3))
-        positions[2, 1] = np.nan
-        positions[3, 0] = np.inf
-        with pytest.raises(ValueError, match="mesh vertex 2 has a non-finite coordinate 1"):
-            TriangleMesh(positions, np.array([[0, 1, 2]]))
+    def test_non_finite_vertex_rejected(self, paraboloid, tmp_path):
+        # A non-finite corner spoils every lattice point of the four faces
+        # around it (0 * NaN is NaN).  At resolution 1 on the 7 x 7 box, the
+        # first of them in row-major order is corner (1, 2): vertex 1 * 7 + 2.
+        _, surf = paraboloid
+        values = np.array(surf.positions.values)
+        values[2, 3, 1] = np.inf
+        values[4, 4, 0] = np.nan
+        path = tmp_path / "inf.obj"
+        with pytest.raises(ValueError, match="mesh vertex 9 has a non-finite coordinate 1"), \
+                np.errstate(invalid="ignore"):   # 0 * inf
+            export_surface_obj(surf.positions.with_values(values), 1, path)
+        assert not path.exists()
 
 
 class TestStreamingExport:
@@ -216,15 +227,17 @@ class TestStreamingExport:
         values = np.array(surf.positions.values)
         values[8, 3, 1] = np.nan
         grid = surf.positions.with_values(values)
-        with pytest.raises(ValueError) as whole:
-            tessellate(grid, 23)
-        vertex = int(str(whole.value).split()[2])
+        # Corner (8, 3) lies on faces (7, 2) and (7, 3) of the last face row,
+        # so the first spoiled lattice point is the lower-left corner of face
+        # (7, 2): lattice row 7 * 23, column 2 * 23, on rows of 8 * 23 + 1.
+        res, nj = 23, 8 * 23 + 1
+        vertex = 7 * res * nj + 2 * res
         monkeypatch.setattr(mesh_module, "_BLOCK_ROWS", 1000)
         assert vertex >= 1000   # not in the first band
         path = tmp_path / "nan.obj"
         with pytest.raises(ValueError) as streamed:
-            export_surface_obj(grid, 23, path)
-        assert str(streamed.value) == str(whole.value)
+            export_surface_obj(grid, res, path)
+        assert str(streamed.value) == f"mesh vertex {vertex} has a non-finite coordinate 1"
         assert not path.exists()
 
     def test_returns_counts(self, cubic, tmp_path):

@@ -1,9 +1,10 @@
 """The block writers against the per-number reference writers they replaced.
 
 ``reference_export_obj`` and ``reference_dumps_json`` are the earlier
-one-f-string-per-number writers, kept verbatim as oracles: every byte the
-block writers produce, and every byte the streaming surface export writes
-band by band, must equal theirs.
+one-f-string-per-number writers, kept as oracles: every byte the block
+writers produce, and every byte the streaming surface export writes band by
+band, must equal theirs.  ``reference_mesh`` builds the exported mesh point
+by point through the public ``patch_point``.
 """
 
 import json
@@ -15,17 +16,50 @@ import affmin as am
 from affmin import mesh as mesh_module
 from affmin.compatibility import extract_fundamental_data
 from affmin.gridio import _pad_coefficient, dumps_json, grid_to_obj, write_forms
-from affmin.mesh import TriangleMesh, export_obj, export_surface_obj, tessellate
+from affmin.mesh import _write_obj, export_surface_obj, patch_point
 
 
-def reference_export_obj(mesh, path):
+def reference_export_obj(positions, triangles, path):
     lines = []
-    for x, y, z in mesh.positions:
+    for x, y, z in positions:
         lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for i, j, k in mesh.triangles + 1:
+    for i, j, k in triangles + 1:
         lines.append(f"f {i} {j} {k}")
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def reference_mesh(surface, res):
+    """Vertices and 0-based triangles of the exported tessellation.
+
+    Lattice row g lies on face f = min(g // res, faces - 1) at parameter
+    (g - f res) / res, so the last row lies on the last face at 1; columns
+    likewise.  Each cell splits along its (0,0)-(1,1) diagonal.
+    """
+    dom = surface.domain
+    ni, nj = (dom.n_u - 1) * res + 1, (dom.n_v - 1) * res + 1
+
+    def owner(g, faces):
+        face = min(g // res, faces - 1)
+        return face, (g - face * res) / res
+
+    positions = []
+    for gi in range(ni):
+        fi, s = owner(gi, dom.n_u - 1)
+        for gj in range(nj):
+            fj, t = owner(gj, dom.n_v - 1)
+            positions.append(patch_point(surface, (dom.u_min + fi, dom.v_min + fj), s, t))
+    triangles = []
+    for i in range(ni - 1):
+        for a in range(i * nj, (i + 1) * nj - 1):
+            triangles += [(a, a + nj, a + nj + 1), (a, a + nj + 1, a + 1)]
+    return np.array(positions).reshape(-1, 3), np.array(triangles, dtype=int).reshape(-1, 3)
+
+
+@pytest.fixture(scope="module")
+def helicoid_mesh(helicoid):
+    _, surf = helicoid
+    return reference_mesh(surf, 23)   # k / 23 lattice: non-dyadic coordinates
 
 
 def _reference_format_number(x) -> str:
@@ -71,10 +105,15 @@ SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 2.0, 1.0 / 3.0, 1e16, 1e-5,
            1.7976931348623157e308, -123456789.125, 2.5e-310, 0.0]
 
 
-def obj_bytes(tmp_path, mesh):
+def blocks(rows):
+    return [rows[k:k + mesh_module._BLOCK_ROWS]
+            for k in range(0, len(rows), mesh_module._BLOCK_ROWS)]
+
+
+def obj_bytes(tmp_path, positions, triangles):
     ours, theirs = tmp_path / "ours.obj", tmp_path / "reference.obj"
-    export_obj(mesh, ours)
-    reference_export_obj(mesh, theirs)
+    _write_obj(ours, blocks(positions), blocks(triangles))
+    reference_export_obj(positions, triangles, theirs)
     return ours.read_bytes(), theirs.read_bytes()
 
 
@@ -82,33 +121,30 @@ def test_special_values_spell_differently_under_repr():
     assert sum(repr(x) != "%.17g" % x for x in SPECIAL) >= 6
 
 
-def test_obj_matches_reference_across_block_boundaries(helicoid, tmp_path):
-    _, surf = helicoid
-    mesh = tessellate(surf, 23)   # k / 23 lattice: non-dyadic coordinates
-    assert len(mesh.positions) > 1 << 15 and len(mesh.triangles) > 1 << 16
-    ours, theirs = obj_bytes(tmp_path, mesh)
+def test_obj_matches_reference_across_block_boundaries(helicoid_mesh, tmp_path):
+    positions, triangles = helicoid_mesh
+    assert len(positions) > 1 << 15 and len(triangles) > 1 << 16
+    ours, theirs = obj_bytes(tmp_path, positions, triangles)
     assert ours == theirs
 
 
 def test_obj_matches_reference_on_special_values(tmp_path):
     positions = np.array(SPECIAL).reshape(-1, 3)
-    mesh = TriangleMesh(positions, np.array([[0, 1, 2], [3, 2, 1], [0, 3, 3]]))
-    ours, theirs = obj_bytes(tmp_path, mesh)
+    ours, theirs = obj_bytes(tmp_path, positions, np.array([[0, 1, 2], [3, 2, 1], [0, 3, 3]]))
     assert ours == theirs
     assert b"v -0 4.9406564584124654e-324 1.0000000000000001e+300\n" in ours
 
 
 def test_obj_without_triangles_matches_reference(tmp_path):
-    mesh = TriangleMesh(np.array(SPECIAL).reshape(-1, 3), np.zeros((0, 3), dtype=int))
-    ours, theirs = obj_bytes(tmp_path, mesh)
+    ours, theirs = obj_bytes(tmp_path, np.array(SPECIAL).reshape(-1, 3),
+                             np.zeros((0, 3), dtype=int))
     assert ours == theirs
     assert ours.endswith(b"\n") and not ours.endswith(b"\n\n")
 
 
 def test_empty_obj_is_an_empty_file(tmp_path):
     # The reference wrote a lone newline for a mesh without vertices.
-    mesh = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-    ours, theirs = obj_bytes(tmp_path, mesh)
+    ours, theirs = obj_bytes(tmp_path, np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     assert (ours, theirs) == (b"", b"\n")
 
 
@@ -161,21 +197,21 @@ def test_forms_file_matches_reference(helicoid, tmp_path):
     assert path.read_text() == reference_dumps_json(obj) + "\n"
 
 
-def streamed_and_reference(tmp_path, surface, resolution):
+def streamed_and_reference(tmp_path, surface, resolution, mesh=None):
     ours, theirs = tmp_path / "streamed.obj", tmp_path / "reference.obj"
     counts = export_surface_obj(surface, resolution, ours)
-    mesh = tessellate(surface, resolution)
-    reference_export_obj(mesh, theirs)
-    assert counts == (len(mesh.positions), len(mesh.triangles))
+    positions, triangles = mesh if mesh is not None else reference_mesh(surface, resolution)
+    reference_export_obj(positions, triangles, theirs)
+    assert counts == (len(positions), len(triangles))
     return ours.read_bytes(), theirs.read_bytes()
 
 
 @pytest.mark.parametrize("block_rows", [mesh_module._BLOCK_ROWS, 997])
-def test_streamed_export_matches_reference_over_several_bands(helicoid, tmp_path,
+def test_streamed_export_matches_reference_over_several_bands(helicoid, helicoid_mesh, tmp_path,
                                                               monkeypatch, block_rows):
     _, surf = helicoid
     monkeypatch.setattr(mesh_module, "_BLOCK_ROWS", block_rows)
-    ours, theirs = streamed_and_reference(tmp_path, surf, 23)   # k / 23 lattice
+    ours, theirs = streamed_and_reference(tmp_path, surf, 23, helicoid_mesh)
     assert (8 * 23 + 1) ** 2 > block_rows   # more than one band
     assert ours == theirs
 
