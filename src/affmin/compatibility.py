@@ -24,8 +24,8 @@ from .errors import (
 )
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, relative_residual,
-                    row_bands, worst_index)
+from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, div3, mul3,
+                    relative_residual, row_bands, worst_index)
 from .lelieuvre import Immersion
 
 __all__ = [
@@ -120,15 +120,15 @@ def compatibility_residuals(data: FundamentalData) -> CompatibilityResiduals:
     sig_a = float(np.abs(a).max()) + sig_f
     sig_b = float(np.abs(b).max()) + sig_f
 
-    r0 = relative_residual([t[..., None] for t in (
+    r0 = relative_residual([
         f[:-1, 1:] * f[1:, :-1], f[1:, 1:] * f[:-1, :-1], a[:, 1:-1] * b[1:-1, :],
-    )])
-    r1 = relative_residual([t[..., None] for t in (
+    ])
+    r1 = relative_residual([
         f[:-1, :-1] * b1[1:, :], f[1:, :-1] * b1[:-1, :], b[1:-1, :] * a2[:, :-1],
-    )], floor=max(sig_f, sig_a) * sig_b)
-    r2 = relative_residual([t[..., None] for t in (
+    ], floor=max(sig_f, sig_a) * sig_b)
+    r2 = relative_residual([
         f[:-1, :-1] * a2[:, 1:], f[:-1, 1:] * a2[:, :-1], a[:, 1:-1] * b1[:-1, :],
-    )], floor=max(sig_f, sig_b) * sig_a)
+    ], floor=max(sig_f, sig_b) * sig_a)
     return CompatibilityResiduals(r0, r1, r2)
 
 
@@ -234,15 +234,13 @@ def _two_way_sweep(q: VertexGrid, f, a, b, tol: float):
         p, fb, ab, bb = band.values, f[rows[1]], a[rows[2]], b[rows[0]]
         way1 = (
             2.0 * p[1:-1, 2:] - p[:-2, 2:]
-            + ((fb[1:, 1:] - fb[:-1, 1:])[..., None] * (p[1:-1, 2:] - p[:-2, 2:])
-               + ab[:, 2:, None] * (p[1:-1, 2:] - p[1:-1, 1:-1]))
-            / fb[:-1, 1:, None]
+            + div3(mul3(fb[1:, 1:] - fb[:-1, 1:], p[1:-1, 2:] - p[:-2, 2:])
+                   + mul3(ab[:, 2:], p[1:-1, 2:] - p[1:-1, 1:-1]), fb[:-1, 1:])
         )
         way2 = (
             2.0 * p[2:, 1:-1] - p[2:, :-2]
-            + (bb[2:, :, None] * (p[2:, 1:-1] - p[1:-1, 1:-1])
-               + (fb[1:, 1:] - fb[1:, :-1])[..., None] * (p[2:, 1:-1] - p[2:, :-2]))
-            / fb[1:, :-1, None]
+            + div3(mul3(bb[2:, :], p[2:, 1:-1] - p[1:-1, 1:-1])
+                   + mul3(fb[1:, 1:] - fb[1:, :-1], p[2:, 1:-1] - p[2:, :-2]), fb[1:, :-1])
         )
         worst.add((absmax(way1 - way2) / edge_scale)[own], lo)
     if not worst.value <= tol:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainTooSmall, IllDefinedForm
 from .geometry import face_volumes
 from .grids import (TINY, BandMax, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
-                    as_positions, cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean,
+                    as_positions, cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean, mul3,
                     relative_residual, row_bands)
 
 __all__ = [
@@ -164,41 +164,46 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
     # The per-stencil scale is floored by F times the participating edge
     # lengths so identities whose every term vanishes (straight rulings,
     # constant F) register as satisfied instead of comparing noise to noise.
+    # A term s * v scales with |s| * absmax(v), the bits of absmax(s * v):
+    # rounding is monotone and sign-symmetric.
     per = {}
     for _, band, rows, _ in row_bands(q, after=2):
         e1, e2 = d1(band).values, d2(band).values
         quu, qvv = d11(band).values, d22(band).values
         f, f1, f2 = areas.values[rows[1]], f1_all[rows[2]], f2_all[rows[1]]
         a, b = form.u_coeff.values[rows[2]], form.v_coeff.values[rows[0]]
-        abs_e1, abs_e2 = absmax(e1), absmax(e2)
+        abs_e1, abs_e2, abs_quu, abs_qvv = absmax(e1), absmax(e2), absmax(quu), absmax(qvv)
+        abs_f, abs_f1, abs_f2 = np.abs(f), np.abs(f1), np.abs(f2)
 
         # q11 expansions (vertex u-interior; vsign picks the v+1/2 or v-1/2 row).
-        q2_used = e2[1:-1, :]
+        q2_used, abs_q2 = e2[1:-1, :], abs_e2[1:-1, :]
         for vsign, vsl in ((+1, np.s_[:, :-1]), (-1, np.s_[:, 1:])):
-            a_q2 = a[vsl][..., None] * q2_used
-            quu_used = quu[vsl]
-            for uside, f_face, e1_used, abs_e1_used in (
-                (+1, f[1:, :], e1[1:, :][vsl], abs_e1[1:, :][vsl]),
-                (-1, f[:-1, :], e1[:-1, :][vsl], abs_e1[:-1, :][vsl]),
+            a_q2, a_q2_scale = mul3(a[vsl], q2_used), np.abs(a[vsl]) * abs_q2
+            quu_used, abs_quu_used = quu[vsl], abs_quu[vsl]
+            for uside, f_face, abs_f_face, e1_used, abs_e1_used in (
+                (+1, f[1:, :], abs_f[1:, :], e1[1:, :][vsl], abs_e1[1:, :][vsl]),
+                (-1, f[:-1, :], abs_f[:-1, :], e1[:-1, :][vsl], abs_e1[:-1, :][vsl]),
             ):
-                floor = f_face * np.maximum(abs_e1_used, abs_e2[1:-1, :])
+                floor = f_face * np.maximum(abs_e1_used, abs_q2)
                 name = f"q11[v{'+' if vsign > 0 else '-'}][u{'+' if uside > 0 else '-'}]"
                 per.setdefault(name, []).append(relative_residual(
-                    [f_face[..., None] * quu_used, f1[..., None] * e1_used, a_q2], floor))
+                    [mul3(f_face, quu_used), mul3(f1, e1_used), a_q2], floor,
+                    [abs_f_face * abs_quu_used, abs_f1 * abs_e1_used, a_q2_scale]))
 
         # q22 expansions (vertex v-interior; usign picks the u+1/2 or u-1/2 column).
-        q1_used = e1[:, 1:-1]
+        q1_used, abs_q1 = e1[:, 1:-1], abs_e1[:, 1:-1]
         for usign, usl in ((+1, np.s_[:-1, :]), (-1, np.s_[1:, :])):
-            b_q1 = b[usl][..., None] * q1_used
-            qvv_used = qvv[usl]
-            for vside, f_face, e2_used, abs_e2_used in (
-                (+1, f[:, 1:], e2[:, 1:][usl], abs_e2[:, 1:][usl]),
-                (-1, f[:, :-1], e2[:, :-1][usl], abs_e2[:, :-1][usl]),
+            b_q1, b_q1_scale = mul3(b[usl], q1_used), np.abs(b[usl]) * abs_q1
+            qvv_used, abs_qvv_used = qvv[usl], abs_qvv[usl]
+            for vside, f_face, abs_f_face, e2_used, abs_e2_used in (
+                (+1, f[:, 1:], abs_f[:, 1:], e2[:, 1:][usl], abs_e2[:, 1:][usl]),
+                (-1, f[:, :-1], abs_f[:, :-1], e2[:, :-1][usl], abs_e2[:, :-1][usl]),
             ):
-                floor = f_face * np.maximum(abs_e1[:, 1:-1], abs_e2_used)
+                floor = f_face * np.maximum(abs_q1, abs_e2_used)
                 name = f"q22[u{'+' if usign > 0 else '-'}][v{'+' if vside > 0 else '-'}]"
                 per.setdefault(name, []).append(relative_residual(
-                    [f_face[..., None] * qvv_used, b_q1, f2[..., None] * e2_used], floor))
+                    [mul3(f_face, qvv_used), b_q1, mul3(f2, e2_used)], floor,
+                    [abs_f_face * abs_qvv_used, b_q1_scale, abs_f2 * abs_e2_used]))
 
     per = {name: float(np.max(values)) for name, values in per.items()}
     worst = list(per)[int(np.argmax(list(per.values())))]   # a NaN counts as worst
@@ -287,15 +292,16 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
     for _, band, rows, _ in row_bands(q, after=2):
         xi, f = normals.values[rows[1]], areas.values[rows[1]]
         a2, b1 = derivs.u_coeff_dv.values[rows[2]], derivs.v_coeff_du.values[rows[1]]
+        abs_xi = absmax(xi)
         ff_u = f[:-1, :] * f[1:, :]
         res_u.append(relative_residual(
-            [ff_u[..., None] * (xi[1:, :] - xi[:-1, :]), a2[..., None] * d2(band).values[1:-1, :]],
-            ff_u * np.maximum(absmax(xi[1:, :]), absmax(xi[:-1, :])),
+            [mul3(ff_u, xi[1:, :] - xi[:-1, :]), mul3(a2, d2(band).values[1:-1, :])],
+            ff_u * np.maximum(abs_xi[1:, :], abs_xi[:-1, :]),
         ))
         ff_v = f[:, :-1] * f[:, 1:]
         res_v.append(relative_residual(
-            [ff_v[..., None] * (xi[:, 1:] - xi[:, :-1]), b1[..., None] * d1(band).values[:, 1:-1]],
-            ff_v * np.maximum(absmax(xi[:, 1:]), absmax(xi[:, :-1])),
+            [mul3(ff_v, xi[:, 1:] - xi[:, :-1]), mul3(b1, d1(band).values[:, 1:-1])],
+            ff_v * np.maximum(abs_xi[:, 1:], abs_xi[:, :-1]),
         ))
     res_u, res_v = float(np.max(res_u)), float(np.max(res_v))
     return NormalDerivativeReport(

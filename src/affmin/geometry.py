@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import DomainMismatch, NonPositiveVolume
 from .grids import (TINY, BandMax, FaceGrid, VertexGrid, absmax, as_positions, cross3, d1, d2,
-                    d11, d12, d22, det3, dot3, face_choice_mean, norm3, row_bands, worst_index)
+                    d11, d12, d22, det3, div3, dot3, face_choice_mean, mul3, norm3, row_bands,
+                    worst_index)
 
 __all__ = [
     "TOL_DUAL",
@@ -79,7 +80,10 @@ def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
     own = q.memo("face_volumes")   # a look-up only: computing it may raise
 
     def compute():
-        return FaceGrid(q.domain, d12(q).values / areas.values[:, :, None])
+        xi = np.empty(areas.values.shape + (3,))
+        for _, band, rows, _ in row_bands(q, after=1):
+            xi[rows[1]] = div3(d12(band).values, areas.values[rows[1]])
+        return FaceGrid(q.domain, xi)
 
     if own is not None and areas is own.areas:
         return q.memo("affine_normal", compute)
@@ -107,13 +111,13 @@ def recover_conormal(surface) -> ConormalRecovery:
     mean = np.empty((dom.n_u, dom.n_v, 3))
     worst = BandMax(dom)
     for lo, band, rows, own in row_bands(q, before=1, after=1):
-        e1, e2, f = d1(band).values, d2(band).values, areas[rows[1]][:, :, None]
+        e1, e2, f = d1(band).values, d2(band).values, areas[rows[1]]
         # (estimate, vertex slice) per corner role of each face.
         corner_estimates = (
-            (cross3(e1[:, :-1], e2[:-1, :]) / f, (slice(None, -1), slice(None, -1))),
-            (cross3(e1[:, :-1], e2[1:, :]) / f, (slice(1, None), slice(None, -1))),
-            (cross3(e1[:, 1:], e2[:-1, :]) / f, (slice(None, -1), slice(1, None))),
-            (cross3(e1[:, 1:], e2[1:, :]) / f, (slice(1, None), slice(1, None))),
+            (div3(cross3(e1[:, :-1], e2[:-1, :]), f), (slice(None, -1), slice(None, -1))),
+            (div3(cross3(e1[:, :-1], e2[1:, :]), f), (slice(1, None), slice(None, -1))),
+            (div3(cross3(e1[:, 1:], e2[:-1, :]), f), (slice(None, -1), slice(1, None))),
+            (div3(cross3(e1[:, 1:], e2[1:, :]), f), (slice(1, None), slice(1, None))),
         )
         band_mean, spread = face_choice_mean(corner_estimates, band.values.shape)
         mean[rows[0]][own] = band_mean[own]
@@ -270,7 +274,7 @@ def duality_certificate(vectors: VertexGrid, normals: FaceGrid, areas: FaceGrid,
         for corner in (nu[:-1, :-1], nu[1:, :-1], nu[:-1, 1:], nu[1:, 1:]):
             np.maximum(pairing, np.abs(dot3(corner, xi) - 1.0), out=pairing)
         worst_pairing.add(pairing, lo)
-        f_xi = areas.values[rows[1]][:, :, None] * xi
+        f_xi = mul3(areas.values[rows[1]], xi)
         scale = np.maximum(absmax(f_xi), TINY)
         nu1, nu2 = d1(band).values, d2(band).values
         cross = np.zeros(xi.shape[:2])

@@ -18,7 +18,8 @@ First differences move an index by one half step:
 dense, row-major with the u index first, and read-only after construction.
 
 The pointwise kernels shared by every certificate live here too: dot, cross
-and triple products, norm and largest |component| of 3-vector arrays, the
+and triple products, norm and largest |component| of 3-vector arrays, their
+products with and quotients by scalar arrays, the
 worst-entry lookup that names a grid index, the face-choice average, the
 relative residual of a stencil identity, and the ``TINY`` denominator floor.
 So do the row bands that every whole-grid certificate is evaluated on, and
@@ -50,6 +51,8 @@ __all__ = [
     "det3",
     "norm3",
     "absmax",
+    "mul3",
+    "div3",
     "as_positions",
     "worst_index",
     "face_choice_mean",
@@ -344,6 +347,27 @@ def absmax(x):
     return functools.reduce(np.maximum, np.moveaxis(np.abs(x), -1, 0))
 
 
+def mul3(s, v):
+    """``s[..., None] * v``, bit for bit: one multiply per component, no broadcast loop.
+
+    Of two NaN factors the product is s's NaN; numpy's broadcast returns either.
+    """
+    s, v = np.asarray(s), np.asarray(v)
+    out = np.empty(np.broadcast_shapes(s.shape + (1,), v.shape), np.result_type(s, v))
+    for k in range(3):
+        np.multiply(s, v[..., k], out=out[..., k])
+    return out
+
+
+def div3(v, s):
+    """``v / s[..., None]``, bit for bit: one divide per component, no broadcast loop."""
+    v, s = np.asarray(v), np.asarray(s)
+    out = np.empty(np.broadcast_shapes(v.shape, s.shape + (1,)), np.result_type(v, s))
+    for k in range(3):
+        np.divide(v[..., k], s, out=out[..., k])
+    return out
+
+
 def as_positions(surface) -> VertexGrid:
     """Accept an Immersion or a bare position VertexGrid."""
     grid = getattr(surface, "positions", surface)
@@ -368,7 +392,7 @@ def face_choice_mean(choices, shape):
     averages the estimates of the faces whose slices reach it.
     """
     total = np.zeros(shape)
-    count = np.zeros(shape)
+    count = np.zeros(shape[:2])
     lo = np.full(shape, np.inf)
     hi = np.full(shape, -np.inf)
     for est, sl in choices:
@@ -376,21 +400,29 @@ def face_choice_mean(choices, shape):
         count[sl] += 1.0
         np.minimum(lo[sl], est, out=lo[sl])
         np.maximum(hi[sl], est, out=hi[sl])
-    return total / count, hi - lo
+    return (total / count if len(shape) == 2 else div3(total, count)), hi - lo
 
 
-def relative_residual(terms, floor=0.0) -> float:
+def _magnitude(x):
+    """|x| of a 2-D scalar grid, the largest |component| of a 3-vector grid."""
+    return np.abs(x) if x.ndim == 2 else absmax(x)
+
+
+def relative_residual(terms, floor=0.0, scales=None) -> float:
     """Worst |t0 - t1 - t2 ...| relative to the largest |t_k| or ``floor``.
 
-    Each term is an array of stencils with the components on the last axis
-    (length 1 for scalars); the residual and the scale of a stencil are
-    maxima over its components.
+    Each term is a 2-D grid of scalar stencils or a 3-D grid of 3-vectors;
+    the residual and the scale of a vector stencil are maxima over its
+    components.  ``scales``, if given, holds the caller's per-stencil
+    magnitude of each term in place of the one derived here.
     """
-    resid = terms[0]
-    for term in terms[1:]:
-        resid = resid - term
-    scale = np.maximum(np.maximum.reduce([absmax(t) for t in terms]), floor)
-    return float((absmax(resid) / np.maximum(scale, TINY)).max())
+    resid = terms[0] - terms[1]
+    for term in terms[2:]:
+        np.subtract(resid, term, out=resid)
+    scale = functools.reduce(np.maximum, map(_magnitude, terms) if scales is None else scales)
+    scale = np.maximum(np.maximum(scale, floor), TINY)
+    resid = _magnitude(resid)
+    return float(np.divide(resid, scale, out=resid).max())
 
 
 def row_bands(grid: VertexGrid, before: int = 0, after: int = 0):

@@ -126,8 +126,11 @@ def _lattice_points(p: np.ndarray, res: int, i0: int, i1: int) -> np.ndarray:
     c11 = p[np.ix_(fi + 1, fj + 1)]
     ss = s[:, None, None]
     tt = t[None, :, None]
-    points = ((1.0 - ss) * (1.0 - tt)) * c00 + (ss * (1.0 - tt)) * c10 \
-        + ((1.0 - ss) * tt) * c01 + (ss * tt) * c11
+    # A non-finite corner spoils its points quietly (0 * inf is NaN), so
+    # _require_finite can name the mesh vertex under any numpy error state.
+    with np.errstate(invalid="ignore", over="ignore"):
+        points = ((1.0 - ss) * (1.0 - tt)) * c00 + (ss * (1.0 - tt)) * c10 \
+            + ((1.0 - ss) * tt) * c01 + (ss * tt) * c11
     return points.reshape(-1, 3)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NonPositiveVolume
 from .geometry import face_volumes
 from .grids import (BandMax, GridDomain, VertexGrid, absmax, as_positions, cross3, d1, d2,
-                    det3, row_bands)
+                    det3, div3, row_bands)
 
 __all__ = [
     "TOL_CRIT",
@@ -54,10 +54,10 @@ def _gradient_bands(q: VertexGrid, f):
     as (first row, rows) band by band."""
     for lo, band, rows, _ in row_bands(q, after=2):
         e1, e2, fb = d1(band).values, d2(band).values, f[rows[1]]
-        h1 = cross3(e1[:-1, :-2], e2[:-2, :-1]) / (2.0 * fb[:-1, :-1, None])
-        h2 = -cross3(e1[1:, :-2], e2[2:, :-1]) / (2.0 * fb[1:, :-1, None])
-        h3 = cross3(e1[1:, 2:], e2[2:, 1:]) / (2.0 * fb[1:, 1:, None])
-        h4 = -cross3(e1[:-1, 2:], e2[:-2, 1:]) / (2.0 * fb[:-1, 1:, None])
+        h1 = div3(cross3(e1[:-1, :-2], e2[:-2, :-1]), 2.0 * fb[:-1, :-1])
+        h2 = div3(-cross3(e1[1:, :-2], e2[2:, :-1]), 2.0 * fb[1:, :-1])
+        h3 = div3(cross3(e1[1:, 2:], e2[2:, 1:]), 2.0 * fb[1:, 1:])
+        h4 = div3(-cross3(e1[:-1, 2:], e2[:-2, 1:]), 2.0 * fb[:-1, 1:])
         yield lo, h1 + h2 + h3 + h4
 
 

@@ -5,6 +5,10 @@
 * Every ``__all__`` entry is defined in its module.
 * Every name the package ``__init__`` imports from a module is in that
   module's ``__all__``, where the module has one.
+* The certificate modules multiply and divide 3-vector grids by scalar grids
+  through ``grids.mul3``/``div3``, never through a ``s[..., None]`` operand,
+  which makes numpy loop over the length-3 axis.  ``reconstruct``'s row march
+  is exempt: there the per-component calls measured slower.
 """
 
 import ast
@@ -82,6 +86,43 @@ def test_package_imports_only_public_names():
             if public is not None:
                 strays += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
     assert not strays, f"affmin/__init__.py imports names outside __all__: {strays}"
+
+
+def new_axis_operands(tree: ast.AST, exempt=()) -> list:
+    """Lines where ``*`` or ``/`` takes an operand indexed with None (or np.newaxis),
+    outside the functions named in ``exempt``."""
+    skip = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name in exempt for n in ast.walk(f)}
+
+    def adds_axis(node):
+        if not isinstance(node, ast.Subscript):
+            return False
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return any((isinstance(i, ast.Constant) and i.value is None)
+                   or (isinstance(i, ast.Attribute) and i.attr == "newaxis") for i in index)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div))
+                  and id(node) not in skip and (adds_axis(node.left) or adds_axis(node.right)))
+
+
+@pytest.mark.parametrize("name, exempt", [
+    ("forms", ()), ("geometry", ()), ("variational", ()), ("compatibility", ("reconstruct",)),
+])
+def test_scalar_vector_products_use_the_kernels(name, exempt):
+    lines = new_axis_operands(parse(PACKAGE / f"{name}.py"), exempt)
+    assert not lines, f"{name}.py broadcasts a scalar grid over 3-vectors on lines {lines}"
+
+
+def test_guard_sees_a_broadcast_product():
+    tree = ast.parse("def f(s, v, w):\n"
+                     "    a = s[..., None] * v\n"
+                     "    b = v / s[:, :, np.newaxis]\n"
+                     "    c = (s - w)[..., None] * v + s[None]\n"
+                     "def reconstruct(s, v):\n"
+                     "    return s[:, None] * v\n")
+    assert new_axis_operands(tree, ("reconstruct",)) == [2, 3, 4]
+    assert new_axis_operands(tree) == [2, 3, 4, 6]
 
 
 def test_guard_sees_an_unused_import():

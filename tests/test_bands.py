@@ -75,6 +75,7 @@ def reports(field, positions, vectors):
     derivs, closed = am.a2_b1_closed_form(surf, xi, vols.areas, form)
     return canonical({
         "face_volumes": vols,
+        "affine_normal": xi,
         "recover_conormal": am.recover_conormal(surf),
         "asymptotic": am.asymptotic_certificate(surf),
         "planarity": am.planarity_and_saddle(surf, vectors),

@@ -2,8 +2,10 @@
 
 ``absmax``, ``cross3`` and ``norm3`` must give the very bits of
 ``np.abs(x).max(axis=-1)``, ``np.cross`` and ``np.linalg.norm(x, axis=-1)``,
+and ``mul3``/``div3`` those of ``s[..., None] * v`` and ``v / s[..., None]``,
 so the certificates below are pinned as ``float.hex`` strings: non-dyadic
 residuals that the golden artifact digests of the paraboloid do not cover.
+A residual scaled by |s| * absmax(v) must equal one scaled by absmax(s * v).
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import affmin as am
-from affmin.grids import absmax, cross3, norm3
+from affmin.grids import absmax, cross3, div3, mul3, norm3, relative_residual
 
 SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300,
                     1.0, -3.5, 0.1])
@@ -93,6 +95,65 @@ def vector_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_random_shapes_and_values(pair):
     check_all(*pair)
+
+
+def check_scalar_products(s, v):
+    with np.errstate(all="ignore"):
+        got, expected = mul3(s, v), s[..., None] * v
+        assert_same_bits(div3(v, s), v / s[..., None])
+    # Of two NaN factors, numpy's broadcast product returns either one, by the
+    # element's place in its vector loop; only there may the NaN signs differ.
+    both_nan = np.isnan(s)[..., None] & np.isnan(v)
+    assert_same_bits(np.where(both_nan, np.nan, got), np.where(both_nan, np.nan, expected))
+
+
+class TestScalarProducts:
+    def test_contiguous(self, pair):
+        check_scalar_products(pair[0][..., 0], pair[1])
+
+    def test_strided_slices(self, pair):
+        check_scalar_products(pair[0][1::2, 1:, 2], pair[1][:-1:2, :-1])
+        check_scalar_products(pair[0][:-1, :-1, 1], pair[1][1:, 1:])
+
+    def test_broadcast_shapes(self, rng):
+        s, v = rng.standard_normal((4, 1)), rng.standard_normal((5, 3))
+        check_scalar_products(s, v)
+        check_scalar_products(rng.standard_normal(5), v)
+        check_scalar_products(np.float64(0.3), v)
+
+    def test_every_pair_of_special_values(self):
+        s, v = np.meshgrid(SPECIAL, SPECIAL, indexing="ij")
+        check_scalar_products(s, np.stack([v, v[::-1], np.roll(v, 5, axis=1)], axis=-1))
+
+
+@st.composite
+def scalar_vector_pairs(draw, min_dims=0, min_side=0):
+    shape = draw(hnp.array_shapes(min_dims=min_dims, max_dims=2, min_side=min_side, max_side=6))
+    values = st.one_of(st.sampled_from(SPECIAL),
+                       st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    s = draw(hnp.arrays(np.float64, shape, elements=values))
+    v = draw(hnp.arrays(np.float64, shape + (3,), elements=values))
+    return s, v
+
+
+@given(scalar_vector_pairs())
+@settings(max_examples=150, deadline=None)
+def test_random_scalar_products(pair):
+    check_scalar_products(*pair)
+
+
+@given(st.lists(scalar_vector_pairs(min_dims=2, min_side=1), min_size=3, max_size=3),
+       st.sampled_from([0.0, 5e-324, 1.0, np.inf]))
+@settings(max_examples=200, deadline=None)
+def test_scaled_residual_equals_term_absmax(pairs, floor):
+    # Grids of 3-vectors of one shape: the first pair fixes it, the others are resized.
+    shape = pairs[0][0].shape
+    pairs = [(np.resize(s, shape), np.resize(v, shape + (3,))) for s, v in pairs]
+    with np.errstate(all="ignore"):
+        terms = [mul3(s, v) for s, v in pairs]
+        scaled = relative_residual(terms, floor, [np.abs(s) * absmax(v) for s, v in pairs])
+        plain = relative_residual(terms, floor)
+    assert scaled == plain or (np.isnan(scaled) and np.isnan(plain))
 
 
 def certificate_values(field):

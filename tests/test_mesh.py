@@ -215,8 +215,18 @@ class TestExportObj:
         values[2, 3, 1] = np.inf
         values[4, 4, 0] = np.nan
         path = tmp_path / "inf.obj"
+        with pytest.raises(ValueError, match="mesh vertex 9 has a non-finite coordinate 1"):
+            export_surface_obj(surf.positions.with_values(values), 1, path)
+        assert not path.exists()
+
+    def test_non_finite_vertex_named_when_numpy_raises(self, paraboloid, tmp_path):
+        # 0 * inf must not escape as FloatingPointError before the vertex is named.
+        _, surf = paraboloid
+        values = np.array(surf.positions.values)
+        values[2, 3, 1] = np.inf
+        path = tmp_path / "inf.obj"
         with pytest.raises(ValueError, match="mesh vertex 9 has a non-finite coordinate 1"), \
-                np.errstate(invalid="ignore"):   # 0 * inf
+                np.errstate(all="raise"):
             export_surface_obj(surf.positions.with_values(values), 1, path)
         assert not path.exists()
 
