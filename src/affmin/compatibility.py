@@ -24,8 +24,8 @@ from .errors import (
 )
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, div3, mul3,
-                    relative_residual, row_bands, worst_index)
+from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, div3, empty3,
+                    mul3, relative_residual, row_bands, worst_index)
 from .lelieuvre import Immersion
 
 __all__ = [
@@ -180,19 +180,20 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
         raise ValueError(f"seed must be four 3-points, got shape {seed.shape}")
     _seed_check(seed, float(f[0, 0]), tol_seed)
 
-    # The march runs v-major: q[j] holds vertex column v_min + j, so every
-    # marched row is contiguous.
-    q = np.empty((nv, nu, 3))
-    q[0, 0], q[0, 1], q[1, 0], q[1, 1] = seed
+    # The march runs component- and v-major: q[k, j] holds component k of
+    # vertex column v_min + j, so every marched row is contiguous and each
+    # per-vertex coefficient broadcasts along it.
+    q = np.empty((3, nv, nu))
+    q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1] = seed
 
     # Bottom two rows, marching +u.  Row 0 expands q11 through the face
     # above (v+1/2); row 1 through the face below (v-1/2); both faces are
     # the already-known strip j=0.
     for i in range(1, nu - 1):
         f_w = f[i - 1, 0]
-        q11 = ((f[i, 0] - f_w) * (q[:2, i] - q[:2, i - 1])
-               + a[i - 1, :2, None] * (q[1, i] - q[0, i])) / f_w
-        q[:2, i + 1] = 2.0 * q[:2, i] - q[:2, i - 1] + q11
+        q11 = ((f[i, 0] - f_w) * (q[:, :2, i] - q[:, :2, i - 1])
+               + a[i - 1, :2] * (q[:, 1, i] - q[:, 0, i])[:, None]) / f_w
+        q[:, :2, i + 1] = 2.0 * q[:, :2, i] - q[:, :2, i - 1] + q11
 
     # Remaining rows, marching +v with the q22 expansion through the face
     # below; every column except the last uses its right-hand face pair, so
@@ -200,16 +201,17 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
     f_t = np.ascontiguousarray(np.concatenate([f, f[-1:]]).T)
     df_t = f_t[1:] - f_t[:-1]
     b_t = np.ascontiguousarray(b.T)
-    q1p = np.empty((nu, 3))
+    q1p = np.empty((3, nu))
     for j in range(1, nv - 1):
-        np.subtract(q[j, 1:], q[j, :-1], out=q1p[:-1])
-        q1p[-1] = q1p[-2]
-        q22 = (b_t[j - 1, :, None] * q1p + df_t[j - 1, :, None] * (q[j] - q[j - 1])) \
-            / f_t[j - 1, :, None]
-        q[j + 1] = 2.0 * q[j] - q[j - 1] + q22
+        np.subtract(q[:, j, 1:], q[:, j, :-1], out=q1p[:, :-1])
+        q1p[:, -1] = q1p[:, -2]
+        q22 = (b_t[j - 1] * q1p + df_t[j - 1] * (q[:, j] - q[:, j - 1])) / f_t[j - 1]
+        q[:, j + 1] = 2.0 * q[:, j] - q[:, j - 1] + q22
 
-    # A contiguous u-major copy: dot3's summation order follows the layout.
-    positions = VertexGrid(dom, q.transpose(1, 0, 2).copy())
+    # One transposing copy into the u-major component planes of a grid.
+    planes = empty3((nu, nv, 3))
+    planes[...] = q.T
+    positions = VertexGrid(dom, planes)
     _two_way_sweep(positions, f, a, b, tol_compat)
     return Immersion(positions, (dom.u_min, dom.v_min), positions.values[0, 0])
 

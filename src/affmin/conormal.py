@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvexFace, NotHarmonic
-from .grids import FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, worst_index
+from .grids import FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, empty3, worst_index
 
 __all__ = [
     "TOL_HARMONIC",
@@ -120,7 +120,8 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     cancellation), so the internal tolerance applies.
     """
     spec.domain.require_faces("co-normal field")
-    nu = spec.u_part[:, None, :] + spec.v_part[None, :, :]
+    nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
+                out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
     return _build(VertexGrid(spec.domain, nu), TOL_HARMONIC_INTERNAL)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainTooSmall, IllDefinedForm
+from .errors import IllDefinedForm
 from .geometry import face_volumes
 from .grids import (TINY, BandMax, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
                     as_positions, cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean, mul3,
@@ -105,10 +105,7 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
 
 
 def _cubic_coefficients(q: VertexGrid, normals: FaceGrid, tol: float) -> CubicForm:
-    dom = q.domain
-    if dom.n_u < 3 or dom.n_v < 3:
-        raise DomainTooSmall(f"the cubic form needs at least 3 vertices along u and v, "
-                             f"got {dom.n_u} x {dom.n_v} on {dom}")
+    dom = q.domain.require_interior("the cubic form")
     areas = face_volumes(q).areas.values
     a = _Coefficient((dom.n_u - 2, dom.n_v), dom, 1, 0)
     b = _Coefficient((dom.n_u, dom.n_v - 2), dom, 0, 1)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import DomainMismatch, NonPositiveVolume
 from .grids import (TINY, BandMax, FaceGrid, VertexGrid, absmax, as_positions, cross3, d1, d2,
-                    d11, d12, d22, det3, div3, dot3, face_choice_mean, mul3, norm3, row_bands,
-                    worst_index)
+                    d11, d12, d22, det3, div3, dot3, empty3, face_choice_mean, mul3, norm3,
+                    row_bands, worst_index)
 
 __all__ = [
     "TOL_DUAL",
@@ -80,9 +80,9 @@ def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
     own = q.memo("face_volumes")   # a look-up only: computing it may raise
 
     def compute():
-        xi = np.empty(areas.values.shape + (3,))
+        xi = empty3(areas.values.shape + (3,))
         for _, band, rows, _ in row_bands(q, after=1):
-            xi[rows[1]] = div3(d12(band).values, areas.values[rows[1]])
+            div3(d12(band).values, areas.values[rows[1]], out=xi[rows[1]])
         return FaceGrid(q.domain, xi)
 
     if own is not None and areas is own.areas:
@@ -108,7 +108,7 @@ def recover_conormal(surface) -> ConormalRecovery:
     q = as_positions(surface)
     areas = face_volumes(q).areas.values
     dom = q.domain
-    mean = np.empty((dom.n_u, dom.n_v, 3))
+    mean = empty3((dom.n_u, dom.n_v, 3))
     worst = BandMax(dom)
     for lo, band, rows, own in row_bands(q, before=1, after=1):
         e1, e2, f = d1(band).values, d2(band).values, areas[rows[1]]

@@ -15,7 +15,10 @@ First differences move an index by one half step:
     d1: face   -> v-edge*     d2: face   -> u-edge*
 
 (* on the interior of the differenced direction).  All arrays are float64,
-dense, row-major with the u index first, and read-only after construction.
+dense, row-major with the u index first, and read-only after construction.  A
+3-vector grid stores its components as three contiguous ``(nu, nv)`` planes
+behind the ``(nu, nv, 3)`` view, so every component slice that a kernel
+reads is contiguous; ``empty3`` allocates that layout.
 
 The pointwise kernels shared by every certificate live here too: dot, cross
 and triple products, norm and largest |component| of 3-vector arrays, their
@@ -46,6 +49,7 @@ __all__ = [
     "d22",
     "d12",
     "TINY",
+    "empty3",
     "dot3",
     "cross3",
     "det3",
@@ -105,6 +109,13 @@ class GridDomain:
             raise DomainTooSmall(f"{what} needs at least one face, got {self}")
         return self
 
+    def require_interior(self, what: str):
+        """Raise, naming ``what`` and the box, unless the box has an interior vertex."""
+        if self.n_u < 3 or self.n_v < 3:
+            raise DomainTooSmall(f"{what} needs at least 3 vertices along u and v, "
+                                 f"got {self.n_u} x {self.n_v} on {self}")
+        return self
+
     def u_values(self) -> np.ndarray:
         return np.arange(self.u_min, self.u_max + 1)
 
@@ -131,7 +142,11 @@ class Grid:
     """Dense array of scalars or 3-vectors attached to one staggered lattice.
 
     ``values`` has shape ``(nu, nv)`` for scalars or ``(nu, nv, 3)`` for
-    vectors, where ``(nu, nv)`` depends on the lattice kind.  Values are
+    vectors, where ``(nu, nv)`` depends on the lattice kind.  Vectors are
+    stored as component planes (see ``empty3``): an array whose component
+    stride is not its largest (over the axes longer than 1), such as an
+    interleaved ``(nu, nv, 3)`` array, is copied into planes; any other array,
+    such as a row band of a grid, is kept as it is.  Values are
     frozen after construction; grids are safe to share across threads.
     Writing to the array a grid was built from, through another view, is
     unsupported: it would also stale what ``memo`` stored.
@@ -149,6 +164,11 @@ class Grid:
             )
         if values.ndim == 3 and values.shape[2] != 3:
             raise ValueError(f"vector grids must have 3 components, got {values.shape}")
+        if values.ndim == 3 and any(n > 1 and abs(step) > values.strides[2]
+                                    for n, step in zip(values.shape, values.strides[:2])):
+            planes = empty3(values.shape)
+            planes[...] = values
+            values = planes
         self.domain = domain
         self.values = values
         self.values.setflags(write=False)
@@ -318,17 +338,36 @@ def d12(grid: VertexGrid) -> FaceGrid:
     return FaceGrid(grid.domain, g[1:, 1:] + g[:-1, :-1] - g[1:, :-1] - g[:-1, 1:])
 
 
+def empty3(shape, dtype=float):
+    """Uninitialised array of 3-vectors (``shape`` ends in 3) stored as three
+    contiguous component planes: ``out[..., k]`` is C-contiguous."""
+    planes = np.empty((3,) + tuple(shape[:-1]), dtype)
+    return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
+
+
 def dot3(a, b):
-    """Dot product of 3-vector arrays along their last axis, in einsum's sum order."""
-    return np.einsum("...k,...k->...", a, b)
+    """Dot product of 3-vector arrays along their last axis, one component slice at a time.
+
+    The sum ((a0 b0 + a2 b2) + a1 b1) + 0.0 is the one ``np.einsum`` forms
+    over interleaved vectors into its zeroed output (a zero sum is never
+    -0.0), so these are einsum's bits on any memory layout; only the sign of
+    a NaN made from NaNs of both signs may differ.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 2] * b[..., 2]
+    out += a[..., 1] * b[..., 1]
+    out += 0.0
+    return out
 
 
 def cross3(a, b):
     """Cross product of broadcastable 3-vector arrays: numpy's sums, no input copies."""
     a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    out = empty3(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[..., k])
+        np.multiply(a[..., i], b[..., j], out=out[..., k])
+        out[..., k] -= a[..., j] * b[..., i]
     return out
 
 
@@ -344,7 +383,8 @@ def norm3(x):
 
 def absmax(x):
     """Largest |component| along the last axis (a NaN wins), one slice at a time."""
-    return functools.reduce(np.maximum, np.moveaxis(np.abs(x), -1, 0))
+    x = np.abs(x)
+    return functools.reduce(np.maximum, (x[..., k] for k in range(x.shape[-1])))
 
 
 def mul3(s, v):
@@ -353,16 +393,20 @@ def mul3(s, v):
     Of two NaN factors the product is s's NaN; numpy's broadcast returns either.
     """
     s, v = np.asarray(s), np.asarray(v)
-    out = np.empty(np.broadcast_shapes(s.shape + (1,), v.shape), np.result_type(s, v))
+    out = empty3(np.broadcast_shapes(s.shape + (1,), v.shape), np.result_type(s, v))
     for k in range(3):
         np.multiply(s, v[..., k], out=out[..., k])
     return out
 
 
-def div3(v, s):
-    """``v / s[..., None]``, bit for bit: one divide per component, no broadcast loop."""
+def div3(v, s, out=None):
+    """``v / s[..., None]``, bit for bit: one divide per component, no broadcast loop.
+
+    Written into ``out`` if given, else into new component planes.
+    """
     v, s = np.asarray(v), np.asarray(s)
-    out = np.empty(np.broadcast_shapes(v.shape, s.shape + (1,)), np.result_type(v, s))
+    if out is None:
+        out = empty3(np.broadcast_shapes(v.shape, s.shape + (1,)), np.result_type(v, s))
     for k in range(3):
         np.divide(v[..., k], s, out=out[..., k])
     return out
@@ -391,10 +435,12 @@ def face_choice_mean(choices, shape):
     ``choices`` yields (estimate, output slice) pairs; each output entry
     averages the estimates of the faces whose slices reach it.
     """
-    total = np.zeros(shape)
-    count = np.zeros(shape[:2])
-    lo = np.full(shape, np.inf)
-    hi = np.full(shape, -np.inf)
+    def filled(value):
+        out = (np.empty if len(shape) == 2 else empty3)(shape)
+        out.fill(value)
+        return out
+
+    total, count, lo, hi = filled(0.0), np.zeros(shape[:2]), filled(np.inf), filled(-np.inf)
     for est, sl in choices:
         total[sl] += est
         count[sl] += 1.0

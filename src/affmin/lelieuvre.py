@@ -17,7 +17,7 @@ import numpy as np
 from .conormal import ConormalField
 from .errors import DomainMismatch
 from .grids import (TINY, BandMax, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax, cross3,
-                    d1, d2, row_bands)
+                    d1, d2, empty3, row_bands)
 
 __all__ = [
     "TOL_INTEGRATE",
@@ -60,16 +60,16 @@ def lelieuvre_edges(vectors: VertexGrid) -> tuple[UEdgeGrid, VEdgeGrid]:
     return UEdgeGrid(vectors.domain, q1), VEdgeGrid(vectors.domain, q2)
 
 
-def _line_integral(steps: np.ndarray, anchor: int, start: np.ndarray) -> np.ndarray:
-    """Positions along one grid line given its steps and an anchored value."""
-    n = steps.shape[0] + 1
-    out = np.empty((n, 3))
+def _line_integral(steps: np.ndarray, anchor: int, start, out: np.ndarray):
+    """Fill ``out`` with positions along grid lines (axis 0) given their steps,
+    entry ``anchor`` holding ``start``; each sum runs outward from the anchor."""
     out[anchor] = start
-    if anchor < n - 1:
-        out[anchor + 1:] = start + np.cumsum(steps[anchor:], axis=0)
+    if anchor < len(out) - 1:
+        ahead = np.cumsum(steps[anchor:], axis=0, out=out[anchor + 1:])
+        np.add(start, ahead, out=ahead)
     if anchor > 0:
-        out[:anchor] = start - np.cumsum(steps[:anchor][::-1], axis=0)[::-1]
-    return out
+        behind = np.cumsum(steps[:anchor][::-1], axis=0, out=out[:anchor][::-1])
+        np.subtract(start, behind, out=behind)
 
 
 def integrate(field: ConormalField, base_vertex=None, base_value=None) -> Immersion:
@@ -91,10 +91,9 @@ def integrate(field: ConormalField, base_vertex=None, base_value=None) -> Immers
     jb = base_vertex[1] - dom.v_min
 
     q1, q2 = lelieuvre_edges(field.vectors)
-    q = np.empty((dom.n_u, dom.n_v, 3))
-    q[:, jb] = _line_integral(q1.values[:, jb], ib, base_value)
-    for i in range(dom.n_u):
-        q[i] = _line_integral(q2.values[i], jb, q[i, jb])
+    q = empty3((dom.n_u, dom.n_v, 3))
+    _line_integral(q1.values[:, jb], ib, base_value, q[:, jb])
+    _line_integral(np.moveaxis(q2.values, 1, 0), jb, q[:, jb], np.moveaxis(q, 1, 0))
     return Immersion(VertexGrid(dom, q), base_vertex, base_value)
 
 

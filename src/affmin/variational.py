@@ -45,7 +45,7 @@ def area_gradient(surface) -> VertexGrid:
     Identically zero (to rounding) exactly on discrete affine minimal nets.
     """
     q = as_positions(surface)
-    q.domain.interior()  # raises DomainTooSmall when no interior vertex exists
+    q.domain.require_interior("the area gradient")
     return _gradient(q, face_volumes(q).areas.values)
 
 
@@ -87,7 +87,7 @@ def fd_gradient_check(surface, vertex, direction, h: float) -> FdGradientCheck:
     Both probes must keep every face volume positive.
     """
     q = as_positions(surface)
-    dom = q.domain
+    dom = q.domain.require_interior("the finite-difference gradient check")
     if not dom.interior().contains_vertex(*vertex):
         raise IndexError(f"vertex {vertex} is not interior to {dom}")
     direction = np.asarray(direction, dtype=float)

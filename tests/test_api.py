@@ -7,8 +7,14 @@
   module's ``__all__``, where the module has one.
 * The certificate modules multiply and divide 3-vector grids by scalar grids
   through ``grids.mul3``/``div3``, never through a ``s[..., None]`` operand,
-  which makes numpy loop over the length-3 axis.  ``reconstruct``'s row march
-  is exempt: there the per-component calls measured slower.
+  which makes numpy loop over the length-3 axis.  ``reconstruct``'s march is
+  exempt: it runs on a component-major array, where such an operand
+  broadcasts a per-vertex coefficient along a row of one component.
+* Outside ``grids.py`` no module allocates an array of 3-vectors itself
+  (``np.empty``/``zeros``/``ones``/``full`` with a shape ending in 3) or
+  sums over the component axis with ``np.einsum("...k...")``: 3-vector
+  arrays come from ``grids.empty3`` and the grid kernels, so they are stored
+  as component planes and summed in one order.
 """
 
 import ast
@@ -129,3 +135,47 @@ def test_guard_sees_an_unused_import():
     tree = ast.parse("from .errors import DomainMismatch, DomainTooSmall\n"
                      "raise DomainMismatch('x')\n")
     assert set(imported_names(tree)) - used_names(tree) == {"DomainTooSmall"}
+
+
+def vector_layout_breaches(tree: ast.AST) -> list:
+    """Lines that allocate an array of 3-vectors with np.empty, zeros, ones or full
+    (a shape tuple ending in 3, or ``shape + (..., 3)``), or call np.einsum with
+    subscripts over ``...``."""
+    def ends_in_three(shape):
+        if isinstance(shape, ast.BinOp) and isinstance(shape.op, ast.Add):
+            shape = shape.right
+        elif not (isinstance(shape, ast.Tuple) and len(shape.elts) >= 2):
+            return False
+        return (isinstance(shape, ast.Tuple) and isinstance(shape.elts[-1], ast.Constant)
+                and shape.elts[-1].value == 3)
+
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                and node.args):
+            continue
+        first, attr = node.args[0], node.func.attr
+        if ((attr in ("empty", "zeros", "ones", "full") and ends_in_three(first))
+                or (attr == "einsum" and isinstance(first, ast.Constant)
+                    and "..." in str(first.value))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grids.py"],
+                         ids=lambda p: p.stem)
+def test_vector_arrays_come_from_the_kernels(path):
+    lines = vector_layout_breaches(parse(path))
+    assert not lines, (f"{path.name} allocates 3-vectors or sums them with einsum "
+                       f"outside grids.py on lines {lines}")
+
+
+def test_guard_sees_an_interleaved_allocation():
+    tree = ast.parse("q = np.empty((nu, nv, 3))\n"
+                     "xi = np.zeros(f.shape + (3,))\n"
+                     "lo = np.full((n, 3), np.inf)\n"
+                     "d = np.einsum('...k,...k->...', a, b)\n"
+                     "ok = np.empty((3, nv, nu)), np.zeros(3), np.ones(f.shape)\n"
+                     "ok = np.einsum('i,j,ij->', w, w, e), empty3((nu, nv, 3))\n")
+    assert vector_layout_breaches(tree) == [1, 2, 3, 4]

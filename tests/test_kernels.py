@@ -2,10 +2,12 @@
 
 ``absmax``, ``cross3`` and ``norm3`` must give the very bits of
 ``np.abs(x).max(axis=-1)``, ``np.cross`` and ``np.linalg.norm(x, axis=-1)``,
-and ``mul3``/``div3`` those of ``s[..., None] * v`` and ``v / s[..., None]``,
+``dot3`` those of ``np.einsum`` on interleaved vectors, and ``mul3``/``div3``
+those of ``s[..., None] * v`` and ``v / s[..., None]``, on any memory layout,
 so the certificates below are pinned as ``float.hex`` strings: non-dyadic
 residuals that the golden artifact digests of the paraboloid do not cover.
 A residual scaled by |s| * absmax(v) must equal one scaled by absmax(s * v).
+Every 3-vector grid that the package produces is stored as component planes.
 """
 
 import numpy as np
@@ -14,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import affmin as am
-from affmin.grids import absmax, cross3, div3, mul3, norm3, relative_residual
+from affmin.gridio import read_grid, write_grid
+from affmin.grids import (VertexGrid, absmax, cross3, div3, dot3, empty3, mul3, norm3,
+                          relative_residual)
 
 SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300,
                     1.0, -3.5, 0.1])
@@ -124,6 +128,118 @@ class TestScalarProducts:
     def test_every_pair_of_special_values(self):
         s, v = np.meshgrid(SPECIAL, SPECIAL, indexing="ij")
         check_scalar_products(s, np.stack([v, v[::-1], np.roll(v, 5, axis=1)], axis=-1))
+
+
+def planes(x):
+    """A copy of ``x`` stored as component planes."""
+    out = empty3(x.shape)
+    out[...] = x
+    return out
+
+
+# Views holding the values of x in each memory layout a kernel may meet.
+LAYOUTS = {
+    "interleaved": np.ascontiguousarray,
+    "planar": planes,
+    "sliced interleaved": lambda x: np.stack([x, x], axis=-2)[..., 1, :],
+    "sliced planar": lambda x: planes(np.stack([x, x], axis=-2))[..., 1, :],
+    "reversed planar": lambda x: planes(x[::-1])[::-1] if x.ndim > 1 else planes(x),
+}
+
+
+def interleaved(x, shape):
+    return np.ascontiguousarray(np.broadcast_to(x, shape))
+
+
+def check_vector_kernels(a, b, nan_sign=True):
+    """dot3 and cross3 against np.einsum and np.cross on interleaved copies of
+    the broadcast operands; mul3 and div3 against the broadcast products."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a_i, b_i = interleaved(a, shape), interleaved(b, shape)
+    with np.errstate(all="ignore"):
+        dot, expected = dot3(a, b), np.einsum("...k,...k->...", a_i, b_i)
+        assert_same_bits(cross3(a, b), np.cross(a_i, b_i))
+    if not nan_sign:
+        # The sign of a NaN sum of NaNs of both signs follows einsum's
+        # operand order, which no sequence of ufunc calls reproduces.
+        dot, expected = (np.where(np.isnan(x), np.nan, x) for x in (dot, expected))
+    assert_same_bits(dot, expected)
+    check_scalar_products(a[..., 0], b)
+
+
+class TestStorage:
+    def test_allocator_gives_contiguous_planes(self):
+        for shape in ((3,), (4, 3), (5, 7, 3), (0, 2, 3)):
+            x = empty3(shape)
+            assert x.shape == shape
+            assert all(x[..., k].flags.c_contiguous for k in range(3))
+
+    def test_interleaved_input_is_copied_into_planes(self, rng):
+        x = rng.standard_normal((5, 4, 3))
+        grid = VertexGrid(am.GridDomain(0, 4, 0, 3), x)
+        assert np.array_equal(grid.values, x) and not np.shares_memory(grid.values, x)
+        assert all(grid.values[..., k].flags.c_contiguous for k in range(3))
+
+    def test_planar_input_and_band_views_are_kept(self, rng):
+        x = planes(rng.standard_normal((5, 4, 3)))
+        grid = VertexGrid(am.GridDomain(0, 4, 0, 3), x)
+        assert np.shares_memory(grid.values, x)
+        band = VertexGrid(am.GridDomain(1, 3, 0, 3), grid.values[1:4])
+        assert np.shares_memory(band.values, x)
+        one_row = grid.values[2:3] + 0.0   # its own strides along the length-1 axis
+        assert VertexGrid(am.GridDomain(2, 2, 0, 3), one_row).values is one_row
+
+    def test_every_vector_grid_is_planar(self, tmp_path):
+        def assert_planes(grid):
+            assert grid.components == 3
+            assert all(grid.values[..., k].flags.c_contiguous for k in range(3)), grid
+
+        box = am.GridDomain(1, 9, 1, 8)
+        fields = [am.helicoid(16, (-4, 4), (0, 7)), am.minimal_cubic(box),
+                  am.hyperbolic_paraboloid(box), am.improper_sphere(am.GridDomain(9, 17, 0, 7))]
+        for field in fields:
+            assert_planes(field.vectors)
+            surf = am.integrate(field, (field.domain.u_min + 2, field.domain.v_min + 3))
+            assert_planes(surf.positions)
+            assert_planes(am.affine_normal(surf, am.face_volumes(surf).areas))
+            assert_planes(am.recover_conormal(surf).vectors)
+            assert_planes(am.reconstruct(am.extract_fundamental_data(surf)).positions)
+            assert_planes(am.area_gradient(surf))
+            write_grid(surf.positions, tmp_path / "q.json")
+            assert_planes(read_grid(tmp_path / "q.json"))
+
+
+class TestVectorKernelLayouts:
+    @pytest.mark.parametrize("layout_a", LAYOUTS)
+    @pytest.mark.parametrize("layout_b", LAYOUTS)
+    def test_layout_pairs(self, pair, layout_a, layout_b):
+        check_vector_kernels(LAYOUTS[layout_a](pair[0]), LAYOUTS[layout_b](pair[1]))
+
+    def test_broadcast_shapes(self, rng):
+        a, b = planes(rng.standard_normal((4, 1, 3))), rng.standard_normal((5, 3))
+        check_vector_kernels(a, b)
+        check_vector_kernels(b, a)
+        check_vector_kernels(rng.standard_normal(3), planes(rng.standard_normal((6, 5, 3))))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_triple_of_special_values(self, layout):
+        grid = np.stack(np.meshgrid(SPECIAL, SPECIAL, SPECIAL, indexing="ij"), axis=-1)
+        a = LAYOUTS[layout](grid.reshape(-1, 3))
+        check_vector_kernels(a, np.ascontiguousarray(a[::-1]))
+        check_vector_kernels(planes(np.roll(a, 7, axis=0)), a)
+
+
+@st.composite
+def vector_pairs_in_layouts(draw):
+    a, b = draw(vector_pairs())
+    layouts = st.sampled_from(list(LAYOUTS.values()))
+    return draw(layouts)(a), draw(layouts)(b)
+
+
+@given(vector_pairs_in_layouts())
+@settings(max_examples=150, deadline=None)
+def test_random_vector_kernels_in_layouts(pair):
+    check_vector_kernels(*pair, nan_sign=False)
 
 
 @st.composite

@@ -186,6 +186,16 @@ class TestFdGradientCheck:
         with pytest.raises(IndexError):
             fd_gradient_check(surf, (surf.domain.u_min, 3), (0, 0, 1), 1e-5)
 
+    def test_box_without_interior_names_the_check_and_the_box(self):
+        surf = integrate(am.minimal_cubic(GridDomain(1, 6, 1, 2)))
+        for call, what in ((lambda: am.area_gradient(surf), "the area gradient"),
+                           (lambda: fd_gradient_check(surf, (3, 1), (0, 0, 1), 1e-5),
+                            "the finite-difference gradient check")):
+            with pytest.raises(am.DomainTooSmall) as err:
+                call()
+            assert str(err.value) == (f"{what} needs at least 3 vertices along u and v, "
+                                      f"got 6 x 2 on {surf.domain}")
+
     def test_probe_crossing_degeneracy_rejected(self, paraboloid):
         _, surf = paraboloid
         with pytest.raises(NonPositiveVolume):
