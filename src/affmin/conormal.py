@@ -103,8 +103,10 @@ def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
     residuals = absmax(d12(vectors).values)
     max_residual = float(residuals.max())
     if not max_residual <= tol_harmonic:
-        bad = np.argwhere(~(residuals <= tol_harmonic))
-        raise NotHarmonic(max_residual, [(dom.u_min + i, dom.v_min + j) for i, j in bad])
+        worst = worst_index(residuals, dom)
+        bad = [(dom.u_min + int(i), dom.v_min + int(j))
+               for i, j in np.argwhere(~(residuals <= tol_harmonic))]
+        raise NotHarmonic(max_residual, [worst] + [face for face in bad if face != worst])
 
     areas = face_area_density(vectors)
     lowest = areas.values.min()

@@ -18,7 +18,8 @@ class NotHarmonic(AffminError):
 
     Attributes:
         max_residual: worst |mixed difference| component over all faces.
-        faces: list of (u, v) face indices whose residual exceeds tolerance.
+        faces: (u, v) indices of the faces whose residual exceeds tolerance,
+            the worst first, then in row-major order.
     """
 
     def __init__(self, max_residual, faces):
@@ -26,7 +27,7 @@ class NotHarmonic(AffminError):
         self.faces = list(faces)
         super().__init__(
             f"co-normal field is not harmonic: max residual {max_residual:.3e} "
-            f"on {len(self.faces)} face(s), worst at {self.faces[:4]}"
+            f"on {len(self.faces)} face(s), worst first: {self.faces[:4]}"
         )
 
 

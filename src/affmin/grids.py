@@ -146,10 +146,11 @@ class Grid:
     stored as component planes (see ``empty3``): an array whose component
     stride is not its largest (over the axes longer than 1), such as an
     interleaved ``(nu, nv, 3)`` array, is copied into planes; any other array,
-    such as a row band of a grid, is kept as it is.  Values are
-    frozen after construction; grids are safe to share across threads.
-    Writing to the array a grid was built from, through another view, is
-    unsupported: it would also stale what ``memo`` stored.
+    such as a row band of a grid, is kept as it is.  ``values`` is read-only
+    (a read-only view of a writable array), so grids are safe to share
+    across threads; the array a grid was built from stays as writable as it
+    was, but writing to it is unsupported: it would also stale what ``memo``
+    stored.
     """
 
     kind = "abstract"
@@ -170,7 +171,9 @@ class Grid:
             planes[...] = values
             values = planes
         self.domain = domain
-        self.values = values
+        # Freeze a view, so the caller's array stays writable; a read-only
+        # array (such as a band of a grid) is kept as it is.
+        self.values = values.view() if values.flags.writeable else values
         self.values.setflags(write=False)
 
     # Leading (nu, nv) shape for this lattice kind on the given domain.

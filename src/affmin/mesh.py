@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import face_volumes
-from .grids import GridDomain, VertexGrid, as_positions, det3, worst_index
+from .grids import GridDomain, VertexGrid, as_positions, det3, empty3, worst_index
 
 __all__ = [
     "patch_point",
@@ -25,8 +25,9 @@ __all__ = [
 ]
 
 
-# Rows formatted per write: enough that one ``%`` call per block costs
-# nothing next to its rows, few enough that a block's text stays a few MB.
+# Rows formatted per write: enough that the fixed cost of a block (one
+# ``%`` call, a few numpy passes) is nothing next to its rows, few enough
+# that a block's text stays a few MB.
 _BLOCK_ROWS = 1 << 15
 
 
@@ -110,27 +111,29 @@ def _lattice_points(p: np.ndarray, res: int, i0: int, i1: int) -> np.ndarray:
     """Lattice rows i0..i1-1 of the patches over the corner array ``p``, as (n, 3).
 
     Every point depends only on its own lattice index, so a range of rows
-    holds the same bits as those rows of the full lattice.
+    holds the same bits as those rows of the full lattice.  Each component
+    plane sums w00 c00 + w10 c10 + w01 c01 + w11 c11 left to right, the
+    order of ``patch_point``.
     """
     nfu, nfv = p.shape[0] - 1, p.shape[1] - 1
     gi = np.arange(i0, i1)
     gj = np.arange(nfv * res + 1)
     fi = np.minimum(gi // res, nfu - 1)
     fj = np.minimum(gj // res, nfv - 1)
-    s = (gi - fi * res) / float(res)
+    s = ((gi - fi * res) / float(res))[:, None]
     t = (gj - fj * res) / float(res)
+    w00, w10, w01, w11 = (1.0 - s) * (1.0 - t), s * (1.0 - t), (1.0 - s) * t, s * t
 
-    c00 = p[np.ix_(fi, fj)]
-    c10 = p[np.ix_(fi + 1, fj)]
-    c01 = p[np.ix_(fi, fj + 1)]
-    c11 = p[np.ix_(fi + 1, fj + 1)]
-    ss = s[:, None, None]
-    tt = t[None, :, None]
+    points = empty3((len(gi), len(gj), 3))
     # A non-finite corner spoils its points quietly (0 * inf is NaN), so
     # _require_finite can name the mesh vertex under any numpy error state.
     with np.errstate(invalid="ignore", over="ignore"):
-        points = ((1.0 - ss) * (1.0 - tt)) * c00 + (ss * (1.0 - tt)) * c10 \
-            + ((1.0 - ss) * tt) * c01 + (ss * tt) * c11
+        for k in range(3):
+            near, far = p[fi, :, k], p[fi + 1, :, k]
+            plane = np.multiply(w00, near[:, fj], out=points[..., k])
+            plane += w10 * far[:, fj]
+            plane += w01 * near[:, fj + 1]
+            plane += w11 * far[:, fj + 1]
     return points.reshape(-1, 3)
 
 
@@ -145,13 +148,41 @@ def _cell_triangles(nj: int, c0: int, c1: int) -> np.ndarray:
     return np.stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1], axis=1).reshape(-1, 3)
 
 
+def _face_lines(block: np.ndarray) -> str:
+    """OBJ face lines ``f i j k`` of a 0-based (m, 3) triangle block, 1-based.
+
+    Each index is spelled as ``%d`` spells it, in exact integer arithmetic,
+    into a zeroed byte table with one row per character position and one
+    column per triangle: every index gets a space and one slot per digit of
+    the block's largest index, and the slots above its leading digit stay
+    0.  Deleting the 0 bytes from the transposed table leaves the lines.
+    """
+    top = int(block.max(initial=0)) + 1
+    x = block.T.astype(np.uint32 if top < 1 << 32 else np.uint64, order="C")
+    x += 1
+    digits = len(str(top))
+    text = np.zeros((3 * (digits + 1) + 2, len(block)), np.uint8)
+    text[0], text[-1] = ord("f"), ord("\n")
+    fields = text[1:-1].reshape(3, digits + 1, -1)
+    fields[:, 0] = ord(" ")
+    for slot in range(digits, 0, -1):
+        q = x // 10
+        d = x - 10 * q
+        d += ord("0")
+        d *= x > 0
+        fields[:, slot] = d
+        x = q
+    return text.T.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def _write_obj(path, vertex_blocks, triangle_blocks):
     """Write (n, 3) vertex blocks, then 0-based (m, 3) triangle blocks, as OBJ.
 
-    Rows are formatted a block at a time by one ``%`` over a repeated line
-    template; ``%.17g`` and ``%d`` spell a float and an int exactly as
-    ``f"{x:.17g}"`` and ``str(i)`` do.  If anything fails once the file is
-    open (including a block generator raising), the partial file is removed.
+    Vertex rows are formatted a block at a time by one ``%`` over a repeated
+    line template; ``%.17g`` spells a float exactly as ``f"{x:.17g}"`` does.
+    Triangle rows are spelled by ``_face_lines``, as ``str(i)`` spells each
+    int.  If anything fails once the file is open (including a block
+    generator raising), the partial file is removed.
     """
     try:
         with open(path, "w", encoding="ascii") as handle:
@@ -160,8 +191,7 @@ def _write_obj(path, vertex_blocks, triangle_blocks):
                     handle.write("v %.17g %.17g %.17g\n" * len(block)
                                  % tuple(block.ravel().tolist()))
                 for block in triangle_blocks:
-                    handle.write("f %d %d %d\n" * len(block)
-                                 % tuple((block + 1).ravel().tolist()))
+                    handle.write(_face_lines(block))
             except BaseException:
                 handle.close()
                 with contextlib.suppress(OSError):

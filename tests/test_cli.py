@@ -109,6 +109,20 @@ class TestIntegrateAndCheck:
                        "of the box (0, 5, 0, 5)\n")
         assert not out.exists()
 
+    def test_integrate_names_the_worst_face_of_a_non_harmonic_file_first(self, tmp_path, capsys,
+                                                                          paraboloid_files):
+        conormal, _ = paraboloid_files
+        body = json.loads(conormal.read_text())
+        body["values"][(1 * 6 + 1) * 3 + 2] += 0.5   # vertex (1, 1)
+        body["values"][(4 * 6 + 4) * 3 + 2] += 2.0   # vertex (4, 4)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        capsys.readouterr()
+        assert run("integrate", "--conormal", bad, "--out", tmp_path / "s.json") == 1
+        assert capsys.readouterr().err == (
+            "error: co-normal field is not harmonic: max residual 2.000e+00 on 8 face(s), "
+            "worst first: [(3, 3), (0, 0), (0, 1), (1, 0)]\n")
+
     def test_check_passes(self, tmp_path, paraboloid_files):
         conormal, surface = paraboloid_files
         report = tmp_path / "report.json"
@@ -315,6 +329,13 @@ class TestPipeline:
                    "--outdir", tmp_path) == 0
         for name, digest in GOLDEN_ROUNDED[example, box, n].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_golden_mesh_with_six_digit_face_indices(self, tmp_path):
+        # 255,025 vertices: the res-8 face lines spell indices of 1 to 6 digits.
+        assert run("pipeline", "--example", "cubic", "--box", 1, 64, 1, 64,
+                   "--outdir", tmp_path) == 0
+        digest = hashlib.sha256((tmp_path / "mesh_res8.obj").read_bytes()).hexdigest()
+        assert digest == "89b3b1bd49be3f7caf7874500d29b6b2df9521329f7e9fe787efa3dbc1b49e6c"
 
     def test_thin_box_names_the_size_requirement(self, tmp_path, capsys):
         # Two vertices along u: the cubic form has no u-interior vertex.

@@ -187,7 +187,14 @@ class TestStorage:
         band = VertexGrid(am.GridDomain(1, 3, 0, 3), grid.values[1:4])
         assert np.shares_memory(band.values, x)
         one_row = grid.values[2:3] + 0.0   # its own strides along the length-1 axis
-        assert VertexGrid(am.GridDomain(2, 2, 0, 3), one_row).values is one_row
+        assert VertexGrid(am.GridDomain(2, 2, 0, 3), one_row).values.base is one_row
+
+    def test_the_source_array_stays_writable(self, rng):
+        dom = am.GridDomain(0, 4, 0, 3)
+        for x in (rng.standard_normal((5, 4)), planes(rng.standard_normal((5, 4, 3)))):
+            grid = VertexGrid(dom, x)
+            assert x.flags.writeable and not grid.values.flags.writeable
+            assert np.shares_memory(grid.values, x)
 
     def test_every_vector_grid_is_planar(self, tmp_path):
         def assert_planes(grid):

@@ -148,6 +148,36 @@ def test_empty_obj_is_an_empty_file(tmp_path):
     assert (ours, theirs) == (b"", b"\n")
 
 
+def test_face_indices_straddling_every_power_of_ten_match_reference(tmp_path):
+    # 1-based 9, 10, 11, 99, 100, 101, ..., 10^7 + 1 next to 1-digit indices,
+    # so the rows of one block have different widths.
+    big = np.array([10 ** e + d for e in range(1, 8) for d in (-2, -1, 0)])
+    triangles = np.stack([big, np.roll(big, 1), np.arange(len(big)) % 3], axis=1)
+    ours, theirs = obj_bytes(tmp_path, np.array(SPECIAL).reshape(-1, 3), triangles)
+    assert ours == theirs
+    assert b"\nf 9 10000001 1\nf 10 9 2\n" in ours
+
+
+@pytest.mark.parametrize("top", [0, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 63 - 2])
+def test_face_lines_spell_like_percent_d(top):
+    # 2^32 - 1 is the largest 1-based index spelled in uint32 arithmetic.
+    block = np.array([[top, 0, top], [top // 10, top, 7], [0, 0, 0]])
+    assert mesh_module._face_lines(block) == "f %d %d %d\n" * 3 % tuple((block + 1).ravel().tolist())
+
+
+@pytest.mark.parametrize("u_range, v_range, res", [((-2, 2), (0, 7), 3), ((0, 1), (0, 5), 3),
+                                                   ((-3, 2), (4, 5), 2)])
+def test_lattice_points_equal_reference_bit_for_bit(u_range, v_range, res):
+    surf = am.integrate(am.helicoid(12, u_range, v_range))
+    positions, _ = reference_mesh(surf, res)
+    p = surf.positions.values
+    ni, nj = (surf.domain.n_u - 1) * res + 1, (surf.domain.n_v - 1) * res + 1
+    lattice = mesh_module._lattice_points(p, res, 0, ni)
+    assert np.ascontiguousarray(lattice).tobytes() == positions.tobytes()
+    band = mesh_module._lattice_points(p, res, 1, 3)   # rows of the full lattice
+    assert np.ascontiguousarray(band).tobytes() == positions[nj:3 * nj].tobytes()
+
+
 def test_dumps_json_matches_reference(helicoid):
     _, surf = helicoid
     obj = {
