@@ -4,9 +4,16 @@ Exit codes: 0 on success, 1 when a certificate or data check fails, 2 for
 usage and I/O errors.  All artifact files (grid JSON, forms bundles, OBJ
 meshes) are byte-deterministic across runs; the pipeline run report is the
 one exception, because it records wall time.
+
+Each report section is its certificate's record (``_record``): the report
+dataclass's fields without grids, plus any overrides (``saddle_failures``
+keeps the first 8).  ``path_independence``, ``area_density_bridge``,
+``forms`` and ``compatibility`` are literal dicts.
 """
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import os
 import sys
@@ -53,7 +60,7 @@ from .gridio import (
     write_grid,
     write_json,
 )
-from .grids import TINY, GridDomain
+from .grids import TINY, Grid, GridDomain
 from .lelieuvre import (
     TOL_INTEGRATE,
     Immersion,
@@ -117,72 +124,43 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _record(report, **extra) -> dict:
+    """The dataclass fields of ``report`` except grids, then ``extra``; an
+    ``extra`` key naming a field replaces that field's value in place."""
+    record = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+              if not isinstance(getattr(report, f.name), Grid)}
+    record.update(extra)
+    return record
+
+
 def _surface_checks(surface: Immersion, field: ConormalField | None, tols) -> dict:
     """Run the geometry (and, with a field, the Lelieuvre) certificates."""
     vols = face_volumes(surface)
     normals = affine_normal(surface, vols.areas)
-    asym = asymptotic_certificate(surface, tols["asymptotic"], tols["asymptotic"])
     recovery = recover_conormal(surface)
-
+    nu = recovery.vectors if field is None else field.vectors
+    extra = {}
     if field is not None:
-        nu = field.vectors
-        bridge = float(np.abs(field.areas.values / vols.areas.values - 1.0).max())
-        lel = verify_lelieuvre(surface, field, tols["integrate"])
+        # Raises DomainMismatch before the bridge divides grids of other shapes.
+        extra["lelieuvre"] = _record(verify_lelieuvre(surface, field, tols["integrate"]))
         closure = path_independence_residual(field)
-        closure_scale = float(np.abs(nu.values).max()) ** 2
-        extra = {
-            "lelieuvre": {
-                "max_residual": lel.max_residual,
-                "edge_scale": lel.edge_scale,
-                "worst_edge": list(lel.worst_edge),
-                "passed": lel.passed,
-            },
-            "path_independence": {
-                "residual": closure,
-                "passed": closure <= tols["integrate"] * max(closure_scale, 1.0),
-            },
-            "area_density_bridge": {
-                "max_relative_gap": bridge,
-                "passed": bridge <= tols["dual"],
-            },
-        }
-    else:
-        nu = recovery.vectors
-        extra = {}
-
+        closure_scale = max(float(np.abs(nu.values).max()) ** 2, 1.0)
+        extra["path_independence"] = {"residual": closure,
+                                      "passed": closure <= tols["integrate"] * closure_scale}
+        bridge = float(np.abs(field.areas.values / vols.areas.values - 1.0).max())
+        extra["area_density_bridge"] = {"max_relative_gap": bridge,
+                                        "passed": bridge <= tols["dual"]}
     planar = planarity_and_saddle(surface, nu, tols["dual"])
-    dual = duality_certificate(nu, normals, vols.areas, tols["dual"])
-
     report = {
-        "asymptotic": {
-            "max_zero_residual": asym.max_zero_residual,
-            "worst_zero_vertex": list(asym.worst_zero_vertex),
-            "max_mixed_residual": asym.max_mixed_residual,
-            "worst_mixed_face": list(asym.worst_mixed_face),
-            "passed": asym.passed,
-        },
-        "conormal_recovery": {
-            "max_deviation": recovery.max_deviation,
-            "worst_vertex": list(recovery.worst_vertex),
-            "passed": recovery.max_deviation <= tols["dual"],
-        },
-        "planar_saddle": {
-            "max_orthogonality_residual": planar.max_orthogonality_residual,
-            "worst_vertex": list(planar.worst_vertex),
-            "saddle_ok": planar.saddle_ok,
-            "saddle_failures": [list(x) for x in planar.saddle_failures[:8]],
-            "passed": planar.passed,
-        },
-        "duality": {
-            "max_pairing_residual": dual.max_pairing_residual,
-            "max_cross_residual": dual.max_cross_residual,
-            "passed": dual.passed,
-        },
+        "asymptotic": _record(asymptotic_certificate(surface, tols["asymptotic"],
+                                                     tols["asymptotic"])),
+        "conormal_recovery": _record(recovery,
+                                     passed=recovery.max_deviation <= tols["dual"]),
+        "planar_saddle": _record(planar, saddle_failures=planar.saddle_failures[:8]),
+        "duality": _record(duality_certificate(nu, normals, vols.areas, tols["dual"])),
+        **extra,
     }
-    report.update(extra)
-    report["passed"] = all(
-        section["passed"] for section in report.values() if isinstance(section, dict)
-    )
+    report["passed"] = all(section["passed"] for section in report.values())
     return report
 
 
@@ -271,14 +249,9 @@ def _cmd_compare(args) -> int:
         }, args.report)
         print(f"compare: NOT equivalent (gap {exc.gap:.3e} at {exc.vertex})")
         return 1
-    write_json({
-        "equivalent": True,
-        "linear": [list(row) for row in mapping.linear],
-        "translation": list(mapping.translation),
-        "det": mapping.det,
-        "unimodular": bool(abs(abs(mapping.det) - 1.0) <= tols["equiv"]),
-        "tolerance": tols["equiv"],
-    }, args.report)
+    write_json({"equivalent": True, **_record(
+        mapping, det=mapping.det, unimodular=abs(abs(mapping.det) - 1.0) <= tols["equiv"],
+        tolerance=tols["equiv"])}, args.report)
     print(f"compare: equivalent, det = {mapping.det:.12g}")
     return 0
 
@@ -317,15 +290,12 @@ def _cmd_pipeline(args) -> int:
     tols = _tols(args)
     os.makedirs(args.outdir, exist_ok=True)
     box = tuple(args.box) if args.box else DEFAULT_BOXES[args.example]
-    paths = {name: os.path.join(args.outdir, name) for name in (
-        "conormal.json", "surface.json", "check_report.json", "forms.json",
-        "reconstructed.json", "pipeline_report.json",
-    )}
+    path = functools.partial(os.path.join, args.outdir)
 
     field = _generate_field(args.example, box, args.n)
-    write_grid(field.vectors, paths["conormal.json"])
+    write_grid(field.vectors, path("conormal.json"))
     surface = integrate(field)
-    write_grid(surface.positions, paths["surface.json"])
+    write_grid(surface.positions, path("surface.json"))
 
     report = {
         "command": "pipeline",
@@ -335,7 +305,7 @@ def _cmd_pipeline(args) -> int:
         "tolerances": tols,
     }
     checks = _surface_checks(surface, field, tols)
-    write_json(checks, paths["check_report.json"])
+    write_json(checks, path("check_report.json"))
 
     vols = face_volumes(surface)
     normals = affine_normal(surface, vols.areas)
@@ -345,7 +315,7 @@ def _cmd_pipeline(args) -> int:
     normal_derivs = normal_derivative_residuals(surface, normals, vols.areas,
                                                 derivs, tols["forms"])
     data = FundamentalData(vols.areas, form.u_coeff, form.v_coeff)
-    write_forms(data, paths["forms.json"])
+    write_forms(data, path("forms.json"))
     forms_report = {
         "max_face_choice_spread": max(form.max_spread_u, form.max_spread_v),
         "structural_max_residual": structural.max_residual,
@@ -365,7 +335,7 @@ def _cmd_pipeline(args) -> int:
     roundtrip_gap = float(np.abs(roundtrip.positions.values - p).max()) / scale
     canonical = reconstruct(data, canonical_seed(float(data.areas.values[0, 0])),
                             tols["seed"], tols["compat"])
-    write_grid(canonical.positions, paths["reconstructed.json"])
+    write_grid(canonical.positions, path("reconstructed.json"))
     mapping = affine_equivalence(canonical, surface, tols["equiv"])
     compat_report = {
         "residuals": list(residuals),
@@ -379,25 +349,14 @@ def _cmd_pipeline(args) -> int:
     }
 
     crit = criticality_certificate(surface, tols["crit"])
-    crit_report = {
-        "max_gradient": crit.max_gradient,
-        "mean_area": crit.mean_area,
-        "vacuous": crit.vacuous,
-        "passed": crit.passed,
-        "affine_area": affine_area(surface),
-    }
 
     meshes = {}
     for res in args.resolutions:
-        mesh_path = os.path.join(args.outdir, f"mesh_res{res}.obj")
-        meshes[f"mesh_res{res}.obj"] = export_surface_obj(surface, res, mesh_path)._asdict()
-
-    digests = {}
-    for name in ("conormal.json", "surface.json", "forms.json", "reconstructed.json"):
-        digests[name] = _sha256(paths[name])
-    for res in args.resolutions:
         name = f"mesh_res{res}.obj"
-        digests[name] = _sha256(os.path.join(args.outdir, name))
+        meshes[name] = export_surface_obj(surface, res, path(name))._asdict()
+
+    digests = {name: _sha256(path(name)) for name in (
+        "conormal.json", "surface.json", "forms.json", "reconstructed.json", *meshes)}
 
     passed = bool(checks["passed"] and forms_report["passed"]
                   and compat_report["passed"] and crit.passed)
@@ -406,12 +365,12 @@ def _cmd_pipeline(args) -> int:
         "certificates": checks,
         "forms": forms_report,
         "compatibility": compat_report,
-        "criticality": crit_report,
+        "criticality": _record(crit, affine_area=affine_area(surface)),
         "meshes": meshes,
         "passed": passed,
         "wall_time_s": time.perf_counter() - started,
     })
-    write_json(report, paths["pipeline_report.json"])
+    write_json(report, path("pipeline_report.json"))
     print(f"pipeline {args.example}: {'pass' if passed else 'FAIL'} "
           f"(artifacts in {args.outdir})")
     return 0 if passed else 1

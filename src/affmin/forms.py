@@ -16,7 +16,7 @@ affine normal differentiates against A_2 = d2(A), B_1 = d1(B); both facts
 are checked here as residual reports.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -272,11 +272,12 @@ class NormalDerivativeReport:
 
     max_residual_u: float
     max_residual_v: float
+    max_residual: float = field(init=False)   # the larger, a NaN counting as larger
     passed: bool
 
-    @property
-    def max_residual(self) -> float:
-        return float(np.max([self.max_residual_u, self.max_residual_v]))
+    def __post_init__(self):
+        object.__setattr__(self, "max_residual",
+                           float(np.max([self.max_residual_u, self.max_residual_v])))
 
 
 def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,

@@ -10,10 +10,12 @@ A grid file is one JSON object:
 Numbers are written with 17 significant digits, so round trips are exact and
 repeated writes are byte-identical.  Grid and seed values must be finite:
 writers and readers reject NaN and infinities (which JSON cannot spell) and
-name the first offending grid index or seed point.  Reports written by
-``dumps_json`` spell a NaN or infinite value as null.  The forms bundle stores
-F as a face grid and the cubic coefficients as full vertex grids padded with
-nulls where their stencil does not reach.
+name the first offending grid index or seed point; grid readers also reject
+entries that are not numbers (``true``, ``"1.5"``), naming the first one.
+Reports written by ``dumps_json`` spell a NaN or infinite value as null and
+numpy bools as true/false.  The forms bundle stores F as a face grid and the
+cubic coefficients as full vertex grids padded with nulls where their stencil
+does not reach.
 """
 
 import json
@@ -44,8 +46,16 @@ __all__ = [
 _NON_FINITE = re.compile(r"-?(?:nan|inf)")
 
 
+# Scalars dumps_json spells as JSON numbers or true/false.
+_SCALARS = (bool, np.bool_, int, float, np.integer, np.floating)
+
+# What a JSON grid value list may hold: json.load gives bool and str too,
+# which np.asarray(..., dtype=float) would take as 1.0 or a parsed number.
+_JSON_NUMBERS = {int, float, type(None)}
+
+
 def _format_number(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -83,7 +93,7 @@ def dumps_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (bool, int, float, np.integer, np.floating)):
+    if isinstance(obj, _SCALARS):
         return _format_number(obj)
     if isinstance(obj, dict):
         if not obj:
@@ -98,8 +108,7 @@ def dumps_json(obj, indent: int = 0) -> str:
         kinds = set(map(type, seq))
         if seq and kinds <= {float, type(None)}:
             return "[" + _format_floats(seq, type(None) in kinds) + "]"
-        if all(isinstance(x, (bool, int, float, np.integer, np.floating)) or x is None
-               for x in seq):
+        if all(isinstance(x, _SCALARS) or x is None for x in seq):
             return "[" + ", ".join(
                 "null" if x is None else _format_number(x) for x in seq
             ) + "]"
@@ -114,6 +123,16 @@ def write_json(obj, path):
             handle.write(dumps_json(obj) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _require_numbers(values, what: str):
+    """Raise ValueError unless ``values`` is a list of JSON numbers and nulls,
+    naming the first other entry."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what}: expected a list, got {type(values).__name__}")
+    if not set(map(type, values)) <= _JSON_NUMBERS:
+        k = next(k for k, x in enumerate(values) if type(x) not in _JSON_NUMBERS)
+        raise ValueError(f"{what}: entry {k} is {json.dumps(values[k])}, not a number")
 
 
 def _require_finite(values: np.ndarray, domain: GridDomain, what: str):
@@ -152,10 +171,8 @@ def grid_from_obj(obj: dict) -> Grid:
     shape = cls._entry_shape(domain)
     if components == 3:
         shape = shape + (3,)
-    try:
-        array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed grid values: {exc}") from exc
+    _require_numbers(values, "malformed grid values")   # null fails as non-finite below
+    array = np.asarray(values, dtype=float)
     if array.size != int(np.prod(shape)):
         raise ValueError(
             f"grid value count {array.size} does not match domain {domain} "
@@ -222,6 +239,7 @@ def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) 
         raise ValueError(f"{name} must be a grid object with a list of values")
     if len(values) != full.n_u * full.n_v:
         raise ValueError(f"{name} grid has wrong length for domain {full}")
+    _require_numbers(values, f"{name} grid values")
     shape = (full.n_u, full.n_v)
     nulls = np.array([x is None for x in values]).reshape(shape)
     arr = np.array(values, dtype=float).reshape(shape)   # null -> NaN

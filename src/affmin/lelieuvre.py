@@ -10,7 +10,7 @@ a base vertex is path independent and produces a well-defined vertex grid of
 positions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,13 +120,14 @@ class LelieuvreReport:
 
     max_residual_u: float
     max_residual_v: float
+    max_residual: float = field(init=False)   # the larger, a NaN counting as larger
     edge_scale: float
     worst_edge: tuple
     passed: bool
 
-    @property
-    def max_residual(self) -> float:
-        return float(np.max([self.max_residual_u, self.max_residual_v]))
+    def __post_init__(self):
+        object.__setattr__(self, "max_residual",
+                           float(np.max([self.max_residual_u, self.max_residual_v])))
 
 
 def verify_lelieuvre(immersion: Immersion, field: ConormalField,

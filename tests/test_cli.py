@@ -23,7 +23,7 @@ GOLDEN_PARABOLOID = {
     "conormal.json": "f36fa3e1446fb537d2441895e905b7d0737e3b7d4784ad767fed19d624082e30",
     "surface.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
     "reconstructed.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
-    "check_report.json": "45ea1001ab5fba97e377c28dcc6457d8bc3fbb7b725d49d4f5b7669a35896f07",
+    "check_report.json": "b667a8a02cb542da8f849050240d7b7efa06d3f930b9bc186e74a553dd38206f",
     "forms.json": "63e9c87ccdb97eb540b97485dfcb44b76068992a5ed96a75c6ec7b0e125d2c37",
     "mesh_res1.obj": "9c4431c22a37c475282c05e900b47d9be183de200ec68bfde709c06f01de0669",
     "mesh_res8.obj": "796b9674b9940cec261f3f291eae84545fdfa8d8bfe6662166a161d52dc87192",
@@ -37,7 +37,7 @@ GOLDEN_ROUNDED = {
         "conormal.json": "cb823ba05ffa6ac5e8f99c0b7a02169543dd7b41cd75646d8006c891181d5cde",
         "surface.json": "fcdb072a0f11cfee397ee43902f7447ef6ebfb3975c992aa6632833d99eb7914",
         "reconstructed.json": "2f335feb51606dd630b2d1886d61ff104ebdcc18b108e295bc7550d49a60b4c9",
-        "check_report.json": "7d0f06b84f9c609767acd29e93733224e55895c9ffbc7dbf03516dbc6435e71b",
+        "check_report.json": "3e9b6fb14ed9faf795e844f42873b707a91bd2cde031b580fb76da456a857a23",
         "forms.json": "2b6f870d87018e1b2582f17c9b1b1c75708831e88440e55339ee90ebaaa7f241",
         "mesh_res1.obj": "0b72fce14b0cbfd949fcc83f7cf24ad4b435c7b3aca9bd8bf2ff67a16a134d08",
         "mesh_res8.obj": "3eb0922f7aeb7aca6f7c0132b179367882bbf677fb028713448f63ece2d1f12f",
@@ -46,7 +46,7 @@ GOLDEN_ROUNDED = {
         "conormal.json": "01a7fb98fc7800a782bb07cc896685a4afb657c1c8fa5f76a6b69b8bb8b162d4",
         "surface.json": "bf393794d17baad5ed1db5620a97bf84c4172b71dc76c46b31a076ebbec210e2",
         "reconstructed.json": "87b4cae270ec5c82202a78164370fb1dd2791105e665d703221c20c9b9aea0fb",
-        "check_report.json": "ff7fe63d8701ddd2266b18a976610506b4469e02fc6d8fffb46eddccc1c0f243",
+        "check_report.json": "6eb64ae0420faa510c902fdb93948bcc28151144b6632d06282b7505ffd1f3e2",
         "forms.json": "f3824f1b26a4622613c4a7f7f97e893176e54aca7b1ad8c55e6a0a7c8201fa77",
         "mesh_res1.obj": "9689f7dd6d0d3bb848b130b72001d25d5f73367516fc3d41952de52d9b132ae7",
         "mesh_res8.obj": "3e26a3bc5cb1779e1d48f297bcddbf35388c88d1309cb74f693473ab77ae372b",
@@ -159,6 +159,30 @@ class TestIntegrateAndCheck:
         body = json.loads(report.read_text())
         assert body["passed"] is False
         assert "NonPositiveVolume" in body["error"]
+
+    @pytest.mark.parametrize("box", [(0, 6, 0, 6), (1, 6, 1, 6)])
+    def test_check_names_a_conormal_on_another_box(self, tmp_path, paraboloid_files, box):
+        # The surface lives on (0, 5, 0, 5): a co-normal box of another shape
+        # must not reach the area-density bridge, which divides grid by grid.
+        _, surface = paraboloid_files
+        other = tmp_path / "other.json"
+        assert run("generate", "--example", "paraboloid", "--box", *box, "--out", other) == 0
+        report = tmp_path / "report.json"
+        assert run("check", "--surface", surface, "--conormal", other,
+                   "--report", report) == 1
+        body = json.loads(report.read_text())
+        assert body["passed"] is False
+        assert body["error"].startswith("DomainMismatch: immersion domain ")
+        assert "!= field domain" in body["error"]
+
+    def test_grid_with_a_bool_value_is_usage_error(self, tmp_path, capsys, paraboloid_files):
+        _, surface = paraboloid_files
+        body = json.loads(surface.read_text())
+        body["values"][4] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        assert run("check", "--surface", bad, "--report", tmp_path / "r.json") == 2
+        assert "entry 4 is true, not a number" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("check", "--surface", tmp_path / "nope.json",

@@ -77,6 +77,24 @@ def test_malformed_files_rejected(tmp_path):
         with pytest.raises(ValueError, match="malformed grid values"):
             grid_from_obj({"kind": "vertex", "domain": [0, 1, 0, 1],
                            "components": 1, "values": values})
+    # json.load gives bools and strings, which np.asarray would coerce.
+    for values, entry in (([True, True, True, True], "entry 0 is true"),
+                          ([0.0, 0.5, "1.5", 2.0], 'entry 2 is "1.5"'),
+                          ([0.0, [1.0], 1.0, 1.0], "entry 1 is \\[1.0\\]")):
+        with pytest.raises(ValueError, match=f"malformed grid values: {entry}, not a number"):
+            grid_from_obj({"kind": "vertex", "domain": [0, 1, 0, 1],
+                           "components": 1, "values": values})
+    # In a forms bundle null is legal in the padding only, bools and strings nowhere.
+    forms = {"F": {"kind": "face", "domain": [0, 2, 0, 2], "components": 1,
+                   "values": [1.0, 1.0, 1.0, 1.0]},
+             "B": {"values": [None, 0.0, None] * 3}}
+    for a_values, entry in (([None] * 3 + [0.0, False, 0.0] + [None] * 3, "entry 4 is false"),
+                            ([None] * 3 + [0.0] * 3 + [None, "0", None], 'entry 7 is "0"')):
+        bad.write_text(json.dumps({**forms, "A": {"values": a_values}}))
+        with pytest.raises(ValueError, match=f"A grid values: {entry}, not a number"):
+            read_forms(bad)
+    bad.write_text(json.dumps({**forms, "A": {"values": [None] * 3 + [0.0] * 3 + [None] * 3}}))
+    assert read_forms(bad).u_coeff.values.shape == (1, 3)
     with pytest.raises(OSError):
         read_grid(tmp_path / "missing.json")
 
@@ -166,6 +184,14 @@ def test_dumps_json_values():
     text = dumps_json({"x": 0.5, "flag": True, "items": [1, None, 2.5]})
     parsed = json.loads(text)
     assert parsed == {"x": 0.5, "flag": True, "items": [1, None, 2.5]}
+
+
+def test_dumps_json_spells_numpy_bools():
+    # Comparisons of numpy scalars give np.bool_, alone, in lists and in dicts.
+    assert dumps_json(np.bool_(True)) == "true"
+    assert dumps_json([np.bool_(False), True, 1]) == "[false, true, 1]"
+    assert dumps_json(np.array([1.0, 3.0]) > 2.0) == "[false, true]"
+    assert json.loads(dumps_json({"passed": np.float64(1.0) <= 2.0})) == {"passed": True}
 
 
 class TestNonFinite:
