@@ -2,11 +2,11 @@
 
 A face-area density F together with cubic coefficients A, B determines a
 surface up to an affine map, provided three algebraic compatibility
-equations hold.  Reconstruction seeds the lower-left quadrangle (four points
-whose corner determinant equals F^2 there), marches the bottom two rows with
-the u-expansions and every further row with the v-expansions, then certifies
-the data by checking that extending each interior face the other way lands
-on the same point.
+equations hold.  Reconstruction marches the two boundary strips (vertex rows
+0-1 and columns 0-1) from a seed quadrangle whose corner determinant is F^2,
+reads the co-normal off their edges and fills it in separably, as every
+harmonic co-normal on a box is.  The co-normal's triple products must equal
+the data, and ``integrate`` sums its Lelieuvre edges into the surface.
 """
 
 from dataclasses import dataclass
@@ -24,9 +24,10 @@ from .errors import (
 )
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, div3, empty3,
-                    mul3, relative_residual, row_bands, worst_index)
-from .lelieuvre import Immersion
+from .conormal import ConormalField
+from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, cross3, d12, det3,
+                    div3, empty3, relative_residual, row_bands, worst_index)
+from .lelieuvre import Immersion, integrate
 
 __all__ = [
     "TOL_COMPAT",
@@ -158,21 +159,18 @@ def _seed_check(seed: np.ndarray, f00: float, tol: float):
 
 def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
                 tol_compat: float = TOL_COMPAT) -> Immersion:
-    """March fundamental data into vertex positions and certify the result.
+    """Rebuild the surface of fundamental data through its co-normal.
 
     ``seed`` holds the four corner points (q00, q10, q01, q11) of the
     lower-left quadrangle; by default the canonical seed for the first
     face's F.  Raises SeedDeterminantMismatch if the seed violates the
-    corner determinant condition and IncompatibleData if the two marching
-    routes disagree on any interior face beyond ``tol_compat`` (relative
-    to the longest marched edge) or the march leaves the finite numbers.
+    corner determinant condition, and IncompatibleData (worst index and
+    gap) if a triple product of the co-normal misses F, A or B by more than
+    ``tol_compat`` relative to the largest F, or by NaN, or if an F of the
+    co-normal is <= 0.
     """
     dom = data.domain
-    f = data.areas.values
-    a = data.u_coeff.values
-    b = data.v_coeff.values
-    nu, nv = dom.n_u, dom.n_v
-
+    f, a, b = (grid.values for grid in (data.areas, data.u_coeff, data.v_coeff))
     if seed is None:
         seed = canonical_seed(float(f[0, 0]))
     seed = np.asarray(seed, dtype=float)
@@ -180,73 +178,56 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
         raise ValueError(f"seed must be four 3-points, got shape {seed.shape}")
     _seed_check(seed, float(f[0, 0]), tol_seed)
 
-    # The march runs component- and v-major: q[k, j] holds component k of
-    # vertex column v_min + j, so every marched row is contiguous and each
-    # per-vertex coefficient broadcasts along it.
-    q = np.empty((3, nv, nu))
-    q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1] = seed
+    # corners[v, u] is seed point q(u, v).  On a box a harmonic co-normal is
+    # separable, so its values on vertex row 0 and column 0 fix it.
+    corners = seed.reshape(2, 2, 3)
+    nu_row = _march_strip(corners.transpose(2, 0, 1), f[:, 0], a[:, :2])
+    nu_col = -_march_strip(corners.T, f[0], b[:2].T)   # e1 x e2 = -(along x across)
+    vectors = VertexGrid(dom, np.add(nu_row[:, None], (nu_col - nu_col[0])[None],
+                                     out=empty3((dom.n_u, dom.n_v, 3))))
 
-    # Bottom two rows, marching +u.  Row 0 expands q11 through the face
-    # above (v+1/2); row 1 through the face below (v-1/2); both faces are
-    # the already-known strip j=0.
-    for i in range(1, nu - 1):
-        f_w = f[i - 1, 0]
-        q11 = ((f[i, 0] - f_w) * (q[:, :2, i] - q[:, :2, i - 1])
-               + a[i - 1, :2] * (q[:, 1, i] - q[:, 0, i])[:, None]) / f_w
-        q[:, :2, i + 1] = 2.0 * q[:, :2, i] - q[:, :2, i - 1] + q11
-
-    # Remaining rows, marching +v with the q22 expansion through the face
-    # below; every column except the last uses its right-hand face pair, so
-    # the last vertex row repeats the face row and the u-edge before it.
-    f_t = np.ascontiguousarray(np.concatenate([f, f[-1:]]).T)
-    df_t = f_t[1:] - f_t[:-1]
-    b_t = np.ascontiguousarray(b.T)
-    q1p = np.empty((3, nu))
-    for j in range(1, nv - 1):
-        np.subtract(q[:, j, 1:], q[:, j, :-1], out=q1p[:, :-1])
-        q1p[:, -1] = q1p[:, -2]
-        q22 = (b_t[j - 1] * q1p + df_t[j - 1] * (q[:, j] - q[:, j - 1])) / f_t[j - 1]
-        q[:, j + 1] = 2.0 * q[:, j] - q[:, j - 1] + q22
-
-    # One transposing copy into the u-major component planes of a grid.
-    planes = empty3((nu, nv, 3))
-    planes[...] = q.T
-    positions = VertexGrid(dom, planes)
-    _two_way_sweep(positions, f, a, b, tol_compat)
-    return Immersion(positions, (dom.u_min, dom.v_min), positions.values[0, 0])
-
-
-def _two_way_sweep(q: VertexGrid, f, a, b, tol: float):
-    """Certify that both extensions of every interior face agree.
-
-    For each face with its lower-left corner interior, predict the NE corner
-    once by the u-expansion from the row above and once by the v-expansion
-    from the column to the right; the worst relative gap over faces must stay
-    below ``tol``.  A NaN gap fails, and so does a non-finite position.
-    Both passes run on row bands.
-    """
-    dom = q.domain
-    edge_scale = np.max([TINY] + [np.abs(np.diff(band.values, axis=axis)).max()
-                                  for _, band, _, _ in row_bands(q, after=1) for axis in (0, 1)])
-    if not edge_scale < np.inf:
-        raise IncompatibleData(worst_index(~np.isfinite(q.values).all(axis=2), dom),
-                               float(edge_scale))
-    worst = BandMax(dom, 1, 1)
-    for lo, band, rows, own in row_bands(q, after=2):
-        p, fb, ab, bb = band.values, f[rows[1]], a[rows[2]], b[rows[0]]
-        way1 = (
-            2.0 * p[1:-1, 2:] - p[:-2, 2:]
-            + div3(mul3(fb[1:, 1:] - fb[:-1, 1:], p[1:-1, 2:] - p[:-2, 2:])
-                   + mul3(ab[:, 2:], p[1:-1, 2:] - p[1:-1, 1:-1]), fb[:-1, 1:])
-        )
-        way2 = (
-            2.0 * p[2:, 1:-1] - p[2:, :-2]
-            + div3(mul3(bb[2:, :], p[2:, 1:-1] - p[1:-1, 1:-1])
-                   + mul3(fb[1:, 1:] - fb[1:, :-1], p[2:, 1:-1] - p[2:, :-2]), fb[1:, :-1])
-        )
-        worst.add((absmax(way1 - way2) / edge_scale)[own], lo)
-    if not worst.value <= tol:
+    # By Lelieuvre, F = [nu, nu(v+1), nu(u+1)], A = [nu(u-1), nu, nu(u+1)]
+    # and B = [nu(v+1), nu, nu(v-1)].
+    scale = float(f.max())
+    areas, harmonic = np.empty_like(f), []
+    gaps = (BandMax(dom), BandMax(dom, 1, 0), BandMax(dom, 0, 1))
+    for lo, band, rows, own in row_bands(vectors, after=2):
+        nu = band.values
+        triples = (det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]), det3(nu[:-2], nu[1:-1], nu[2:]),
+                   det3(nu[:, 2:], nu[:, 1:-1], nu[:, :-2]))
+        for gap, triple, given in zip(gaps, triples, (f[rows[1]], a[rows[2]], b[rows[0]])):
+            gap.add(np.abs(triple - given)[own] / scale, lo)
+        areas[rows[1]][own] = triples[0][own]
+        harmonic.append(absmax(d12(band).values[own]).max())
+    worst = gaps[int(np.argmax([gap.value for gap in gaps]))]   # a NaN counts as worst
+    if not worst.value <= tol_compat:
         raise IncompatibleData(worst.index, worst.value)
+    i, j = np.unravel_index(np.argmin(areas), areas.shape)
+    if not areas[i, j] > 0.0:
+        raise IncompatibleData(worst_index(-areas, dom), float((f[i, j] - areas[i, j]) / scale))
+    field = ConormalField(vectors, FaceGrid(dom, areas), float(np.max(harmonic)))
+    return integrate(field, base_value=seed[0])
+
+
+def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """March a strip of two vertex lines and return the co-normals of line 0.
+
+    ``corners[k, r, i]`` is component k of vertex i (0, 1) on line r,
+    ``f[i]`` the F of the face between the lines after vertex i, and
+    ``c[i - 1, r]`` the cubic coefficient of vertex i on line r.  Each step
+    expands both lines one vertex through the face before it.  The
+    co-normal is (along x across) / F; the last vertex reuses the edge along
+    and the face before it.
+    """
+    s = np.empty((3, 2, len(f) + 1))
+    s[..., :2] = corners
+    for i in range(1, s.shape[2] - 1):
+        step = ((f[i] - f[i - 1]) * (s[..., i] - s[..., i - 1])
+                + c[i - 1] * (s[:, 1, i] - s[:, 0, i])[:, None]) / f[i - 1]
+        s[..., i + 1] = 2.0 * s[..., i] - s[..., i - 1] + step
+    last = np.minimum(np.arange(s.shape[2]), s.shape[2] - 2)
+    along = (s[:, 0, 1:] - s[:, 0, :-1])[:, last]
+    return div3(cross3(along.T, (s[:, 1] - s[:, 0]).T), f[last])
 
 
 @dataclass(frozen=True)

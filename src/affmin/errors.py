@@ -95,18 +95,18 @@ class SeedDeterminantMismatch(AffminError):
 
 
 class IncompatibleData(AffminError):
-    """Fundamental data admits no surface: two-way extension disagrees.
+    """Fundamental data admits no surface: the co-normal marched from it misses it.
 
     Attributes:
-        face: (u, v) index where the two marching routes disagree.
-        gap: relative disagreement between the two extensions.
+        face: (u, v) grid index of the worst miss: a face for F, a vertex for A or B.
+        gap: the co-normal's miss there, relative to the largest F.
     """
 
     def __init__(self, face, gap):
         self.face = face
         self.gap = gap
         super().__init__(
-            f"incompatible fundamental data: two-way extension differs by {gap:.3e} at face {face}"
+            f"incompatible fundamental data: the co-normal misses it by {gap:.3e} at {face}"
         )
 
 

@@ -56,7 +56,7 @@ class CubicForm:
 
 @dataclass(frozen=True)
 class FormDerivatives:
-    """Staggered derivatives of the cubic coefficients and the area density.
+    """Staggered derivatives of the cubic coefficients.
 
     The coefficient derivatives equal d2(A) and d1(B) up to rounding;
     ``a2_b1_closed_form`` fills them from the closed-form determinants and
@@ -65,8 +65,6 @@ class FormDerivatives:
 
     u_coeff_dv: VEdgeGrid   # A_2(u, v+1/2), u interior
     v_coeff_du: UEdgeGrid   # B_1(u+1/2, v), v interior
-    area_du: VEdgeGrid      # F_1(u, v+1/2) = F(u+1/2,v+1/2) - F(u-1/2,v+1/2)
-    area_dv: UEdgeGrid      # F_2(u+1/2, v) = F(u+1/2,v+1/2) - F(u+1/2,v-1/2)
 
 
 class _Coefficient:
@@ -245,8 +243,6 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
     derivs = FormDerivatives(
         u_coeff_dv=a2_direct.with_values(a2_closed),
         v_coeff_du=b1_direct.with_values(b1_closed),
-        area_du=d1(areas),
-        area_dv=d2(areas),
     )
     gap = float(np.max([
         np.abs(a2_closed - a2_direct.values).max(),

@@ -10,8 +10,9 @@ A grid file is one JSON object:
 Numbers are written with 17 significant digits, so round trips are exact and
 repeated writes are byte-identical.  Grid and seed values must be finite:
 writers and readers reject NaN and infinities (which JSON cannot spell) and
-name the first offending grid index or seed point; grid readers also reject
-entries that are not numbers (``true``, ``"1.5"``), naming the first one.
+name the first offending grid index or seed point; grid and seed readers
+also reject entries that are not numbers (``true``, ``"1.5"``), naming the
+first one, and domain bounds and component counts that are not integers.
 Reports written by ``dumps_json`` spell a NaN or infinite value as null and
 numpy bools as true/false.  The forms bundle stores F as a face grid and the
 cubic coefficients as full vertex grids padded with nulls where their stencil
@@ -157,10 +158,14 @@ def grid_to_obj(grid: Grid, pad_values=None) -> dict:
 
 def grid_from_obj(obj: dict) -> Grid:
     try:
-        kind = obj["kind"]
-        domain = GridDomain(*(int(x) for x in obj["domain"]))
-        components = int(obj["components"])
-        values = obj["values"]
+        kind, bounds, components, values = (
+            obj[key] for key in ("kind", "domain", "components", "values"))
+        # Only JSON integers: int() would take 1.9, true and "1" as well.
+        if not isinstance(bounds, list) or any(type(x) is not int for x in bounds):
+            raise ValueError(f"domain must be a list of integers, got {json.dumps(bounds)}")
+        if type(components) is not int:
+            raise ValueError(f"components must be an integer, got {json.dumps(components)}")
+        domain = GridDomain(*bounds)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed grid object: {exc}") from exc
     if not isinstance(kind, str) or kind not in GRID_KINDS:
@@ -291,4 +296,7 @@ def write_seed(points, path):
 
 
 def read_seed(path) -> np.ndarray:
-    return _seed_points(_load_json(path).get("points"), f"seed file {path}")
+    points, what = _load_json(path).get("points"), f"seed file {path}"
+    for k, point in enumerate(points if isinstance(points, list) else []):
+        _require_numbers(point, f"{what} point {k}")   # json.load gives bools and strings too
+    return _seed_points(points, what)

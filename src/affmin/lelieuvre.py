@@ -90,10 +90,13 @@ def integrate(field: ConormalField, base_vertex=None, base_value=None) -> Immers
     ib = base_vertex[0] - dom.u_min
     jb = base_vertex[1] - dom.v_min
 
-    q1, q2 = lelieuvre_edges(field.vectors)
+    # q1 is read on the base row only; every u-row's v-sum runs on its own.
+    nu = field.vectors.values
     q = empty3((dom.n_u, dom.n_v, 3))
-    _line_integral(q1.values[:, jb], ib, base_value, q[:, jb])
-    _line_integral(np.moveaxis(q2.values, 1, 0), jb, q[:, jb], np.moveaxis(q, 1, 0))
+    _line_integral(cross3(nu[:-1, jb], nu[1:, jb]), ib, base_value, q[:, jb])
+    for _, band, rows, _ in row_bands(field.vectors):
+        q2 = cross3(band.values[:, 1:], band.values[:, :-1])
+        _line_integral(np.moveaxis(q2, 1, 0), jb, q[rows[0], jb], np.moveaxis(q[rows[0]], 1, 0))
     return Immersion(VertexGrid(dom, q), base_vertex, base_value)
 
 

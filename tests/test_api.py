@@ -7,9 +7,9 @@
   module's ``__all__``, where the module has one.
 * The certificate modules multiply and divide 3-vector grids by scalar grids
   through ``grids.mul3``/``div3``, never through a ``s[..., None]`` operand,
-  which makes numpy loop over the length-3 axis.  ``reconstruct``'s march is
-  exempt: it runs on a component-major array, where such an operand
-  broadcasts a per-vertex coefficient along a row of one component.
+  which makes numpy loop over the length-3 axis.  ``_march_strip`` is
+  exempt: it runs on a component-major strip, where such an operand
+  broadcasts a per-vertex coefficient over the components of a vertex pair.
 * Outside ``grids.py`` no module allocates an array of 3-vectors itself
   (``np.empty``/``zeros``/``ones``/``full`` with a shape ending in 3) or
   sums over the component axis with ``np.einsum("...k...")``: 3-vector
@@ -113,7 +113,7 @@ def new_axis_operands(tree: ast.AST, exempt=()) -> list:
 
 
 @pytest.mark.parametrize("name, exempt", [
-    ("forms", ()), ("geometry", ()), ("variational", ()), ("compatibility", ("reconstruct",)),
+    ("forms", ()), ("geometry", ()), ("variational", ()), ("compatibility", ("_march_strip",)),
 ])
 def test_scalar_vector_products_use_the_kernels(name, exempt):
     lines = new_axis_operands(parse(PACKAGE / f"{name}.py"), exempt)
@@ -125,9 +125,9 @@ def test_guard_sees_a_broadcast_product():
                      "    a = s[..., None] * v\n"
                      "    b = v / s[:, :, np.newaxis]\n"
                      "    c = (s - w)[..., None] * v + s[None]\n"
-                     "def reconstruct(s, v):\n"
+                     "def _march_strip(s, v):\n"
                      "    return s[:, None] * v\n")
-    assert new_axis_operands(tree, ("reconstruct",)) == [2, 3, 4]
+    assert new_axis_operands(tree, ("_march_strip",)) == [2, 3, 4]
     assert new_axis_operands(tree) == [2, 3, 4, 6]
 
 

@@ -1,7 +1,8 @@
 """Row-band evaluation: any band size gives the whole-grid bits and indices.
 
-Every whole-grid certificate, and the two-way sweep of ``reconstruct``, runs
-on row bands of ``grids._BAND_VERTICES`` vertices.  The nets below fit one band at the default size, so the default
+Every whole-grid certificate, the co-normal certificate of ``reconstruct``
+and the v-sums of ``integrate`` run on row bands of ``grids._BAND_VERTICES``
+vertices.  The nets below fit one band at the default size, so the default
 call is the whole-grid evaluation; shrinking the bands to one row, or to
 seven rows (which divide none of the row counts), must change no bit of any
 report field, no worst index and no order of a failure list.

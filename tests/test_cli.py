@@ -36,7 +36,7 @@ GOLDEN_ROUNDED = {
     ("helicoid", (-10, 10, 0, 20), 32): {
         "conormal.json": "cb823ba05ffa6ac5e8f99c0b7a02169543dd7b41cd75646d8006c891181d5cde",
         "surface.json": "fcdb072a0f11cfee397ee43902f7447ef6ebfb3975c992aa6632833d99eb7914",
-        "reconstructed.json": "2f335feb51606dd630b2d1886d61ff104ebdcc18b108e295bc7550d49a60b4c9",
+        "reconstructed.json": "5aaf44698fa68642f643fea06371914168d2903df7358d58a11062b5d91366a6",
         "check_report.json": "3e9b6fb14ed9faf795e844f42873b707a91bd2cde031b580fb76da456a857a23",
         "forms.json": "2b6f870d87018e1b2582f17c9b1b1c75708831e88440e55339ee90ebaaa7f241",
         "mesh_res1.obj": "0b72fce14b0cbfd949fcc83f7cf24ad4b435c7b3aca9bd8bf2ff67a16a134d08",
@@ -45,7 +45,7 @@ GOLDEN_ROUNDED = {
     ("cubic", (1, 40, 1, 36), 16): {
         "conormal.json": "01a7fb98fc7800a782bb07cc896685a4afb657c1c8fa5f76a6b69b8bb8b162d4",
         "surface.json": "bf393794d17baad5ed1db5620a97bf84c4172b71dc76c46b31a076ebbec210e2",
-        "reconstructed.json": "87b4cae270ec5c82202a78164370fb1dd2791105e665d703221c20c9b9aea0fb",
+        "reconstructed.json": "3c1c1439ffb256a6226a50514e3af8b651cfa607fd68c5dc60d8240f02fb8f39",
         "check_report.json": "6eb64ae0420faa510c902fdb93948bcc28151144b6632d06282b7505ffd1f3e2",
         "forms.json": "f3824f1b26a4622613c4a7f7f97e893176e54aca7b1ad8c55e6a0a7c8201fa77",
         "mesh_res1.obj": "9689f7dd6d0d3bb848b130b72001d25d5f73367516fc3d41952de52d9b132ae7",
@@ -281,6 +281,18 @@ class TestFormsReconstructCompare:
         ]}))
         assert run("reconstruct", "--forms", forms, "--seed", seed,
                    "--out", rebuilt) == 0
+
+    def test_reconstruct_rejects_a_seed_of_bools(self, tmp_path, capsys, paraboloid_files):
+        _, surface = paraboloid_files
+        forms, seed = tmp_path / "forms.json", tmp_path / "seed.json"
+        assert run("forms", "--surface", surface, "--out", forms) == 0
+        seed.write_text(json.dumps({"points": [
+            [0, 0, 0], [True, 0, 0], [0, 1, 0], [1, 1, 1],
+        ]}))
+        capsys.readouterr()
+        assert run("reconstruct", "--forms", forms, "--seed", seed,
+                   "--out", tmp_path / "rebuilt.json") == 2
+        assert "point 1: entry 0 is true, not a number" in capsys.readouterr().err
 
 
 class TestScalarCommands:

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import affmin as am
 from affmin.compatibility import (
@@ -23,7 +24,7 @@ from affmin.errors import (
     NotEquivalent,
     SeedDeterminantMismatch,
 )
-from affmin.grids import FaceGrid, GridDomain, VertexGrid
+from affmin.grids import FaceGrid, GridDomain, VertexGrid, det3
 from affmin.lelieuvre import Immersion, integrate
 
 
@@ -110,10 +111,10 @@ class TestCanonicalSeed:
 
 
 MARCH_DIGESTS = {
-    ("helicoid", "own"): "73bf91054875ae3b90dd60e10312719ae30474c28e7804679fcbb67db4a42795",
-    ("helicoid", "canonical"): "b4b7fee036bba10e1f717ef4069d359644091092eede5ce1b947cc378e06711f",
+    ("helicoid", "own"): "7f2cc842ddad326ca4d5dbd80fdf72bc0eef1b5b25b1a4fffa5cc09211d95741",
+    ("helicoid", "canonical"): "e044b90b79b4789d8588343c1b5b7103b71cc48714fd650fecde429056fb1b2f",
     ("cubic", "own"): "34a5f13b36d50f5c5f5fdbd99a2cbf2403693b1c7ab0dbe4d1f63f8bec9d01d4",
-    ("cubic", "canonical"): "a27ea120058d55888f971581e6575eae1e4c84f5881e2e203046d576184b41e4",
+    ("cubic", "canonical"): "3a4ed80782c7a22893826fb2cdc83b40a7889ff7fc60232a31dc4892a861b90f",
 }
 
 
@@ -184,6 +185,66 @@ class TestReconstruct:
         assert abs(err.value.face[0] - bad_u) <= 1
         assert abs(err.value.face[1] - bad_v) <= 1
 
+    @pytest.mark.parametrize("which, index, on_strip", [
+        ("A", (3, 0), True), ("A", (3, 1), True), ("A", (3, 4), False),
+        ("B", (0, 3), True), ("B", (1, 3), True), ("B", (4, 3), False),
+    ])
+    def test_small_corruption_detected_on_and_off_the_strips(self, cubic, which, index, on_strip):
+        # Rows 0-1 of A and columns 0-1 of B feed the strip march itself;
+        # the rest reaches the co-normal's triple products only.
+        _, surf = cubic
+        data = extract_fundamental_data(surf)
+        grid = data.u_coeff if which == "A" else data.v_coeff
+        bumped = np.array(grid.values)
+        bumped[index] += 1e-3 * data.areas.values.max()
+        coeff = {"A": data.u_coeff, "B": data.v_coeff, which: grid.with_values(bumped)}
+        corrupt = FundamentalData(data.areas, coeff["A"], coeff["B"])
+        with pytest.raises(IncompatibleData) as err:
+            reconstruct(corrupt, own_seed(surf))
+        if not on_strip:
+            assert err.value.face == (grid.domain.u_min + index[0],
+                                      grid.domain.v_min + index[1])
+
+    @pytest.mark.parametrize("n, u_range, v_range", [
+        (16, (-10, 10), (0, 20)), (32, (-20, 20), (0, 40)),
+        (64, (-75, 74), (0, 149)), (64, (-300, 300), (0, 40)),
+    ])
+    def test_helicoids_beyond_twenty_squared(self, n, u_range, v_range):
+        # Each was rejected (gaps 7.4e-6 to 1.6) by a march over the whole box.
+        surf = integrate(am.helicoid(n, u_range, v_range))
+        data = extract_fundamental_data(surf)
+        p = surf.positions.values
+        gap = np.abs(reconstruct(data, own_seed(surf)).positions.values - p).max()
+        assert gap <= 1e-8 * np.abs(p - p[0, 0]).max()
+        assert abs(affine_equivalence(reconstruct(data), surf).det - 1.0) <= 1e-6
+
+    def test_triple_products_of_the_conormal_are_the_data(self, all_examples):
+        # F = [nu, nu(v+1), nu(u+1)], A = [nu(u-1), nu, nu(u+1)], B = [nu(v+1), nu, nu(v-1)].
+        for name, (field, surf) in all_examples.items():
+            nu = field.vectors.values
+            data = extract_fundamental_data(surf)
+            for triple, grid in ((det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]), data.areas),
+                                 (det3(nu[:-2], nu[1:-1], nu[2:]), data.u_coeff),
+                                 (det3(nu[:, 2:], nu[:, 1:-1], nu[:, :-2]), data.v_coeff)):
+                gap = np.abs(triple - grid.values).max()
+                assert gap <= 1e-9 * data.areas.values.max(), (name, grid.kind)
+
+    def test_conormal_with_a_folded_face_rejected(self):
+        # nu = (u, v, alpha(u) + beta(v)) has F > 0 on vertex row 0 and column
+        # 0, which fix it, and F = -0.5 inside; the data claims +0.5 there.
+        # With no bound on the gap, only the sign of the co-normal's F is left.
+        alpha, beta = np.array([-2.0, -1, -1, -1]), np.array([-2.0, 1.5, 1.5, 1.5])
+        i = np.arange(4.0)
+        nu = np.stack(np.broadcast_arrays(i[:, None], i[None], alpha[:, None] + beta[None]), -1)
+        dom = GridDomain(0, 3, 0, 3)
+        folded = FundamentalData(
+            FaceGrid(dom, np.abs(det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]))),
+            VertexGrid(dom.shrink(du_lo=1, du_hi=1), det3(nu[:-2], nu[1:-1], nu[2:])),
+            VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), det3(nu[:, 2:], nu[:, 1:-1], nu[:, :-2])))
+        with pytest.raises(IncompatibleData) as err:
+            reconstruct(folded, tol_compat=np.inf)
+        assert err.value.face == (1, 1) and err.value.gap == 0.25
+
     def test_seed_freedom_gives_unimodular_map(self, cubic):
         _, surf = cubic
         data = extract_fundamental_data(surf)
@@ -201,6 +262,33 @@ class TestReconstruct:
             data = extract_fundamental_data(surf)
             rebuilt = reconstruct(data, own_seed(surf))
             assert np.abs(rebuilt.positions.values - surf.positions.values).max() == 0.0
+
+
+EXAMPLE_FIELDS = {
+    "paraboloid": lambda n_u, n_v: am.hyperbolic_paraboloid(GridDomain(0, n_u - 1, 0, n_v - 1)),
+    "helicoid": lambda n_u, n_v: am.helicoid(16, (0, n_u - 1), (0, n_v - 1)),
+    "cubic": lambda n_u, n_v: am.minimal_cubic(GridDomain(1, n_u, 1, n_v)),
+    "sphere": lambda n_u, n_v: am.improper_sphere(GridDomain(1, n_u, 1 - n_v, 0)),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(sorted(EXAMPLE_FIELDS)), n_u=st.integers(3, 32),
+       n_v=st.integers(3, 32), noise_seed=st.integers(0, 2**32 - 1))
+def test_perturbed_profiles_round_trip(family, n_u, n_v, noise_seed):
+    """Example profiles moved by up to 1e-2 per entry still reconstruct."""
+    nu = EXAMPLE_FIELDS[family](n_u, n_v).vectors.values
+    noise = np.random.default_rng(noise_seed).uniform(-1e-2, 1e-2, (n_u + n_v, 3))
+    spec = am.SeparableConormalSpec(GridDomain(0, n_u - 1, 0, n_v - 1),
+                                    nu[:, 0] + noise[:n_u], nu[0] - nu[0, 0] + noise[n_u:])
+    try:
+        field = am.from_separable(spec)
+    except NonConvexFace:
+        assume(False)
+    surf = integrate(field)
+    p = surf.positions.values
+    rebuilt = reconstruct(extract_fundamental_data(surf), own_seed(surf))
+    assert np.abs(rebuilt.positions.values - p).max() <= 1e-8 * np.abs(p - p[0, 0]).max()
 
 
 class TestAffineEquivalence:

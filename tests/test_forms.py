@@ -147,14 +147,6 @@ class TestClosedForms:
                                    rtol=1e-9, atol=1e-12)
         assert report.relative_gap <= 1e-9
 
-    def test_staggered_area_differences(self, cubic):
-        _, surf = cubic
-        vols, xi, form = setup_chain(surf)
-        derivs, _ = a2_b1_closed_form(surf, xi, vols.areas, form)
-        f = vols.areas.values
-        np.testing.assert_array_equal(derivs.area_du.values, f[1:, :] - f[:-1, :])
-        np.testing.assert_array_equal(derivs.area_dv.values, f[:, 1:] - f[:, :-1])
-
 
 class TestNormalDerivatives:
     def test_integrated_surfaces(self, all_examples):
@@ -230,8 +222,7 @@ class TestNanGates:
         derivs, _ = a2_b1_closed_form(surf, xi, vols.areas, form)
         b1 = np.array(derivs.v_coeff_du.values)
         b1[1, 1] = np.nan
-        bent = FormDerivatives(derivs.u_coeff_dv, derivs.v_coeff_du.with_values(b1),
-                               derivs.area_du, derivs.area_dv)
+        bent = FormDerivatives(derivs.u_coeff_dv, derivs.v_coeff_du.with_values(b1))
         report = normal_derivative_residuals(surf, xi, vols.areas, bent)
         assert not report.passed
         assert np.isnan(report.max_residual)

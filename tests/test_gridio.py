@@ -84,6 +84,14 @@ def test_malformed_files_rejected(tmp_path):
         with pytest.raises(ValueError, match=f"malformed grid values: {entry}, not a number"):
             grid_from_obj({"kind": "vertex", "domain": [0, 1, 0, 1],
                            "components": 1, "values": values})
+    # int() would read 1.9, true and "1" as bounds and true as one component.
+    for domain, components, key in (([0, 1.9, 0, True], 1, "domain"),
+                                     ([0, "1", 0, 1], 1, "domain"),
+                                     ([0, 1, 0, 1], True, "components"),
+                                     ([0, 1, 0, 1], 1.0, "components")):
+        with pytest.raises(ValueError, match=f"malformed grid object: {key} must be"):
+            grid_from_obj({"kind": "vertex", "domain": domain,
+                           "components": components, "values": [0, 0, 0, 0]})
     # In a forms bundle null is legal in the padding only, bools and strings nowhere.
     forms = {"F": {"kind": "face", "domain": [0, 2, 0, 2], "components": 1,
                    "values": [1.0, 1.0, 1.0, 1.0]},
@@ -170,6 +178,14 @@ def test_seed_round_trip(tmp_path):
     path.write_text('{"points": {"q00": [0, 0, 0]}}')
     with pytest.raises(ValueError, match="must hold four 3-points"):
         read_seed(path)
+    # json.load gives bools and strings, which np.asarray would read as 1.0 and 1.5.
+    for points, entry in (([[True, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1]],
+                           "point 0: entry 0 is true"),
+                          ([[0, 0, 0], ["1.5", 0, 0], [0, 1, 0], [1, 1, 1]],
+                           'point 1: entry 0 is "1.5"')):
+        path.write_text(json.dumps({"points": points}))
+        with pytest.raises(ValueError, match=f"{entry}, not a number"):
+            read_seed(path)
 
 
 def test_write_is_deterministic(helicoid, tmp_path):
