@@ -119,12 +119,13 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     """Build the field nu(u,v) = u_part(u) + v_part(v) and validate it.
 
     Harmonicity is structural here (each face residual is a rounding-level
-    cancellation), so the internal tolerance applies.
+    cancellation), so the internal tolerance applies, times max(1, max |nu|).
     """
     spec.domain.require_faces("co-normal field")
     nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
                 out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
-    return _build(VertexGrid(spec.domain, nu), TOL_HARMONIC_INTERNAL)
+    return _build(VertexGrid(spec.domain, nu),
+                  TOL_HARMONIC_INTERNAL * max(1.0, float(nu.max()), -float(nu.min())))
 
 
 def validate(vectors: VertexGrid, tol_harmonic: float = TOL_HARMONIC) -> ConormalField:

@@ -5,6 +5,7 @@ import pytest
 
 import affmin as am
 from affmin.conormal import (
+    TOL_HARMONIC_INTERNAL,
     SeparableConormalSpec,
     face_area_density,
     from_separable,
@@ -50,6 +51,19 @@ class TestFromSeparable:
         field = am.minimal_cubic(GridDomain(1, 20, 1, 20))
         bound = 4 * np.finfo(float).eps * np.abs(field.vectors.values).max()
         assert field.harmonic_residual <= bound
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_large_entries_meet_the_scaled_internal_bound(self, seed):
+        # Cubic profiles on (1, 64)^2 reach |nu| = 8192; the rounding of
+        # u_part + v_part alone then exceeds an absolute 1e-12.
+        rng = np.random.default_rng(seed)
+        dom = GridDomain(1, 64, 1, 64)
+        spec = spec_from(dom, lambda u: (u, 0.0, u * u), lambda v: (0.0, v, v * v))
+        noisy = SeparableConormalSpec(dom, spec.u_part + rng.uniform(-1e-2, 1e-2, (dom.n_u, 3)),
+                                      spec.v_part + rng.uniform(-1e-2, 1e-2, (dom.n_v, 3)))
+        field = from_separable(noisy)
+        scale = np.abs(field.vectors.values).max()
+        assert TOL_HARMONIC_INTERNAL < field.harmonic_residual <= TOL_HARMONIC_INTERNAL * scale
 
 
 class TestValidate:

@@ -173,6 +173,15 @@ class TestTessellate:
             export_surface_obj(surf, 0, path)
         assert not path.exists()
 
+    def test_non_integral_resolution_rejected(self, helicoid, tmp_path):
+        # 2.5 used to write the resolution-2 mesh and return its counts.
+        _, surf = helicoid
+        path = tmp_path / "res2.5.obj"
+        with pytest.raises(ValueError, match="2.5"):
+            export_surface_obj(surf, 2.5, path)
+        assert not path.exists()
+        assert export_surface_obj(surf, np.int64(2), path) == export_surface_obj(surf, 2, path)
+
 
 class TestExportObj:
     def test_line_counts(self, tmp_path):

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import affmin as am
 from affmin import mesh as mesh_module
@@ -99,10 +101,15 @@ def reference_dumps_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-# Signed zero, the smallest subnormal, huge and tiny magnitudes, and values
-# whose shortest repr differs from their 17-digit spelling.
+# Signed zero, the smallest subnormal, huge and tiny magnitudes, values
+# whose shortest repr differs from their 17-digit spelling, the %g style
+# boundaries 1e-5, 1e-4, 1e16 and 1e17, the doubles 1e-14 and 1e-305, which
+# lie below their power of ten so that their 17 digits carry to 10^17, and
+# two exact ties of the 18th digit, 1 + 2^-17 and -26215 / 2^18.
 SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 2.0, 1.0 / 3.0, 1e16, 1e-5,
-           1.7976931348623157e308, -123456789.125, 2.5e-310, 0.0]
+           1.7976931348623157e308, -123456789.125, 2.5e-310, 0.0,
+           1e-14, 1e-305, 1e-4, 1e17, 1.0 + 2.0 ** -17, -26215 / 2 ** 18]
+TIES = SPECIAL[-2:]
 
 
 def blocks(rows):
@@ -140,6 +147,49 @@ def test_obj_without_triangles_matches_reference(tmp_path):
                              np.zeros((0, 3), dtype=int))
     assert ours == theirs
     assert ours.endswith(b"\n") and not ours.endswith(b"\n\n")
+
+
+def reference_vertex_text(positions, tmp_path):
+    path = tmp_path / "vertices.obj"
+    reference_export_obj(positions, np.zeros((0, 3), dtype=int), path)
+    return path.read_text()
+
+
+def test_vertex_lines_match_reference_on_bit_patterns_and_powers_of_ten(tmp_path):
+    patterns = np.random.default_rng(14).integers(0, 2 ** 64, 2 ** 16, dtype=np.uint64)
+    powers = np.array([float(f"1e{e}") for e in range(-324, 309)])
+    neighbours = np.stack([np.nextafter(powers, -np.inf), powers, np.nextafter(powers, np.inf)])
+    for values in (np.append(patterns.view(np.float64), [0.0, -0.0]), neighbours.T.ravel()):
+        positions = values.reshape(-1, 3)
+        assert mesh_module._vertex_lines(positions) == reference_vertex_text(positions, tmp_path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_vertex_lines_match_percent_g(block):
+    expected = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in block)
+    assert mesh_module._vertex_lines(block) == expected
+
+
+def test_carries_and_ties_spell_like_reference(tmp_path):
+    digits, exponents, defer = mesh_module._decimal_digits(np.array(SPECIAL))
+    # 1e-14 and 1e-305 round up to 10^17 and move to the next exponent.
+    assert digits[12:14].tolist() == [10 ** 16] * 2 and exponents[12:14].tolist() == [-14, -305]
+    # Only the exact ties go to %: the digits alone round -26215 / 2^18 the
+    # wrong way (...37, where half-even gives ...38).
+    assert defer.tolist() == [x in TIES for x in SPECIAL]
+    assert digits[-1] == 10000228881835937
+    positions = np.array(SPECIAL).reshape(-1, 3)
+    text = mesh_module._vertex_lines(positions)
+    assert text == reference_vertex_text(positions, tmp_path)
+    assert text.endswith("v 1e-14 1e-305 0.0001\n"
+                         "v 1e+17 1.0000076293945312 -0.10000228881835938\n")
+
+
+def test_non_finite_values_are_spelled_by_percent_g(tmp_path):
+    positions = np.array([[np.inf, -np.inf, np.nan], [1.5, -np.nan, 0.0]])
+    assert mesh_module._vertex_lines(positions) == reference_vertex_text(positions, tmp_path)
 
 
 def test_empty_obj_is_an_empty_file(tmp_path):
