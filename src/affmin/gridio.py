@@ -7,8 +7,9 @@ A grid file is one JSON object:
      "components": 1|3,
      "values": [...row-major numbers...]}
 
-Numbers are written with 17 significant digits, so round trips are exact and
-repeated writes are byte-identical.  Grid and seed values must be finite:
+Floats are written as ``%.17g`` writes them, grids and float lists by the
+shared numpy kernel of ``spelling``, so round trips are exact and repeated
+writes are byte-identical.  Grid and seed values must be finite:
 writers and readers reject NaN and infinities (which JSON cannot spell) and
 name the first offending grid index or seed point; grid and seed readers
 also reject entries that are not numbers (``true``, ``"1.5"``), naming the
@@ -21,12 +22,12 @@ does not reach.
 
 import json
 import math
-import re
 
 import numpy as np
 
 from .compatibility import FundamentalData
 from .grids import GRID_KINDS, FaceGrid, Grid, GridDomain, VertexGrid, worst_index
+from .spelling import spell
 
 __all__ = [
     "dumps_json",
@@ -42,11 +43,6 @@ __all__ = [
 ]
 
 
-# What "%.17g" makes of NaN and the infinities; no finite spelling holds
-# "nan" or "inf".
-_NON_FINITE = re.compile(r"-?(?:nan|inf)")
-
-
 # Scalars dumps_json spells as JSON numbers or true/false.
 _SCALARS = (bool, np.bool_, int, float, np.integer, np.floating)
 
@@ -56,31 +52,15 @@ _JSON_NUMBERS = {int, float, type(None)}
 
 
 def _format_number(x) -> str:
+    """JSON spelling of a scalar; null for None, NaN and the infinities."""
+    if x is None:
+        return "null"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
     return f"{x:.17g}" if math.isfinite(x) else "null"
-
-
-def _format_floats(seq, has_none: bool) -> str:
-    """Comma-separated floats and Nones with one ``%``; NaN and inf become null.
-
-    "%.17g" spells a finite float as _format_number does, so the text is
-    the per-number text.
-    """
-    if has_none:
-        fields = ["null" if x is None else "%.17g" for x in seq]
-        seq = [x for x in seq if x is not None]
-    else:
-        fields = ["%.17g"] * len(seq)
-    text = ", ".join(fields) % tuple(seq)
-    # Finite spellings and "null" hold neither letter; one-letter searches
-    # are memchr scans, several times faster than searching for "nan".
-    if "a" in text or "i" in text:
-        text = _NON_FINITE.sub("null", text)
-    return text
 
 
 def dumps_json(obj, indent: int = 0) -> str:
@@ -90,11 +70,9 @@ def dumps_json(obj, indent: int = 0) -> str:
     """
     pad = " " * indent
     inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, _SCALARS):
+    if obj is None or isinstance(obj, _SCALARS):
         return _format_number(obj)
     if isinstance(obj, dict):
         if not obj:
@@ -104,15 +82,15 @@ def dumps_json(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) <= {float, type(None)}:
+        obj = np.array(obj, dtype=float)    # None -> NaN, spelled null
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        # ", " before every number; the first one's is cut off.
+        return "[" + spell(obj[:, None], (b", ",), b"\0", _format_number)[2:] + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
-        kinds = set(map(type, seq))
-        if seq and kinds <= {float, type(None)}:
-            return "[" + _format_floats(seq, type(None) in kinds) + "]"
         if all(isinstance(x, _SCALARS) or x is None for x in seq):
-            return "[" + ", ".join(
-                "null" if x is None else _format_number(x) for x in seq
-            ) + "]"
+            return "[" + ", ".join(map(_format_number, seq)) + "]"
         items = [f"{inner}{dumps_json(v, indent + 2)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -144,15 +122,14 @@ def _require_finite(values: np.ndarray, domain: GridDomain, what: str):
         raise ValueError(f"{what} has a non-finite value at grid index {index}")
 
 
-def grid_to_obj(grid: Grid, pad_values=None) -> dict:
-    """Grid file object; ``pad_values`` overrides the flat value list."""
+def grid_to_obj(grid: Grid) -> dict:
+    """Grid file object; ``"values"`` is the flat float64 array of the grid's values."""
     _require_finite(grid.values, grid.domain, f"{grid.kind} grid")
-    values = grid.values.reshape(-1).tolist() if pad_values is None else pad_values
     return {
         "kind": grid.kind,
         "domain": list(grid.domain.as_tuple()),
         "components": grid.components,
-        "values": values,
+        "values": grid.values.reshape(-1),
     }
 
 
@@ -213,16 +190,15 @@ def read_grid(path, expected_kind: str | None = None) -> Grid:
     return grid
 
 
-def _pad_coefficient(grid: VertexGrid, full: GridDomain, name: str) -> list:
-    """Flat value list over ``full`` with nulls where the stencil is missing."""
+def _pad_coefficient(grid: VertexGrid, full: GridDomain, name: str) -> np.ndarray:
+    """Flat float64 array over ``full``, NaN (written null) where the stencil is missing."""
     sub = grid.domain
     _require_finite(grid.values, sub, f"{name} grid")
     values = np.full((full.n_u, full.n_v), np.nan)
     i0 = sub.u_min - full.u_min
     j0 = sub.v_min - full.v_min
     values[i0:i0 + sub.n_u, j0:j0 + sub.n_v] = grid.values
-    flat = values.reshape(-1)
-    return [None if missing else x for x, missing in zip(flat.tolist(), np.isnan(flat).tolist())]
+    return values.reshape(-1)
 
 
 def write_forms(data: FundamentalData, path):

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import affmin as am
-from affmin import mesh as mesh_module
+from affmin import mesh as mesh_module, spelling
 from affmin.compatibility import extract_fundamental_data
-from affmin.gridio import _pad_coefficient, dumps_json, grid_to_obj, write_forms
+from affmin.gridio import _format_number, _pad_coefficient, dumps_json, grid_to_obj, write_forms
 from affmin.mesh import _write_obj, export_surface_obj, patch_point
 
 
@@ -173,7 +173,7 @@ def test_vertex_lines_match_percent_g(block):
 
 
 def test_carries_and_ties_spell_like_reference(tmp_path):
-    digits, exponents, defer = mesh_module._decimal_digits(np.array(SPECIAL))
+    digits, exponents, defer = spelling._decimal_digits(np.array(SPECIAL))
     # 1e-14 and 1e-305 round up to 10^17 and move to the next exponent.
     assert digits[12:14].tolist() == [10 ** 16] * 2 and exponents[12:14].tolist() == [-14, -305]
     # Only the exact ties go to %: the digits alone round -26215 / 2^18 the
@@ -259,17 +259,73 @@ def test_dumps_json_matches_reference_on_null_padded_lists():
         assert dumps_json(value) == reference_dumps_json(value)
 
 
+def reference_json_floats(values) -> str:
+    """A JSON float list spelled one ``_format_number`` per entry (null for None, NaN, inf)."""
+    return "[" + ", ".join("null" if x is None else _format_number(x) for x in values) + "]"
+
+
+def test_json_floats_match_reference_on_bit_patterns_and_powers_of_ten():
+    patterns = np.random.default_rng(15).integers(0, 2 ** 64, 2 ** 16, dtype=np.uint64)
+    powers = np.array([float(f"1e{e}") for e in range(-324, 309)])
+    neighbours = np.stack([np.nextafter(powers, -np.inf), powers, np.nextafter(powers, np.inf)])
+    for values in (np.append(patterns.view(np.float64), [0.0, -0.0]), neighbours.T.ravel()):
+        expected = reference_json_floats(values.tolist())
+        assert dumps_json(values) == expected
+        assert dumps_json(values.tolist()) == expected
+    assert (~np.isfinite(patterns.view(np.float64))).sum() > 0   # some patterns are NaN or inf
+
+
+def test_json_floats_spell_carries_and_ties_like_reference():
+    text = dumps_json(np.array(SPECIAL))
+    assert text == dumps_json(SPECIAL) == reference_json_floats(SPECIAL)
+    assert text.endswith("1e-14, 1e-305, 0.0001, 1e+17, 1.0000076293945312, -0.10000228881835938]")
+
+
+def test_json_floats_spell_nan_and_inf_as_null():
+    values = [np.nan, np.inf, -np.inf, 1.5, -np.nan, -0.0]
+    assert dumps_json(np.array(values)) == "[null, null, null, 1.5, null, -0]"
+    assert dumps_json([None, 2.5] + values + [None]) == \
+        "[null, 2.5, null, null, null, 1.5, null, -0, null]"
+    assert dumps_json([None, None]) == "[null, null]"
+
+
+def test_json_floats_longer_than_one_pass_match_reference():
+    n = 2 * spelling._PASS + 7
+    values = np.random.default_rng(15).standard_normal(n) * 10.0 ** (np.arange(n) % 25 - 12)
+    values[spelling._PASS - 1:spelling._PASS + 1] = np.nan   # nulls on a pass boundary
+    values[2 * spelling._PASS] = np.inf
+    padded = [None if k % 97 == 3 else x for k, x in enumerate(values.tolist())]
+    for seq in (values, padded):
+        text = dumps_json(seq)
+        assert text == reference_json_floats(seq if isinstance(seq, list) else seq.tolist())
+        assert len(json.loads(text)) == n
+
+
+def test_empty_json_float_lists():
+    assert dumps_json(np.array([])) == dumps_json(np.zeros(0)) == dumps_json([]) == "[]"
+    assert dumps_json({"values": np.zeros(0)}) == '{\n  "values": []\n}'
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 60), elements=st.floats()),
+       st.lists(st.one_of(st.none(), st.floats()), min_size=1, max_size=60))
+def test_json_floats_match_format_number(values, padded):
+    assert dumps_json(values) == reference_json_floats(values.tolist())
+    assert dumps_json(padded) == reference_json_floats(padded)
+
+
 def test_forms_file_matches_reference(helicoid, tmp_path):
     _, surf = helicoid
     data = extract_fundamental_data(surf)
     full = data.domain
     obj = {"F": grid_to_obj(data.areas)}
     for key, grid in (("A", data.u_coeff), ("B", data.v_coeff)):
+        padded = _pad_coefficient(grid, full, key)
         obj[key] = {
             "kind": "vertex",
             "domain": list(full.as_tuple()),
             "components": 1,
-            "values": _pad_coefficient(grid, full, key),
+            "values": [None if np.isnan(x) else x for x in padded.tolist()],
         }
     assert None in obj["A"]["values"] and None in obj["B"]["values"]
     path = tmp_path / "forms.json"
