@@ -202,6 +202,15 @@ def test_dumps_json_values():
     assert parsed == {"x": 0.5, "flag": True, "items": [1, None, 2.5]}
 
 
+def test_unserializable_value_leaves_no_file(tmp_path):
+    # The values array spans several passes, so bytes reach the file first.
+    report = {"values": np.linspace(0.0, 1.0, 50_000), "bad": object()}
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        write_json(report, path)
+    assert not path.exists()
+
+
 def test_dumps_json_spells_numpy_bools():
     # Comparisons of numpy scalars give np.bool_, alone, in lists and in dicts.
     assert dumps_json(np.bool_(True)) == "true"
@@ -253,6 +262,21 @@ class TestNonFinite:
         where = (sub.u_min + 2, sub.v_min + 3)
         with pytest.raises(ValueError, match=rf"B grid .* index \({where[0]}, {where[1]}\)"):
             write_forms(broken, tmp_path / "forms.json")
+
+    def test_grid_and_forms_writers_reject_before_opening(self, cubic, tmp_path):
+        # A file the writer opened would be truncated, or removed on failure.
+        _, surf = cubic
+        data = extract_fundamental_data(surf)
+        b = np.array(data.v_coeff.values)
+        b[-1, -1] = np.nan
+        broken = FundamentalData(data.areas, data.u_coeff, data.v_coeff.with_values(b))
+        path = tmp_path / "kept.json"
+        path.write_text("kept")
+        with pytest.raises(ValueError, match="non-finite"):
+            write_grid(broken.v_coeff, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            write_forms(broken, path)
+        assert path.read_text() == "kept"
 
     def test_grid_reader_rejects_nan_and_infinity_tokens(self, tmp_path):
         grid = VertexGrid(GridDomain(0, 1, 0, 1), np.arange(4.0).reshape(2, 2))

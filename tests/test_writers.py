@@ -8,6 +8,7 @@ by point through the public ``patch_point``.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import affmin as am
-from affmin import mesh as mesh_module, spelling
+from affmin import gridio, mesh as mesh_module, spelling
 from affmin.compatibility import extract_fundamental_data
-from affmin.gridio import _format_number, _pad_coefficient, dumps_json, grid_to_obj, write_forms
+from affmin.gridio import (_format_number, _pad_coefficient, dumps_json, grid_to_obj, write_forms,
+                           write_grid)
 from affmin.mesh import _write_obj, export_surface_obj, patch_point
 
 
@@ -152,7 +154,12 @@ def test_obj_without_triangles_matches_reference(tmp_path):
 def reference_vertex_text(positions, tmp_path):
     path = tmp_path / "vertices.obj"
     reference_export_obj(positions, np.zeros((0, 3), dtype=int), path)
-    return path.read_text()
+    return path.read_bytes()
+
+
+def vertex_lines(block) -> bytes:
+    """The vertex lines ``_vertex_lines`` yields pass by pass, joined."""
+    return b"".join(mesh_module._vertex_lines(block))
 
 
 def test_vertex_lines_match_reference_on_bit_patterns_and_powers_of_ten(tmp_path):
@@ -161,7 +168,7 @@ def test_vertex_lines_match_reference_on_bit_patterns_and_powers_of_ten(tmp_path
     neighbours = np.stack([np.nextafter(powers, -np.inf), powers, np.nextafter(powers, np.inf)])
     for values in (np.append(patterns.view(np.float64), [0.0, -0.0]), neighbours.T.ravel()):
         positions = values.reshape(-1, 3)
-        assert mesh_module._vertex_lines(positions) == reference_vertex_text(positions, tmp_path)
+        assert vertex_lines(positions) == reference_vertex_text(positions, tmp_path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,7 +176,7 @@ def test_vertex_lines_match_reference_on_bit_patterns_and_powers_of_ten(tmp_path
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_vertex_lines_match_percent_g(block):
     expected = "".join(f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in block)
-    assert mesh_module._vertex_lines(block) == expected
+    assert vertex_lines(block) == expected.encode("ascii")
 
 
 def test_carries_and_ties_spell_like_reference(tmp_path):
@@ -181,15 +188,15 @@ def test_carries_and_ties_spell_like_reference(tmp_path):
     assert defer.tolist() == [x in TIES for x in SPECIAL]
     assert digits[-1] == 10000228881835937
     positions = np.array(SPECIAL).reshape(-1, 3)
-    text = mesh_module._vertex_lines(positions)
+    text = vertex_lines(positions)
     assert text == reference_vertex_text(positions, tmp_path)
-    assert text.endswith("v 1e-14 1e-305 0.0001\n"
-                         "v 1e+17 1.0000076293945312 -0.10000228881835938\n")
+    assert text.endswith(b"v 1e-14 1e-305 0.0001\n"
+                         b"v 1e+17 1.0000076293945312 -0.10000228881835938\n")
 
 
 def test_non_finite_values_are_spelled_by_percent_g(tmp_path):
     positions = np.array([[np.inf, -np.inf, np.nan], [1.5, -np.nan, 0.0]])
-    assert mesh_module._vertex_lines(positions) == reference_vertex_text(positions, tmp_path)
+    assert vertex_lines(positions) == reference_vertex_text(positions, tmp_path)
 
 
 def test_empty_obj_is_an_empty_file(tmp_path):
@@ -212,7 +219,8 @@ def test_face_indices_straddling_every_power_of_ten_match_reference(tmp_path):
 def test_face_lines_spell_like_percent_d(top):
     # 2^32 - 1 is the largest 1-based index spelled in uint32 arithmetic.
     block = np.array([[top, 0, top], [top // 10, top, 7], [0, 0, 0]])
-    assert mesh_module._face_lines(block) == "f %d %d %d\n" * 3 % tuple((block + 1).ravel().tolist())
+    expected = "f %d %d %d\n" * 3 % tuple((block + 1).ravel().tolist())
+    assert mesh_module._face_lines(block) == expected.encode("ascii")
 
 
 @pytest.mark.parametrize("u_range, v_range, res", [((-2, 2), (0, 7), 3), ((0, 1), (0, 5), 3),
@@ -331,6 +339,44 @@ def test_forms_file_matches_reference(helicoid, tmp_path):
     path = tmp_path / "forms.json"
     write_forms(data, path)
     assert path.read_text() == reference_dumps_json(obj) + "\n"
+
+
+def test_float_lists_are_spelled_without_the_kernel(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gridio, "spell", lambda *args: calls.append(args) or iter([]))
+    expected = "[0.10000000000000001, null, null]"
+    assert dumps_json([0.1, None, np.inf]) == dumps_json((0.1, None, np.inf)) == expected
+    assert calls == []
+    dumps_json(np.array([0.1, 2.5]))
+    assert len(calls) == 1
+
+
+def test_grid_file_streams_one_pass_at_a_time(tmp_path):
+    # 27,000 numbers: more than two passes, about 24 bytes each.
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((100, 90, 3)) * 10.0 ** rng.integers(-30, 30, (100, 90, 3))
+    grid = am.VertexGrid(am.GridDomain(-3, 96, 5, 94), values)
+    assert values.size > 2 * spelling._PASS
+    path = tmp_path / "grid.json"
+    write_grid(grid, path)
+    assert path.read_text() == reference_dumps_json(grid_to_obj(grid)) + "\n"
+    chunks = list(gridio._json_chunks(grid_to_obj(grid)))
+    assert b"".join(chunks) + b"\n" == path.read_bytes()
+    assert path.stat().st_size > 3 * 32 * spelling._PASS // 2
+    assert max(map(len, chunks)) <= 32 * spelling._PASS   # 32 bytes a record at most
+
+
+def test_grid_writer_peak_memory_is_bounded_by_a_pass(tmp_path):
+    # The file is 10.2 MB; building its whole text as one str peaked at 34.3 MB.
+    values = np.random.default_rng(17).standard_normal((400, 400, 3))
+    grid = am.VertexGrid(am.GridDomain(1, 400, 1, 400), values)
+    tracemalloc.start()
+    try:
+        write_grid(grid, tmp_path / "grid.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def streamed_and_reference(tmp_path, surface, resolution, mesh=None):
