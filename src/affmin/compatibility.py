@@ -106,31 +106,32 @@ def compatibility_residuals(data: FundamentalData) -> CompatibilityResiduals:
     r2:  F(u-,v-) A_2(u,v+) - F(u-,v+) A_2(u,v-) = A B_1(u-,v)
 
     with A_2 = d2(A), B_1 = d1(B); each residual is normalized by the
-    largest magnitude among its terms.
+    largest magnitude among its terms.  The equations run on the row bands
+    of B, whose rows are the vertex rows: a vertex reads rows u-1 to u+1.
     """
-    f = data.areas.values
-    a = data.u_coeff.values
-    b = data.v_coeff.values
-    a2 = np.diff(a, axis=1)   # A_2(u, v+1/2), shape (n_u-2, n_v-1)
-    b1 = np.diff(b, axis=0)   # B_1(u+1/2, v), shape (n_u-1, n_v-2)
+    f_all, a_all = data.areas.values, data.u_coeff.values
 
     # Characteristic magnitudes of the data; the derivative equations are
     # floored by these so that identically-vanishing coefficient fields
     # (straight rulings) register as compatible instead of noise-vs-noise.
-    sig_f = float(f.max())
-    sig_a = float(np.abs(a).max()) + sig_f
-    sig_b = float(np.abs(b).max()) + sig_f
+    # max |x| is max(max x, -min x), and NaN if x holds one.
+    sig_f = float(f_all.max())
+    sig_a, sig_b = (float(np.max([x.max(), -x.min()])) + sig_f
+                    for x in (a_all, data.v_coeff.values))
+    floors = (0.0, max(sig_f, sig_a) * sig_b, max(sig_f, sig_b) * sig_a)
 
-    r0 = relative_residual([
-        f[:-1, 1:] * f[1:, :-1], f[1:, 1:] * f[:-1, :-1], a[:, 1:-1] * b[1:-1, :],
-    ])
-    r1 = relative_residual([
-        f[:-1, :-1] * b1[1:, :], f[1:, :-1] * b1[:-1, :], b[1:-1, :] * a2[:, :-1],
-    ], floor=max(sig_f, sig_a) * sig_b)
-    r2 = relative_residual([
-        f[:-1, :-1] * a2[:, 1:], f[:-1, 1:] * a2[:, :-1], a[:, 1:-1] * b1[:-1, :],
-    ], floor=max(sig_f, sig_b) * sig_a)
-    return CompatibilityResiduals(r0, r1, r2)
+    worst = ([], [], [])
+    for _, band, rows, _ in row_bands(data.v_coeff, after=2):
+        f, a, b = f_all[rows[1]], a_all[rows[2]], band.values
+        a2 = a[:, 1:] - a[:, :-1]   # A_2(u, v+1/2)
+        b1 = b[1:] - b[:-1]         # B_1(u+1/2, v)
+        for residuals, terms, floor in zip(worst, (
+            (f[:-1, 1:] * f[1:, :-1], f[1:, 1:] * f[:-1, :-1], a[:, 1:-1] * b[1:-1, :]),
+            (f[:-1, :-1] * b1[1:, :], f[1:, :-1] * b1[:-1, :], b[1:-1, :] * a2[:, :-1]),
+            (f[:-1, :-1] * a2[:, 1:], f[:-1, 1:] * a2[:, :-1], a[:, 1:-1] * b1[:-1, :]),
+        ), floors):
+            residuals.append(relative_residual(terms, floor))
+    return CompatibilityResiduals(*(float(np.max(residuals)) for residuals in worst))
 
 
 def canonical_seed(f00: float) -> np.ndarray:
@@ -215,16 +216,22 @@ def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarra
     ``corners[k, r, i]`` is component k of vertex i (0, 1) on line r,
     ``f[i]`` the F of the face between the lines after vertex i, and
     ``c[i - 1, r]`` the cubic coefficient of vertex i on line r.  Each step
-    expands both lines one vertex through the face before it.  The
+    expands both lines one vertex through the face before it, on Python
+    floats: per component, the operations and their order of the whole-array
+    step, so the same bits (``FundamentalData`` keeps every F > 0).  The
     co-normal is (along x across) / F; the last vertex reuses the edge along
     and the face before it.
     """
-    s = np.empty((3, 2, len(f) + 1))
-    s[..., :2] = corners
-    for i in range(1, s.shape[2] - 1):
-        step = ((f[i] - f[i - 1]) * (s[..., i] - s[..., i - 1])
-                + c[i - 1] * (s[:, 1, i] - s[:, 0, i])[:, None]) / f[i - 1]
-        s[..., i + 1] = 2.0 * s[..., i] - s[..., i - 1] + step
+    lines = corners.reshape(6, 2).tolist()   # lines[2 k + r]: component k of line r
+    fl, cl = f.tolist(), c.tolist()
+    for i in range(1, len(fl)):
+        df, f0, (c0, c1) = fl[i] - fl[i - 1], fl[i - 1], cl[i - 1]
+        for x0, x1 in zip(lines[0::2], lines[1::2]):
+            s0, p0, s1, p1 = x0[i], x0[i - 1], x1[i], x1[i - 1]
+            across = s1 - s0
+            x0.append(2.0 * s0 - p0 + (df * (s0 - p0) + c0 * across) / f0)
+            x1.append(2.0 * s1 - p1 + (df * (s1 - p1) + c1 * across) / f0)
+    s = np.array(lines).reshape(3, 2, len(fl) + 1)
     last = np.minimum(np.arange(s.shape[2]), s.shape[2] - 2)
     along = (s[:, 0, 1:] - s[:, 0, :-1])[:, last]
     return div3(cross3(along.T, (s[:, 1] - s[:, 0]).T), f[last])
@@ -271,9 +278,10 @@ def affine_equivalence(qa: Immersion, qb: Immersion,
     """Affine map sending qa to qb, determined by the corner quadrangles.
 
     The four lower-left corner points fix the map; it is then verified on
-    every vertex.  Raises NotEquivalent (with the worst vertex and relative
-    gap, NaN included) if the map fails globally, DegenerateQuadrangle if no
-    map exists.
+    every vertex, band by band: one pass takes the extent of qb that scales
+    the gaps, a second the worst relative gap and its vertex.  Raises
+    NotEquivalent (with the worst vertex and relative gap, NaN included) if
+    the map fails globally, DegenerateQuadrangle if no map exists.
     """
     if qa.domain != qb.domain:
         raise DomainMismatch(f"domains differ: {qa.domain} vs {qb.domain}")
@@ -281,13 +289,21 @@ def affine_equivalence(qa: Immersion, qb: Immersion,
     base_b, frame_b = _corner_frame(qb.positions)
     linear = np.linalg.solve(frame_a.T, frame_b.T).T
     translation = base_b - linear @ base_a
-    mapped = qa.positions.values @ linear.T + translation
-
     pb = qb.positions.values
-    # nanmax keeps a NaN in qb from hiding which vertex carries it.
-    scale = max(float(np.nanmax(np.abs(pb - pb[0, 0]))), TINY)
-    gaps = absmax(mapped - pb) / scale
-    worst = gaps.max()
-    if not worst <= tol:
-        raise NotEquivalent(worst_index(gaps, qa.domain), float(worst))
+    # fmax reductions, as nanmax is: a NaN in qb does not hide which vertex carries it.
+    spans = []
+    for _, band, _, _ in row_bands(qb.positions):
+        span = band.values - pb[0, 0]
+        spans.append(np.fmax.reduce(np.abs(span, out=span), axis=None))
+    scale = max(float(np.fmax.reduce(spans)), TINY)
+    worst = BandMax(qa.domain)
+    for lo, band, rows, _ in row_bands(qa.positions):
+        gap = band.values @ linear.T   # the whole grid's matmul, one u-row at a time
+        gap += translation
+        gap -= pb[rows[0]]
+        gap = absmax(gap)
+        gap /= scale
+        worst.add(gap, lo)
+    if not worst.value <= tol:
+        raise NotEquivalent(worst.index, worst.value)
     return AffineMap(linear, translation)

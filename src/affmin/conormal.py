@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvexFace, NotHarmonic
-from .grids import FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, empty3, worst_index
+from .grids import (BandMax, FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, empty3,
+                    row_bands, worst_index)
 
 __all__ = [
     "TOL_HARMONIC",
@@ -98,21 +99,31 @@ class SeparableConormalSpec:
 
 
 def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
-    """Validate a co-normal grid and wrap it; a NaN residual or F fails too."""
-    dom = vectors.domain
-    residuals = absmax(d12(vectors).values)
-    max_residual = float(residuals.max())
-    if not max_residual <= tol_harmonic:
-        worst = worst_index(residuals, dom)
-        bad = [(dom.u_min + int(i), dom.v_min + int(j))
-               for i, j in np.argwhere(~(residuals <= tol_harmonic))]
-        raise NotHarmonic(max_residual, [worst] + [face for face in bad if face != worst])
+    """Validate a co-normal grid and wrap it; a NaN residual or F fails too.
 
-    areas = face_area_density(vectors)
-    lowest = areas.values.min()
+    Harmonicity and F run on row bands.  A field that is not harmonic raises
+    NotHarmonic naming the worst face, then every other face over
+    ``tol_harmonic`` in row-major order; F is not evaluated past the first
+    band with such a face.
+    """
+    dom = vectors.domain
+    worst, bad = BandMax(dom), []
+    areas = np.empty((dom.n_u - 1, dom.n_v - 1))
+    for lo, band, rows, own in row_bands(vectors, after=1):
+        residuals = absmax(d12(band).values[own])
+        worst.add(residuals, lo)
+        bad += [(dom.u_min + lo + int(i), dom.v_min + int(j))
+                for i, j in np.argwhere(~(residuals <= tol_harmonic))]
+        if not bad:
+            areas[rows[1]][own] = face_area_density(band).values[own]
+    if bad:
+        raise NotHarmonic(worst.value, [worst.index] + [face for face in bad
+                                                         if face != worst.index])
+
+    lowest = areas.min()
     if not lowest > 0.0:
-        raise NonConvexFace(worst_index(-areas.values, dom), float(lowest))
-    return ConormalField(vectors, areas, max_residual)
+        raise NonConvexFace(worst_index(-areas, dom), float(lowest))
+    return ConormalField(vectors, FaceGrid(dom, areas), worst.value)
 
 
 def from_separable(spec: SeparableConormalSpec) -> ConormalField:
@@ -120,12 +131,21 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
 
     Harmonicity is structural here (each face residual is a rounding-level
     cancellation), so the internal tolerance applies, times max(1, max |nu|).
+    Rounding is monotone, so max nu and min nu come from the profiles: per
+    component, max u_part + max v_part and min u_part + min v_part.  nu holds
+    a NaN exactly when a profile does or inf meets -inf, which a max + min
+    sum shows; then both are NaN, as ``nu.max()`` and ``nu.min()`` would be.
     """
     spec.domain.require_faces("co-normal field")
+    (u_hi, u_lo), (v_hi, v_lo) = ((p.max(axis=0), p.min(axis=0))
+                                  for p in (spec.u_part, spec.v_part))
+    if np.isnan([u_hi + v_lo, u_lo + v_hi]).any():
+        hi = lo = float("nan")
+    else:
+        hi, lo = float((u_hi + v_hi).max()), float((u_lo + v_lo).min())
     nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
                 out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
-    return _build(VertexGrid(spec.domain, nu),
-                  TOL_HARMONIC_INTERNAL * max(1.0, float(nu.max()), -float(nu.min())))
+    return _build(VertexGrid(spec.domain, nu), TOL_HARMONIC_INTERNAL * max(1.0, hi, -lo))
 
 
 def validate(vectors: VertexGrid, tol_harmonic: float = TOL_HARMONIC) -> ConormalField:

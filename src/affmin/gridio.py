@@ -226,6 +226,8 @@ def write_forms(data: FundamentalData, path):
 
 
 def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) -> VertexGrid:
+    """The ``sub`` part of a coefficient padded with nulls to ``full``; ValueError
+    on a null inside ``sub``, a value outside it, or any other non-finite value."""
     values = obj.get("values") if isinstance(obj, dict) else None
     if not isinstance(values, list):
         raise ValueError(f"{name} must be a grid object with a list of values")
@@ -233,8 +235,12 @@ def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) 
         raise ValueError(f"{name} grid has wrong length for domain {full}")
     _require_numbers(values, f"{name} grid values")
     shape = (full.n_u, full.n_v)
-    nulls = np.array([x is None for x in values]).reshape(shape)
     arr = np.array(values, dtype=float).reshape(shape)   # null -> NaN
+    # A null is read as NaN, so only the NaNs can be nulls; a NaN token is not.
+    nulls = np.zeros(arr.size, dtype=bool)
+    candidates = np.flatnonzero(np.isnan(arr))
+    nulls[candidates] = [values[k] is None for k in candidates.tolist()]
+    nulls = nulls.reshape(shape)
     _require_finite(np.where(nulls, 0.0, arr), full, f"{name} grid")
     inside = np.zeros(shape, dtype=bool)
     i0 = sub.u_min - full.u_min
@@ -267,7 +273,7 @@ def _seed_points(points, what: str) -> np.ndarray:
     """Four finite 3-points; ValueError names a wrong shape or the first bad point."""
     try:
         points = np.asarray(points, dtype=float)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must hold four 3-points: {exc}") from exc
     if points.shape != (4, 3):
         raise ValueError(f"{what} must hold four 3-points, got shape {points.shape}")
@@ -283,7 +289,13 @@ def write_seed(points, path):
 
 
 def read_seed(path) -> np.ndarray:
+    """The four points of a seed file; ValueError names the file and the first
+    point that is not a list of three JSON numbers."""
     points, what = _load_json(path).get("points"), f"seed file {path}"
-    for k, point in enumerate(points if isinstance(points, list) else []):
+    if not isinstance(points, list):
+        raise ValueError(f"{what} must hold four 3-points, got {json.dumps(points)[:40]}")
+    for k, point in enumerate(points):
         _require_numbers(point, f"{what} point {k}")   # json.load gives bools and strings too
+        if len(point) != 3:
+            raise ValueError(f"{what} point {k} has {len(point)} coordinates, not 3")
     return _seed_points(points, what)

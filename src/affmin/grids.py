@@ -29,7 +29,6 @@ So do the row bands that every whole-grid certificate is evaluated on, and
 the worst-entry reducer that joins their results.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,23 +353,27 @@ def dot3(a, b):
     The sum ((a0 b0 + a2 b2) + a1 b1) + 0.0 is the one ``np.einsum`` forms
     over interleaved vectors into its zeroed output (a zero sum is never
     -0.0), so these are einsum's bits on any memory layout; only the sign of
-    a NaN made from NaNs of both signs may differ.
+    a NaN made from NaNs of both signs may differ.  The two later products
+    go through one scratch plane.
     """
     a, b = np.asarray(a), np.asarray(b)
-    out = a[..., 0] * b[..., 0]
-    out += a[..., 2] * b[..., 2]
-    out += a[..., 1] * b[..., 1]
+    out = np.asarray(a[..., 0] * b[..., 0])   # a 0-d array for single vectors
+    scratch = np.empty_like(out)
+    for k in (2, 1):
+        out += np.multiply(a[..., k], b[..., k], out=scratch)
     out += 0.0
-    return out
+    return out if out.ndim else out[()]
 
 
 def cross3(a, b):
-    """Cross product of broadcastable 3-vector arrays: numpy's sums, no input copies."""
+    """Cross product of broadcastable 3-vector arrays: numpy's sums, no input
+    copies, the subtracted products through one scratch plane."""
     a, b = np.asarray(a), np.asarray(b)
     out = empty3(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    scratch = np.empty(out.shape[:-1], out.dtype)
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(a[..., i], b[..., j], out=out[..., k])
-        out[..., k] -= a[..., j] * b[..., i]
+        plane = np.multiply(a[..., i], b[..., j], out=out[..., k])
+        np.subtract(plane, np.multiply(a[..., j], b[..., i], out=scratch), out=plane)
     return out
 
 
@@ -385,9 +388,14 @@ def norm3(x):
 
 
 def absmax(x):
-    """Largest |component| along the last axis (a NaN wins), one slice at a time."""
-    x = np.abs(x)
-    return functools.reduce(np.maximum, (x[..., k] for k in range(x.shape[-1])))
+    """Largest |component| along the last axis (a NaN wins): |x_0| into one new
+    plane, then the max with each later |x_k|, taken into one scratch plane."""
+    x = np.asarray(x)
+    out = np.abs(x[..., 0], out=np.empty_like(x[..., 0]))
+    scratch = np.empty_like(out)
+    for k in range(1, x.shape[-1]):
+        np.maximum(out, np.abs(x[..., k], out=scratch), out=out)
+    return out if out.ndim else out[()]
 
 
 def mul3(s, v):
@@ -463,14 +471,21 @@ def relative_residual(terms, floor=0.0, scales=None) -> float:
     Each term is a 2-D grid of scalar stencils or a 3-D grid of 3-vectors;
     the residual and the scale of a vector stencil are maxima over its
     components.  ``scales``, if given, holds the caller's per-stencil
-    magnitude of each term in place of the one derived here.
+    magnitude of each term in place of the one derived here.  The residual
+    and the scale are each formed in one array of their own, in place.
     """
-    resid = terms[0] - terms[1]
+    resid = np.subtract(terms[0], terms[1])
     for term in terms[2:]:
         np.subtract(resid, term, out=resid)
-    scale = functools.reduce(np.maximum, map(_magnitude, terms) if scales is None else scales)
-    scale = np.maximum(np.maximum(scale, floor), TINY)
-    resid = _magnitude(resid)
+    np.abs(resid, out=resid)
+    if resid.ndim != 2:   # a vector stencil's worst component, into component 0
+        for k in (1, 2):
+            np.maximum(resid[..., 0], resid[..., k], out=resid[..., 0])
+        resid = resid[..., 0]
+    magnitudes = iter(map(_magnitude, terms) if scales is None else scales)
+    scale = np.maximum(next(magnitudes), next(magnitudes), out=np.empty(resid.shape))
+    for magnitude in (*magnitudes, floor, TINY):
+        np.maximum(scale, magnitude, out=scale)
     return float(np.divide(resid, scale, out=resid).max())
 
 

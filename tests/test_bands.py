@@ -1,11 +1,13 @@
 """Row-band evaluation: any band size gives the whole-grid bits and indices.
 
-Every whole-grid certificate, the co-normal certificate of ``reconstruct``
-and the v-sums of ``integrate`` run on row bands of ``grids._BAND_VERTICES``
-vertices.  The nets below fit one band at the default size, so the default
-call is the whole-grid evaluation; shrinking the bands to one row, or to
-seven rows (which divide none of the row counts), must change no bit of any
-report field, no worst index and no order of a failure list.
+Every whole-grid certificate, the co-normal certificate of ``reconstruct``,
+the compatibility equations, the gap check of ``affine_equivalence``, the
+harmonicity and F of ``validate`` and ``from_separable``, and the v-sums of
+``integrate`` run on row bands of ``grids._BAND_VERTICES`` vertices.  The
+nets below fit one band at the default size, so the default call is the
+whole-grid evaluation; shrinking the bands to one row, or to seven rows
+(which divide none of the row counts), must change no bit of any report
+field, no worst index and no order of a failure list.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import pytest
 
 import affmin as am
 from affmin import grids
-from affmin.errors import IllDefinedForm, IncompatibleData
+from affmin.errors import AffminError, IllDefinedForm, IncompatibleData, NotEquivalent
 from affmin.grids import BandMax, GridDomain, VertexGrid, row_bands, worst_index
 
 from test_kernels import PINS, certificate_values
@@ -31,10 +33,18 @@ def canonical(x):
         return {f.name: canonical(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, grids.Grid):
         return (type(x).__name__, x.domain, x.values.shape, x.values.tobytes())
+    if isinstance(x, am.ConormalField):
+        return canonical((x.vectors, x.areas, x.harmonic_residual))
+    if isinstance(x, AffminError):
+        return (type(x).__name__, canonical(vars(x)))
+    if isinstance(x, np.ndarray):
+        return (x.shape, x.tobytes())
     if isinstance(x, dict):
         return {k: canonical(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return type(x)(canonical(v) for v in x)
+    if isinstance(x, list):
+        return [canonical(v) for v in x]
+    if isinstance(x, tuple):   # named tuples too
+        return tuple(canonical(v) for v in x)
     if isinstance(x, (float, np.floating)):
         return float(x).hex()
     return x
@@ -59,6 +69,37 @@ def reconstructions(surf, data):
             out[name] = (err.face, err.gap)
     assert isinstance(out["corrupted"], tuple)
     return out
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the library error it raises."""
+    try:
+        return fn()
+    except AffminError as err:
+        return err
+
+
+def equivalences(surf):
+    """affine_equivalence of the net with an affine image of it, and with that
+    image bumped at one vertex (which must fail)."""
+    linear = np.array([[1.5, 0.2, -0.3], [0.1, 0.9, 0.4], [-0.2, 0.3, 1.1]])
+    image = surf.positions.values @ linear.T + np.array([3.0, -1.0, 0.5])
+    bumped = np.array(image)
+    bumped[bumped.shape[0] // 2, bumped.shape[1] // 3, 1] += 1e-3 * np.abs(image).max()
+    out = {}
+    for name, values in (("image", image), ("bumped", bumped)):
+        other = am.Immersion(surf.positions.with_values(values), surf.base_vertex, values[0, 0])
+        out[name] = outcome(lambda: am.affine_equivalence(surf, other))
+    assert isinstance(out["bumped"], NotEquivalent)
+    return out
+
+
+def conormals(vectors):
+    """``validate`` of the co-normals and ``from_separable`` of their edge profiles."""
+    nu = vectors.values
+    spec = am.SeparableConormalSpec(vectors.domain, nu[:, 0], nu[0] - nu[0, 0])
+    return {"validate": outcome(lambda: am.validate(vectors)),
+            "from_separable": outcome(lambda: am.from_separable(spec))}
 
 
 def reports(field, positions, vectors):
@@ -87,6 +128,9 @@ def reports(field, positions, vectors):
         "normal": am.normal_derivative_residuals(surf, xi, vols.areas, derivs),
         "fundamental": am.extract_fundamental_data(surf, tol=1.0),
         "reconstruct": reconstructions(surf, am.extract_fundamental_data(surf, tol=1.0)),
+        "compatibility": am.compatibility_residuals(am.extract_fundamental_data(surf, tol=1.0)),
+        "equivalence": equivalences(surf),
+        "conormal": conormals(vectors),
         "criticality": am.criticality_certificate(surf),
         "gradient": am.area_gradient(surf),
         "area": am.affine_area(surf),
@@ -135,8 +179,12 @@ def test_every_report_field_equals_the_whole_grid(monkeypatch, rows, name, field
     rows_per_band(monkeypatch, rows, positions.domain.n_v)
     banded = reports(field, positions, vectors)
     assert banded == whole
+    validated = banded["conormal"]["validate"]
     if name.endswith("noisy"):
         assert len(banded["planarity"]["saddle_failures"]) > 10
+        assert validated[0] == "NotHarmonic" and len(validated[1]["faces"]) > 10
+    else:
+        assert validated[0][0] == "VertexGrid"
 
 
 def test_ties_resolve_to_the_first_entry(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import affmin as am
+from affmin import conormal
 from affmin.conormal import (
     TOL_HARMONIC_INTERNAL,
     SeparableConormalSpec,
@@ -64,6 +65,27 @@ class TestFromSeparable:
         field = from_separable(noisy)
         scale = np.abs(field.vectors.values).max()
         assert TOL_HARMONIC_INTERNAL < field.harmonic_residual <= TOL_HARMONIC_INTERNAL * scale
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_profile_bound_equals_the_field_extremes(self, monkeypatch, seed):
+        # The bound comes from the profiles; it must be the one max nu and
+        # min nu give, with inf, -inf and NaN entries in the profiles too.
+        rng = np.random.default_rng(seed)
+        dom = GridDomain(0, 4, 0, 5)
+        parts = [rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 8, 3)
+                 for n in (dom.n_u, dom.n_v)]
+        for k in range(seed // 3):
+            part = parts[int(rng.integers(2))]
+            part[int(rng.integers(len(part))), int(rng.integers(3))] = rng.choice(
+                [np.inf, -np.inf, np.nan])
+        seen = []
+        monkeypatch.setattr(conormal, "_build", lambda vectors, tol: seen.append((vectors, tol)))
+        with np.errstate(invalid="ignore"):   # inf - inf
+            from_separable(SeparableConormalSpec(dom, *parts))
+        (vectors, tol), = seen
+        nu = vectors.values
+        expected = TOL_HARMONIC_INTERNAL * max(1.0, float(nu.max()), -float(nu.min()))
+        assert float(tol).hex() == expected.hex()
 
 
 class TestValidate:

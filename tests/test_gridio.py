@@ -188,6 +188,21 @@ def test_seed_round_trip(tmp_path):
             read_seed(path)
 
 
+def test_seed_reader_names_the_file_and_the_malformed_point(tmp_path):
+    # np.asarray would raise its own messages here, naming neither.
+    path = tmp_path / "seed.json"
+    for points, message in (
+        ("abc", 'must hold four 3-points, got "abc"'),
+        ([[0, 0, 0], [1, 0], [0, 1, 0], [1, 1, 1]], "point 1 has 2 coordinates, not 3"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1, 0]], "point 3 has 4 coordinates, not 3"),
+        ([[0, 0, 0], "q10", [0, 1, 0], [1, 1, 1]], "point 1: expected a list, got str"),
+    ):
+        path.write_text(json.dumps({"points": points}))
+        with pytest.raises(ValueError) as err:
+            read_seed(path)
+        assert str(err.value) == f"seed file {path} {message}"
+
+
 def test_write_is_deterministic(helicoid, tmp_path):
     _, surf = helicoid
     a, b = tmp_path / "a.json", tmp_path / "b.json"
