@@ -71,13 +71,13 @@ from .lelieuvre import (
 from .mesh import export_surface_obj
 from .variational import TOL_CRIT, affine_area, area_gradient, criticality_certificate
 
-EXAMPLES = ("helicoid", "cubic", "paraboloid", "sphere")
-
-DEFAULT_BOXES = {
-    "helicoid": (0, 10, 0, 16),
-    "cubic": (1, 11, 1, 11),
-    "paraboloid": (0, 10, 0, 10),
-    "sphere": (1, 11, -10, 0),
+# Example name -> (field builder of (box, n), default box).
+EXAMPLES = {
+    "helicoid": (lambda box, n: conormal.helicoid(n, box[:2], box[2:]), (0, 10, 0, 16)),
+    "cubic": (lambda box, n: conormal.minimal_cubic(GridDomain(*box)), (1, 11, 1, 11)),
+    "paraboloid": (lambda box, n: conormal.hyperbolic_paraboloid(GridDomain(*box)),
+                   (0, 10, 0, 10)),
+    "sphere": (lambda box, n: conormal.improper_sphere(GridDomain(*box)), (1, 11, -10, 0)),
 }
 
 # Tolerance name -> (default, help); the flag is --tol-<name>.
@@ -92,20 +92,6 @@ _TOLERANCES = {
     "equiv": (TOL_EQUIV, "affine-equivalence tolerance"),
     "crit": (TOL_CRIT, "criticality tolerance"),
 }
-
-
-def _generate_field(example: str, box, n: int) -> ConormalField:
-    u0, u1, v0, v1 = box
-    if example == "helicoid":
-        return conormal.helicoid(n, (u0, u1), (v0, v1))
-    domain = GridDomain(u0, u1, v0, v1)
-    if example == "cubic":
-        return conormal.minimal_cubic(domain)
-    if example == "paraboloid":
-        return conormal.hyperbolic_paraboloid(domain)
-    if example == "sphere":
-        return conormal.improper_sphere(domain)
-    raise ValueError(f"unknown example {example!r}")
 
 
 def _load_surface(path) -> Immersion:
@@ -152,8 +138,7 @@ def _surface_checks(surface: Immersion, field: ConormalField | None, tols) -> di
                                         "passed": bridge <= tols["dual"]}
     planar = planarity_and_saddle(surface, nu, tols["dual"])
     report = {
-        "asymptotic": _record(asymptotic_certificate(surface, tols["asymptotic"],
-                                                     tols["asymptotic"])),
+        "asymptotic": _record(asymptotic_certificate(surface, tols["asymptotic"])),
         "conormal_recovery": _record(recovery,
                                      passed=recovery.max_deviation <= tols["dual"]),
         "planar_saddle": _record(planar, saddle_failures=planar.saddle_failures[:8]),
@@ -170,7 +155,7 @@ def _tols(args) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    field = _generate_field(args.example, args.box, args.n)
+    field = EXAMPLES[args.example][0](args.box, args.n)
     write_grid(field.vectors, args.out)
     print(f"wrote co-normal grid {args.out} (min F = {field.min_area:.6g})")
     return 0
@@ -196,14 +181,14 @@ def _cmd_integrate(args) -> int:
 def _cmd_check(args) -> int:
     surface = _load_surface(args.surface)
     tols = _tols(args)
-    field = None
-    if args.conormal:
-        field = validate(read_grid(args.conormal, "vertex"), tols["harmonic"])
+    conormal_grid = read_grid(args.conormal, "vertex") if args.conormal else None
     try:
+        field = None if conormal_grid is None else validate(conormal_grid, tols["harmonic"])
         report = _surface_checks(surface, field, tols)
     except AffminError as exc:
         # Data so broken the certificates cannot even be evaluated (e.g. a
-        # non-positive face volume) still produces a report naming it.
+        # co-normal that is not harmonic, or a non-positive face volume)
+        # still produces a report naming it.
         report = {"error": f"{type(exc).__name__}: {exc}", "passed": False}
     report["tolerances"] = tols
     write_json(report, args.report)
@@ -289,10 +274,11 @@ def _cmd_pipeline(args) -> int:
     started = time.perf_counter()
     tols = _tols(args)
     os.makedirs(args.outdir, exist_ok=True)
-    box = tuple(args.box) if args.box else DEFAULT_BOXES[args.example]
+    build, default_box = EXAMPLES[args.example]
+    box = tuple(args.box) if args.box else default_box
     path = functools.partial(os.path.join, args.outdir)
 
-    field = _generate_field(args.example, box, args.n)
+    field = build(box, args.n)
     write_grid(field.vectors, path("conormal.json"))
     surface = integrate(field)
     write_grid(surface.positions, path("surface.json"))
@@ -376,10 +362,29 @@ def _cmd_pipeline(args) -> int:
     return 0 if passed else 1
 
 
-def _add_tolerance_flags(parser, names):
-    for name in names:
-        default, help_text = _TOLERANCES[name]
-        parser.add_argument(f"--tol-{name}", type=float, default=default, help=help_text)
+def _command(sub, func, help_text, *options, tols=()):
+    """Add the subcommand that ``func`` (``_cmd_<name>``) runs.
+
+    An option is a flag of a required value, or a tuple of flags ending in
+    ``add_argument``'s keywords; the ``--tol-<name>`` flags of ``tols`` come last.
+    """
+    p = sub.add_parser(func.__name__.removeprefix("_cmd_"), help=help_text,
+                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    for option in options:
+        *flags, kwargs = (option, {"required": True}) if isinstance(option, str) else option
+        p.add_argument(*flags, **kwargs)
+    for name in tols:
+        default, tol_help = _TOLERANCES[name]
+        p.add_argument(f"--tol-{name}", type=float, default=default, help=tol_help)
+    p.set_defaults(func=func)
+
+
+def _example_options(box_required: bool, box_help: str):
+    """``--example``, ``--box`` and ``--n`` of ``generate`` and ``pipeline``."""
+    return (("--example", {"choices": EXAMPLES, "required": True}),
+            ("--box", {"type": int, "nargs": 4, "metavar": ("U0", "U1", "V0", "V1"),
+                       "required": box_required, "help": box_help}),
+            ("--n", {"type": int, "default": 16, "help": "helicoid samples per turn"}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,92 +395,38 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write an example co-normal field",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--example", choices=EXAMPLES, required=True)
-    p.add_argument("--box", type=int, nargs=4, metavar=("U0", "U1", "V0", "V1"),
-                   required=True, help="inclusive vertex bounds")
-    p.add_argument("--n", type=int, default=16, help="helicoid samples per turn")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("integrate", help="integrate a co-normal field",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--conormal", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--base", type=float, nargs=5, metavar=("U", "V", "X", "Y", "Z"),
-                   help="base vertex and its position")
-    _add_tolerance_flags(p, ["harmonic"])
-    p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("check", help="run the certificate suite on a surface",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--surface", required=True)
-    p.add_argument("--conormal", help="optional generating co-normal grid")
-    p.add_argument("--report", required=True)
-    _add_tolerance_flags(p, ["harmonic", "integrate", "asymptotic", "dual"])
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("forms", help="extract fundamental data (F, A, B)",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--surface", required=True)
-    p.add_argument("--out", required=True)
-    _add_tolerance_flags(p, ["forms"])
-    p.set_defaults(func=_cmd_forms)
-
-    p = sub.add_parser("reconstruct", help="rebuild a surface from (F, A, B)",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--forms", required=True)
-    p.add_argument("--seed", "--seed-file", dest="seed",
-                   help="JSON file with the four corner points")
-    p.add_argument("--out", required=True)
-    _add_tolerance_flags(p, ["seed", "compat"])
-    p.set_defaults(func=_cmd_reconstruct)
-
-    p = sub.add_parser("compare", help="solve and verify an affine equivalence",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--report", required=True)
-    _add_tolerance_flags(p, ["equiv"])
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("area", help="print the affine area of a surface")
-    p.add_argument("--surface", required=True)
-    p.set_defaults(func=_cmd_area)
-
-    p = sub.add_parser("gradient", help="write the interior area gradient")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gradient)
-
-    p = sub.add_parser("critical", help="criticality certificate",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--surface", required=True)
-    p.add_argument("--tol", type=float, default=TOL_CRIT)
-    p.set_defaults(func=_cmd_critical)
-
-    p = sub.add_parser("export", help="tessellate and write an OBJ mesh",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--surface", required=True)
-    p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export)
-
-    p = sub.add_parser("pipeline", help="generate/integrate/check/forms/"
-                       "reconstruct/critical/export end to end",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--example", choices=EXAMPLES, required=True)
-    p.add_argument("--box", type=int, nargs=4, metavar=("U0", "U1", "V0", "V1"),
-                   help="inclusive vertex bounds (per-example default)")
-    p.add_argument("--n", type=int, default=16, help="helicoid samples per turn")
-    p.add_argument("--outdir", required=True)
-    p.add_argument("--resolutions", type=int, nargs=2, default=(1, 8),
-                   metavar=("R1", "R2"), help="the two mesh export resolutions")
-    _add_tolerance_flags(p, _TOLERANCES)
-    p.set_defaults(func=_cmd_pipeline)
-
+    _command(sub, _cmd_generate, "write an example co-normal field",
+             *_example_options(True, "inclusive vertex bounds"), "--out")
+    _command(sub, _cmd_integrate, "integrate a co-normal field", "--conormal", "--out",
+             ("--base", {"type": float, "nargs": 5, "metavar": ("U", "V", "X", "Y", "Z"),
+                         "help": "base vertex and its position"}),
+             tols=["harmonic"])
+    _command(sub, _cmd_check, "run the certificate suite on a surface", "--surface",
+             ("--conormal", {"help": "optional generating co-normal grid"}), "--report",
+             tols=["harmonic", "integrate", "asymptotic", "dual"])
+    _command(sub, _cmd_forms, "extract fundamental data (F, A, B)", "--surface", "--out",
+             tols=["forms"])
+    _command(sub, _cmd_reconstruct, "rebuild a surface from (F, A, B)", "--forms",
+             ("--seed", "--seed-file", {"dest": "seed",
+                                        "help": "JSON file with the four corner points"}),
+             "--out", tols=["seed", "compat"])
+    _command(sub, _cmd_compare, "solve and verify an affine equivalence", "--a", "--b",
+             "--report", tols=["equiv"])
+    _command(sub, _cmd_area, "print the affine area of a surface", "--surface")
+    _command(sub, _cmd_gradient, "write the interior area gradient", "--surface", "--out")
+    _command(sub, _cmd_critical, "criticality certificate", "--surface",
+             ("--tol", {"type": float, "default": TOL_CRIT}))
+    _command(sub, _cmd_export, "tessellate and write an OBJ mesh", "--surface",
+             ("--resolution", {"type": int, "required": True}), "--out")
+    # pipeline never validates a supplied co-normal, so it takes no --tol-harmonic.
+    _command(sub, _cmd_pipeline,
+             "generate/integrate/check/forms/reconstruct/critical/export end to end",
+             *_example_options(False, "inclusive vertex bounds (per-example default)"),
+             "--outdir",
+             ("--resolutions", {"type": int, "nargs": 2, "default": (1, 8),
+                                "metavar": ("R1", "R2"),
+                                "help": "the two mesh export resolutions"}),
+             tols=[name for name in _TOLERANCES if name != "harmonic"])
     return parser
 
 

@@ -86,16 +86,15 @@ class SeparableConormalSpec:
     v_part: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u_part", np.asarray(self.u_part, dtype=float))
-        object.__setattr__(self, "v_part", np.asarray(self.v_part, dtype=float))
-        if self.u_part.shape != (self.domain.n_u, 3):
-            raise ValueError(
-                f"u_part must have shape ({self.domain.n_u}, 3), got {self.u_part.shape}"
-            )
-        if self.v_part.shape != (self.domain.n_v, 3):
-            raise ValueError(
-                f"v_part must have shape ({self.domain.n_v}, 3), got {self.v_part.shape}"
-            )
+        for name, n in (("u_part", self.domain.n_u), ("v_part", self.domain.n_v)):
+            part = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, part)
+            if part.shape != (n, 3):
+                raise ValueError(f"{name} must have shape ({n}, 3), got {part.shape}")
+            bad = np.argwhere(~np.isfinite(part))
+            if len(bad):
+                i, k = bad[0]
+                raise ValueError(f"{name} entry {i}, component {k} is {part[i, k]}, not finite")
 
 
 def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
@@ -131,18 +130,13 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
 
     Harmonicity is structural here (each face residual is a rounding-level
     cancellation), so the internal tolerance applies, times max(1, max |nu|).
-    Rounding is monotone, so max nu and min nu come from the profiles: per
-    component, max u_part + max v_part and min u_part + min v_part.  nu holds
-    a NaN exactly when a profile does or inf meets -inf, which a max + min
-    sum shows; then both are NaN, as ``nu.max()`` and ``nu.min()`` would be.
+    Rounding is monotone, so max nu and min nu come from the (finite)
+    profiles: per component, max u_part + max v_part and min u_part + min
+    v_part.
     """
     spec.domain.require_faces("co-normal field")
-    (u_hi, u_lo), (v_hi, v_lo) = ((p.max(axis=0), p.min(axis=0))
-                                  for p in (spec.u_part, spec.v_part))
-    if np.isnan([u_hi + v_lo, u_lo + v_hi]).any():
-        hi = lo = float("nan")
-    else:
-        hi, lo = float((u_hi + v_hi).max()), float((u_lo + v_lo).min())
+    hi = float((spec.u_part.max(axis=0) + spec.v_part.max(axis=0)).max())
+    lo = float((spec.u_part.min(axis=0) + spec.v_part.min(axis=0)).min())
     nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
                 out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
     return _build(VertexGrid(spec.domain, nu), TOL_HARMONIC_INTERNAL * max(1.0, hi, -lo))
@@ -159,10 +153,18 @@ def validate(vectors: VertexGrid, tol_harmonic: float = TOL_HARMONIC) -> Conorma
     return _build(vectors, tol_harmonic)
 
 
-def _profiles(domain: GridDomain, fu, fv) -> SeparableConormalSpec:
-    u_part = np.array([fu(float(u)) for u in domain.u_values()], dtype=float)
-    v_part = np.array([fv(float(v)) for v in domain.v_values()], dtype=float)
-    return SeparableConormalSpec(domain, u_part, v_part)
+def _separable(domain: GridDomain, u_columns, v_columns) -> ConormalField:
+    """``from_separable`` of the profiles whose three columns are given, each
+    an array over the u (or v) values or a constant broadcast along it (so a
+    constant 0.0 column holds +0.0, never -0.0)."""
+    u_part, v_part = (np.column_stack(np.broadcast_arrays(*columns))
+                      for columns in (u_columns, v_columns))
+    return from_separable(SeparableConormalSpec(domain, u_part, v_part))
+
+
+def _samples(domain: GridDomain):
+    """The u and the v values of a box, as floats."""
+    return domain.u_values().astype(float), domain.v_values().astype(float)
 
 
 def helicoid(n: int, u_range: tuple, v_range: tuple | None = None) -> ConormalField:
@@ -176,12 +178,9 @@ def helicoid(n: int, u_range: tuple, v_range: tuple | None = None) -> ConormalFi
     if v_range is None:
         v_range = (0, n)
     domain = GridDomain(u_range[0], u_range[1], v_range[0], v_range[1])
+    u, v = _samples(domain)
     freq = 2.0 * np.pi / n
-    return from_separable(_profiles(
-        domain,
-        lambda u: (0.0, 0.0, u),
-        lambda v: (np.sin(freq * v), -np.cos(freq * v), 0.0),
-    ))
+    return _separable(domain, (0.0, 0.0, u), (np.sin(freq * v), -np.cos(freq * v), 0.0))
 
 
 def minimal_cubic(box: GridDomain) -> ConormalField:
@@ -190,20 +189,14 @@ def minimal_cubic(box: GridDomain) -> ConormalField:
     F vanishes on faces whose corner co-normal is the zero vector (the
     origin), so boxes must avoid those; e.g. u_min, v_min >= 1 works.
     """
-    return from_separable(_profiles(
-        box,
-        lambda u: (u, 0.0, u * u),
-        lambda v: (0.0, v, v * v),
-    ))
+    u, v = _samples(box)
+    return _separable(box, (u, 0.0, u * u), (0.0, v, v * v))
 
 
 def hyperbolic_paraboloid(box: GridDomain) -> ConormalField:
     """Field (-v, -u, 1) of the hyperbolic paraboloid; F is identically 1."""
-    return from_separable(_profiles(
-        box,
-        lambda u: (0.0, -u, 1.0),
-        lambda v: (-v, 0.0, 0.0),
-    ))
+    u, v = _samples(box)
+    return _separable(box, (0.0, -u, 1.0), (-v, 0.0, 0.0))
 
 
 def improper_sphere(box: GridDomain) -> ConormalField:
@@ -220,8 +213,5 @@ def improper_sphere(box: GridDomain) -> ConormalField:
             (box.u_min - box.v_max) / 4.0,
             detail=f"box {box.as_tuple()} touches u <= v; the field requires u > v",
         )
-    return from_separable(_profiles(
-        box,
-        lambda u: (-u * u / 4.0, u / 2.0, -0.5),
-        lambda v: (v * v / 4.0, -v / 2.0, -0.5),
-    ))
+    u, v = _samples(box)
+    return _separable(box, (-u * u / 4.0, u / 2.0, -0.5), (v * v / 4.0, -v / 2.0, -0.5))

@@ -142,8 +142,8 @@ class AsymptoticReport:
     passed: bool
 
 
-def asymptotic_certificate(surface, tol_zero: float = TOL_ASYMPTOTIC,
-                           tol_mixed: float = TOL_ASYMPTOTIC) -> AsymptoticReport:
+def asymptotic_certificate(surface, tol: float = TOL_ASYMPTOTIC) -> AsymptoticReport:
+    """Both residuals of ``AsymptoticReport``, each held to ``tol``."""
     q = as_positions(surface)
     dom = q.domain
     volumes = face_volumes(q).volumes.values
@@ -183,7 +183,7 @@ def asymptotic_certificate(surface, tol_zero: float = TOL_ASYMPTOTIC,
         worst_zero_vertex=zero_worst,
         max_mixed_residual=mixed.value,
         worst_mixed_face=mixed.index,
-        passed=zero_best <= tol_zero and mixed.value <= tol_mixed,
+        passed=zero_best <= tol and mixed.value <= tol,
     )
 
 

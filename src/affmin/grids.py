@@ -353,27 +353,23 @@ def dot3(a, b):
     The sum ((a0 b0 + a2 b2) + a1 b1) + 0.0 is the one ``np.einsum`` forms
     over interleaved vectors into its zeroed output (a zero sum is never
     -0.0), so these are einsum's bits on any memory layout; only the sign of
-    a NaN made from NaNs of both signs may differ.  The two later products
-    go through one scratch plane.
+    a NaN made from NaNs of both signs may differ.
     """
     a, b = np.asarray(a), np.asarray(b)
     out = np.asarray(a[..., 0] * b[..., 0])   # a 0-d array for single vectors
-    scratch = np.empty_like(out)
     for k in (2, 1):
-        out += np.multiply(a[..., k], b[..., k], out=scratch)
+        out += a[..., k] * b[..., k]
     out += 0.0
     return out if out.ndim else out[()]
 
 
 def cross3(a, b):
-    """Cross product of broadcastable 3-vector arrays: numpy's sums, no input
-    copies, the subtracted products through one scratch plane."""
+    """Cross product of broadcastable 3-vector arrays: numpy's sums, no input copies."""
     a, b = np.asarray(a), np.asarray(b)
     out = empty3(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-    scratch = np.empty(out.shape[:-1], out.dtype)
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         plane = np.multiply(a[..., i], b[..., j], out=out[..., k])
-        np.subtract(plane, np.multiply(a[..., j], b[..., i], out=scratch), out=plane)
+        np.subtract(plane, a[..., j] * b[..., i], out=plane)
     return out
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from affmin.cli import main
+from affmin.cli import build_parser, main
 from affmin.gridio import read_grid
 
 
@@ -159,6 +160,27 @@ class TestIntegrateAndCheck:
         body = json.loads(report.read_text())
         assert body["passed"] is False
         assert "NonPositiveVolume" in body["error"]
+
+    @pytest.mark.parametrize("damage, error", [("bump", "NotHarmonic: co-normal field is not "
+                                                         "harmonic: max residual 5.000e-01"),
+                                                ("negate", "NonConvexFace: non-positive area "
+                                                           "density F=-1 at face (0, 0)")])
+    def test_check_reports_a_conormal_that_fails_validation(self, tmp_path, paraboloid_files,
+                                                            damage, error):
+        conormal, surface = paraboloid_files
+        body = json.loads(conormal.read_text())
+        if damage == "bump":
+            body["values"][(1 * 6 + 1) * 3 + 2] += 0.5   # vertex (1, 1)
+        else:   # F is cubic in nu, so -nu has F = -1 on every face
+            body["values"] = [-x for x in body["values"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        report = tmp_path / "report.json"
+        assert run("check", "--surface", surface, "--conormal", bad, "--report", report) == 1
+        parsed = json.loads(report.read_text())
+        assert parsed["passed"] is False
+        assert parsed["error"].startswith(error)
+        assert parsed["tolerances"]["harmonic"] == 1e-9
 
     @pytest.mark.parametrize("box", [(0, 6, 0, 6), (1, 6, 1, 6)])
     def test_check_names_a_conormal_on_another_box(self, tmp_path, paraboloid_files, box):
@@ -385,6 +407,77 @@ class TestPipeline:
         # the sphere default box must respect u > v
         assert run("pipeline", "--example", "sphere",
                    "--outdir", tmp_path / "s") == 0
+
+
+# Each subcommand's options, in order: (flags, default, choices, nargs, required).
+OPTIONS = {
+    "generate": [(("--example",), None, ("helicoid", "cubic", "paraboloid", "sphere"), None, True),
+                 (("--box",), None, None, 4, True),
+                 (("--n",), 16, None, None, False),
+                 (("--out",), None, None, None, True)],
+    "integrate": [(("--conormal",), None, None, None, True),
+                  (("--out",), None, None, None, True),
+                  (("--base",), None, None, 5, False),
+                  (("--tol-harmonic",), 1e-09, None, None, False)],
+    "check": [(("--surface",), None, None, None, True),
+              (("--conormal",), None, None, None, False),
+              (("--report",), None, None, None, True),
+              (("--tol-harmonic",), 1e-09, None, None, False),
+              (("--tol-integrate",), 1e-10, None, None, False),
+              (("--tol-asymptotic",), 1e-09, None, None, False),
+              (("--tol-dual",), 1e-09, None, None, False)],
+    "forms": [(("--surface",), None, None, None, True),
+              (("--out",), None, None, None, True),
+              (("--tol-forms",), 1e-08, None, None, False)],
+    "reconstruct": [(("--forms",), None, None, None, True),
+                    (("--seed", "--seed-file"), None, None, None, False),
+                    (("--out",), None, None, None, True),
+                    (("--tol-seed",), 1e-09, None, None, False),
+                    (("--tol-compat",), 1e-07, None, None, False)],
+    "compare": [(("--a",), None, None, None, True),
+                (("--b",), None, None, None, True),
+                (("--report",), None, None, None, True),
+                (("--tol-equiv",), 1e-06, None, None, False)],
+    "area": [(("--surface",), None, None, None, True)],
+    "gradient": [(("--surface",), None, None, None, True), (("--out",), None, None, None, True)],
+    "critical": [(("--surface",), None, None, None, True), (("--tol",), 1e-09, None, None, False)],
+    "export": [(("--surface",), None, None, None, True),
+               (("--resolution",), None, None, None, True),
+               (("--out",), None, None, None, True)],
+    "pipeline": [(("--example",), None, ("helicoid", "cubic", "paraboloid", "sphere"), None, True),
+                 (("--box",), None, None, 4, False),
+                 (("--n",), 16, None, None, False),
+                 (("--outdir",), None, None, None, True),
+                 (("--resolutions",), (1, 8), None, 2, False),
+                 (("--tol-integrate",), 1e-10, None, None, False),
+                 (("--tol-asymptotic",), 1e-09, None, None, False),
+                 (("--tol-dual",), 1e-09, None, None, False),
+                 (("--tol-forms",), 1e-08, None, None, False),
+                 (("--tol-compat",), 1e-07, None, None, False),
+                 (("--tol-seed",), 1e-09, None, None, False),
+                 (("--tol-equiv",), 1e-06, None, None, False),
+                 (("--tol-crit",), 1e-09, None, None, False)],
+}
+
+
+def test_every_subcommand_option_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {name: [(tuple(a.option_strings), a.default,
+                     None if a.choices is None else tuple(a.choices), a.nargs, a.required)
+                    for a in p._actions if not isinstance(a, argparse._HelpAction)]
+             for name, p in sub.choices.items()}
+    assert list(table.items()) == list(OPTIONS.items())
+
+
+def test_pipeline_records_the_harmonic_default_it_takes_no_flag_for(tmp_path, capsys):
+    assert run("pipeline", "--example", "paraboloid", "--box", 0, 3, 0, 3,
+               "--outdir", tmp_path) == 0
+    report = json.loads((tmp_path / "pipeline_report.json").read_text())
+    assert report["tolerances"]["harmonic"] == 1e-9
+    with pytest.raises(SystemExit) as err:
+        run("pipeline", "--example", "paraboloid", "--outdir", tmp_path, "--tol-harmonic", 1)
+    assert err.value.code == 2
 
 
 def test_console_entry_point():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import affmin as am
 from affmin import conormal
@@ -69,23 +70,30 @@ class TestFromSeparable:
     @pytest.mark.parametrize("seed", range(12))
     def test_profile_bound_equals_the_field_extremes(self, monkeypatch, seed):
         # The bound comes from the profiles; it must be the one max nu and
-        # min nu give, with inf, -inf and NaN entries in the profiles too.
+        # min nu give.
         rng = np.random.default_rng(seed)
         dom = GridDomain(0, 4, 0, 5)
         parts = [rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 8, 3)
                  for n in (dom.n_u, dom.n_v)]
-        for k in range(seed // 3):
-            part = parts[int(rng.integers(2))]
-            part[int(rng.integers(len(part))), int(rng.integers(3))] = rng.choice(
-                [np.inf, -np.inf, np.nan])
         seen = []
         monkeypatch.setattr(conormal, "_build", lambda vectors, tol: seen.append((vectors, tol)))
-        with np.errstate(invalid="ignore"):   # inf - inf
-            from_separable(SeparableConormalSpec(dom, *parts))
+        from_separable(SeparableConormalSpec(dom, *parts))
         (vectors, tol), = seen
         nu = vectors.values
         expected = TOL_HARMONIC_INTERNAL * max(1.0, float(nu.max()), -float(nu.min()))
         assert float(tol).hex() == expected.hex()
+
+    @pytest.mark.parametrize("part, entry, component, value", [
+        ("u_part", 0, 0, np.nan), ("u_part", 4, 2, np.inf), ("v_part", 3, 1, -np.inf),
+        ("v_part", 5, 0, np.nan)])
+    def test_non_finite_profiles_are_rejected(self, part, entry, component, value):
+        dom = GridDomain(0, 4, 0, 5)
+        parts = {"u_part": np.ones((dom.n_u, 3)), "v_part": np.ones((dom.n_v, 3))}
+        parts[part][entry, component] = value
+        with pytest.raises(ValueError) as err:
+            SeparableConormalSpec(dom, **parts)
+        assert str(err.value) == (f"{part} entry {entry}, component {component} is {value}, "
+                                  "not finite")
 
 
 class TestValidate:
@@ -199,3 +207,47 @@ def test_validate_rejects_nan_vector():
         validate(VertexGrid(field.domain, values))
     assert sorted(err.value.faces) == [(1, 2), (1, 3), (2, 2), (2, 3)]
     assert np.isnan(err.value.max_residual)
+
+
+# Family -> (field of (box, n), u profile, v profile): the reference spells
+# each profile as a function of one sample t (and n), called once per sample.
+PER_POINT = {
+    "helicoid": (lambda box, n: am.helicoid(n, box.as_tuple()[:2], box.as_tuple()[2:]),
+                 lambda u, n: (0.0, 0.0, u),
+                 lambda v, n: (np.sin(2.0 * np.pi / n * v), -np.cos(2.0 * np.pi / n * v), 0.0)),
+    "cubic": (lambda box, n: am.minimal_cubic(box),
+              lambda u, n: (u, 0.0, u * u), lambda v, n: (0.0, v, v * v)),
+    "paraboloid": (lambda box, n: am.hyperbolic_paraboloid(box),
+                   lambda u, n: (0.0, -u, 1.0), lambda v, n: (-v, 0.0, 0.0)),
+    "sphere": (lambda box, n: am.improper_sphere(box),
+               lambda u, n: (-u * u / 4.0, u / 2.0, -0.5),
+               lambda v, n: (v * v / 4.0, -v / 2.0, -0.5)),
+}
+
+
+def outcome(build):
+    """The field's vectors, F and residual as bits, or the error it raises."""
+    try:
+        field = build()
+    except (am.AffminError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    values = field.vectors.values
+    assert not (np.signbit(values) & (values == 0.0)).any()   # no -0.0 reaches an artifact
+    return values.tobytes(), field.areas.values.tobytes(), float(field.harmonic_residual).hex()
+
+
+corners = st.integers(-40, 40) | st.integers(-10**5, 10**5)   # boxes about 0, and far out
+
+
+@given(name=st.sampled_from(sorted(PER_POINT)), u_min=corners, v_min=corners,
+       n_u=st.integers(1, 40), n_v=st.integers(1, 40),
+       n=st.sampled_from([3, 7, 16, 64, 1000]))
+@settings(max_examples=120, deadline=None)
+def test_families_equal_their_per_point_profiles(name, u_min, v_min, n_u, n_v, n):
+    if name == "sphere":   # a box under the diagonal, past the family's own box check
+        v_min = min(v_min, u_min - n_v)
+    box = GridDomain(u_min, u_min + n_u - 1, v_min, v_min + n_v - 1)
+    family, fu, fv = PER_POINT[name]
+    reference = outcome(lambda: from_separable(spec_from(box, lambda u: fu(u, n),
+                                                         lambda v: fv(v, n))))
+    assert outcome(lambda: family(box, n)) == reference
