@@ -234,6 +234,11 @@ def _cmd_compare(args) -> int:
         }, args.report)
         print(f"compare: NOT equivalent (gap {exc.gap:.3e} at {exc.vertex})")
         return 1
+    except AffminError as exc:
+        # Surfaces that cannot be compared (other boxes, a flat corner) still get a report.
+        write_json({"equivalent": False, "error": f"{type(exc).__name__}: {exc}",
+                    "tolerance": tols["equiv"]}, args.report)
+        raise
     write_json({"equivalent": True, **_record(
         mapping, det=mapping.det, unimodular=abs(abs(mapping.det) - 1.0) <= tols["equiv"],
         tolerance=tols["equiv"])}, args.report)

@@ -132,11 +132,19 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     cancellation), so the internal tolerance applies, times max(1, max |nu|).
     Rounding is monotone, so max nu and min nu come from the (finite)
     profiles: per component, max u_part + max v_part and min u_part + min
-    v_part.
+    v_part.  So a sum that overflows shows in these bounds, and raises
+    ValueError naming the component before nu is built.
     """
     spec.domain.require_faces("co-normal field")
-    hi = float((spec.u_part.max(axis=0) + spec.v_part.max(axis=0)).max())
-    lo = float((spec.u_part.min(axis=0) + spec.v_part.min(axis=0)).min())
+    with np.errstate(over="ignore"):
+        top = spec.u_part.max(axis=0) + spec.v_part.max(axis=0)
+        bottom = spec.u_part.min(axis=0) + spec.v_part.min(axis=0)
+    for which, bound in (("max", top), ("min", bottom)):
+        bad = np.flatnonzero(~np.isfinite(bound))
+        if len(bad):
+            raise ValueError(f"component {bad[0]} of nu overflows: {which} u_part + {which} "
+                             f"v_part is {bound[bad[0]]}")
+    hi, lo = float(top.max()), float(bottom.min())
     nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
                 out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
     return _build(VertexGrid(spec.domain, nu), TOL_HARMONIC_INTERNAL * max(1.0, hi, -lo))

@@ -7,15 +7,12 @@ holds the value at ``(u+1/2, v+1/2)``.  Every grid carries its own
 ``GridDomain`` and exposes named accessors (``face_at``, ``uedge_at``...)
 so callers never do offset arithmetic themselves.
 
-First differences move an index by one half step:
-
-    d1: vertex -> u-edge      d2: vertex -> v-edge
-    d1: v-edge -> face        d2: u-edge -> face
-    d1: u-edge -> vertex*     d2: v-edge -> vertex*
-    d1: face   -> v-edge*     d2: face   -> u-edge*
-
-(* on the interior of the differenced direction).  All arrays are float64,
-dense, row-major with the u index first, and read-only after construction.  A
+Each kind's ``offset`` (du, dv) counts its half steps off the vertices:
+(0, 0) for vertices, (1, 0) u-edges, (0, 1) v-edges, (1, 1) faces.  A first
+difference moves half a step, so it flips one bit: ``d1`` flips du and
+``d2`` flips dv.  Landing on whole steps (a bit going from 1 to 0) moves the
+entries to the interior vertices of that axis.  All arrays are float64, dense,
+row-major with the u index first, and read-only after construction.  A
 3-vector grid stores its components as three contiguous ``(nu, nv)`` planes
 behind the ``(nu, nv, 3)`` view, so every component slice that a kernel
 reads is contiguous; ``empty3`` allocates that layout.
@@ -141,7 +138,8 @@ class Grid:
     """Dense array of scalars or 3-vectors attached to one staggered lattice.
 
     ``values`` has shape ``(nu, nv)`` for scalars or ``(nu, nv, 3)`` for
-    vectors, where ``(nu, nv)`` depends on the lattice kind.  Vectors are
+    vectors, where ``(nu, nv)`` is ``(n_u - du, n_v - dv)`` for the kind's
+    ``offset`` (du, dv).  Vectors are
     stored as component planes (see ``empty3``): an array whose component
     stride is not its largest (over the axes longer than 1), such as an
     interleaved ``(nu, nv, 3)`` array, is copied into planes; any other array,
@@ -175,10 +173,11 @@ class Grid:
         self.values = values.view() if values.flags.writeable else values
         self.values.setflags(write=False)
 
-    # Leading (nu, nv) shape for this lattice kind on the given domain.
-    @staticmethod
-    def _entry_shape(domain: GridDomain):
-        raise NotImplementedError
+    @classmethod
+    def _entry_shape(cls, domain: GridDomain):
+        """Leading (nu, nv) shape of this lattice kind on ``domain``."""
+        du, dv = cls.offset
+        return (domain.n_u - du, domain.n_v - dv)
 
     @property
     def components(self) -> int:
@@ -210,6 +209,9 @@ class Grid:
             )
         return i, j
 
+    def _at(self, u: int, v: int):
+        return self.values[self._index(u, v)]
+
     def __repr__(self):
         return (
             f"{type(self).__name__}(domain={self.domain.as_tuple()}, "
@@ -221,13 +223,8 @@ class VertexGrid(Grid):
     """Values at integer vertices (u, v)."""
 
     kind = "vertex"
-
-    @staticmethod
-    def _entry_shape(domain):
-        return (domain.n_u, domain.n_v)
-
-    def vertex_at(self, u: int, v: int):
-        return self.values[self._index(u, v)]
+    offset = (0, 0)
+    vertex_at = Grid._at
 
     @classmethod
     def from_function(cls, domain: GridDomain, fn) -> "VertexGrid":
@@ -240,42 +237,28 @@ class UEdgeGrid(Grid):
     """Values at horizontal edge midpoints; entry (u, v) sits at (u+1/2, v)."""
 
     kind = "uedge"
-
-    @staticmethod
-    def _entry_shape(domain):
-        return (domain.n_u - 1, domain.n_v)
-
-    def uedge_at(self, u: int, v: int):
-        return self.values[self._index(u, v)]
+    offset = (1, 0)
+    uedge_at = Grid._at
 
 
 class VEdgeGrid(Grid):
     """Values at vertical edge midpoints; entry (u, v) sits at (u, v+1/2)."""
 
     kind = "vedge"
-
-    @staticmethod
-    def _entry_shape(domain):
-        return (domain.n_u, domain.n_v - 1)
-
-    def vedge_at(self, u: int, v: int):
-        return self.values[self._index(u, v)]
+    offset = (0, 1)
+    vedge_at = Grid._at
 
 
 class FaceGrid(Grid):
     """Values at face centers; entry (u, v) sits at (u+1/2, v+1/2)."""
 
     kind = "face"
-
-    @staticmethod
-    def _entry_shape(domain):
-        return (domain.n_u - 1, domain.n_v - 1)
-
-    def face_at(self, u: int, v: int):
-        return self.values[self._index(u, v)]
+    offset = (1, 1)
+    face_at = Grid._at
 
 
 GRID_KINDS = {cls.kind: cls for cls in (VertexGrid, UEdgeGrid, VEdgeGrid, FaceGrid)}
+_BY_OFFSET = {cls.offset: cls for cls in GRID_KINDS.values()}
 
 
 def _require_extent(grid: Grid, axis: int, needed: int, op: str):
@@ -286,34 +269,25 @@ def _require_extent(grid: Grid, axis: int, needed: int, op: str):
         )
 
 
+def _difference(grid: Grid, axis: int) -> Grid:
+    """Forward difference along ``axis`` (0: u, 1: v): flips that bit of the offset."""
+    _require_extent(grid, axis, 2, f"d{axis + 1}")
+    offset = list(grid.offset)
+    offset[axis] ^= 1
+    domain = grid.domain
+    if not offset[axis]:   # half steps to whole steps: the interior of this axis
+        domain = domain.shrink(1, 1) if axis == 0 else domain.shrink(0, 0, 1, 1)
+    return _BY_OFFSET[tuple(offset)](domain, np.diff(grid.values, axis=axis))
+
+
 def d1(grid: Grid) -> Grid:
-    """Forward difference in u, landing half a step up the staggered ladder."""
-    _require_extent(grid, 0, 2, "d1")
-    diff = grid.values[1:] - grid.values[:-1]
-    if isinstance(grid, VertexGrid):
-        return UEdgeGrid(grid.domain, diff)
-    if isinstance(grid, VEdgeGrid):
-        return FaceGrid(grid.domain, diff)
-    if isinstance(grid, UEdgeGrid):
-        return VertexGrid(grid.domain.shrink(du_lo=1, du_hi=1), diff)
-    if isinstance(grid, FaceGrid):
-        return VEdgeGrid(grid.domain.shrink(du_lo=1, du_hi=1), diff)
-    raise TypeError(f"d1 not defined for {type(grid).__name__}")
+    """Forward difference in u, half a step along u (du flips)."""
+    return _difference(grid, 0)
 
 
 def d2(grid: Grid) -> Grid:
-    """Forward difference in v, landing half a step up the staggered ladder."""
-    _require_extent(grid, 1, 2, "d2")
-    diff = grid.values[:, 1:] - grid.values[:, :-1]
-    if isinstance(grid, VertexGrid):
-        return VEdgeGrid(grid.domain, diff)
-    if isinstance(grid, UEdgeGrid):
-        return FaceGrid(grid.domain, diff)
-    if isinstance(grid, VEdgeGrid):
-        return VertexGrid(grid.domain.shrink(dv_lo=1, dv_hi=1), diff)
-    if isinstance(grid, FaceGrid):
-        return UEdgeGrid(grid.domain.shrink(dv_lo=1, dv_hi=1), diff)
-    raise TypeError(f"d2 not defined for {type(grid).__name__}")
+    """Forward difference in v, half a step along v (dv flips)."""
+    return _difference(grid, 1)
 
 
 def d11(grid: VertexGrid) -> VertexGrid:

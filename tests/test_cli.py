@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from affmin.cli import build_parser, main
+from affmin.compatibility import TOL_EQUIV
 from affmin.gridio import read_grid
 
 
@@ -206,6 +207,15 @@ class TestIntegrateAndCheck:
         assert run("check", "--surface", bad, "--report", tmp_path / "r.json") == 2
         assert "entry 4 is true, not a number" in capsys.readouterr().err
 
+    def test_check_names_a_scalar_surface_file(self, tmp_path, capsys):
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text(json.dumps({"kind": "vertex", "domain": [0, 2, 0, 2],
+                                      "components": 1, "values": [0.0] * 9}))
+        capsys.readouterr()
+        assert run("check", "--surface", scalar, "--report", tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == f"error: {scalar}: surface grids must hold 3-vectors\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("check", "--surface", tmp_path / "nope.json",
                    "--report", tmp_path / "r.json") == 2
@@ -238,6 +248,31 @@ class TestFormsReconstructCompare:
         assert run("compare", "--a", surface, "--b", other,
                    "--report", report) == 1
         assert json.loads(report.read_text())["equivalent"] is False
+
+    @pytest.mark.parametrize("b, error", [
+        ("box", "DomainMismatch: domains differ: GridDomain(u_min=1, u_max=8, v_min=1, "
+                "v_max=8) vs GridDomain(u_min=1, u_max=9, v_min=1, v_max=8)"),
+        ("flat", "DegenerateQuadrangle: corner quadrangle at (1, 1) spans no volume")],
+        ids=["box", "flat"])
+    def test_compare_reports_surfaces_it_cannot_compare(self, tmp_path, capsys, b, error):
+        surfaces = {}
+        for name, box in (("a", (1, 8, 1, 8)), ("box", (1, 9, 1, 8))):
+            surfaces[name] = tmp_path / f"{name}.json"
+            assert run("generate", "--example", "cubic", "--box", *box,
+                       "--out", tmp_path / "c.json") == 0
+            assert run("integrate", "--conormal", tmp_path / "c.json",
+                       "--out", surfaces[name]) == 0
+        surfaces["flat"] = tmp_path / "flat.json"
+        surfaces["flat"].write_text(json.dumps({
+            "kind": "vertex", "domain": [1, 8, 1, 8], "components": 3,
+            "values": [float(x) for uv in range(64) for x in (uv // 8, uv % 8, 0.0)]}))
+        report = tmp_path / "equiv.json"
+        capsys.readouterr()
+        assert run("compare", "--a", surfaces["a"], "--b", surfaces[b],
+                   "--report", report) == 1
+        assert capsys.readouterr().err == f"error: {error.split(': ', 1)[1]}\n"
+        assert json.loads(report.read_text()) == {"equivalent": False, "error": error,
+                                                  "tolerance": TOL_EQUIV}
 
     def test_compare_recovers_unimodular_image(self, tmp_path, paraboloid_files):
         _, surface = paraboloid_files
@@ -340,6 +375,14 @@ class TestScalarCommands:
         err = capsys.readouterr().err
         assert "the area gradient needs at least 3 vertices along u and v, got 6 x 2" in err
         assert "GridDomain(u_min=1, u_max=6, v_min=1, v_max=2)" in err
+
+    def test_critical_on_a_box_without_interior_passes_vacuously(self, tmp_path, capsys):
+        conormal, surface = tmp_path / "c.json", tmp_path / "s.json"
+        assert run("generate", "--example", "cubic", "--box", 1, 2, 1, 6, "--out", conormal) == 0
+        assert run("integrate", "--conormal", conormal, "--out", surface) == 0
+        capsys.readouterr()
+        assert run("critical", "--surface", surface) == 0
+        assert capsys.readouterr().out == "critical: vacuous pass (no interior vertex)\n"
 
     def test_critical_pass_and_fail(self, tmp_path, paraboloid_files):
         _, surface = paraboloid_files

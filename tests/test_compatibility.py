@@ -86,12 +86,14 @@ class TestFundamentalData:
 
     def test_rejects_wrong_stencil_domain(self):
         dom = GridDomain(0, 3, 0, 3)
-        with pytest.raises(DomainMismatch):
-            FundamentalData(
-                FaceGrid(dom, np.ones((3, 3))),
-                VertexGrid(dom, np.zeros((4, 4))),
-                VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), np.zeros((4, 2))),
-            )
+        areas = FaceGrid(dom, np.ones((3, 3)))
+        a = VertexGrid(dom.shrink(du_lo=1, du_hi=1), np.zeros((2, 4)))
+        b = VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), np.zeros((4, 2)))
+        full = VertexGrid(dom, np.zeros((4, 4)))
+        with pytest.raises(DomainMismatch, match="u_coeff domain .* is not the u-interior"):
+            FundamentalData(areas, full, b)
+        with pytest.raises(DomainMismatch, match="v_coeff domain .* is not the v-interior"):
+            FundamentalData(areas, a, full)
 
 
 class TestCanonicalSeed:
@@ -168,6 +170,8 @@ class TestReconstruct:
         seed[3, 2] = 2.0   # breaks the corner determinant condition
         with pytest.raises(SeedDeterminantMismatch):
             reconstruct(data, seed)
+        with pytest.raises(ValueError, match=r"seed must be four 3-points, got shape \(3, 3\)"):
+            reconstruct(data, seed[:3])
 
     def test_corrupted_coefficient_detected(self, cubic):
         _, surf = cubic
@@ -332,6 +336,13 @@ class TestAffineEquivalence:
         np.testing.assert_array_equal(mapping.apply(np.array([1.0, 1.0, 1.0])),
                                       (3.0, 2.0, 2.0))
         assert mapping.det == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("linear, error, message", [
+        (np.eye(2), ValueError, "needs a 3x3 linear part and a 3-translation"),
+        (np.diag([1.0, 1.0, 0.0]), DegenerateQuadrangle, "singular linear part")])
+    def test_map_rejects_a_bad_linear_part(self, linear, error, message):
+        with pytest.raises(error, match=message):
+            AffineMap(linear, np.zeros(3))
 
 
 class TestNanGates:

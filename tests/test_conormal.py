@@ -1,5 +1,7 @@
 """Co-normal construction, validation and the four example families."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +96,29 @@ class TestFromSeparable:
             SeparableConormalSpec(dom, **parts)
         assert str(err.value) == (f"{part} entry {entry}, component {component} is {value}, "
                                   "not finite")
+
+    @pytest.mark.parametrize("part, n", [("u_part", 4), ("v_part", 7)])
+    def test_profiles_of_the_wrong_length_are_rejected(self, part, n):
+        dom = GridDomain(0, 4, 0, 5)
+        parts = {"u_part": np.ones((dom.n_u, 3)), "v_part": np.ones((dom.n_v, 3))}
+        parts[part] = np.ones((n, 3))
+        expected = dom.n_u if part == "u_part" else dom.n_v
+        with pytest.raises(ValueError, match=rf"{part} must have shape \({expected}, 3\), "
+                                             rf"got \({n}, 3\)"):
+            SeparableConormalSpec(dom, **parts)
+
+    @pytest.mark.parametrize("sign, which, component", [(1.0, "max", 2), (-1.0, "min", 0)])
+    def test_overflowing_profiles_are_rejected_without_a_warning(self, sign, which, component):
+        # Finite profiles whose sum overflows: nu would hold an infinity.
+        dom = GridDomain(0, 3, 0, 3)
+        spec = spec_from(dom, lambda u: (u, 0.0, u * u), lambda v: (0.0, v, v * v))
+        spec.u_part[2, component] = spec.v_part[1, component] = sign * 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                from_separable(spec)
+        assert str(err.value) == (f"component {component} of nu overflows: {which} u_part + "
+                                  f"{which} v_part is {sign * np.inf}")
 
 
 class TestValidate:

@@ -84,6 +84,20 @@ class TestAffineNormal:
             affine_normal(surf, face_volumes(other).areas)
 
 
+@pytest.mark.parametrize("certificate, message", [
+    (lambda surf, nu, areas: planarity_and_saddle(surf, nu),
+     "co-normal grid and surface live on different domains"),
+    (lambda surf, nu, areas: duality_certificate(nu, affine_normal(surf, areas), areas),
+     "co-normals, normals and areas must share a domain"),
+], ids=["planarity_and_saddle", "duality_certificate"])
+def test_certificate_rejects_a_conormal_on_another_domain(paraboloid, helicoid, certificate,
+                                                          message):
+    _, surf = paraboloid
+    other, _ = helicoid
+    with pytest.raises(DomainMismatch, match=message):
+        certificate(surf, other.vectors, face_volumes(surf).areas)
+
+
 class TestRecoverConormal:
     def test_paraboloid_recovered_exactly(self, paraboloid):
         _, surf = paraboloid

@@ -73,6 +73,9 @@ def test_malformed_files_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown grid kind"):
         grid_from_obj({"kind": ["vertex"], "domain": [0, 1, 0, 1],
                        "components": 1, "values": [0, 0, 0, 0]})
+    with pytest.raises(ValueError, match="components must be 1 or 3, got 2"):
+        grid_from_obj({"kind": "vertex", "domain": [0, 1, 0, 1],
+                       "components": 2, "values": [0] * 8})
     for values in ({"0": 0}, [[0, 0], [0]], ["x", 0, 0, 0]):
         with pytest.raises(ValueError, match="malformed grid values"):
             grid_from_obj({"kind": "vertex", "domain": [0, 1, 0, 1],
@@ -129,6 +132,24 @@ def test_forms_reader_requires_coefficient_objects(cubic, tmp_path, key, bad):
         read_forms(path)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda obj: obj.pop("B"), "is missing key 'B'"),
+    (lambda obj: obj.update(F={**obj["F"], "kind": "vertex", "values": [1.0] * 64}),
+     "F must be a face grid"),
+    (lambda obj: obj["A"]["values"].pop(), "A grid has wrong length for domain"),
+    (lambda obj: obj["A"]["values"].__setitem__(0, 1.0), "A grid has values outside its stencil"),
+])
+def test_forms_reader_rejects_a_damaged_bundle(cubic, tmp_path, damage, message):
+    _, surf = cubic
+    path = tmp_path / "forms.json"
+    write_forms(extract_fundamental_data(surf), path)
+    obj = json.loads(path.read_text())
+    damage(obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=message):
+        read_forms(path)
+
+
 def test_forms_bundle_round_trip(cubic, tmp_path):
     _, surf = cubic
     data = extract_fundamental_data(surf)
@@ -175,6 +196,8 @@ def test_seed_round_trip(tmp_path):
     np.testing.assert_array_equal(read_seed(path), seed)
     with pytest.raises(ValueError):
         write_seed(np.zeros((3, 3)), path)
+    with pytest.raises(ValueError, match="seed must hold four 3-points: could not convert"):
+        write_seed([[0, 0, 0], [1, 0, 0], ["q01", 1, 0], [1, 1, 1]], path)
     path.write_text('{"points": {"q00": [0, 0, 0]}}')
     with pytest.raises(ValueError, match="must hold four 3-points"):
         read_seed(path)

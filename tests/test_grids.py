@@ -76,6 +76,8 @@ class TestAccessors:
         assert g.components == 3
         with pytest.raises(ValueError):
             VertexGrid(GridDomain(0, 1, 0, 1), np.zeros((2, 2, 4)))
+        with pytest.raises(ValueError, match=r"expects leading shape \(2, 2\), got \(2, 3\)"):
+            VertexGrid(GridDomain(0, 1, 0, 1), np.zeros((2, 3)))
 
 
 class TestFirstDifferences:
@@ -149,6 +151,33 @@ class TestStaggeredLadder:
         assert isinstance(d1(face), VEdgeGrid)
         assert d1(face).domain == GridDomain(1, 3, 0, 4)
         assert isinstance(d2(face), UEdgeGrid)
+
+
+# (kind, difference) -> (result kind, box it lands on) on the box (0, 4) x (0, 5).
+LADDER = {
+    (VertexGrid, d1): (UEdgeGrid, GridDomain(0, 4, 0, 5)),
+    (VertexGrid, d2): (VEdgeGrid, GridDomain(0, 4, 0, 5)),
+    (UEdgeGrid, d1): (VertexGrid, GridDomain(1, 3, 0, 5)),
+    (UEdgeGrid, d2): (FaceGrid, GridDomain(0, 4, 0, 5)),
+    (VEdgeGrid, d1): (FaceGrid, GridDomain(0, 4, 0, 5)),
+    (VEdgeGrid, d2): (VertexGrid, GridDomain(0, 4, 1, 4)),
+    (FaceGrid, d1): (VEdgeGrid, GridDomain(1, 3, 0, 5)),
+    (FaceGrid, d2): (UEdgeGrid, GridDomain(0, 4, 1, 4)),
+}
+
+
+@pytest.mark.parametrize("components", [(), (3,)])
+@pytest.mark.parametrize("kind, diff", list(LADDER), ids=lambda x: x.__name__)
+def test_first_difference_table(kind, diff, components, rng):
+    """Every kind and direction: the result kind, its box, and the slice difference's bits."""
+    dom = GridDomain(0, 4, 0, 5)
+    g = kind(dom, rng.uniform(-10, 10, kind._entry_shape(dom) + components))
+    out = diff(g)
+    expected_kind, expected_domain = LADDER[kind, diff]
+    assert type(out) is expected_kind and out.domain == expected_domain
+    x = g.values
+    np.testing.assert_array_equal(out.values, x[1:] - x[:-1] if diff is d1
+                                  else x[:, 1:] - x[:, :-1])
 
 
 @st.composite

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affmin.errors import DomainMismatch
-from affmin.grids import GridDomain, VertexGrid
+from affmin.grids import GridDomain, VertexGrid, as_positions
 from affmin.lelieuvre import (
     Immersion,
     LelieuvreReport,
@@ -13,6 +13,16 @@ from affmin.lelieuvre import (
     path_independence_residual,
     verify_lelieuvre,
 )
+
+
+@pytest.mark.parametrize("wrap, error, message", [
+    (as_positions, TypeError, "expected an Immersion or a 3-vector VertexGrid"),
+    (lambda grid: Immersion(grid, (0, 0), 0.0), ValueError, "immersions hold 3-vector positions")],
+    ids=["as_positions", "Immersion"])
+def test_scalar_grid_is_no_surface(wrap, error, message):
+    scalar = VertexGrid(GridDomain(0, 2, 0, 2), np.zeros((3, 3)))
+    with pytest.raises(error, match=message):
+        wrap(scalar)
 
 
 class TestIntegrate:
