@@ -24,8 +24,7 @@ print(f"criticality: max |gradient| = {report.max_gradient:.2e} "
 dom = surface.domain
 values = np.array(surface.positions.values)
 values[5, 8] += (0.0, 0.0, 1e-3)
-bumped = am.Immersion(VertexGrid(dom, values), surface.base_vertex,
-                      surface.base_value)
+bumped = am.Immersion(VertexGrid(dom, values))
 report = am.criticality_certificate(bumped)
 print(f"after a 1e-3 bump: max |gradient| = {report.max_gradient:.2e} "
       f"at vertex {report.worst_vertex}")

@@ -98,8 +98,7 @@ def _load_surface(path) -> Immersion:
     grid = read_grid(path, expected_kind="vertex")
     if grid.components != 3:
         raise ValueError(f"{path}: surface grids must hold 3-vectors")
-    dom = grid.domain
-    return Immersion(grid, (dom.u_min, dom.v_min), grid.values[0, 0])
+    return Immersion(grid)
 
 
 def _sha256(path) -> str:
@@ -163,16 +162,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_integrate(args) -> int:
     field = validate(read_grid(args.conormal, "vertex"), _tols(args)["harmonic"])
+    base = {}
     if args.base is not None:
         u, v = args.base[:2]
         if not (u.is_integer() and v.is_integer() and field.domain.contains_vertex(u, v)):
             raise ValueError(f"--base vertex ({u:g}, {v:g}) is not an integer vertex of the box "
                              f"{field.domain.as_tuple()}")
-        base_vertex = (int(u), int(v))
-        base_value = np.array(args.base[2:], dtype=float)
-    else:
-        base_vertex, base_value = None, None
-    surface = integrate(field, base_vertex, base_value)
+        base = {"base_vertex": (int(u), int(v)), "base_value": args.base[2:]}
+    surface = integrate(field, **base)
     write_grid(surface.positions, args.out)
     print(f"wrote surface grid {args.out} (domain {surface.domain.as_tuple()})")
     return 0
@@ -259,13 +256,14 @@ def _cmd_gradient(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    report = criticality_certificate(_load_surface(args.surface), args.tol)
+    tol = _tols(args)["crit"]
+    report = criticality_certificate(_load_surface(args.surface), tol)
     if report.vacuous:
         print("critical: vacuous pass (no interior vertex)")
         return 0
     ratio = report.max_gradient / max(report.mean_area, TINY)
     status = "pass" if report.passed else "FAIL"
-    print(f"critical: {status} (|grad|_inf / mean F = {ratio:.3e}, tol {args.tol:g})")
+    print(f"critical: {status} (|grad|_inf / mean F = {ratio:.3e}, tol {tol:g})")
     return 0 if report.passed else 1
 
 
@@ -282,12 +280,6 @@ def _cmd_pipeline(args) -> int:
     build, default_box = EXAMPLES[args.example]
     box = tuple(args.box) if args.box else default_box
     path = functools.partial(os.path.join, args.outdir)
-
-    field = build(box, args.n)
-    write_grid(field.vectors, path("conormal.json"))
-    surface = integrate(field)
-    write_grid(surface.positions, path("surface.json"))
-
     report = {
         "command": "pipeline",
         "example": args.example,
@@ -295,6 +287,27 @@ def _cmd_pipeline(args) -> int:
         "n": args.n,
         "tolerances": tols,
     }
+    try:
+        report.update(_pipeline_stages(build(box, args.n), tols, args.resolutions, path))
+    except AffminError as exc:
+        # A stage that raises (a field that is not convex, an ill-defined
+        # form) still leaves a report naming the error.
+        write_json({**report, "error": f"{type(exc).__name__}: {exc}", "passed": False},
+                   path("pipeline_report.json"))
+        raise
+    report["wall_time_s"] = time.perf_counter() - started
+    write_json(report, path("pipeline_report.json"))
+    print(f"pipeline {args.example}: {'pass' if report['passed'] else 'FAIL'} "
+          f"(artifacts in {args.outdir})")
+    return 0 if report["passed"] else 1
+
+
+def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
+    """Write every artifact but the run report; return the report's later sections."""
+    write_grid(field.vectors, path("conormal.json"))
+    surface = integrate(field)
+    write_grid(surface.positions, path("surface.json"))
+
     checks = _surface_checks(surface, field, tols)
     write_json(checks, path("check_report.json"))
 
@@ -342,29 +355,23 @@ def _cmd_pipeline(args) -> int:
     crit = criticality_certificate(surface, tols["crit"])
 
     meshes = {}
-    for res in args.resolutions:
+    for res in resolutions:
         name = f"mesh_res{res}.obj"
         meshes[name] = export_surface_obj(surface, res, path(name))._asdict()
 
     digests = {name: _sha256(path(name)) for name in (
         "conormal.json", "surface.json", "forms.json", "reconstructed.json", *meshes)}
 
-    passed = bool(checks["passed"] and forms_report["passed"]
-                  and compat_report["passed"] and crit.passed)
-    report.update({
+    return {
         "input_digests": digests,
         "certificates": checks,
         "forms": forms_report,
         "compatibility": compat_report,
         "criticality": _record(crit, affine_area=affine_area(surface)),
         "meshes": meshes,
-        "passed": passed,
-        "wall_time_s": time.perf_counter() - started,
-    })
-    write_json(report, path("pipeline_report.json"))
-    print(f"pipeline {args.example}: {'pass' if passed else 'FAIL'} "
-          f"(artifacts in {args.outdir})")
-    return 0 if passed else 1
+        "passed": bool(checks["passed"] and forms_report["passed"]
+                       and compat_report["passed"] and crit.passed),
+    }
 
 
 def _command(sub, func, help_text, *options, tols=()):
@@ -419,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--report", tols=["equiv"])
     _command(sub, _cmd_area, "print the affine area of a surface", "--surface")
     _command(sub, _cmd_gradient, "write the interior area gradient", "--surface", "--out")
-    _command(sub, _cmd_critical, "criticality certificate", "--surface",
-             ("--tol", {"type": float, "default": TOL_CRIT}))
+    _command(sub, _cmd_critical, "criticality certificate", "--surface", tols=["crit"])
     _command(sub, _cmd_export, "tessellate and write an OBJ mesh", "--surface",
              ("--resolution", {"type": int, "required": True}), "--out")
     # pipeline never validates a supplied co-normal, so it takes no --tol-harmonic.

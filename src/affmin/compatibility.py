@@ -25,8 +25,8 @@ from .errors import (
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
 from .conormal import ConormalField
-from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, cross3, d12, det3,
-                    div3, empty3, relative_residual, row_bands, worst_index)
+from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, as_positions, cross3,
+                    d12, det3, div3, empty3, relative_residual, row_bands, worst_index)
 from .lelieuvre import Immersion, integrate
 
 __all__ = [
@@ -273,8 +273,7 @@ def _corner_frame(positions: VertexGrid) -> tuple[np.ndarray, np.ndarray]:
     return base, frame
 
 
-def affine_equivalence(qa: Immersion, qb: Immersion,
-                       tol: float = TOL_EQUIV) -> AffineMap:
+def affine_equivalence(qa, qb, tol: float = TOL_EQUIV) -> AffineMap:
     """Affine map sending qa to qb, determined by the corner quadrangles.
 
     The four lower-left corner points fix the map; it is then verified on
@@ -283,21 +282,22 @@ def affine_equivalence(qa: Immersion, qb: Immersion,
     NotEquivalent (with the worst vertex and relative gap, NaN included) if
     the map fails globally, DegenerateQuadrangle if no map exists.
     """
+    qa, qb = as_positions(qa), as_positions(qb)
     if qa.domain != qb.domain:
         raise DomainMismatch(f"domains differ: {qa.domain} vs {qb.domain}")
-    base_a, frame_a = _corner_frame(qa.positions)
-    base_b, frame_b = _corner_frame(qb.positions)
+    base_a, frame_a = _corner_frame(qa)
+    base_b, frame_b = _corner_frame(qb)
     linear = np.linalg.solve(frame_a.T, frame_b.T).T
     translation = base_b - linear @ base_a
-    pb = qb.positions.values
+    pb = qb.values
     # fmax reductions, as nanmax is: a NaN in qb does not hide which vertex carries it.
     spans = []
-    for _, band, _, _ in row_bands(qb.positions):
+    for _, band, _, _ in row_bands(qb):
         span = band.values - pb[0, 0]
         spans.append(np.fmax.reduce(np.abs(span, out=span), axis=None))
     scale = max(float(np.fmax.reduce(spans)), TINY)
     worst = BandMax(qa.domain)
-    for lo, band, rows, _ in row_bands(qa.positions):
+    for lo, band, rows, _ in row_bands(qa):
         gap = band.values @ linear.T   # the whole grid's matmul, one u-row at a time
         gap += translation
         gap -= pb[rows[0]]

@@ -44,8 +44,9 @@ def face_area_density(vectors: VertexGrid) -> FaceGrid:
     return FaceGrid(vectors.domain, det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]))
 
 
+@dataclass(frozen=True)
 class ConormalField:
-    """Validated co-normal field with its cached face area density.
+    """Validated co-normal field with its face area density.
 
     Attributes:
         vectors: VertexGrid of co-normal 3-vectors.
@@ -53,10 +54,9 @@ class ConormalField:
         harmonic_residual: worst |mixed difference| component over all faces.
     """
 
-    def __init__(self, vectors: VertexGrid, areas: FaceGrid, harmonic_residual: float):
-        self.vectors = vectors
-        self.areas = areas
-        self.harmonic_residual = harmonic_residual
+    vectors: VertexGrid
+    areas: FaceGrid
+    harmonic_residual: float
 
     @property
     def domain(self) -> GridDomain:
@@ -65,12 +65,6 @@ class ConormalField:
     @property
     def min_area(self) -> float:
         return float(self.areas.values.min())
-
-    def __repr__(self):
-        return (
-            f"ConormalField(domain={self.domain.as_tuple()}, "
-            f"min_F={self.min_area:.6g}, harmonic_residual={self.harmonic_residual:.3g})"
-        )
 
 
 @dataclass(frozen=True)
@@ -125,6 +119,17 @@ def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
     return ConormalField(vectors, FaceGrid(dom, areas), worst.value)
 
 
+def _require_bounded(top, bottom, spelled: str):
+    """ValueError naming the first component of nu whose max ``top`` or min
+    ``bottom`` is over half the float range in size, where the first sum of
+    ``d12`` can overflow; ``spelled`` forms a bound from "{0}", max or min."""
+    for which, bound in (("max", top), ("min", bottom)):
+        bad = np.flatnonzero(np.abs(bound) > np.finfo(float).max / 2)   # NaN passes
+        if len(bad):
+            raise ValueError(f"component {bad[0]} of nu overflows: {spelled.format(which)} "
+                             f"is {bound[bad[0]]}")
+
+
 def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     """Build the field nu(u,v) = u_part(u) + v_part(v) and validate it.
 
@@ -132,18 +137,14 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     cancellation), so the internal tolerance applies, times max(1, max |nu|).
     Rounding is monotone, so max nu and min nu come from the (finite)
     profiles: per component, max u_part + max v_part and min u_part + min
-    v_part.  So a sum that overflows shows in these bounds, and raises
+    v_part.  So a sum too large for ``d12`` shows in these bounds, and raises
     ValueError naming the component before nu is built.
     """
     spec.domain.require_faces("co-normal field")
     with np.errstate(over="ignore"):
         top = spec.u_part.max(axis=0) + spec.v_part.max(axis=0)
         bottom = spec.u_part.min(axis=0) + spec.v_part.min(axis=0)
-    for which, bound in (("max", top), ("min", bottom)):
-        bad = np.flatnonzero(~np.isfinite(bound))
-        if len(bad):
-            raise ValueError(f"component {bad[0]} of nu overflows: {which} u_part + {which} "
-                             f"v_part is {bound[bad[0]]}")
+    _require_bounded(top, bottom, "{0} u_part + {0} v_part")
     hi, lo = float(top.max()), float(bottom.min())
     nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
                 out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
@@ -153,11 +154,14 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
 def validate(vectors: VertexGrid, tol_harmonic: float = TOL_HARMONIC) -> ConormalField:
     """Check an externally supplied vertex grid and wrap it as a field.
 
-    Raises NotHarmonic (naming every face over tolerance) or NonConvexFace.
+    Raises NotHarmonic (naming every face over tolerance) or NonConvexFace,
+    and ValueError if a component of nu exceeds half the float range.
     """
     vectors.domain.require_faces("co-normal field")
     if vectors.components != 3:
         raise ValueError("co-normal grids must hold 3-vectors")
+    nu = vectors.values   # the fmax and fmin reductions skip NaN, which NotHarmonic names
+    _require_bounded(np.fmax.reduce(nu, axis=(0, 1)), np.fmin.reduce(nu, axis=(0, 1)), "{0} nu")
     return _build(vectors, tol_harmonic)
 
 

@@ -16,7 +16,7 @@ affine normal differentiates against A_2 = d2(A), B_1 = d1(B); both facts
 are checked here as residual reports.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,12 +271,8 @@ class NormalDerivativeReport:
 
     max_residual_u: float
     max_residual_v: float
-    max_residual: float = field(init=False)   # the larger, a NaN counting as larger
+    max_residual: float   # the larger, a NaN counting as larger
     passed: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_residual",
-                           float(np.max([self.max_residual_u, self.max_residual_v])))
 
 
 def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
@@ -301,8 +297,10 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
             ff_v * np.maximum(abs_xi[:, 1:], abs_xi[:, :-1]),
         ))
     res_u, res_v = float(np.max(res_u)), float(np.max(res_v))
+    worst = float(np.max([res_u, res_v]))
     return NormalDerivativeReport(
         max_residual_u=res_u,
         max_residual_v=res_v,
-        passed=bool(np.max([res_u, res_v]) <= tol),
+        max_residual=worst,
+        passed=worst <= tol,
     )

@@ -7,7 +7,7 @@ checks are normalized by the participating vector norms, and the pure
 "determinant is zero" checks are reported as raw absolute residuals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,7 +195,7 @@ class PlanarSaddleReport:
     worst_vertex: tuple
     saddle_ok: bool
     passed: bool
-    saddle_failures: list = field(default_factory=list)
+    saddle_failures: list
 
 
 def planarity_and_saddle(surface, vectors: VertexGrid,

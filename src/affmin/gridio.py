@@ -11,10 +11,7 @@ Floats are written as ``%.17g`` writes them, float64 arrays by the shared
 numpy kernel of ``spelling``, so round trips are exact and repeated writes
 are byte-identical.  Writers stream: ``write_json``, and so ``write_grid``
 and ``write_forms``, writes the ASCII bytes of each spelling pass as it
-comes and leaves no file if it fails.  On a 1000^2 3-vector grid (a 64 MB
-file) the tracemalloc peak of ``write_grid`` fell from 214 to 25 MB, and
-its time from 1.49 to 0.95 s, once it stopped building the whole text as
-one ``str``.  Grid and seed values must be finite:
+comes and leaves no file if it fails.  Grid and seed values must be finite:
 writers and readers reject NaN and infinities (which JSON cannot spell) and
 name the first offending grid index or seed point; grid and seed readers
 also reject entries that are not numbers (``true``, ``"1.5"``), naming the
@@ -227,13 +224,19 @@ def write_forms(data: FundamentalData, path):
 
 def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) -> VertexGrid:
     """The ``sub`` part of a coefficient padded with nulls to ``full``; ValueError
-    on a null inside ``sub``, a value outside it, or any other non-finite value."""
+    on an entry that is no number, a header other than a 1-component vertex grid
+    on ``full``, a null inside ``sub``, a value outside it, or any other
+    non-finite value."""
     values = obj.get("values") if isinstance(obj, dict) else None
     if not isinstance(values, list):
         raise ValueError(f"{name} must be a grid object with a list of values")
     if len(values) != full.n_u * full.n_v:
         raise ValueError(f"{name} grid has wrong length for domain {full}")
     _require_numbers(values, f"{name} grid values")
+    header = json.dumps([obj.get(key) for key in ("kind", "domain", "components")])
+    if header != json.dumps(["vertex", list(full.as_tuple()), 1]):   # 1.0 and true differ too
+        raise ValueError(f"{name} must be a 1-component vertex grid on F's domain "
+                         f"{list(full.as_tuple())}, got [kind, domain, components] {header}")
     shape = (full.n_u, full.n_v)
     arr = np.array(values, dtype=float).reshape(shape)   # null -> NaN
     # A null is read as NaN, so only the NaNs can be nulls; a NaN token is not.

@@ -10,7 +10,7 @@ a base vertex is path independent and produces a well-defined vertex grid of
 positions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,23 +33,20 @@ __all__ = [
 TOL_INTEGRATE = 1e-10
 
 
+@dataclass(frozen=True)
 class Immersion:
-    """Vertex positions of an asymptotic quad net plus its integration anchor."""
+    """Vertex positions of an asymptotic quad net."""
 
-    def __init__(self, positions: VertexGrid, base_vertex, base_value):
-        positions.domain.require_faces("immersion")
-        if positions.components != 3:
+    positions: VertexGrid
+
+    def __post_init__(self):
+        self.positions.domain.require_faces("immersion")
+        if self.positions.components != 3:
             raise ValueError("immersions hold 3-vector positions")
-        self.positions = positions
-        self.base_vertex = (int(base_vertex[0]), int(base_vertex[1]))
-        self.base_value = np.asarray(base_value, dtype=float)
 
     @property
     def domain(self) -> GridDomain:
         return self.positions.domain
-
-    def __repr__(self):
-        return f"Immersion(domain={self.domain.as_tuple()}, base={self.base_vertex})"
 
 
 def lelieuvre_edges(vectors: VertexGrid) -> tuple[UEdgeGrid, VEdgeGrid]:
@@ -72,18 +69,16 @@ def _line_integral(steps: np.ndarray, anchor: int, start, out: np.ndarray):
         np.subtract(start, behind, out=behind)
 
 
-def integrate(field: ConormalField, base_vertex=None, base_value=None) -> Immersion:
+def integrate(field: ConormalField, base_vertex=None, base_value=(0.0, 0.0, 0.0)) -> Immersion:
     """Sum the Lelieuvre edge vectors into vertex positions.
 
-    The base vertex (default: the lower-left corner) receives ``base_value``
-    (default: the origin).  The sums run in u through the base vertex, then
-    in v from there; harmonicity makes every other path agree up to rounding.
+    The base vertex (default: the lower-left corner) receives ``base_value``.
+    The sums run in u through the base vertex, then in v from there;
+    harmonicity makes every other path agree up to rounding.
     """
     dom = field.domain
     if base_vertex is None:
         base_vertex = (dom.u_min, dom.v_min)
-    if base_value is None:
-        base_value = np.zeros(3)
     base_value = np.asarray(base_value, dtype=float)
     if not dom.contains_vertex(*base_vertex):
         raise IndexError(f"base vertex {base_vertex} outside domain {dom}")
@@ -97,7 +92,7 @@ def integrate(field: ConormalField, base_vertex=None, base_value=None) -> Immers
     for _, band, rows, _ in row_bands(field.vectors):
         q2 = cross3(band.values[:, 1:], band.values[:, :-1])
         _line_integral(np.moveaxis(q2, 1, 0), jb, q[rows[0], jb], np.moveaxis(q[rows[0]], 1, 0))
-    return Immersion(VertexGrid(dom, q), base_vertex, base_value)
+    return Immersion(VertexGrid(dom, q))
 
 
 def path_independence_residual(field) -> float:
@@ -123,14 +118,10 @@ class LelieuvreReport:
 
     max_residual_u: float
     max_residual_v: float
-    max_residual: float = field(init=False)   # the larger, a NaN counting as larger
+    max_residual: float   # the larger, a NaN counting as larger
     edge_scale: float
     worst_edge: tuple
     passed: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_residual",
-                           float(np.max([self.max_residual_u, self.max_residual_v])))
 
 
 def verify_lelieuvre(immersion: Immersion, field: ConormalField,
@@ -150,12 +141,13 @@ def verify_lelieuvre(immersion: Immersion, field: ConormalField,
         scale += [np.abs(q1).max(), np.abs(q2).max()]
     scale = float(np.max(scale))
 
-    max_u, max_v = res[0].value, res[1].value
-    side = int(np.argmax([max_u, max_v]))   # a NaN counts as worst
+    side = int(np.argmax([res[0].value, res[1].value]))   # a NaN counts as worst
+    worst = res[side].value
     return LelieuvreReport(
-        max_residual_u=max_u,
-        max_residual_v=max_v,
+        max_residual_u=res[0].value,
+        max_residual_v=res[1].value,
+        max_residual=worst,
         edge_scale=scale,
         worst_edge=("uv"[side], res[side].index),
-        passed=bool(np.max([max_u, max_v]) <= tol * np.maximum(scale, TINY)),
+        passed=bool(worst <= tol * np.maximum(scale, TINY)),
     )

@@ -131,8 +131,7 @@ def test_criterion_4_criticality_and_first_variation(surfaces):
         center = ((dom.u_min + dom.u_max) // 2, (dom.v_min + dom.v_max) // 2)
         values = np.array(surf.positions.values)
         values[center[0] - dom.u_min, center[1] - dom.v_min] += (0, 0, 1e-3)
-        bumped = Immersion(VertexGrid(dom, values), surf.base_vertex,
-                           surf.base_value)
+        bumped = Immersion(VertexGrid(dom, values))
         gradient = area_gradient(bumped).vertex_at(*center)
         direction = gradient / np.linalg.norm(gradient)
         coarse = fd_gradient_check(bumped, center, direction, 1e-5)

@@ -483,7 +483,8 @@ OPTIONS = {
                 (("--tol-equiv",), 1e-06, None, None, False)],
     "area": [(("--surface",), None, None, None, True)],
     "gradient": [(("--surface",), None, None, None, True), (("--out",), None, None, None, True)],
-    "critical": [(("--surface",), None, None, None, True), (("--tol",), 1e-09, None, None, False)],
+    "critical": [(("--surface",), None, None, None, True),
+                 (("--tol-crit",), 1e-09, None, None, False)],
     "export": [(("--surface",), None, None, None, True),
                (("--resolution",), None, None, None, True),
                (("--out",), None, None, None, True)],
@@ -521,6 +522,61 @@ def test_pipeline_records_the_harmonic_default_it_takes_no_flag_for(tmp_path, ca
     with pytest.raises(SystemExit) as err:
         run("pipeline", "--example", "paraboloid", "--outdir", tmp_path, "--tol-harmonic", 1)
     assert err.value.code == 2
+
+
+def _surface_files(tmp_path, example, box):
+    """Co-normal and surface files of ``example`` on ``box``, named after the box."""
+    stem = "_".join(map(str, box))
+    conormal, surface = tmp_path / f"c{stem}.json", tmp_path / f"s{stem}.json"
+    assert run("generate", "--example", example, "--box", *box, "--out", conormal) == 0
+    assert run("integrate", "--conormal", conormal, "--out", surface) == 0
+    return conormal, surface
+
+
+def _check_a_non_harmonic_conormal(tmp_path):
+    conormal, surface = _surface_files(tmp_path, "paraboloid", (0, 5, 0, 5))
+    body = json.loads(conormal.read_text())
+    body["values"][(1 * 6 + 1) * 3 + 2] += 0.5   # vertex (1, 1)
+    conormal.write_text(json.dumps(body))
+    report = tmp_path / "report.json"
+    return ["check", "--surface", surface, "--conormal", conormal, "--report", report], report
+
+
+def _compare_two_boxes(tmp_path):
+    (_, a), (_, b) = (_surface_files(tmp_path, "cubic", box) for box in ((1, 8, 1, 8),
+                                                                        (1, 9, 1, 8)))
+    report = tmp_path / "report.json"
+    return ["compare", "--a", a, "--b", b, "--report", report], report
+
+
+def _pipeline(*argv):
+    return lambda tmp_path: (["pipeline", *argv, "--outdir", tmp_path],
+                             tmp_path / "pipeline_report.json")
+
+
+# Case -> (the arguments of a run that exits 1 and its report path, of
+# tmp_path; the error type that report names).
+EXIT_ONE = {
+    "check-non-harmonic": (_check_a_non_harmonic_conormal, "NotHarmonic"),
+    "compare-two-boxes": (_compare_two_boxes, "DomainMismatch"),
+    "pipeline-sphere-box": (_pipeline("--example", "sphere", "--box", 1, 11, -10, 5),
+                            "NonConvexFace"),
+    "pipeline-forms-tolerance": (_pipeline("--example", "cubic", "--box", 1, 8, 1, 8,
+                                           "--tol-forms", 1e-30), "IllDefinedForm"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_ONE)
+def test_every_exit_one_leaves_a_report_naming_the_error(tmp_path, case):
+    build, error = EXIT_ONE[case]
+    argv, path = build(tmp_path)
+    assert run(*argv) == 1
+    report = json.loads(path.read_text())
+    assert report["error"].startswith(f"{error}: ")
+    assert report.get("passed", report.get("equivalent")) is False
+    if argv[0] == "pipeline":
+        assert list(report) == ["command", "example", "box", "n", "tolerances", "error", "passed"]
+        assert report["box"] == argv[4:8]
 
 
 def test_console_entry_point():

@@ -300,15 +300,20 @@ class TestAffineEquivalence:
         _, surf = helicoid
         linear = random_unimodular(rng)
         shift = rng.uniform(-5, 5, 3)
-        moved = Immersion(
-            surf.positions.with_values(
-                surf.positions.values @ linear.T + shift),
-            surf.base_vertex, linear @ surf.base_value + shift,
-        )
+        moved = Immersion(surf.positions.with_values(surf.positions.values @ linear.T + shift))
         mapping = affine_equivalence(surf, moved)
         np.testing.assert_allclose(mapping.linear, linear, atol=1e-9)
         np.testing.assert_allclose(mapping.translation, shift, atol=1e-8)
         assert mapping.det == pytest.approx(1.0, abs=1e-9)
+
+    def test_takes_bare_position_grids(self, helicoid):
+        # Like every function of a surface, it reads an Immersion or its positions.
+        _, surf = helicoid
+        moved = surf.positions.with_values(surf.positions.values + 1.0)
+        mapping = affine_equivalence(surf.positions, moved)
+        np.testing.assert_allclose(mapping.translation, 1.0, atol=1e-9)
+        assert affine_equivalence(surf, Immersion(moved)).translation.tolist() \
+            == mapping.translation.tolist()
 
     def test_different_surfaces_not_equivalent(self, cubic):
         _, surf = cubic
@@ -327,7 +332,7 @@ class TestAffineEquivalence:
     def test_degenerate_quadrangle(self):
         dom = GridDomain(0, 2, 0, 2)
         flat = VertexGrid.from_function(dom, lambda u, v: (u, v, 0.0))
-        surf = Immersion(flat, (0, 0), np.zeros(3))
+        surf = Immersion(flat)
         with pytest.raises(DegenerateQuadrangle):
             affine_equivalence(surf, surf)
 
@@ -398,8 +403,7 @@ class TestNanGates:
         _, surf = paraboloid
         values = np.array(surf.positions.values)
         values[4, 2, 0] = np.nan
-        broken = Immersion(VertexGrid(surf.domain, values), surf.base_vertex,
-                           surf.base_value)
+        broken = Immersion(VertexGrid(surf.domain, values))
         for qa, qb in ((broken, surf), (surf, broken)):
             with pytest.raises(NotEquivalent) as err:
                 affine_equivalence(qa, qb)

@@ -121,6 +121,20 @@ class TestFromSeparable:
                                   f"{which} v_part is {sign * np.inf}")
 
 
+@pytest.mark.parametrize("build", [
+    from_separable,
+    lambda spec: validate(VertexGrid(spec.domain, spec.u_part[:, None] + spec.v_part[None])),
+], ids=["from_separable", "validate"])
+def test_a_field_beyond_half_the_float_range_is_rejected_without_a_warning(build):
+    # nu is finite, but d12 adds two entries of 1e308 first.
+    spec = spec_from(GridDomain(0, 3, 0, 3), lambda u: (u, 0.0, u * u), lambda v: (0.0, v, v * v))
+    spec.u_part[1, 2] = spec.u_part[2, 2] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"component 2 of nu overflows: max .* is 1e\+308"):
+            build(spec)
+
+
 class TestValidate:
     def test_paraboloid_field_f_is_one(self):
         dom = GridDomain(-2, 4, 0, 5)
@@ -190,6 +204,9 @@ class TestGenerators:
             am.improper_sphere(GridDomain(0, 5, -3, 0))   # touches u = v at (0, 0)
         with pytest.raises(NonConvexFace):
             am.improper_sphere(GridDomain(0, 5, -3, 2))   # crosses the diagonal
+
+    def test_helicoid_spans_one_turn_by_default(self):
+        assert am.helicoid(5, (0, 2)).domain == GridDomain(0, 2, 0, 5)
 
     def test_helicoid_needs_three_samples(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ def perturbed(surf, vertex, offset):
     dom = surf.domain
     values = np.array(surf.positions.values)
     values[vertex[0] - dom.u_min, vertex[1] - dom.v_min] += offset
-    return Immersion(VertexGrid(dom, values), surf.base_vertex, surf.base_value)
+    return Immersion(VertexGrid(dom, values))
 
 
 class TestFaceVolumes:

@@ -96,15 +96,17 @@ def test_malformed_files_rejected(tmp_path):
             grid_from_obj({"kind": "vertex", "domain": domain,
                            "components": components, "values": [0, 0, 0, 0]})
     # In a forms bundle null is legal in the padding only, bools and strings nowhere.
+    header = {"kind": "vertex", "domain": [0, 2, 0, 2], "components": 1}
     forms = {"F": {"kind": "face", "domain": [0, 2, 0, 2], "components": 1,
                    "values": [1.0, 1.0, 1.0, 1.0]},
-             "B": {"values": [None, 0.0, None] * 3}}
+             "B": {**header, "values": [None, 0.0, None] * 3}}
     for a_values, entry in (([None] * 3 + [0.0, False, 0.0] + [None] * 3, "entry 4 is false"),
                             ([None] * 3 + [0.0] * 3 + [None, "0", None], 'entry 7 is "0"')):
-        bad.write_text(json.dumps({**forms, "A": {"values": a_values}}))
+        bad.write_text(json.dumps({**forms, "A": {**header, "values": a_values}}))
         with pytest.raises(ValueError, match=f"A grid values: {entry}, not a number"):
             read_forms(bad)
-    bad.write_text(json.dumps({**forms, "A": {"values": [None] * 3 + [0.0] * 3 + [None] * 3}}))
+    bad.write_text(json.dumps({**forms, "A": {**header,
+                                              "values": [None] * 3 + [0.0] * 3 + [None] * 3}}))
     assert read_forms(bad).u_coeff.values.shape == (1, 3)
     with pytest.raises(OSError):
         read_grid(tmp_path / "missing.json")
@@ -138,6 +140,12 @@ def test_forms_reader_requires_coefficient_objects(cubic, tmp_path, key, bad):
      "F must be a face grid"),
     (lambda obj: obj["A"]["values"].pop(), "A grid has wrong length for domain"),
     (lambda obj: obj["A"]["values"].__setitem__(0, 1.0), "A grid has values outside its stencil"),
+    (lambda obj: obj["A"].update(kind="face"), "A must be a 1-component vertex grid on F's"),
+    (lambda obj: obj["A"].update(kind=7), "A must be a 1-component vertex grid on F's"),
+    (lambda obj: obj["B"].update(domain=[0, 99, 0, 99]), "B must be a 1-component vertex grid"),
+    (lambda obj: obj["A"].update(components=3), "A must be a 1-component vertex grid on F's"),
+    (lambda obj: [obj["B"].pop(key) for key in ("kind", "domain", "components")],
+     r"B must be a 1-component vertex grid .* got \[kind, domain, components\] \[null, null, null\]"),
 ])
 def test_forms_reader_rejects_a_damaged_bundle(cubic, tmp_path, damage, message):
     _, surf = cubic
@@ -238,6 +246,11 @@ def test_dumps_json_values():
     text = dumps_json({"x": 0.5, "flag": True, "items": [1, None, 2.5]})
     parsed = json.loads(text)
     assert parsed == {"x": 0.5, "flag": True, "items": [1, None, 2.5]}
+
+
+def test_dumps_json_spells_an_empty_dict():
+    assert dumps_json({}) == "{}"
+    assert dumps_json({"meshes": {}}) == '{\n  "meshes": {}\n}'
 
 
 def test_unserializable_value_leaves_no_file(tmp_path):

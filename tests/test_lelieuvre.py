@@ -1,5 +1,7 @@
 """Discrete Lelieuvre integration and its verification passes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from affmin.lelieuvre import (
 
 @pytest.mark.parametrize("wrap, error, message", [
     (as_positions, TypeError, "expected an Immersion or a 3-vector VertexGrid"),
-    (lambda grid: Immersion(grid, (0, 0), 0.0), ValueError, "immersions hold 3-vector positions")],
+    (Immersion, ValueError, "immersions hold 3-vector positions")],
     ids=["as_positions", "Immersion"])
 def test_scalar_grid_is_no_surface(wrap, error, message):
     scalar = VertexGrid(GridDomain(0, 2, 0, 2), np.zeros((3, 3)))
@@ -126,10 +128,7 @@ class TestVerify:
 
     def test_scaled_surface_detected(self, paraboloid):
         field, surf = paraboloid
-        doubled = Immersion(
-            surf.positions.with_values(2.0 * surf.positions.values),
-            surf.base_vertex, 2.0 * surf.base_value,
-        )
+        doubled = Immersion(surf.positions.with_values(2.0 * surf.positions.values))
         report = verify_lelieuvre(doubled, field)
         assert not report.passed
         assert report.max_residual >= 1.0
@@ -141,17 +140,21 @@ class TestVerify:
             verify_lelieuvre(other, field)
 
     def test_report_keeps_a_later_nan(self):
-        report = LelieuvreReport(max_residual_u=1e-3, max_residual_v=np.nan,
+        # The record stores the worst value its certificate found, in the
+        # field order of the report's JSON section.
+        report = LelieuvreReport(max_residual_u=1e-3, max_residual_v=np.nan, max_residual=np.nan,
                                  edge_scale=1.0, worst_edge=("v", (0, 0)), passed=False)
         assert np.isnan(report.max_residual)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "max_residual_u", "max_residual_v", "max_residual", "edge_scale", "worst_edge",
+            "passed"]
 
     def test_nan_only_in_v_residual_fails(self, paraboloid):
         # Two v-adjacent infinite positions: d1 is infinite there, d2 is NaN.
         field, surf = paraboloid
         values = np.array(surf.positions.values)
         values[3, 2:4, 1] = np.inf
-        broken = Immersion(VertexGrid(surf.domain, values), surf.base_vertex,
-                           surf.base_value)
+        broken = Immersion(VertexGrid(surf.domain, values))
         with np.errstate(invalid="ignore"):
             report = verify_lelieuvre(broken, field)
         assert report.max_residual_u == np.inf and np.isnan(report.max_residual_v)

@@ -30,7 +30,7 @@ def test_face_volumes_is_computed_once(cubic):
     s = fresh(cubic[1])
     vols = am.face_volumes(s)
     assert am.face_volumes(s) is vols
-    assert am.face_volumes(am.Immersion(s, (1, 1), s.values[0, 0])) is vols
+    assert am.face_volumes(am.Immersion(s)) is vols
     assert am.face_volumes(fresh(cubic[1])) is not vols
 
 

@@ -113,7 +113,7 @@ def test_failing_net_caps_saddle_failures_and_names_worst_faces(checks, tmp_path
     report = json.loads(report_path.read_text())
     assert report["passed"] is False
 
-    surface = am.Immersion(noisy, (0, 0), p[0, 0])
+    surface = am.Immersion(noisy)
     nu = recover_conormal(surface).vectors
     planar = planarity_and_saddle(surface, nu)
     assert len(planar.saddle_failures) == 13
