@@ -391,6 +391,13 @@ def _command(sub, func, help_text, *options, tols=()):
     p.set_defaults(func=func)
 
 
+def _resolution(text: str) -> int:
+    """An OBJ export resolution, at least 1: checked before any file is written."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"resolution must be an integer >= 1, got {text}")
+    return int(text)
+
+
 def _example_options(box_required: bool, box_help: str):
     """``--example``, ``--box`` and ``--n`` of ``generate`` and ``pipeline``."""
     return (("--example", {"choices": EXAMPLES, "required": True}),
@@ -428,13 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, _cmd_gradient, "write the interior area gradient", "--surface", "--out")
     _command(sub, _cmd_critical, "criticality certificate", "--surface", tols=["crit"])
     _command(sub, _cmd_export, "tessellate and write an OBJ mesh", "--surface",
-             ("--resolution", {"type": int, "required": True}), "--out")
+             ("--resolution", {"type": _resolution, "required": True}), "--out")
     # pipeline never validates a supplied co-normal, so it takes no --tol-harmonic.
     _command(sub, _cmd_pipeline,
              "generate/integrate/check/forms/reconstruct/critical/export end to end",
              *_example_options(False, "inclusive vertex bounds (per-example default)"),
              "--outdir",
-             ("--resolutions", {"type": int, "nargs": 2, "default": (1, 8),
+             ("--resolutions", {"type": _resolution, "nargs": 2, "default": (1, 8),
                                 "metavar": ("R1", "R2"),
                                 "help": "the two mesh export resolutions"}),
              tols=[name for name in _TOLERANCES if name != "harmonic"])

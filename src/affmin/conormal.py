@@ -121,10 +121,10 @@ def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
 
 def _require_bounded(top, bottom, spelled: str):
     """ValueError naming the first component of nu whose max ``top`` or min
-    ``bottom`` is over half the float range in size, where the first sum of
-    ``d12`` can overflow; ``spelled`` forms a bound from "{0}", max or min."""
+    ``bottom`` is over R = cbrt(max float / 8) in size: within R, F stays under
+    6 R^3 and ``d12`` under 4 R; ``spelled`` forms a bound from "{0}", max or min."""
     for which, bound in (("max", top), ("min", bottom)):
-        bad = np.flatnonzero(np.abs(bound) > np.finfo(float).max / 2)   # NaN passes
+        bad = np.flatnonzero(np.abs(bound) > np.cbrt(np.finfo(float).max / 8))   # NaN passes
         if len(bad):
             raise ValueError(f"component {bad[0]} of nu overflows: {spelled.format(which)} "
                              f"is {bound[bad[0]]}")
@@ -137,8 +137,8 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     cancellation), so the internal tolerance applies, times max(1, max |nu|).
     Rounding is monotone, so max nu and min nu come from the (finite)
     profiles: per component, max u_part + max v_part and min u_part + min
-    v_part.  So a sum too large for ``d12`` shows in these bounds, and raises
-    ValueError naming the component before nu is built.
+    v_part.  So a component too large for F or ``d12`` shows in these bounds,
+    and raises ValueError naming it before nu is built.
     """
     spec.domain.require_faces("co-normal field")
     with np.errstate(over="ignore"):
@@ -155,7 +155,7 @@ def validate(vectors: VertexGrid, tol_harmonic: float = TOL_HARMONIC) -> Conorma
     """Check an externally supplied vertex grid and wrap it as a field.
 
     Raises NotHarmonic (naming every face over tolerance) or NonConvexFace,
-    and ValueError if a component of nu exceeds half the float range.
+    and ValueError if a component of nu exceeds cbrt(max float / 8) ~ 2.8e102.
     """
     vectors.domain.require_faces("co-normal field")
     if vectors.components != 3:

@@ -66,15 +66,15 @@ class IllDefinedForm(AffminError):
     """The cubic-form determinant disagrees across adjacent face choices.
 
     Attributes:
-        vertex: (u, v) index of the offending vertex.
-        spread: max pairwise disagreement between the face choices.
+        vertex: (u, v) index of the vertex with the largest relative spread.
+        spread: that spread, as ``max_spread_u`` or ``max_spread_v`` reports it.
     """
 
     def __init__(self, vertex, spread):
         self.vertex = vertex
         self.spread = spread
         super().__init__(
-            f"cubic form ill-defined at vertex {vertex}: face choices differ by {spread:.3e}"
+            f"cubic form ill-defined at vertex {vertex}: relative face-choice spread {spread:.3e}"
         )
 
 

@@ -68,41 +68,44 @@ class FormDerivatives:
 
 
 class _Coefficient:
-    """A cubic coefficient averaged over face choices, band by band; the spread
-    of the choices is judged relative to |mean| plus their mean area density,
-    and a NaN spread fails."""
+    """A cubic coefficient averaged over face choices, band by band, and the
+    largest spread of the choices relative to |mean| plus their mean area
+    density, with its vertex (a NaN spread counts as largest)."""
 
     def __init__(self, shape, domain, du, dv):
-        self.mean, self.excess, self.relative = np.empty(shape), BandMax(domain, du, dv), []
-        self.spread = None   # the spread at the worst excess
+        self.mean, self.spread = np.empty(shape), BandMax(domain, du, dv)
 
-    def add(self, dets_by_face, shape, rows, own, lo, tol):
+    def add(self, dets_by_face, shape, rows, own, lo):
         """Fill ``rows`` of the mean from ((determinant, area), slice) pairs
         that cover a band of ``shape``."""
         mean, spread = face_choice_mean(((det, sl) for (det, _), sl in dets_by_face), shape)
         f_mean, _ = face_choice_mean(((f, sl) for (_, f), sl in dets_by_face), shape)
         mean, spread, scale = mean[own], spread[own], np.abs(mean[own]) + f_mean[own]
         self.mean[rows][own] = mean
-        excess = spread - tol * scale
-        if self.excess.add(excess, lo):
-            self.spread = float(spread.flat[np.argmax(excess)])
-        self.relative.append((spread / np.maximum(scale, TINY)).max())
+        self.spread.add(spread / np.maximum(scale, TINY), lo)
 
 
 def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> CubicForm:
     """Cubic coefficients of an immersion given its affine normal field.
 
-    Stored on the position grid under ``tol`` when ``normals`` is the affine
-    normal that ``affine_normal`` stored there; other normals are used once.
+    Raises IllDefinedForm, naming the vertex of the largest spread (a NaN
+    first), unless ``max_spread_u`` and ``max_spread_v`` are at most ``tol``.
+    Stored on the position grid, whatever ``tol``, when ``normals`` is the
+    affine normal that ``affine_normal`` stored there; others are used once.
     """
     q = as_positions(surface)
     own = q.memo("affine_normal")
     if own is not None and normals is own:
-        return q.memo(("cubic_coefficients", tol), lambda: _cubic_coefficients(q, normals, tol))
-    return _cubic_coefficients(q, normals, tol)
+        form, worst = q.memo("cubic_coefficients", lambda: _cubic_coefficients(q, normals))
+    else:
+        form, worst = _cubic_coefficients(q, normals)
+    for spread, vertex in zip((form.max_spread_u, form.max_spread_v), worst):
+        if not spread <= tol:
+            raise IllDefinedForm(vertex, spread)
+    return form
 
 
-def _cubic_coefficients(q: VertexGrid, normals: FaceGrid, tol: float) -> CubicForm:
+def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
     dom = q.domain.require_interior("the cubic form")
     areas = face_volumes(q).areas.values
     a = _Coefficient((dom.n_u - 2, dom.n_v), dom, 1, 0)
@@ -116,7 +119,7 @@ def _cubic_coefficients(q: VertexGrid, normals: FaceGrid, tol: float) -> CubicFo
             ((dot3(cross_u[:, :-1], xi[:-1, :]), f[:-1, :]), (slice(None), slice(None, -1))),
             ((dot3(cross_u[:, 1:], xi[1:, :]), f[1:, :]), (slice(None), slice(1, None))),
             ((dot3(cross_u[:, 1:], xi[:-1, :]), f[:-1, :]), (slice(None), slice(1, None))),
-        ), cross_u.shape[:2], rows[2], own, lo, tol)
+        ), cross_u.shape[:2], rows[2], own, lo)
 
         cross_v = cross3(e2[:, 1:], e2[:, :-1])            # v-interior vertices
         b.add((
@@ -124,17 +127,14 @@ def _cubic_coefficients(q: VertexGrid, normals: FaceGrid, tol: float) -> CubicFo
             ((dot3(cross_v[:-1, :], xi[:, :-1]), f[:, :-1]), (slice(None, -1), slice(None))),
             ((dot3(cross_v[1:, :], xi[:, 1:]), f[:, 1:]), (slice(1, None), slice(None))),
             ((dot3(cross_v[1:, :], xi[:, :-1]), f[:, :-1]), (slice(1, None), slice(None))),
-        ), cross_v.shape[:2], rows[0], own, lo, tol)
-    for coeff in (a, b):
-        if not coeff.excess.value <= 0.0:
-            raise IllDefinedForm(coeff.excess.index, coeff.spread)
+        ), cross_v.shape[:2], rows[0], own, lo)
 
     return CubicForm(
         u_coeff=VertexGrid(dom.shrink(du_lo=1, du_hi=1), a.mean),
         v_coeff=VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), b.mean),
-        max_spread_u=float(np.max(a.relative)),
-        max_spread_v=float(np.max(b.relative)),
-    )
+        max_spread_u=a.spread.value,
+        max_spread_v=b.spread.value,
+    ), (a.spread.index, b.spread.index)   # the vertices of the largest spreads
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,6 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
     # The per-stencil scale is floored by F times the participating edge
     # lengths so identities whose every term vanishes (straight rulings,
     # constant F) register as satisfied instead of comparing noise to noise.
-    # A term s * v scales with |s| * absmax(v), the bits of absmax(s * v):
-    # rounding is monotone and sign-symmetric.
     per = {}
     for _, band, rows, _ in row_bands(q, after=2):
         e1, e2 = d1(band).values, d2(band).values
@@ -168,38 +166,33 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
         f = areas.values[rows[1]]
         f1, f2 = f[1:] - f[:-1], f[:, 1:] - f[:, :-1]   # d1(F), d2(F) on the band's faces
         a, b = form.u_coeff.values[rows[2]], form.v_coeff.values[rows[0]]
-        abs_e1, abs_e2, abs_quu, abs_qvv = absmax(e1), absmax(e2), absmax(quu), absmax(qvv)
-        abs_f, abs_f1, abs_f2 = np.abs(f), np.abs(f1), np.abs(f2)
+        abs_e1, abs_e2 = absmax(e1), absmax(e2)
 
         # q11 expansions (vertex u-interior; vsign picks the v+1/2 or v-1/2 row).
         q2_used, abs_q2 = e2[1:-1, :], abs_e2[1:-1, :]
         for vsign, vsl in ((+1, np.s_[:, :-1]), (-1, np.s_[:, 1:])):
-            a_q2, a_q2_scale = mul3(a[vsl], q2_used), np.abs(a[vsl]) * abs_q2
-            quu_used, abs_quu_used = quu[vsl], abs_quu[vsl]
-            for uside, f_face, abs_f_face, e1_used, abs_e1_used in (
-                (+1, f[1:, :], abs_f[1:, :], e1[1:, :][vsl], abs_e1[1:, :][vsl]),
-                (-1, f[:-1, :], abs_f[:-1, :], e1[:-1, :][vsl], abs_e1[:-1, :][vsl]),
+            a_q2 = mul3(a[vsl], q2_used)
+            for uside, f_face, e1_used, abs_e1_used in (
+                (+1, f[1:, :], e1[1:, :][vsl], abs_e1[1:, :][vsl]),
+                (-1, f[:-1, :], e1[:-1, :][vsl], abs_e1[:-1, :][vsl]),
             ):
                 floor = f_face * np.maximum(abs_e1_used, abs_q2)
                 name = f"q11[v{'+' if vsign > 0 else '-'}][u{'+' if uside > 0 else '-'}]"
                 per.setdefault(name, []).append(relative_residual(
-                    [mul3(f_face, quu_used), mul3(f1, e1_used), a_q2], floor,
-                    [abs_f_face * abs_quu_used, abs_f1 * abs_e1_used, a_q2_scale]))
+                    [mul3(f_face, quu[vsl]), mul3(f1, e1_used), a_q2], floor))
 
         # q22 expansions (vertex v-interior; usign picks the u+1/2 or u-1/2 column).
         q1_used, abs_q1 = e1[:, 1:-1], abs_e1[:, 1:-1]
         for usign, usl in ((+1, np.s_[:-1, :]), (-1, np.s_[1:, :])):
-            b_q1, b_q1_scale = mul3(b[usl], q1_used), np.abs(b[usl]) * abs_q1
-            qvv_used, abs_qvv_used = qvv[usl], abs_qvv[usl]
-            for vside, f_face, abs_f_face, e2_used, abs_e2_used in (
-                (+1, f[:, 1:], abs_f[:, 1:], e2[:, 1:][usl], abs_e2[:, 1:][usl]),
-                (-1, f[:, :-1], abs_f[:, :-1], e2[:, :-1][usl], abs_e2[:, :-1][usl]),
+            b_q1 = mul3(b[usl], q1_used)
+            for vside, f_face, e2_used, abs_e2_used in (
+                (+1, f[:, 1:], e2[:, 1:][usl], abs_e2[:, 1:][usl]),
+                (-1, f[:, :-1], e2[:, :-1][usl], abs_e2[:, :-1][usl]),
             ):
                 floor = f_face * np.maximum(abs_q1, abs_e2_used)
                 name = f"q22[u{'+' if usign > 0 else '-'}][v{'+' if vside > 0 else '-'}]"
                 per.setdefault(name, []).append(relative_residual(
-                    [mul3(f_face, qvv_used), b_q1, mul3(f2, e2_used)], floor,
-                    [abs_f_face * abs_qvv_used, b_q1_scale, abs_f2 * abs_e2_used]))
+                    [mul3(f_face, qvv[usl]), b_q1, mul3(f2, e2_used)], floor))
 
     per = {name: float(np.max(values)) for name, values in per.items()}
     worst = list(per)[int(np.argmax(list(per.values())))]   # a NaN counts as worst

@@ -359,12 +359,11 @@ def norm3(x):
 
 def absmax(x):
     """Largest |component| along the last axis (a NaN wins): |x_0| into one new
-    plane, then the max with each later |x_k|, taken into one scratch plane."""
+    plane, then the max with each later |x_k|."""
     x = np.asarray(x)
     out = np.abs(x[..., 0], out=np.empty_like(x[..., 0]))
-    scratch = np.empty_like(out)
     for k in range(1, x.shape[-1]):
-        np.maximum(out, np.abs(x[..., k], out=scratch), out=out)
+        np.maximum(out, np.abs(x[..., k]), out=out)
     return out if out.ndim else out[()]
 
 
@@ -430,19 +429,12 @@ def face_choice_mean(choices, shape):
     return (total / count if len(shape) == 2 else div3(total, count)), hi - lo
 
 
-def _magnitude(x):
-    """|x| of a 2-D scalar grid, the largest |component| of a 3-vector grid."""
-    return np.abs(x) if x.ndim == 2 else absmax(x)
-
-
-def relative_residual(terms, floor=0.0, scales=None) -> float:
+def relative_residual(terms, floor=0.0) -> float:
     """Worst |t0 - t1 - t2 ...| relative to the largest |t_k| or ``floor``.
 
     Each term is a 2-D grid of scalar stencils or a 3-D grid of 3-vectors;
     the residual and the scale of a vector stencil are maxima over its
-    components.  ``scales``, if given, holds the caller's per-stencil
-    magnitude of each term in place of the one derived here.  The residual
-    and the scale are each formed in one array of their own, in place.
+    components, each formed in one array of its own, in place.
     """
     resid = np.subtract(terms[0], terms[1])
     for term in terms[2:]:
@@ -452,7 +444,7 @@ def relative_residual(terms, floor=0.0, scales=None) -> float:
         for k in (1, 2):
             np.maximum(resid[..., 0], resid[..., k], out=resid[..., 0])
         resid = resid[..., 0]
-    magnitudes = iter(map(_magnitude, terms) if scales is None else scales)
+    magnitudes = (np.abs(t) if t.ndim == 2 else absmax(t) for t in terms)
     scale = np.maximum(next(magnitudes), next(magnitudes), out=np.empty(resid.shape))
     for magnitude in (*magnitudes, floor, TINY):
         np.maximum(scale, magnitude, out=scale)

@@ -446,6 +446,20 @@ class TestPipeline:
         assert "the cubic form needs at least 3 vertices along u and v" in err
         assert "got 2 x 6" in err
 
+    @pytest.mark.parametrize("command, resolution", [
+        (["pipeline", "--example", "cubic", "--box", 1, 6, 1, 6, "--outdir", "D",
+          "--resolutions", 0, 8], "0"),
+        (["export", "--surface", "s.json", "--out", "D/mesh.obj", "--resolution", -1], "-1"),
+    ], ids=["pipeline", "export"])
+    def test_a_resolution_below_one_is_a_usage_error_before_any_file(
+            self, tmp_path, monkeypatch, capsys, command, resolution):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            run(*command)
+        assert err.value.code == 2
+        assert f"resolution must be an integer >= 1, got {resolution}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_default_boxes_per_example(self, tmp_path):
         # the sphere default box must respect u > v
         assert run("pipeline", "--example", "sphere",

@@ -135,6 +135,27 @@ def test_a_field_beyond_half_the_float_range_is_rejected_without_a_warning(build
             build(spec)
 
 
+def test_a_field_whose_area_density_would_overflow_is_rejected_without_a_warning():
+    # Every entry is within half the float range, but F is cubic in nu.
+    spec = spec_from(GridDomain(1, 3, 1, 3), lambda u: (1e150 * u, 0.0, 1e150 * u * u),
+                     lambda v: (0.0, 1e150 * v, 1e150 * v * v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"component 0 of nu overflows: max u_part \+ "
+                                             r"max v_part is 2\.99.*e\+150"):
+            from_separable(spec)
+
+
+def test_a_mixed_difference_that_would_overflow_is_rejected_without_a_warning():
+    # d12 sums g11 + g00 - g10 - g01 left to right: 2.4e308 after three terms.
+    nu = np.zeros((2, 2, 3))
+    nu[..., 2] = [[0.8e308, -0.8e308], [0.0, 0.8e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"component 2 of nu overflows: max nu is 8e\+307"):
+            validate(VertexGrid(GridDomain(0, 1, 0, 1), nu))
+
+
 class TestValidate:
     def test_paraboloid_field_f_is_one(self):
         dom = GridDomain(-2, 4, 0, 5)

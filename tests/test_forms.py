@@ -14,6 +14,7 @@ from affmin.forms import (
     structural_residuals,
 )
 from affmin.geometry import affine_normal, face_volumes
+from affmin.grids import TINY, VertexGrid
 
 
 def setup_chain(surf):
@@ -82,12 +83,91 @@ class TestCubicCoefficients:
         with pytest.raises(IllDefinedForm):
             cubic_coefficients(surf, xi.with_values(bent))
 
+    def test_ill_defined_form_names_the_largest_relative_spread(self, cubic):
+        p = cubic[1].positions
+        rng = np.random.default_rng(11)
+        q = VertexGrid(p.domain, p.values * (1.0 + 1e-7 * rng.standard_normal(p.values.shape)))
+        areas = face_volumes(q).areas
+        xi, dom = affine_normal(q, areas), q.domain
+        spreads = {}   # A at every u-interior vertex, over its two or four faces
+        for u in range(dom.u_min + 1, dom.u_max):
+            for v in range(dom.v_min, dom.v_max + 1):
+                e1m = q.vertex_at(u, v) - q.vertex_at(u - 1, v)
+                e1p = q.vertex_at(u + 1, v) - q.vertex_at(u, v)
+                faces = [(u + du, v + dv) for du in (-1, 0) for dv in (-1, 0)
+                         if dom.v_min <= v + dv < dom.v_max]
+                dets = [np.linalg.det(np.stack([e1m, e1p, xi.face_at(*f)])) for f in faces]
+                scale = abs(np.mean(dets)) + np.mean([areas.face_at(*f) for f in faces])
+                spreads[u, v] = (max(dets) - min(dets)) / scale
+        worst = max(spreads, key=spreads.get)
+        for tol in (1e-30, 1e-8, 1e-6):
+            with pytest.raises(IllDefinedForm) as err:
+                cubic_coefficients(q, xi, tol)
+            assert err.value.vertex == worst
+            assert err.value.spread == pytest.approx(spreads[worst], rel=1e-6)
+        form = cubic_coefficients(q, xi, 1e-5)
+        assert form.max_spread_u == err.value.spread
+
     def test_sphere_coefficients_separate(self, sphere):
         _, surf = sphere
         _, _, form = setup_chain(surf)
         # improper affine sphere: A depends only on u, B only on v
         assert np.abs(np.diff(form.u_coeff.values, axis=1)).max() <= 1e-10
         assert np.abs(np.diff(form.v_coeff.values, axis=0)).max() <= 1e-10
+
+
+def structural_reference(q, f, a, b):
+    """``per_identity`` of ``structural_residuals`` from whole-grid numpy forms:
+    q the positions, f the areas, a and b the cubic coefficients."""
+    e1, e2 = q[1:] - q[:-1], q[:, 1:] - q[:, :-1]
+    quu, qvv = q[2:] - 2.0 * q[1:-1] + q[:-2], q[:, 2:] - 2.0 * q[:, 1:-1] + q[:, :-2]
+    f1, f2 = f[1:] - f[:-1], f[:, 1:] - f[:, :-1]
+
+    def magnitude(x):
+        return np.abs(x).max(axis=-1)
+
+    def residual(terms, floor):
+        resid = magnitude(terms[0] - terms[1] - terms[2])
+        scale = np.maximum.reduce([magnitude(t) for t in terms]
+                                  + [floor, np.full_like(floor, TINY)])
+        return float((resid / scale).max())
+
+    per, q1, q2 = {}, e1[:, 1:-1], e2[1:-1]
+    for vsign, vsl in (("+", np.s_[:, :-1]), ("-", np.s_[:, 1:])):
+        for uside, f_face, e1_used in (("+", f[1:], e1[1:][vsl]), ("-", f[:-1], e1[:-1][vsl])):
+            per[f"q11[v{vsign}][u{uside}]"] = residual(
+                [f_face[..., None] * quu[vsl], f1[..., None] * e1_used, a[vsl][..., None] * q2],
+                f_face * np.maximum(magnitude(e1_used), magnitude(q2)))
+    for usign, usl in (("+", np.s_[:-1, :]), ("-", np.s_[1:, :])):
+        for vside, f_face, e2_used in (("+", f[:, 1:], e2[:, 1:][usl]),
+                                       ("-", f[:, :-1], e2[:, :-1][usl])):
+            per[f"q22[u{usign}][v{vside}]"] = residual(
+                [f_face[..., None] * qvv[usl], b[usl][..., None] * q1, f2[..., None] * e2_used],
+                f_face * np.maximum(magnitude(q1), magnitude(e2_used)))
+    return per
+
+
+def perturbed(field, seed=5):
+    """The positions of ``field``'s net, each moved by about 1e-9 relative."""
+    p = am.integrate(field).positions
+    rng = np.random.default_rng(seed)
+    return VertexGrid(p.domain, p.values * (1.0 + 1e-9 * rng.standard_normal(p.values.shape)))
+
+
+@pytest.mark.parametrize("net", [
+    lambda: perturbed(am.minimal_cubic(am.GridDomain(1, 40, 1, 300))),
+    lambda: am.integrate(am.helicoid(32, (0, 40), (0, 500))).positions,   # two row bands
+    lambda: am.integrate(am.hyperbolic_paraboloid(am.GridDomain(0, 30, 0, 30))).positions,
+    lambda: am.integrate(am.improper_sphere(am.GridDomain(31, 60, 0, 29))).positions,
+], ids=["perturbed-cubic-40x300", "helicoid-41x501", "paraboloid-31", "sphere-30"])
+def test_structural_residuals_equal_a_whole_grid_reference(net):
+    q = net()
+    areas = face_volumes(q).areas
+    form = cubic_coefficients(q, affine_normal(q, areas), tol=1.0)
+    report = structural_residuals(q, areas, form)
+    expected = structural_reference(q.values, areas.values, form.u_coeff.values,
+                                    form.v_coeff.values)
+    assert list(report.per_identity.items()) == list(expected.items())
 
 
 class TestStructuralResiduals:

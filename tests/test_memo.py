@@ -3,13 +3,16 @@
 ``face_volumes``, ``affine_normal`` and ``cubic_coefficients`` store their
 results on the position grid (``Grid.memo``).  The affine normal and the cubic
 form are stored only when their input is the one stored for the same grid;
-foreign inputs are used once, and a failing call stores nothing.
+foreign inputs are used once, and a computation that raises stores nothing.
+The cubic form does not depend on its tolerance: it is stored once, and each
+call checks its own tolerance against it.
 """
 
 import numpy as np
 import pytest
 
 import affmin as am
+from affmin import forms
 from affmin.errors import IllDefinedForm, NonPositiveVolume
 from affmin.grids import GridDomain, VertexGrid, as_positions
 
@@ -92,13 +95,32 @@ def test_non_positive_volume_is_raised_on_every_call():
     assert s.memo("face_volumes") is None
 
 
-def test_tighter_tolerance_is_checked_again(cubic):
+def perturbed_cubic(cubic):
+    """The cubic net with positions moved by 1e-7 relative: its cubic form
+    has face-choice spreads of about 2e-6."""
     p = cubic[1].positions
     rng = np.random.default_rng(11)
-    s = VertexGrid(p.domain, p.values * (1.0 + 1e-7 * rng.standard_normal(p.values.shape)))
+    return VertexGrid(p.domain, p.values * (1.0 + 1e-7 * rng.standard_normal(p.values.shape)))
+
+
+def test_tighter_tolerance_is_checked_again(cubic):
+    s = perturbed_cubic(cubic)
     xi = am.affine_normal(s, am.face_volumes(s).areas)
     loose = am.cubic_coefficients(s, xi, tol=1.0)
     assert am.cubic_coefficients(s, xi, tol=1.0) is loose
     for _ in range(2):
         with pytest.raises(IllDefinedForm):
             am.cubic_coefficients(s, xi)
+
+
+def test_every_tolerance_shares_one_stored_form(cubic, monkeypatch):
+    s = perturbed_cubic(cubic)
+    xi = am.affine_normal(s, am.face_volumes(s).areas)
+    computed, compute = [], forms._cubic_coefficients
+    monkeypatch.setattr(forms, "_cubic_coefficients",
+                        lambda *args: computed.append(args) or compute(*args))
+    with pytest.raises(IllDefinedForm):
+        am.cubic_coefficients(s, xi, tol=1e-8)
+    loose = am.cubic_coefficients(s, xi, tol=1.0)
+    assert am.cubic_coefficients(s, xi, tol=1e-5) is loose
+    assert len(computed) == 1
