@@ -24,9 +24,8 @@ from .errors import (
 )
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .conormal import ConormalField
 from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, as_positions, cross3,
-                    d12, det3, div3, empty3, relative_residual, row_bands, worst_index)
+                    det3, div3, empty3, relative_residual, row_bands, worst_index)
 from .lelieuvre import Immersion, integrate
 
 __all__ = [
@@ -43,9 +42,11 @@ __all__ = [
     "affine_equivalence",
 ]
 
+# reconstruct: |F, A or B of the co-normal - the data| / max F; the CLI also holds the
+# compatibility residuals and the round trip's gap / max |q - q(u_min, v_min)| to it.
 TOL_COMPAT = 1e-7
-TOL_EQUIV = 1e-6
-TOL_SEED = 1e-9
+TOL_EQUIV = 1e-6   # max |L qa + t - qb| / max |qb - qb(u_min, v_min)|, and the CLI's |det L - 1|
+TOL_SEED = 1e-9    # |det(q10 - q00, q01 - q00, q11 - q00) - F^2| / F^2 of the seed
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def compatibility_residuals(data: FundamentalData) -> CompatibilityResiduals:
     floors = (0.0, max(sig_f, sig_a) * sig_b, max(sig_f, sig_b) * sig_a)
 
     worst = ([], [], [])
-    for _, band, rows, _ in row_bands(data.v_coeff, after=2):
-        f, a, b = f_all[rows[1]], a_all[rows[2]], band.values
+    for _, band, (f, a), _ in row_bands(data.v_coeff, 0, 2, f_all, a_all):
+        b = band.values
         a2 = a[:, 1:] - a[:, :-1]   # A_2(u, v+1/2)
         b1 = b[1:] - b[:-1]         # B_1(u+1/2, v)
         for residuals, terms, floor in zip(worst, (
@@ -146,11 +147,16 @@ def canonical_seed(f00: float) -> np.ndarray:
     ])
 
 
+def _finite(x, error: Exception):
+    """Raise ``error`` unless every entry of ``x`` is finite, before
+    ``np.linalg.det`` would warn on one and return NaN."""
+    if not np.isfinite(x).all():
+        raise error
+
+
 def _seed_check(seed: np.ndarray, f00: float, tol: float):
     expected = f00 * f00
-    if not np.isfinite(seed).all():
-        # Rejected before det, which warns (or raises under errstate) on NaN.
-        raise SeedDeterminantMismatch(expected, float("nan"))
+    _finite(seed, SeedDeterminantMismatch(expected, float("nan")))
     det = float(np.linalg.det(np.stack([
         seed[1] - seed[0], seed[2] - seed[0], seed[3] - seed[0]
     ])))
@@ -190,24 +196,22 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
     # By Lelieuvre, F = [nu, nu(v+1), nu(u+1)], A = [nu(u-1), nu, nu(u+1)]
     # and B = [nu(v+1), nu, nu(v-1)].
     scale = float(f.max())
-    areas, harmonic = np.empty_like(f), []
+    areas = np.empty_like(f)
     gaps = (BandMax(dom), BandMax(dom, 1, 0), BandMax(dom, 0, 1))
-    for lo, band, rows, own in row_bands(vectors, after=2):
+    for lo, band, (*data_rows, areas_out), own in row_bands(vectors, 0, 2, f, a, b, areas):
         nu = band.values
         triples = (det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]), det3(nu[:-2], nu[1:-1], nu[2:]),
                    det3(nu[:, 2:], nu[:, 1:-1], nu[:, :-2]))
-        for gap, triple, given in zip(gaps, triples, (f[rows[1]], a[rows[2]], b[rows[0]])):
+        for gap, triple, given in zip(gaps, triples, data_rows):
             gap.add(np.abs(triple - given)[own] / scale, lo)
-        areas[rows[1]][own] = triples[0][own]
-        harmonic.append(absmax(d12(band).values[own]).max())
+        areas_out[own] = triples[0][own]
     worst = gaps[int(np.argmax([gap.value for gap in gaps]))]   # a NaN counts as worst
     if not worst.value <= tol_compat:
         raise IncompatibleData(worst.index, worst.value)
     i, j = np.unravel_index(np.argmin(areas), areas.shape)
     if not areas[i, j] > 0.0:
         raise IncompatibleData(worst_index(-areas, dom), float((f[i, j] - areas[i, j]) / scale))
-    field = ConormalField(vectors, FaceGrid(dom, areas), float(np.max(harmonic)))
-    return integrate(field, base_value=seed[0])
+    return integrate(vectors, base_value=seed[0])
 
 
 def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -249,6 +253,8 @@ class AffineMap:
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
         if self.linear.shape != (3, 3) or self.translation.shape != (3,):
             raise ValueError("AffineMap needs a 3x3 linear part and a 3-translation")
+        _finite(np.append(self.linear, self.translation),
+                ValueError("AffineMap needs a finite linear part and translation"))
         if abs(float(np.linalg.det(self.linear))) <= 0.0:
             raise DegenerateQuadrangle("affine map has singular linear part")
 
@@ -262,14 +268,14 @@ class AffineMap:
 
 def _corner_frame(positions: VertexGrid) -> tuple[np.ndarray, np.ndarray]:
     p = positions.values
+    u, v = positions.domain.u_min, positions.domain.v_min
+    degenerate = DegenerateQuadrangle(f"corner quadrangle at {u, v} spans no volume")
+    _finite(p[:2, :2], degenerate)
     base = p[0, 0]
     frame = np.column_stack([p[1, 0] - base, p[0, 1] - base, p[1, 1] - base])
     norms = np.linalg.norm(frame, axis=0)
     if abs(np.linalg.det(frame)) <= 1e-14 * max(float(norms.prod()), TINY):
-        raise DegenerateQuadrangle(
-            f"corner quadrangle at {positions.domain.u_min, positions.domain.v_min} "
-            "spans no volume"
-        )
+        raise degenerate
     return base, frame
 
 
@@ -297,10 +303,10 @@ def affine_equivalence(qa, qb, tol: float = TOL_EQUIV) -> AffineMap:
         spans.append(np.fmax.reduce(np.abs(span, out=span), axis=None))
     scale = max(float(np.fmax.reduce(spans)), TINY)
     worst = BandMax(qa.domain)
-    for lo, band, rows, _ in row_bands(qa):
+    for lo, band, (target,), _ in row_bands(qa, 0, 0, pb):
         gap = band.values @ linear.T   # the whole grid's matmul, one u-row at a time
         gap += translation
-        gap -= pb[rows[0]]
+        gap -= target
         gap = absmax(gap)
         gap /= scale
         worst.add(gap, lo)

@@ -102,13 +102,13 @@ def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
     dom = vectors.domain
     worst, bad = BandMax(dom), []
     areas = np.empty((dom.n_u - 1, dom.n_v - 1))
-    for lo, band, rows, own in row_bands(vectors, after=1):
+    for lo, band, (areas_out,), own in row_bands(vectors, 0, 1, areas):
         residuals = absmax(d12(band).values[own])
         worst.add(residuals, lo)
         bad += [(dom.u_min + lo + int(i), dom.v_min + int(j))
                 for i, j in np.argwhere(~(residuals <= tol_harmonic))]
         if not bad:
-            areas[rows[1]][own] = face_area_density(band).values[own]
+            areas_out[own] = face_area_density(band).values[own]
     if bad:
         raise NotHarmonic(worst.value, [worst.index] + [face for face in bad
                                                          if face != worst.index])

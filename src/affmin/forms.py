@@ -39,7 +39,7 @@ __all__ = [
     "normal_derivative_residuals",
 ]
 
-# Relative agreement required between the face choices defining A and B.
+# The spread of A, B over face choices / (|mean| + F); each forms residual / its largest term.
 TOL_FORMS = 1e-8
 
 
@@ -67,22 +67,15 @@ class FormDerivatives:
     v_coeff_du: UEdgeGrid   # B_1(u+1/2, v), v interior
 
 
-class _Coefficient:
-    """A cubic coefficient averaged over face choices, band by band, and the
-    largest spread of the choices relative to |mean| plus their mean area
-    density, with its vertex (a NaN spread counts as largest)."""
-
-    def __init__(self, shape, domain, du, dv):
-        self.mean, self.spread = np.empty(shape), BandMax(domain, du, dv)
-
-    def add(self, dets_by_face, shape, rows, own, lo):
-        """Fill ``rows`` of the mean from ((determinant, area), slice) pairs
-        that cover a band of ``shape``."""
-        mean, spread = face_choice_mean(((det, sl) for (det, _), sl in dets_by_face), shape)
-        f_mean, _ = face_choice_mean(((f, sl) for (_, f), sl in dets_by_face), shape)
-        mean, spread, scale = mean[own], spread[own], np.abs(mean[own]) + f_mean[own]
-        self.mean[rows][own] = mean
-        self.spread.add(spread / np.maximum(scale, TINY), lo)
+def _average(dets_by_face, shape, out, own, spreads: BandMax, lo):
+    """Fill ``out[own]`` with a cubic coefficient averaged over face choices,
+    from ((determinant, area), slice) pairs that cover a band of ``shape``,
+    and offer ``spreads`` the spread of the choices relative to |mean| plus
+    their mean area density (a NaN spread counts as largest)."""
+    mean, spread = face_choice_mean(((det, sl) for (det, _), sl in dets_by_face), shape)
+    f_mean, _ = face_choice_mean(((f, sl) for (_, f), sl in dets_by_face), shape)
+    out[own], scale = mean[own], np.abs(mean[own]) + f_mean[own]
+    spreads.add(spread[own] / np.maximum(scale, TINY), lo)
 
 
 def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> CubicForm:
@@ -108,33 +101,32 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
 def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
     dom = q.domain.require_interior("the cubic form")
     areas = face_volumes(q).areas.values
-    a = _Coefficient((dom.n_u - 2, dom.n_v), dom, 1, 0)
-    b = _Coefficient((dom.n_u, dom.n_v - 2), dom, 0, 1)
-    for lo, band, rows, own in row_bands(q, before=1, after=2):
+    a, b = np.empty((dom.n_u - 2, dom.n_v)), np.empty((dom.n_u, dom.n_v - 2))
+    spreads = (BandMax(dom, 1, 0), BandMax(dom, 0, 1))
+    for lo, band, (xi, f, a_out, b_out), own in row_bands(q, 1, 2, normals.values, areas, a, b):
         e1, e2 = d1(band).values, d2(band).values
-        xi, f = normals.values[rows[1]], areas[rows[1]]
         cross_u = cross3(e1[:-1, :], e1[1:, :])            # u-interior vertices
-        a.add((
+        _average((
             ((dot3(cross_u[:, :-1], xi[1:, :]), f[1:, :]), (slice(None), slice(None, -1))),
             ((dot3(cross_u[:, :-1], xi[:-1, :]), f[:-1, :]), (slice(None), slice(None, -1))),
             ((dot3(cross_u[:, 1:], xi[1:, :]), f[1:, :]), (slice(None), slice(1, None))),
             ((dot3(cross_u[:, 1:], xi[:-1, :]), f[:-1, :]), (slice(None), slice(1, None))),
-        ), cross_u.shape[:2], rows[2], own, lo)
+        ), cross_u.shape[:2], a_out, own, spreads[0], lo)
 
         cross_v = cross3(e2[:, 1:], e2[:, :-1])            # v-interior vertices
-        b.add((
+        _average((
             ((dot3(cross_v[:-1, :], xi[:, 1:]), f[:, 1:]), (slice(None, -1), slice(None))),
             ((dot3(cross_v[:-1, :], xi[:, :-1]), f[:, :-1]), (slice(None, -1), slice(None))),
             ((dot3(cross_v[1:, :], xi[:, 1:]), f[:, 1:]), (slice(1, None), slice(None))),
             ((dot3(cross_v[1:, :], xi[:, :-1]), f[:, :-1]), (slice(1, None), slice(None))),
-        ), cross_v.shape[:2], rows[0], own, lo)
+        ), cross_v.shape[:2], b_out, own, spreads[1], lo)
 
     return CubicForm(
-        u_coeff=VertexGrid(dom.shrink(du_lo=1, du_hi=1), a.mean),
-        v_coeff=VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), b.mean),
-        max_spread_u=a.spread.value,
-        max_spread_v=b.spread.value,
-    ), (a.spread.index, b.spread.index)   # the vertices of the largest spreads
+        u_coeff=VertexGrid(dom.shrink(du_lo=1, du_hi=1), a),
+        v_coeff=VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), b),
+        max_spread_u=spreads[0].value,
+        max_spread_v=spreads[1].value,
+    ), (spreads[0].index, spreads[1].index)   # the vertices of the largest spreads
 
 
 @dataclass(frozen=True)
@@ -160,12 +152,11 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
     # lengths so identities whose every term vanishes (straight rulings,
     # constant F) register as satisfied instead of comparing noise to noise.
     per = {}
-    for _, band, rows, _ in row_bands(q, after=2):
+    for _, band, (f, a, b), _ in row_bands(q, 0, 2, areas.values, form.u_coeff.values,
+                                           form.v_coeff.values):
         e1, e2 = d1(band).values, d2(band).values
         quu, qvv = d11(band).values, d22(band).values
-        f = areas.values[rows[1]]
         f1, f2 = f[1:] - f[:-1], f[:, 1:] - f[:, :-1]   # d1(F), d2(F) on the band's faces
-        a, b = form.u_coeff.values[rows[2]], form.v_coeff.values[rows[0]]
         abs_e1, abs_e2 = absmax(e1), absmax(e2)
 
         # q11 expansions (vertex u-interior; vsign picks the v+1/2 or v-1/2 row).
@@ -231,14 +222,13 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
     a2_closed = np.empty((a.shape[0], a.shape[1] - 1))
     b1_closed = np.empty((b.shape[0] - 1, b.shape[1]))
     gaps, scales = [], []
-    for _, band, rows, _ in row_bands(q, after=2):
-        xi, f = normals.values[rows[1]], areas.values[rows[1]]
-        a_rows, b_rows = a[rows[2]], b[rows[0]]
+    for _, band, (xi, f, a_band, b_band, a2_out, b1_out), _ in row_bands(
+            q, 0, 2, normals.values, areas.values, a, b, a2_closed, b1_closed):
         a2 = -f[:-1, :] * det3(d1(band).values[1:, :-1], xi[:-1, :], xi[1:, :])
         b1 = f[:, :-1] * det3(d2(band).values[:-1, 1:], xi[:, :-1], xi[:, 1:])
-        a2_closed[rows[2]], b1_closed[rows[1]] = a2, b1
-        for closed, direct in ((a2, a_rows[:, 1:] - a_rows[:, :-1]),   # d2(A), d1(B)
-                               (b1, b_rows[1:] - b_rows[:-1])):
+        a2_out[...], b1_out[...] = a2, b1
+        for closed, direct in ((a2, a_band[:, 1:] - a_band[:, :-1]),   # d2(A), d1(B)
+                               (b1, b_band[1:] - b_band[:-1])):
             scales += [np.abs(direct).max(), np.abs(closed).max()]
             direct -= closed
             gaps.append(np.abs(direct, out=direct).max())
@@ -275,9 +265,9 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
     res_u, res_v = [], []
     # Floored by F F |xi| so constant-normal regions do not compare rounding
     # noise against rounding noise.
-    for _, band, rows, _ in row_bands(q, after=2):
-        xi, f = normals.values[rows[1]], areas.values[rows[1]]
-        a2, b1 = derivs.u_coeff_dv.values[rows[2]], derivs.v_coeff_du.values[rows[1]]
+    for _, band, (xi, f, a2, b1), _ in row_bands(q, 0, 2, normals.values, areas.values,
+                                                 derivs.u_coeff_dv.values,
+                                                 derivs.v_coeff_du.values):
         abs_xi = absmax(xi)
         ff_u = f[:-1, :] * f[1:, :]
         res_u.append(relative_residual(

@@ -32,8 +32,10 @@ __all__ = [
     "duality_certificate",
 ]
 
+# |nu . xi - 1|, |nu_1 x nu_2 + F xi| / max_k |F xi|_k and |e . nu| / (|e| |nu|); the
+# CLI also holds |F(nu) / F - 1| and, absolutely, the recovery spread of nu to it.
 TOL_DUAL = 1e-9
-TOL_ASYMPTOTIC = 1e-9
+TOL_ASYMPTOTIC = 1e-9   # the zero determinants, absolutely, and |[e1, e2, q_uv] - M| / M
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,9 @@ def face_volumes(surface) -> FaceVolumes:
 def _face_volumes(q: VertexGrid) -> FaceVolumes:
     q.domain.require_faces("face volumes")
     m = np.empty((q.domain.n_u - 1, q.domain.n_v - 1))
-    for _, band, rows, _ in row_bands(q, after=1):
+    for _, band, (m_out,), _ in row_bands(q, 0, 1, m):
         p, base = band.values, band.values[:-1, :-1]
-        m[rows[1]] = det3(p[1:, :-1] - base, p[:-1, 1:] - base, p[1:, 1:] - base)
+        m_out[...] = det3(p[1:, :-1] - base, p[:-1, 1:] - base, p[1:, 1:] - base)
     lowest = m.min()
     if not lowest > 0.0:
         raise NonPositiveVolume(worst_index(-m, q.domain), float(lowest))
@@ -81,8 +83,8 @@ def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
 
     def compute():
         xi = empty3(areas.values.shape + (3,))
-        for _, band, rows, _ in row_bands(q, after=1):
-            div3(d12(band).values, areas.values[rows[1]], out=xi[rows[1]])
+        for _, band, (f, xi_out), _ in row_bands(q, 0, 1, areas.values, xi):
+            div3(d12(band).values, f, out=xi_out)
         return FaceGrid(q.domain, xi)
 
     if own is not None and areas is own.areas:
@@ -110,8 +112,8 @@ def recover_conormal(surface) -> ConormalRecovery:
     dom = q.domain
     mean = empty3((dom.n_u, dom.n_v, 3))
     worst = BandMax(dom)
-    for lo, band, rows, own in row_bands(q, before=1, after=1):
-        e1, e2, f = d1(band).values, d2(band).values, areas[rows[1]]
+    for lo, band, (f, mean_out), own in row_bands(q, 1, 1, areas, mean):
+        e1, e2 = d1(band).values, d2(band).values
         # (estimate, vertex slice) per corner role of each face.
         corner_estimates = (
             (div3(cross3(e1[:, :-1], e2[:-1, :]), f), (slice(None, -1), slice(None, -1))),
@@ -120,7 +122,7 @@ def recover_conormal(surface) -> ConormalRecovery:
             (div3(cross3(e1[:, 1:], e2[1:, :]), f), (slice(1, None), slice(1, None))),
         )
         band_mean, spread = face_choice_mean(corner_estimates, band.values.shape)
-        mean[rows[0]][own] = band_mean[own]
+        mean_out[own] = band_mean[own]
         worst.add(absmax(spread[own]), lo)
     return ConormalRecovery(VertexGrid(dom, mean), worst.value, worst.index)
 
@@ -149,7 +151,7 @@ def asymptotic_certificate(surface, tol: float = TOL_ASYMPTOTIC) -> AsymptoticRe
     volumes = face_volumes(q).volumes.values
     zero = {}   # the worst |det| of each determinant group, in the order listed
     mixed = BandMax(dom)
-    for lo, band, rows, own in row_bands(q, after=2):
+    for lo, band, (m,), own in row_bands(q, 0, 2, volumes):
         e1, e2 = d1(band).values, d2(band).values
         # [a, b, c] = a . (b x c), with each cross product taken once.
         dets = []   # (a, b x c, du, dv)
@@ -165,7 +167,6 @@ def asymptotic_certificate(surface, tol: float = TOL_ASYMPTOTIC) -> AsymptoticRe
                 dets += [(e1[:, 1:-1], cross[:-1], 0, 1), (e1[:, 1:-1], cross[1:], 1, 1)]
         for k, (a, bc, du, dv) in enumerate(dets):
             zero.setdefault(k, BandMax(dom, du, dv)).add(np.abs(dot3(a[own], bc[own])), lo)
-        m = volumes[rows[1]]
         quv = d12(band).values
         cross = (cross3(e2[:-1, :], quv), cross3(e2[1:, :], quv))
         band_mixed = np.zeros_like(m)
@@ -214,8 +215,8 @@ def planarity_and_saddle(surface, vectors: VertexGrid,
         return PlanarSaddleReport(0.0, (dom.u_min, dom.v_min), True, True, [])
     worst = BandMax(dom, 1, 1)
     failures = []
-    for lo, band, rows, _ in row_bands(q, after=2):
-        p, nu = band.values, vectors.values[rows[0]][1:-1, 1:-1]
+    for lo, band, (nu,), _ in row_bands(q, 0, 2, vectors.values):
+        p, nu = band.values, nu[1:-1, 1:-1]
         center = p[1:-1, 1:-1]
         nu_norm = norm3(nu)
 
@@ -268,13 +269,13 @@ def duality_certificate(vectors: VertexGrid, normals: FaceGrid, areas: FaceGrid,
         raise DomainMismatch("co-normals, normals and areas must share a domain")
     dom = vectors.domain
     worst_pairing, worst_cross = BandMax(dom), BandMax(dom)
-    for lo, band, rows, _ in row_bands(vectors, after=1):
-        nu, xi = band.values, normals.values[rows[1]]
+    for lo, band, (xi, f), _ in row_bands(vectors, 0, 1, normals.values, areas.values):
+        nu = band.values
         pairing = np.zeros(xi.shape[:2])
         for corner in (nu[:-1, :-1], nu[1:, :-1], nu[:-1, 1:], nu[1:, 1:]):
             np.maximum(pairing, np.abs(dot3(corner, xi) - 1.0), out=pairing)
         worst_pairing.add(pairing, lo)
-        f_xi = mul3(areas.values[rows[1]], xi)
+        f_xi = mul3(f, xi)
         scale = np.maximum(absmax(f_xi), TINY)
         nu1, nu2 = d1(band).values, d2(band).values
         cross = np.zeros(xi.shape[:2])

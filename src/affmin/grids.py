@@ -23,7 +23,9 @@ products with and quotients by scalar arrays, the
 worst-entry lookup that names a grid index, the face-choice average, the
 relative residual of a stencil identity, and the ``TINY`` denominator floor.
 So do the row bands that every whole-grid certificate is evaluated on, and
-the worst-entry reducer that joins their results.
+the worst-entry reducer that joins their results.  Every array is aligned at
+row 0, so a band of vertex rows ``start:stop`` reads rows ``start:stop - k``
+of an array k rows shorter; ``row_bands`` cuts them, and no caller does.
 """
 
 from dataclasses import dataclass
@@ -451,18 +453,20 @@ def relative_residual(terms, floor=0.0) -> float:
     return float(np.divide(resid, scale, out=resid).max())
 
 
-def row_bands(grid: VertexGrid, before: int = 0, after: int = 0):
+def row_bands(grid: VertexGrid, before: int = 0, after: int = 0, *arrays):
     """Row bands of about ``_BAND_VERTICES`` vertices for a stencil that reads
     ``before`` vertex rows behind its own row and ``after`` rows ahead.
 
-    Yields ``(lo, band, rows, own)``.  ``band`` holds the vertex rows that the
-    band reads, a view of ``grid`` on their own box; ``rows[k]`` slices the
-    same rows of a grid k rows shorter (faces, u-edges: 1; u-interior
-    vertices: 2).  ``own`` cuts from any grid computed on the band the rows
-    it owns, from grid row ``lo`` on.  The bands split the first ``n_u -
-    after`` rows and the last one owns the rest.  A stencil that fits in the
-    band gives the bits of the whole grid, and a row of it past ``own`` comes
-    again, with the same bits, in the next band.
+    Yields ``(lo, band, views, own)``.  ``band`` holds the vertex rows
+    ``start:stop`` that the band reads, a view of ``grid`` on their own box,
+    and ``views`` the same rows of each of ``arrays``: ``array[start:stop -
+    k]`` of one k = n_u - len(array) rows shorter (faces, u-edges: 1;
+    u-interior vertices: 2), a view writable where the array is.  ``own``
+    cuts from any grid computed on the band, or from a view, the rows it
+    owns, from grid row ``lo`` on.  The bands split the first ``n_u - after`` rows
+    and the last one owns the rest.  A stencil that fits in the band gives
+    the bits of the whole grid, and a row of it past ``own`` comes again,
+    with the same bits, in the next band.
     """
     dom = grid.domain
     step = max(_BAND_VERTICES // dom.n_v, 1)
@@ -470,7 +474,7 @@ def row_bands(grid: VertexGrid, before: int = 0, after: int = 0):
     for lo in range(0, n_out, step):
         start, stop = max(lo - before, 0), (dom.n_u if lo + step >= n_out else lo + step + after)
         band = VertexGrid(dom.shrink(start, dom.n_u - stop), grid.values[start:stop])
-        yield (lo, band, [slice(start, stop - k) for k in range(3)],
+        yield (lo, band, tuple(x[start:stop - dom.n_u + len(x)] for x in arrays),
                slice(lo - start, None if stop == dom.n_u else lo + step - start))
 
 
@@ -486,11 +490,9 @@ class BandMax:
         self.value = self.index = None
         self._origin = (domain, du, dv)
 
-    def add(self, values, lo: int) -> bool:
-        """Offer ``values``, whose first row is grid row ``lo``; True if it holds the new worst."""
+    def add(self, values, lo: int):
+        """Offer ``values``, whose first row is grid row ``lo``."""
         m = float(values.max())
-        if self.value is not None and (np.isnan(self.value) or m <= self.value):
-            return False
-        domain, du, dv = self._origin
-        self.value, self.index = m, worst_index(values, domain, du + lo, dv)
-        return True
+        if self.value is None or not (np.isnan(self.value) or m <= self.value):
+            domain, du, dv = self._origin
+            self.value, self.index = m, worst_index(values, domain, du + lo, dv)

@@ -69,14 +69,15 @@ def _line_integral(steps: np.ndarray, anchor: int, start, out: np.ndarray):
         np.subtract(start, behind, out=behind)
 
 
-def integrate(field: ConormalField, base_vertex=None, base_value=(0.0, 0.0, 0.0)) -> Immersion:
-    """Sum the Lelieuvre edge vectors into vertex positions.
+def integrate(field, base_vertex=None, base_value=(0.0, 0.0, 0.0)) -> Immersion:
+    """Sum the Lelieuvre edges of a ConormalField or co-normal VertexGrid into positions.
 
     The base vertex (default: the lower-left corner) receives ``base_value``.
     The sums run in u through the base vertex, then in v from there;
     harmonicity makes every other path agree up to rounding.
     """
-    dom = field.domain
+    vectors = getattr(field, "vectors", field)
+    dom = vectors.domain
     if base_vertex is None:
         base_vertex = (dom.u_min, dom.v_min)
     base_value = np.asarray(base_value, dtype=float)
@@ -86,12 +87,12 @@ def integrate(field: ConormalField, base_vertex=None, base_value=(0.0, 0.0, 0.0)
     jb = base_vertex[1] - dom.v_min
 
     # q1 is read on the base row only; every u-row's v-sum runs on its own.
-    nu = field.vectors.values
+    nu = vectors.values
     q = empty3((dom.n_u, dom.n_v, 3))
     _line_integral(cross3(nu[:-1, jb], nu[1:, jb]), ib, base_value, q[:, jb])
-    for _, band, rows, _ in row_bands(field.vectors):
+    for _, band, (q_out,), _ in row_bands(vectors, 0, 0, q):
         q2 = cross3(band.values[:, 1:], band.values[:, :-1])
-        _line_integral(np.moveaxis(q2, 1, 0), jb, q[rows[0], jb], np.moveaxis(q[rows[0]], 1, 0))
+        _line_integral(np.moveaxis(q2, 1, 0), jb, q_out[:, jb], np.moveaxis(q_out, 1, 0))
     return Immersion(VertexGrid(dom, q))
 
 
@@ -103,7 +104,7 @@ def path_independence_residual(field) -> float:
 
         (nu(u+1,v) + nu(u,v+1)) x (nu(u+1,v+1) + nu(u,v)).
     """
-    vectors = field.vectors if isinstance(field, ConormalField) else field
+    vectors = getattr(field, "vectors", field)
     worst = []
     for _, band, _, _ in row_bands(vectors, after=1):
         nu = band.values
@@ -133,9 +134,8 @@ def verify_lelieuvre(immersion: Immersion, field: ConormalField,
         )
     res = (BandMax(immersion.domain), BandMax(immersion.domain))
     scale = []
-    for lo, band, rows, _ in row_bands(immersion.positions, after=1):
-        nu = VertexGrid(band.domain, field.vectors.values[rows[0]])
-        q1, q2 = (edges.values for edges in lelieuvre_edges(nu))
+    for lo, band, (nu,), _ in row_bands(immersion.positions, 0, 1, field.vectors.values):
+        q1, q2 = (edges.values for edges in lelieuvre_edges(VertexGrid(band.domain, nu)))
         res[0].add(absmax(d1(band).values - q1), lo)
         res[1].add(absmax(d2(band).values - q2), lo)
         scale += [np.abs(q1).max(), np.abs(q2).max()]

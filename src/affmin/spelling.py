@@ -82,7 +82,7 @@ def _decimal_digits(x: np.ndarray):
     return digits * ok, i * ok, defer
 
 
-def spell(rows: np.ndarray, lead: tuple, trail: bytes, deferred):
+def spell(block: np.ndarray, lead: tuple, trail: bytes, deferred):
     """Yield the records of an (n, p) float64 block as ASCII bytes, one pass of
     rows at a time.
 
@@ -92,9 +92,9 @@ def spell(rows: np.ndarray, lead: tuple, trail: bytes, deferred):
     byte-table slots (lead, sign, "0.000", 18 for the digits and point,
     "e-XXX", trail) whose 0s are then deleted.
     """
-    step = _PASS // rows.shape[1]
-    for r in range(0, len(rows), step):
-        yield _spell_records(rows[r:r + step].ravel(), lead, trail, deferred)
+    step = _PASS // block.shape[1]
+    for r in range(0, len(block), step):
+        yield _spell_records(block[r:r + step].ravel(), lead, trail, deferred)
 
 
 def _spell_records(x: np.ndarray, lead: tuple, trail: bytes, deferred) -> bytes:

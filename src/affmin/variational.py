@@ -52,8 +52,8 @@ def area_gradient(surface) -> VertexGrid:
 def _gradient_bands(q: VertexGrid, f):
     """Area gradient of positions ``q`` whose face area densities are ``f``,
     as (first row, rows) band by band."""
-    for lo, band, rows, _ in row_bands(q, after=2):
-        e1, e2, fb = d1(band).values, d2(band).values, f[rows[1]]
+    for lo, band, (fb,), _ in row_bands(q, 0, 2, f):
+        e1, e2 = d1(band).values, d2(band).values
         h1 = div3(cross3(e1[:-1, :-2], e2[:-2, :-1]), 2.0 * fb[:-1, :-1])
         h2 = div3(-cross3(e1[1:, :-2], e2[2:, :-1]), 2.0 * fb[1:, :-1])
         h3 = div3(cross3(e1[1:, 2:], e2[2:, 1:]), 2.0 * fb[1:, 1:])

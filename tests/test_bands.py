@@ -221,19 +221,44 @@ def test_nan_normal_reports_its_vertex_across_a_band_boundary(monkeypatch, cubic
 def test_bands_partition_every_grid(monkeypatch, n_u, n_v, vertices, before, after):
     monkeypatch.setattr(grids, "_BAND_VERTICES", vertices)
     grid = VertexGrid(GridDomain(3, 2 + n_u, -1, n_v - 2), np.zeros((n_u, n_v, 3)))
-    # Grids up to ``after`` rows shorter than the vertex grid are split exactly.
-    owned = {k: [] for k in range(after + 1)}
-    for lo, band, rows, own in row_bands(grid, before, after):
+    # Arrays up to ``after`` rows shorter than the vertex grid, each holding
+    # its row numbers, are split exactly; a read-only one gives read-only views.
+    arrays = [np.arange(max(n_u - k, 0)) for k in range(after + 1)]
+    frozen = np.arange(n_u)
+    frozen.setflags(write=False)
+    owned = [[] for _ in arrays]
+    for lo, band, (*views, frozen_view), own in row_bands(grid, before, after, *arrays, frozen):
         assert np.shares_memory(band.values, grid.values)
-        start = rows[0].start
-        assert band.domain.u_min == grid.domain.u_min + start
+        start = band.domain.u_min - grid.domain.u_min
         assert 0 <= lo - start <= before
-        for k in owned:
-            band_rows = np.arange(n_u - k)[rows[k]]
-            assert len(band_rows) == max(band.domain.n_u - k, 0)
-            owned[k] += list(band_rows[own])
-    for k in owned:
-        assert owned[k] == list(range(max(n_u - k, 0)))
+        assert frozen_view.base is frozen and not frozen_view.flags.writeable
+        assert list(frozen_view) == list(range(start, start + band.domain.n_u))
+        for k, (array, view) in enumerate(zip(arrays, views)):
+            assert view.base is array and view.flags.writeable
+            assert list(view) == list(range(start, start + max(band.domain.n_u - k, 0)))
+            owned[k] += list(view[own])
+    assert owned == [list(range(len(array))) for array in arrays]
+
+
+CLEAN = [net[:2] for net in NETS if not net[0].endswith("noisy")]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("name, field", CLEAN, ids=[name for name, _ in CLEAN])
+def test_integrate_from_an_interior_base_equals_the_whole_grid(monkeypatch, rows, name, field):
+    # From an interior base every v-sum runs both ways from the base column,
+    # in bands that start before and after the base row; a bare co-normal
+    # grid, as ``reconstruct`` passes, integrates to the field's bits.
+    dom = field.domain
+    base = (dom.u_min + dom.n_u // 2, dom.v_min + dom.n_v // 3)
+
+    def positions():
+        return [am.integrate(x, base, (1.0, -2.0, 0.5)).positions.values.tobytes()
+                for x in (field, field.vectors)]
+
+    whole = positions()
+    rows_per_band(monkeypatch, rows, dom.n_v)
+    assert positions() == whole and whole[0] == whole[1]
 
 
 def test_band_max_matches_the_whole_array(rng):

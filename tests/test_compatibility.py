@@ -1,6 +1,7 @@
 """Compatibility equations, reconstruction and affine-equivalence certificates."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,16 @@ class TestAffineEquivalence:
         with pytest.raises(error, match=message):
             AffineMap(linear, np.zeros(3))
 
+    @pytest.mark.parametrize("linear, translation", [
+        (np.full((3, 3), np.nan), np.zeros(3)),
+        (np.diag([1.0, np.inf, 1.0]), np.zeros(3)),
+        (np.eye(3), np.array([0.0, np.nan, 0.0]))])
+    def test_map_rejects_a_non_finite_part(self, linear, translation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite linear part and translation"):
+                AffineMap(linear, translation)
+
 
 class TestNanGates:
     def test_fundamental_data_rejects_nan_area(self, paraboloid):
@@ -398,6 +409,19 @@ class TestNanGates:
         assert res.r0 == 0.0 and np.isnan(res.r1)
         assert np.isnan(res.max)
         assert not res.max <= 1e-8
+
+    @pytest.mark.parametrize("corner", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_equivalence_names_a_nan_corner_without_a_warning(self, paraboloid, corner):
+        _, surf = paraboloid
+        values = np.array(surf.positions.values)
+        values[corner + (1,)] = np.nan
+        broken = Immersion(VertexGrid(surf.domain, values))
+        named = rf"corner quadrangle at \({surf.domain.u_min}, {surf.domain.v_min}\) spans no volume"
+        for qa, qb in ((broken, surf), (surf, broken)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateQuadrangle, match=named):
+                    affine_equivalence(qa, qb)
 
     def test_equivalence_rejects_nan_vertex(self, paraboloid):
         _, surf = paraboloid
