@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DegenerateQuadrangle,
-    DomainMismatch,
     IncompatibleData,
     NonConvexFace,
     NotEquivalent,
@@ -25,7 +24,8 @@ from .errors import (
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
 from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, as_positions, cross3,
-                    det3, div3, empty3, relative_residual, row_bands, worst_index)
+                    det3, div3, empty3, relative_residual, require_bounded, require_domain,
+                    row_bands, worst_index)
 from .lelieuvre import Immersion, integrate
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "CompatibilityResiduals",
     "compatibility_residuals",
     "canonical_seed",
+    "as_seed",
     "reconstruct",
     "affine_equivalence",
 ]
@@ -63,14 +64,8 @@ class FundamentalData:
 
     def __post_init__(self):
         dom = self.areas.domain
-        if self.u_coeff.domain != dom.shrink(du_lo=1, du_hi=1):
-            raise DomainMismatch(
-                f"u_coeff domain {self.u_coeff.domain} is not the u-interior of {dom}"
-            )
-        if self.v_coeff.domain != dom.shrink(dv_lo=1, dv_hi=1):
-            raise DomainMismatch(
-                f"v_coeff domain {self.v_coeff.domain} is not the v-interior of {dom}"
-            )
+        require_domain(dom.shrink(du_lo=1, du_hi=1), u_coeff=self.u_coeff)
+        require_domain(dom.shrink(dv_lo=1, dv_hi=1), v_coeff=self.v_coeff)
         lowest = self.areas.values.min()
         if not lowest > 0.0:
             raise NonConvexFace(worst_index(-self.areas.values, dom), float(lowest))
@@ -147,21 +142,17 @@ def canonical_seed(f00: float) -> np.ndarray:
     ])
 
 
-def _finite(x, error: Exception):
-    """Raise ``error`` unless every entry of ``x`` is finite, before
-    ``np.linalg.det`` would warn on one and return NaN."""
-    if not np.isfinite(x).all():
-        raise error
-
-
-def _seed_check(seed: np.ndarray, f00: float, tol: float):
-    expected = f00 * f00
-    _finite(seed, SeedDeterminantMismatch(expected, float("nan")))
-    det = float(np.linalg.det(np.stack([
-        seed[1] - seed[0], seed[2] - seed[0], seed[3] - seed[0]
-    ])))
-    if not abs(det - expected) <= tol * expected:
-        raise SeedDeterminantMismatch(expected, det)
+def as_seed(points, what: str = "seed") -> np.ndarray:
+    """The corner points (q00, q10, q01, q11) of a seed as a (4, 3) float array;
+    ValueError names ``what`` and a wrong shape, or ``require_bounded`` a corner (u, v)."""
+    try:
+        points = np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must hold four 3-points: {exc}") from exc
+    if points.shape != (4, 3):
+        raise ValueError(f"{what} must hold four 3-points, got shape {points.shape}")
+    require_bounded(points.reshape(2, 2, 3).swapaxes(0, 1), GridDomain(0, 1, 0, 1), what)
+    return points
 
 
 def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
@@ -170,7 +161,8 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
 
     ``seed`` holds the four corner points (q00, q10, q01, q11) of the
     lower-left quadrangle; by default the canonical seed for the first
-    face's F.  Raises SeedDeterminantMismatch if the seed violates the
+    face's F.  A given seed passes ``as_seed`` (ValueError).  Raises
+    SeedDeterminantMismatch if the seed violates the
     corner determinant condition, and IncompatibleData (worst index and
     gap) if a triple product of the co-normal misses F, A or B by more than
     ``tol_compat`` relative to the largest F, or by NaN, or if an F of the
@@ -178,12 +170,12 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
     """
     dom = data.domain
     f, a, b = (grid.values for grid in (data.areas, data.u_coeff, data.v_coeff))
-    if seed is None:
-        seed = canonical_seed(float(f[0, 0]))
-    seed = np.asarray(seed, dtype=float)
-    if seed.shape != (4, 3):
-        raise ValueError(f"seed must be four 3-points, got shape {seed.shape}")
-    _seed_check(seed, float(f[0, 0]), tol_seed)
+    f00 = float(f[0, 0])
+    expected = f00 * f00
+    seed = canonical_seed(f00) if seed is None else as_seed(seed)
+    det = float(np.linalg.det(seed[1:] - seed[0]))   # rows q10 - q00, q01 - q00, q11 - q00
+    if not abs(det - expected) <= tol_seed * expected:
+        raise SeedDeterminantMismatch(expected, det)
 
     # corners[v, u] is seed point q(u, v).  On a box a harmonic co-normal is
     # separable, so its values on vertex row 0 and column 0 fix it.
@@ -253,8 +245,8 @@ class AffineMap:
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
         if self.linear.shape != (3, 3) or self.translation.shape != (3,):
             raise ValueError("AffineMap needs a 3x3 linear part and a 3-translation")
-        _finite(np.append(self.linear, self.translation),
-                ValueError("AffineMap needs a finite linear part and translation"))
+        require_bounded(np.column_stack([self.linear, self.translation]), GridDomain(0, 2, 0, 3),
+                        "AffineMap [linear | translation]")
         if abs(float(np.linalg.det(self.linear))) <= 0.0:
             raise DegenerateQuadrangle("affine map has singular linear part")
 
@@ -270,7 +262,8 @@ def _corner_frame(positions: VertexGrid) -> tuple[np.ndarray, np.ndarray]:
     p = positions.values
     u, v = positions.domain.u_min, positions.domain.v_min
     degenerate = DegenerateQuadrangle(f"corner quadrangle at {u, v} spans no volume")
-    _finite(p[:2, :2], degenerate)
+    if not np.isfinite(p[:2, :2]).all():   # before np.linalg.det would warn on it
+        raise degenerate
     base = p[0, 0]
     frame = np.column_stack([p[1, 0] - base, p[0, 1] - base, p[1, 1] - base])
     norms = np.linalg.norm(frame, axis=0)
@@ -289,8 +282,7 @@ def affine_equivalence(qa, qb, tol: float = TOL_EQUIV) -> AffineMap:
     the map fails globally, DegenerateQuadrangle if no map exists.
     """
     qa, qb = as_positions(qa), as_positions(qb)
-    if qa.domain != qb.domain:
-        raise DomainMismatch(f"domains differ: {qa.domain} vs {qb.domain}")
+    require_domain(qa.domain, qb=qb)
     base_a, frame_a = _corner_frame(qa)
     base_b, frame_b = _corner_frame(qb)
     linear = np.linalg.solve(frame_a.T, frame_b.T).T

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonConvexFace, NotHarmonic
 from .grids import (BandMax, FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, empty3,
-                    row_bands, worst_index)
+                    require_bounded, row_bands, worst_index)
 
 __all__ = [
     "TOL_HARMONIC",
@@ -72,7 +72,9 @@ class SeparableConormalSpec:
     """One-variable profiles whose sum defines a harmonic co-normal field.
 
     ``u_part[i]`` is the 3-vector contribution of vertex column u_min+i and
-    ``v_part[j]`` of vertex row v_min+j; lengths must match the domain.
+    ``v_part[j]`` of vertex row v_min+j; lengths must match the domain.  Each
+    profile passes ``require_bounded``, entry i named as grid index (i, 0),
+    so nu stays within 2 ``VALUE_BOUND``; both are stored read-only.
     """
 
     domain: GridDomain
@@ -81,14 +83,12 @@ class SeparableConormalSpec:
 
     def __post_init__(self):
         for name, n in (("u_part", self.domain.n_u), ("v_part", self.domain.n_v)):
-            part = np.asarray(getattr(self, name), dtype=float)
+            part = np.asarray(getattr(self, name), dtype=float).view()
+            part.setflags(write=False)
             object.__setattr__(self, name, part)
             if part.shape != (n, 3):
                 raise ValueError(f"{name} must have shape ({n}, 3), got {part.shape}")
-            bad = np.argwhere(~np.isfinite(part))
-            if len(bad):
-                i, k = bad[0]
-                raise ValueError(f"{name} entry {i}, component {k} is {part[i, k]}, not finite")
+            require_bounded(part[:, None], GridDomain(0, n - 1, 0, 0), name)
 
 
 def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
@@ -119,49 +119,34 @@ def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
     return ConormalField(vectors, FaceGrid(dom, areas), worst.value)
 
 
-def _require_bounded(top, bottom, spelled: str):
-    """ValueError naming the first component of nu whose max ``top`` or min
-    ``bottom`` is over R = cbrt(max float / 8) in size: within R, F stays under
-    6 R^3 and ``d12`` under 4 R; ``spelled`` forms a bound from "{0}", max or min."""
-    for which, bound in (("max", top), ("min", bottom)):
-        bad = np.flatnonzero(np.abs(bound) > np.cbrt(np.finfo(float).max / 8))   # NaN passes
-        if len(bad):
-            raise ValueError(f"component {bad[0]} of nu overflows: {spelled.format(which)} "
-                             f"is {bound[bad[0]]}")
-
-
 def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     """Build the field nu(u,v) = u_part(u) + v_part(v) and validate it.
 
     Harmonicity is structural here (each face residual is a rounding-level
     cancellation), so the internal tolerance applies, times max(1, max |nu|).
-    Rounding is monotone, so max nu and min nu come from the (finite)
-    profiles: per component, max u_part + max v_part and min u_part + min
-    v_part.  So a component too large for F or ``d12`` shows in these bounds,
-    and raises ValueError naming it before nu is built.
+    Rounding is monotone, so max nu and min nu come from the profiles: per
+    component, max u_part + max v_part and min u_part + min v_part.
     """
     spec.domain.require_faces("co-normal field")
-    with np.errstate(over="ignore"):
-        top = spec.u_part.max(axis=0) + spec.v_part.max(axis=0)
-        bottom = spec.u_part.min(axis=0) + spec.v_part.min(axis=0)
-    _require_bounded(top, bottom, "{0} u_part + {0} v_part")
-    hi, lo = float(top.max()), float(bottom.min())
+    top = spec.u_part.max(axis=0) + spec.v_part.max(axis=0)
+    bottom = spec.u_part.min(axis=0) + spec.v_part.min(axis=0)
     nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
                 out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
-    return _build(VertexGrid(spec.domain, nu), TOL_HARMONIC_INTERNAL * max(1.0, hi, -lo))
+    return _build(VertexGrid(spec.domain, nu),
+                  TOL_HARMONIC_INTERNAL * max(1.0, float(top.max()), -float(bottom.min())))
 
 
 def validate(vectors: VertexGrid, tol_harmonic: float = TOL_HARMONIC) -> ConormalField:
     """Check an externally supplied vertex grid and wrap it as a field.
 
     Raises NotHarmonic (naming every face over tolerance) or NonConvexFace,
-    and ValueError if a component of nu exceeds cbrt(max float / 8) ~ 2.8e102.
+    and, by ``require_bounded``, ValueError naming the first vertex whose nu
+    is not finite or over ``VALUE_BOUND`` in size.
     """
     vectors.domain.require_faces("co-normal field")
     if vectors.components != 3:
         raise ValueError("co-normal grids must hold 3-vectors")
-    nu = vectors.values   # the fmax and fmin reductions skip NaN, which NotHarmonic names
-    _require_bounded(np.fmax.reduce(nu, axis=(0, 1)), np.fmin.reduce(nu, axis=(0, 1)), "{0} nu")
+    require_bounded(vectors.values, vectors.domain, "co-normal grid")
     return _build(vectors, tol_harmonic)
 
 

@@ -10,7 +10,10 @@ class DomainTooSmall(AffminError):
 
 
 class DomainMismatch(AffminError):
-    """Two grids that must live on compatible domains do not."""
+    """A grid handed to a function does not live on the domain it needs.
+
+    Raised by ``grids.require_domain`` alone, naming the grid and both domains.
+    """
 
 
 class NotHarmonic(AffminError):

@@ -24,7 +24,7 @@ from .errors import IllDefinedForm
 from .geometry import face_volumes
 from .grids import (TINY, BandMax, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
                     as_positions, cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean, mul3,
-                    relative_residual, row_bands)
+                    relative_residual, require_domain, row_bands)
 
 __all__ = [
     "TOL_FORMS",
@@ -87,6 +87,7 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
     affine normal that ``affine_normal`` stored there; others are used once.
     """
     q = as_positions(surface)
+    require_domain(q.domain, normals=normals)
     own = q.memo("affine_normal")
     if own is not None and normals is own:
         form, worst = q.memo("cubic_coefficients", lambda: _cubic_coefficients(q, normals))
@@ -147,6 +148,9 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
     Every term, F1 = d1(F) and F2 = d2(F) included, is formed on row bands.
     """
     q = as_positions(surface)
+    require_domain(q.domain, areas=areas)
+    require_domain(q.domain.shrink(du_lo=1, du_hi=1), u_coeff=form.u_coeff)
+    require_domain(q.domain.shrink(dv_lo=1, dv_hi=1), v_coeff=form.v_coeff)
 
     # The per-stencil scale is floored by F times the participating edge
     # lengths so identities whose every term vanishes (straight rulings,
@@ -218,6 +222,9 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
     are kept.
     """
     q = as_positions(surface)
+    require_domain(q.domain, normals=normals, areas=areas)
+    require_domain(q.domain.shrink(du_lo=1, du_hi=1), u_coeff=form.u_coeff)
+    require_domain(q.domain.shrink(dv_lo=1, dv_hi=1), v_coeff=form.v_coeff)
     a, b = form.u_coeff.values, form.v_coeff.values
     a2_closed = np.empty((a.shape[0], a.shape[1] - 1))
     b1_closed = np.empty((b.shape[0] - 1, b.shape[1]))
@@ -262,6 +269,9 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
                                 derivs: FormDerivatives,
                                 tol: float = TOL_FORMS) -> NormalDerivativeReport:
     q = as_positions(surface)
+    require_domain(q.domain, normals=normals, areas=areas)
+    require_domain(q.domain.shrink(du_lo=1, du_hi=1), u_coeff_dv=derivs.u_coeff_dv)
+    require_domain(q.domain.shrink(dv_lo=1, dv_hi=1), v_coeff_du=derivs.v_coeff_du)
     res_u, res_v = [], []
     # Floored by F F |xi| so constant-normal regions do not compare rounding
     # noise against rounding noise.

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatch, NonPositiveVolume
+from .errors import NonPositiveVolume
 from .grids import (TINY, BandMax, FaceGrid, VertexGrid, absmax, as_positions, cross3, d1, d2,
                     d11, d12, d22, det3, div3, dot3, empty3, face_choice_mean, mul3, norm3,
-                    row_bands, worst_index)
+                    require_domain, row_bands, worst_index)
 
 __all__ = [
     "TOL_DUAL",
@@ -77,8 +77,7 @@ def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
     ``face_volumes`` stored there; other areas are used once.
     """
     q = as_positions(surface)
-    if areas.domain != q.domain:
-        raise DomainMismatch("area grid and surface live on different domains")
+    require_domain(q.domain, areas=areas)
     own = q.memo("face_volumes")   # a look-up only: computing it may raise
 
     def compute():
@@ -208,8 +207,7 @@ def planarity_and_saddle(surface, vectors: VertexGrid,
     with nu alternate in sign cyclically (saddle condition).
     """
     q = as_positions(surface)
-    if vectors.domain != q.domain:
-        raise DomainMismatch("co-normal grid and surface live on different domains")
+    require_domain(q.domain, vectors=vectors)
     dom = q.domain
     if dom.n_u < 3 or dom.n_v < 3:
         return PlanarSaddleReport(0.0, (dom.u_min, dom.v_min), True, True, [])
@@ -265,8 +263,7 @@ class DualityReport:
 
 def duality_certificate(vectors: VertexGrid, normals: FaceGrid, areas: FaceGrid,
                         tol: float = TOL_DUAL) -> DualityReport:
-    if not (vectors.domain == normals.domain == areas.domain):
-        raise DomainMismatch("co-normals, normals and areas must share a domain")
+    require_domain(vectors.domain, normals=normals, areas=areas)
     dom = vectors.domain
     worst_pairing, worst_cross = BandMax(dom), BandMax(dom)
     for lo, band, (xi, f), _ in row_bands(vectors, 0, 1, normals.values, areas.values):

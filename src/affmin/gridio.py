@@ -11,11 +11,14 @@ Floats are written as ``%.17g`` writes them, float64 arrays by the shared
 numpy kernel of ``spelling``, so round trips are exact and repeated writes
 are byte-identical.  Writers stream: ``write_json``, and so ``write_grid``
 and ``write_forms``, writes the ASCII bytes of each spelling pass as it
-comes and leaves no file if it fails.  Grid and seed values must be finite:
-writers and readers reject NaN and infinities (which JSON cannot spell) and
-name the first offending grid index or seed point; grid and seed readers
-also reject entries that are not numbers (``true``, ``"1.5"``), naming the
-first one, and domain bounds and component counts that are not integers.
+comes and leaves no file if it fails.  Grid, forms and seed writers and
+readers hold every value to ``grids.require_bounded``: finite and at most
+``VALUE_BOUND`` (~1.41e102) in size, so every file affmin writes is one it
+reads back; a ValueError names the first bad grid index (a seed's corner
+(u, v)) and, in a reader, the file.  Readers first take each value list in
+one step, which rejects an entry that is no number (``true``, ``"1.5"``) or
+an integer beyond the float range, naming the file and the entry; they also
+reject domain bounds and component counts that are not integers.
 Reports written by ``dumps_json`` spell a NaN or infinite value as null and
 numpy bools as true/false.  The forms bundle stores F as a face grid and the
 cubic coefficients as full vertex grids padded with nulls where their stencil
@@ -28,8 +31,8 @@ import math
 
 import numpy as np
 
-from .compatibility import FundamentalData
-from .grids import GRID_KINDS, FaceGrid, Grid, GridDomain, VertexGrid, worst_index
+from .compatibility import FundamentalData, as_seed
+from .grids import GRID_KINDS, FaceGrid, Grid, GridDomain, VertexGrid, require_bounded
 from .spelling import spell, write_chunks
 
 __all__ = [
@@ -52,6 +55,7 @@ _SCALARS = (bool, np.bool_, int, float, np.integer, np.floating)
 # What a JSON grid value list may hold: json.load gives bool and str too,
 # which np.asarray(..., dtype=float) would take as 1.0 or a parsed number.
 _JSON_NUMBERS = {int, float, type(None)}
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _format_number(x) -> str:
@@ -112,27 +116,25 @@ def write_json(obj, path):
     write_chunks(path, itertools.chain(_json_chunks(obj), [b"\n"]))
 
 
-def _require_numbers(values, what: str):
-    """Raise ValueError unless ``values`` is a list of JSON numbers and nulls,
-    naming the first other entry."""
+def _numbers(values, what: str) -> np.ndarray:
+    """The float64 array of a list of JSON numbers and nulls (null -> NaN);
+    ValueError naming ``what`` and the first entry that is no number or an
+    integer beyond the float range."""
     if not isinstance(values, list):
         raise ValueError(f"{what}: expected a list, got {type(values).__name__}")
     if not set(map(type, values)) <= _JSON_NUMBERS:
         k = next(k for k, x in enumerate(values) if type(x) not in _JSON_NUMBERS)
         raise ValueError(f"{what}: entry {k} is {json.dumps(values[k])}, not a number")
-
-
-def _require_finite(values: np.ndarray, domain: GridDomain, what: str):
-    """Raise ValueError naming the first grid index holding a NaN or inf."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        index = worst_index(bad.reshape(bad.shape[0], bad.shape[1], -1).any(axis=2), domain)
-        raise ValueError(f"{what} has a non-finite value at grid index {index}")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        k = next(k for k, x in enumerate(values) if type(x) is int and abs(x) > _FLOAT_MAX)
+        raise ValueError(f"{what}: entry {k} is an integer beyond the float range") from None
 
 
 def grid_to_obj(grid: Grid) -> dict:
     """Grid file object; ``"values"`` is the flat float64 array of the grid's values."""
-    _require_finite(grid.values, grid.domain, f"{grid.kind} grid")
+    require_bounded(grid.values, grid.domain, f"{grid.kind} grid")
     return {
         "kind": grid.kind,
         "domain": list(grid.domain.as_tuple()),
@@ -141,7 +143,8 @@ def grid_to_obj(grid: Grid) -> dict:
     }
 
 
-def grid_from_obj(obj: dict) -> Grid:
+def grid_from_obj(obj: dict, what: str = "grid object") -> Grid:
+    """The grid of a grid file object; every ValueError starts with ``what``."""
     try:
         kind, bounds, components, values = (
             obj[key] for key in ("kind", "domain", "components", "values"))
@@ -152,24 +155,19 @@ def grid_from_obj(obj: dict) -> Grid:
             raise ValueError(f"components must be an integer, got {json.dumps(components)}")
         domain = GridDomain(*bounds)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed grid object: {exc}") from exc
+        raise ValueError(f"{what}: malformed grid object: {exc}") from exc
     if not isinstance(kind, str) or kind not in GRID_KINDS:
-        raise ValueError(f"unknown grid kind {kind!r}")
+        raise ValueError(f"{what}: unknown grid kind {kind!r}")
     if components not in (1, 3):
-        raise ValueError(f"components must be 1 or 3, got {components}")
+        raise ValueError(f"{what}: components must be 1 or 3, got {components}")
     cls = GRID_KINDS[kind]
-    shape = cls._entry_shape(domain)
-    if components == 3:
-        shape = shape + (3,)
-    _require_numbers(values, "malformed grid values")   # null fails as non-finite below
-    array = np.asarray(values, dtype=float)
-    if array.size != int(np.prod(shape)):
-        raise ValueError(
-            f"grid value count {array.size} does not match domain {domain} "
-            f"({int(np.prod(shape))} expected)"
-        )
+    shape = cls._entry_shape(domain) + ((3,) if components == 3 else ())
+    array = _numbers(values, f"{what}: malformed grid values")   # null fails as NaN below
+    if array.size != math.prod(shape):
+        raise ValueError(f"{what}: grid value count {array.size} does not match domain {domain} "
+                         f"({math.prod(shape)} expected)")
     array = array.reshape(shape)
-    _require_finite(array, domain, f"{kind} grid")
+    require_bounded(array, domain, f"{what}: {kind} grid")
     return cls(domain, array)
 
 
@@ -184,7 +182,7 @@ def _load_json(path) -> dict:
             obj = json.load(handle)
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer of over 4300 digits
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path} does not hold a JSON object")
@@ -192,7 +190,7 @@ def _load_json(path) -> dict:
 
 
 def read_grid(path, expected_kind: str | None = None) -> Grid:
-    grid = grid_from_obj(_load_json(path))
+    grid = grid_from_obj(_load_json(path), str(path))
     if expected_kind is not None and grid.kind != expected_kind:
         raise ValueError(f"{path} holds a {grid.kind} grid, expected {expected_kind}")
     return grid
@@ -201,10 +199,9 @@ def read_grid(path, expected_kind: str | None = None) -> Grid:
 def _pad_coefficient(grid: VertexGrid, full: GridDomain, name: str) -> np.ndarray:
     """Flat float64 array over ``full``, NaN (written null) where the stencil is missing."""
     sub = grid.domain
-    _require_finite(grid.values, sub, f"{name} grid")
+    require_bounded(grid.values, sub, f"{name} grid")
     values = np.full((full.n_u, full.n_v), np.nan)
-    i0 = sub.u_min - full.u_min
-    j0 = sub.v_min - full.v_min
+    i0, j0 = sub.u_min - full.u_min, sub.v_min - full.v_min
     values[i0:i0 + sub.n_u, j0:j0 + sub.n_v] = grid.values
     return values.reshape(-1)
 
@@ -223,31 +220,27 @@ def write_forms(data: FundamentalData, path):
 
 
 def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) -> VertexGrid:
-    """The ``sub`` part of a coefficient padded with nulls to ``full``; ValueError
-    on an entry that is no number, a header other than a 1-component vertex grid
-    on ``full``, a null inside ``sub``, a value outside it, or any other
-    non-finite value."""
+    """The ``sub`` part of a coefficient padded with nulls to ``full``; ValueError,
+    starting with ``name``, on an entry that is no number, a header other than a
+    1-component vertex grid on ``full``, a null inside ``sub``, a value outside it,
+    or any other value that ``require_bounded`` rejects."""
     values = obj.get("values") if isinstance(obj, dict) else None
     if not isinstance(values, list):
         raise ValueError(f"{name} must be a grid object with a list of values")
     if len(values) != full.n_u * full.n_v:
         raise ValueError(f"{name} grid has wrong length for domain {full}")
-    _require_numbers(values, f"{name} grid values")
+    arr = _numbers(values, f"{name} grid values").reshape(full.n_u, full.n_v)   # null -> NaN
     header = json.dumps([obj.get(key) for key in ("kind", "domain", "components")])
     if header != json.dumps(["vertex", list(full.as_tuple()), 1]):   # 1.0 and true differ too
         raise ValueError(f"{name} must be a 1-component vertex grid on F's domain "
                          f"{list(full.as_tuple())}, got [kind, domain, components] {header}")
-    shape = (full.n_u, full.n_v)
-    arr = np.array(values, dtype=float).reshape(shape)   # null -> NaN
     # A null is read as NaN, so only the NaNs can be nulls; a NaN token is not.
-    nulls = np.zeros(arr.size, dtype=bool)
+    nulls = np.zeros(arr.shape, dtype=bool)
     candidates = np.flatnonzero(np.isnan(arr))
-    nulls[candidates] = [values[k] is None for k in candidates.tolist()]
-    nulls = nulls.reshape(shape)
-    _require_finite(np.where(nulls, 0.0, arr), full, f"{name} grid")
-    inside = np.zeros(shape, dtype=bool)
-    i0 = sub.u_min - full.u_min
-    j0 = sub.v_min - full.v_min
+    nulls.flat[candidates] = [values[k] is None for k in candidates.tolist()]
+    require_bounded(np.where(nulls, 0.0, arr), full, f"{name} grid")
+    inside = np.zeros(arr.shape, dtype=bool)
+    i0, j0 = sub.u_min - full.u_min, sub.v_min - full.v_min
     inside[i0:i0 + sub.n_u, j0:j0 + sub.n_v] = True
     if (nulls & inside).any():
         raise ValueError(f"{name} grid has nulls inside its stencil domain {sub}")
@@ -257,48 +250,34 @@ def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) 
 
 
 def read_forms(path) -> FundamentalData:
-    obj = _load_json(path)
+    obj, what = _load_json(path), f"forms bundle {path}"
     try:
-        f_grid = grid_from_obj(obj["F"])
+        f_grid = grid_from_obj(obj["F"], f"{what}: F")
         a_obj = obj["A"]
         b_obj = obj["B"]
     except KeyError as exc:
-        raise ValueError(f"forms bundle {path} is missing key {exc}") from exc
+        raise ValueError(f"{what} is missing key {exc}") from exc
     if not isinstance(f_grid, FaceGrid):
-        raise ValueError(f"forms bundle {path}: F must be a face grid")
+        raise ValueError(f"{what}: F must be a face grid")
     full = f_grid.domain
-    a = _strip_coefficient(a_obj, full, full.shrink(du_lo=1, du_hi=1), "A")
-    b = _strip_coefficient(b_obj, full, full.shrink(dv_lo=1, dv_hi=1), "B")
+    a = _strip_coefficient(a_obj, full, full.shrink(du_lo=1, du_hi=1), f"{what}: A")
+    b = _strip_coefficient(b_obj, full, full.shrink(dv_lo=1, dv_hi=1), f"{what}: B")
     return FundamentalData(f_grid, a, b)
 
 
-def _seed_points(points, what: str) -> np.ndarray:
-    """Four finite 3-points; ValueError names a wrong shape or the first bad point."""
-    try:
-        points = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must hold four 3-points: {exc}") from exc
-    if points.shape != (4, 3):
-        raise ValueError(f"{what} must hold four 3-points, got shape {points.shape}")
-    bad = ~np.isfinite(points).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{what} has a non-finite value at point {int(np.argmax(bad))}")
-    return points
-
-
 def write_seed(points, path):
-    points = _seed_points(points, "seed")
+    points = as_seed(points)
     write_json({"points": [list(p) for p in points]}, path)
 
 
 def read_seed(path) -> np.ndarray:
-    """The four points of a seed file; ValueError names the file and the first
-    point that is not a list of three JSON numbers."""
+    """The four points of a seed file (``as_seed``); ValueError names the file
+    and the first point that is not a list of three JSON numbers."""
     points, what = _load_json(path).get("points"), f"seed file {path}"
     if not isinstance(points, list):
         raise ValueError(f"{what} must hold four 3-points, got {json.dumps(points)[:40]}")
     for k, point in enumerate(points):
-        _require_numbers(point, f"{what} point {k}")   # json.load gives bools and strings too
+        points[k] = _numbers(point, f"{what} point {k}")
         if len(point) != 3:
             raise ValueError(f"{what} point {k} has {len(point)} coordinates, not 3")
-    return _seed_points(points, what)
+    return as_seed(points, what)

@@ -22,8 +22,11 @@ and triple products, norm and largest |component| of 3-vector arrays, their
 products with and quotients by scalar arrays, the
 worst-entry lookup that names a grid index, the face-choice average, the
 relative residual of a stencil identity, and the ``TINY`` denominator floor.
-So do the row bands that every whole-grid certificate is evaluated on, and
-the worst-entry reducer that joins their results.  Every array is aligned at
+So does the input contract: ``require_bounded`` holds every value a file or
+a validator hands in within ``VALUE_BOUND``, and ``require_domain`` every
+grid a function takes to the domain it needs.  So do the row bands that
+every whole-grid certificate is evaluated on, and the worst-entry reducer
+that joins their results.  Every array is aligned at
 row 0, so a band of vertex rows ``start:stop`` reads rows ``start:stop - k``
 of an array k rows shorter; ``row_bands`` cuts them, and no caller does.
 """
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainTooSmall
+from .errors import DomainMismatch, DomainTooSmall
 
 __all__ = [
     "GridDomain",
@@ -56,6 +59,9 @@ __all__ = [
     "mul3",
     "div3",
     "as_positions",
+    "VALUE_BOUND",
+    "require_bounded",
+    "require_domain",
     "worst_index",
     "face_choice_mean",
     "relative_residual",
@@ -65,6 +71,11 @@ __all__ = [
 
 # Floor for denominators that may vanish (scales of all-zero fields).
 TINY = 1e-300
+
+# Largest |value| an input may hold, cbrt(max float / 64) ~ 1.41e102: a difference
+# of two values stays within R = cbrt(max float / 8), so a triple product of
+# differences (at most 6 R^3) and a mixed difference of R-bounded values (4 R) are finite.
+VALUE_BOUND = float(np.cbrt(np.finfo(float).max / 64))
 
 # Vertices per row band: a band's 3-vector temporaries (384 KiB) stay in L2.
 _BAND_VERTICES = 2**14
@@ -400,6 +411,29 @@ def as_positions(surface) -> VertexGrid:
     if not isinstance(grid, VertexGrid) or grid.components != 3:
         raise TypeError("expected an Immersion or a 3-vector VertexGrid")
     return grid
+
+
+def require_bounded(values, domain: GridDomain, what: str):
+    """Raise ValueError, naming ``what``, the first bad grid index (entry (0, 0) is
+    (u_min, v_min) of ``domain``), its component and value, unless every entry is
+    finite and at most ``VALUE_BOUND`` in size.  Two reductions, no temporary."""
+    values = np.asarray(values)
+    if values.max(initial=0.0) <= VALUE_BOUND and -values.min(initial=0.0) <= VALUE_BOUND:
+        return
+    first = tuple(int(i) for i in np.argwhere(~(np.abs(values) <= VALUE_BOUND))[0])
+    where = f"grid index {(domain.u_min + first[0], domain.v_min + first[1])}"
+    if len(first) == 3:
+        where += f", component {first[2]}"
+    raise ValueError(f"{what} at {where}: {values[first]} is not finite or over "
+                     f"{VALUE_BOUND:.3g} in size")
+
+
+def require_domain(domain: GridDomain, **grids):
+    """Raise DomainMismatch naming the first of ``grids`` (name=grid) whose
+    ``domain`` is not ``domain``, and both domains."""
+    for name, grid in grids.items():
+        if grid.domain != domain:
+            raise DomainMismatch(f"{name} domain {grid.domain} is not {domain}")
 
 
 def worst_index(values, domain: GridDomain, du=0, dv=0):

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conormal import ConormalField
-from .errors import DomainMismatch
 from .grids import (TINY, BandMax, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax, cross3,
-                    d1, d2, empty3, row_bands)
+                    d1, d2, empty3, require_domain, row_bands)
 
 __all__ = [
     "TOL_INTEGRATE",
@@ -128,10 +127,7 @@ class LelieuvreReport:
 def verify_lelieuvre(immersion: Immersion, field: ConormalField,
                      tol: float = TOL_INTEGRATE) -> LelieuvreReport:
     """Check both edge equations; residuals are relative to the longest edge."""
-    if immersion.domain != field.domain:
-        raise DomainMismatch(
-            f"immersion domain {immersion.domain} != field domain {field.domain}"
-        )
+    require_domain(immersion.domain, field=field)
     res = (BandMax(immersion.domain), BandMax(immersion.domain))
     scale = []
     for lo, band, (nu,), _ in row_bands(immersion.positions, 0, 1, field.vectors.values):

@@ -5,13 +5,15 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from affmin.cli import build_parser, main
 from affmin.compatibility import TOL_EQUIV
-from affmin.gridio import read_grid
+from affmin.gridio import read_grid, write_grid
+from affmin.grids import VALUE_BOUND, GridDomain
 
 
 def run(*argv):
@@ -195,8 +197,8 @@ class TestIntegrateAndCheck:
                    "--report", report) == 1
         body = json.loads(report.read_text())
         assert body["passed"] is False
-        assert body["error"].startswith("DomainMismatch: immersion domain ")
-        assert "!= field domain" in body["error"]
+        assert body["error"] == (f"DomainMismatch: field domain {GridDomain(*box)} is not "
+                                 f"{GridDomain(0, 5, 0, 5)}")
 
     def test_grid_with_a_bool_value_is_usage_error(self, tmp_path, capsys, paraboloid_files):
         _, surface = paraboloid_files
@@ -250,8 +252,8 @@ class TestFormsReconstructCompare:
         assert json.loads(report.read_text())["equivalent"] is False
 
     @pytest.mark.parametrize("b, error", [
-        ("box", "DomainMismatch: domains differ: GridDomain(u_min=1, u_max=8, v_min=1, "
-                "v_max=8) vs GridDomain(u_min=1, u_max=9, v_min=1, v_max=8)"),
+        ("box", "DomainMismatch: qb domain GridDomain(u_min=1, u_max=9, v_min=1, v_max=8) "
+                "is not GridDomain(u_min=1, u_max=8, v_min=1, v_max=8)"),
         ("flat", "DegenerateQuadrangle: corner quadrangle at (1, 1) spans no volume")],
         ids=["box", "flat"])
     def test_compare_reports_surfaces_it_cannot_compare(self, tmp_path, capsys, b, error):
@@ -399,6 +401,98 @@ class TestScalarCommands:
         assert run("export", "--surface", surface, "--resolution", 2,
                    "--out", out) == 0
         assert out.read_text().startswith("v ")
+
+
+def _input_files(tmp_path, paraboloid_files):
+    """Co-normal, surface, forms and own-seed files of the paraboloid on (0, 5, 0, 5)."""
+    conormal, surface = paraboloid_files
+    forms, seed = tmp_path / "forms.json", tmp_path / "seed.json"
+    assert run("forms", "--surface", surface, "--out", forms) == 0
+    p = read_grid(surface).values
+    seed.write_text(json.dumps({"points": [p[0, 0].tolist(), p[1, 0].tolist(),
+                                           p[0, 1].tolist(), p[1, 1].tolist()]}))
+    return {"conormal": conormal, "surface": surface, "forms": forms, "seed": seed}
+
+
+# File kind -> (the command reading it, of the files and an output path; the
+# path of a value list in the file's JSON).
+READERS = {
+    "surface": (lambda f, out: ["check", "--surface", f["surface"], "--report", out],
+                ("values",)),
+    "conormal": (lambda f, out: ["integrate", "--conormal", f["conormal"], "--out", out],
+                 ("values",)),
+    "forms-F": (lambda f, out: ["reconstruct", "--forms", f["forms"], "--out", out],
+                ("F", "values")),
+    "forms-A": (lambda f, out: ["reconstruct", "--forms", f["forms"], "--out", out],
+                ("A", "values")),
+    "seed": (lambda f, out: ["reconstruct", "--forms", f["forms"], "--seed", f["seed"],
+                             "--out", out], ("points", 2)),
+}
+
+
+class TestInputContract:
+    """Every value a file hands in is finite and within VALUE_BOUND, or the
+    command exits 2 naming the file and the entry, writing nothing."""
+
+    @staticmethod
+    def _run_with(tmp_path, capsys, paraboloid_files, kind, entry, text):
+        """Run the command reading ``kind`` with ``text`` as the JSON of one entry
+        of its value list, warnings as errors; its exit code, the path and stderr."""
+        files = _input_files(tmp_path, paraboloid_files)
+        argv, keys = READERS[kind]
+        path = files[kind.split("-")[0]]
+        obj = json.loads(path.read_text())
+        target = obj
+        for key in keys:
+            target = target[key]
+        target[entry] = 123456789012345678   # a spelling json.dumps keeps as it is
+        path.write_text(json.dumps(obj).replace("123456789012345678", text))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv(files, out))
+        assert not out.exists()
+        return code, path, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, entry", [
+        ("surface", 0), ("conormal", 4), ("forms-F", 3), ("forms-A", 8), ("seed", 1)])
+    def test_a_400_digit_integer_exits_two_naming_the_file_and_entry(
+            self, tmp_path, capsys, paraboloid_files, kind, entry):
+        code, path, err = self._run_with(tmp_path, capsys, paraboloid_files, kind, entry,
+                                         "1" + "0" * 400)
+        assert code == 2
+        assert str(path) in err
+        assert f"entry {entry} is an integer beyond the float range" in err
+
+    @pytest.mark.parametrize("kind, entry, value, where", [
+        ("surface", 3 * 7 + 1, "1e308", "grid index (1, 1), component 1: 1e+308"),
+        ("seed", 1, "-1e308", "grid index (0, 1), component 1: -1e+308"),
+        ("forms-F", 5, "1e308", "grid index (1, 0): 1e+308"),
+    ], ids=["position", "seed", "area-density"])
+    def test_a_value_beyond_the_bound_exits_two_without_a_warning(
+            self, tmp_path, capsys, paraboloid_files, kind, entry, value, where):
+        # Each warned "overflow encountered" (in multiply, in subtract) before it
+        # was refused: a position in check, a seed or F in reconstruct.
+        code, path, err = self._run_with(tmp_path, capsys, paraboloid_files, kind, entry, value)
+        assert code == 2
+        assert str(path) in err
+        assert f"at {where} is not finite or over 1.41e+102 in size" in err
+
+    def test_forms_of_a_net_at_the_bound_exit_two_naming_the_face(self, tmp_path, capsys):
+        # max |q| = VALUE_BOUND: F reaches 2e151, a forms file reconstruct could not read.
+        _, surface = _surface_files(tmp_path, "helicoid", (0, 10, 0, 16))
+        grid = read_grid(surface)
+        scaled = grid.values * (VALUE_BOUND / np.abs(grid.values).max())
+        assert np.abs(scaled).max() <= VALUE_BOUND
+        write_grid(grid.with_values(scaled), surface)
+        out = tmp_path / "forms.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("forms", "--surface", surface, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: face grid at grid index (0, 0): 2.028")
+        assert not out.exists()
 
 
 class TestPipeline:

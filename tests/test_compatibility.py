@@ -91,10 +91,11 @@ class TestFundamentalData:
         a = VertexGrid(dom.shrink(du_lo=1, du_hi=1), np.zeros((2, 4)))
         b = VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), np.zeros((4, 2)))
         full = VertexGrid(dom, np.zeros((4, 4)))
-        with pytest.raises(DomainMismatch, match="u_coeff domain .* is not the u-interior"):
-            FundamentalData(areas, full, b)
-        with pytest.raises(DomainMismatch, match="v_coeff domain .* is not the v-interior"):
-            FundamentalData(areas, a, full)
+        for u_coeff, v_coeff, name, interior in ((full, b, "u_coeff", a),
+                                                 (a, full, "v_coeff", b)):
+            with pytest.raises(DomainMismatch) as err:
+                FundamentalData(areas, u_coeff, v_coeff)
+            assert str(err.value) == f"{name} domain {dom} is not {interior.domain}"
 
 
 class TestCanonicalSeed:
@@ -171,7 +172,7 @@ class TestReconstruct:
         seed[3, 2] = 2.0   # breaks the corner determinant condition
         with pytest.raises(SeedDeterminantMismatch):
             reconstruct(data, seed)
-        with pytest.raises(ValueError, match=r"seed must be four 3-points, got shape \(3, 3\)"):
+        with pytest.raises(ValueError, match=r"seed must hold four 3-points, got shape \(3, 3\)"):
             reconstruct(data, seed[:3])
 
     def test_corrupted_coefficient_detected(self, cubic):
@@ -350,15 +351,18 @@ class TestAffineEquivalence:
         with pytest.raises(error, match=message):
             AffineMap(linear, np.zeros(3))
 
-    @pytest.mark.parametrize("linear, translation", [
-        (np.full((3, 3), np.nan), np.zeros(3)),
-        (np.diag([1.0, np.inf, 1.0]), np.zeros(3)),
-        (np.eye(3), np.array([0.0, np.nan, 0.0]))])
-    def test_map_rejects_a_non_finite_part(self, linear, translation):
+    @pytest.mark.parametrize("linear, translation, where", [
+        (np.full((3, 3), np.nan), np.zeros(3), "(0, 0): nan"),
+        (np.diag([1.0, np.inf, 1.0]), np.zeros(3), "(1, 1): inf"),
+        (np.eye(3), np.array([0.0, np.nan, 0.0]), "(1, 3): nan")])
+    def test_map_rejects_a_non_finite_part(self, linear, translation, where):
+        # Column 3 of the named grid index is the translation.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite linear part and translation"):
+            with pytest.raises(ValueError) as err:
                 AffineMap(linear, translation)
+        assert str(err.value) == (f"AffineMap [linear | translation] at grid index {where} "
+                                  "is not finite or over 1.41e+102 in size")
 
 
 class TestNanGates:
@@ -387,18 +391,19 @@ class TestNanGates:
         data = extract_fundamental_data(surf)
         seed = canonical_seed(1.0)
         seed[3, 2] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(SeedDeterminantMismatch) as err:
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
             reconstruct(data, seed)
-        assert np.isnan(err.value.actual)
+        assert str(err.value) == ("seed at grid index (1, 1), component 2: nan is not finite "
+                                  "or over 1.41e+102 in size")
 
     def test_nan_seed_rejected_without_a_floating_point_error(self, paraboloid):
         _, surf = paraboloid
         data = extract_fundamental_data(surf)
         seed = canonical_seed(1.0)
         seed[3, 2] = np.nan
-        with np.errstate(all="raise"), pytest.raises(SeedDeterminantMismatch) as err:
+        with np.errstate(all="raise"), pytest.raises(ValueError) as err:
             reconstruct(data, seed)
-        assert np.isnan(err.value.actual)
+        assert str(err.value).startswith("seed at grid index (1, 1), component 2: nan ")
 
     def test_residual_max_keeps_a_later_nan(self):
         data = constant_data(GridDomain(0, 5, 0, 5))

@@ -16,7 +16,7 @@ from affmin.conormal import (
     validate,
 )
 from affmin.errors import NonConvexFace, NotHarmonic
-from affmin.grids import GridDomain, VertexGrid, d12
+from affmin.grids import VALUE_BOUND, GridDomain, VertexGrid, d12
 
 
 def spec_from(domain, fu, fv):
@@ -94,8 +94,8 @@ class TestFromSeparable:
         parts[part][entry, component] = value
         with pytest.raises(ValueError) as err:
             SeparableConormalSpec(dom, **parts)
-        assert str(err.value) == (f"{part} entry {entry}, component {component} is {value}, "
-                                  "not finite")
+        assert str(err.value) == (f"{part} at grid index ({entry}, 0), component {component}: "
+                                  f"{value} is not finite or over 1.41e+102 in size")
 
     @pytest.mark.parametrize("part, n", [("u_part", 4), ("v_part", 7)])
     def test_profiles_of_the_wrong_length_are_rejected(self, part, n):
@@ -107,43 +107,62 @@ class TestFromSeparable:
                                              rf"got \({n}, 3\)"):
             SeparableConormalSpec(dom, **parts)
 
-    @pytest.mark.parametrize("sign, which, component", [(1.0, "max", 2), (-1.0, "min", 0)])
-    def test_overflowing_profiles_are_rejected_without_a_warning(self, sign, which, component):
-        # Finite profiles whose sum overflows: nu would hold an infinity.
+    @pytest.mark.parametrize("sign, component", [(1.0, 2), (-1.0, 0)])
+    def test_overflowing_profiles_are_rejected_without_a_warning(self, sign, component):
+        # Finite profiles whose sum would overflow: nu would hold an infinity.
         dom = GridDomain(0, 3, 0, 3)
         spec = spec_from(dom, lambda u: (u, 0.0, u * u), lambda v: (0.0, v, v * v))
-        spec.u_part[2, component] = spec.v_part[1, component] = sign * 1.5e308
+        u_part, v_part = np.array(spec.u_part), np.array(spec.v_part)
+        u_part[2, component] = v_part[1, component] = sign * 1.5e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as err:
-                from_separable(spec)
-        assert str(err.value) == (f"component {component} of nu overflows: {which} u_part + "
-                                  f"{which} v_part is {sign * np.inf}")
+                SeparableConormalSpec(dom, u_part, v_part)
+        assert str(err.value) == (f"u_part at grid index (2, 0), component {component}: "
+                                  f"{sign * 1.5e308} is not finite or over 1.41e+102 in size")
+
+    def test_profiles_at_the_bound_build_a_field_without_a_warning(self):
+        # nu reaches 2 VALUE_BOUND = cbrt(max float / 8); F and d12 stay finite.
+        dom = GridDomain(0, 1, 0, 1)
+        u_part = np.array([[0.0, 0.0, 0.0], [VALUE_BOUND, 0.0, 0.0]])
+        v_part = np.array([[0.0, 0.0, VALUE_BOUND], [0.0, -VALUE_BOUND, VALUE_BOUND]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = from_separable(SeparableConormalSpec(dom, u_part, v_part))
+        assert np.isfinite(field.min_area) and field.min_area > 0.0
+
+    def test_profiles_are_read_only(self):
+        spec = spec_from(GridDomain(0, 2, 0, 2), lambda u: (u, 0.0, 1.0), lambda v: (0.0, v, 0.0))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.u_part[0, 0] = 1e308
 
 
 @pytest.mark.parametrize("build", [
-    from_separable,
-    lambda spec: validate(VertexGrid(spec.domain, spec.u_part[:, None] + spec.v_part[None])),
+    lambda dom, u_part, v_part: from_separable(SeparableConormalSpec(dom, u_part, v_part)),
+    lambda dom, u_part, v_part: validate(VertexGrid(dom, u_part[:, None] + v_part[None])),
 ], ids=["from_separable", "validate"])
 def test_a_field_beyond_half_the_float_range_is_rejected_without_a_warning(build):
     # nu is finite, but d12 adds two entries of 1e308 first.
-    spec = spec_from(GridDomain(0, 3, 0, 3), lambda u: (u, 0.0, u * u), lambda v: (0.0, v, v * v))
-    spec.u_part[1, 2] = spec.u_part[2, 2] = 1e308
+    dom = GridDomain(0, 3, 0, 3)
+    spec = spec_from(dom, lambda u: (u, 0.0, u * u), lambda v: (0.0, v, v * v))
+    u_part = np.array(spec.u_part)
+    u_part[1, 2] = u_part[2, 2] = 1e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"component 2 of nu overflows: max .* is 1e\+308"):
-            build(spec)
+        with pytest.raises(ValueError, match=r"at grid index \(1, 0\), component 2: 1e\+308 is not "
+                                             r"finite or over 1\.41e\+102 in size"):
+            build(dom, u_part, spec.v_part)
 
 
 def test_a_field_whose_area_density_would_overflow_is_rejected_without_a_warning():
-    # Every entry is within half the float range, but F is cubic in nu.
-    spec = spec_from(GridDomain(1, 3, 1, 3), lambda u: (1e150 * u, 0.0, 1e150 * u * u),
-                     lambda v: (0.0, 1e150 * v, 1e150 * v * v))
+    # Every entry is within half the float range, but F is cubic in nu: the
+    # profiles' bound rejects entry 0, u = 1, before F is formed.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"component 0 of nu overflows: max u_part \+ "
-                                             r"max v_part is 2\.99.*e\+150"):
-            from_separable(spec)
+        with pytest.raises(ValueError, match=r"u_part at grid index \(0, 0\), component 0: 1e\+150 "
+                                             r"is not finite or over 1\.41e\+102 in size"):
+            spec_from(GridDomain(1, 3, 1, 3), lambda u: (1e150 * u, 0.0, 1e150 * u * u),
+                      lambda v: (0.0, 1e150 * v, 1e150 * v * v))
 
 
 def test_a_mixed_difference_that_would_overflow_is_rejected_without_a_warning():
@@ -152,7 +171,8 @@ def test_a_mixed_difference_that_would_overflow_is_rejected_without_a_warning():
     nu[..., 2] = [[0.8e308, -0.8e308], [0.0, 0.8e308]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"component 2 of nu overflows: max nu is 8e\+307"):
+        with pytest.raises(ValueError, match=r"co-normal grid at grid index \(0, 0\), component 2: "
+                                             r"8e\+307 is not finite or over 1\.41e\+102 in size"):
             validate(VertexGrid(GridDomain(0, 1, 0, 1), nu))
 
 
@@ -266,10 +286,10 @@ def test_validate_rejects_nan_vector():
     field = am.hyperbolic_paraboloid(GridDomain(0, 4, 0, 4))
     values = np.array(field.vectors.values)
     values[2, 3, 1] = np.nan
-    with pytest.raises(NotHarmonic) as err:
+    with pytest.raises(ValueError) as err:
         validate(VertexGrid(field.domain, values))
-    assert sorted(err.value.faces) == [(1, 2), (1, 3), (2, 2), (2, 3)]
-    assert np.isnan(err.value.max_residual)
+    assert str(err.value) == ("co-normal grid at grid index (2, 3), component 1: nan is not "
+                              "finite or over 1.41e+102 in size")
 
 
 # Family -> (field of (box, n), u profile, v profile): the reference spells

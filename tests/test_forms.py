@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import affmin as am
-from affmin.errors import DomainTooSmall, IllDefinedForm
+from affmin.errors import DomainMismatch, DomainTooSmall, IllDefinedForm
 from affmin.forms import (
     CubicForm,
     FormDerivatives,
@@ -306,3 +306,32 @@ class TestNanGates:
         report = normal_derivative_residuals(surf, xi, vols.areas, bent)
         assert not report.passed
         assert np.isnan(report.max_residual)
+
+
+def _chain_inputs(surf):
+    """Every grid argument of the four forms functions, computed on ``surf``."""
+    vols, xi, form = setup_chain(surf)
+    return {"areas": vols.areas, "xi": xi, "form": form,
+            "derivs": a2_b1_closed_form(surf, xi, vols.areas, form)[0]}
+
+
+@pytest.mark.parametrize("call, name, foreign", [
+    (lambda surf, own, other: cubic_coefficients(surf, other["xi"]),
+     "normals", (1, 9, 1, 8)),
+    (lambda surf, own, other: structural_residuals(surf, other["areas"], own["form"]),
+     "areas", (1, 9, 1, 8)),
+    (lambda surf, own, other: a2_b1_closed_form(surf, own["xi"], own["areas"], other["form"]),
+     "u_coeff", (2, 8, 1, 8)),
+    (lambda surf, own, other: normal_derivative_residuals(surf, own["xi"], own["areas"],
+                                                          other["derivs"]),
+     "u_coeff_dv", (2, 8, 1, 8)),
+], ids=["cubic_coefficients", "structural_residuals", "a2_b1_closed_form",
+        "normal_derivative_residuals"])
+def test_forms_functions_reject_a_grid_of_another_box(cubic, call, name, foreign):
+    # Without the check, numpy raised "operands could not be broadcast".
+    _, surf = cubic   # on (1, 8, 1, 8)
+    other = am.integrate(am.minimal_cubic(am.GridDomain(1, 9, 1, 8)))
+    own_domain = am.GridDomain(*foreign[:1], foreign[1] - 1, *foreign[2:])
+    with pytest.raises(DomainMismatch) as err:
+        call(surf, _chain_inputs(surf), _chain_inputs(other))
+    assert str(err.value) == f"{name} domain {am.GridDomain(*foreign)} is not {own_domain}"

@@ -299,8 +299,10 @@ class TestNonFinite:
         values[3, 5, 2] = np.inf
         values[4, 1, 0] = np.nan
         grid = surf.positions.with_values(values)
-        with pytest.raises(ValueError, match=r"non-finite value at grid index \(3, 5\)"):
+        with pytest.raises(ValueError) as err:
             write_grid(grid, tmp_path / "g.json")
+        assert str(err.value) == ("vertex grid at grid index (3, 5), component 2: inf is not "
+                                  "finite or over 1.41e+102 in size")
         assert not (tmp_path / "g.json").exists()
 
     def test_forms_writer_rejects_nan_coefficient(self, cubic, tmp_path):
@@ -323,9 +325,9 @@ class TestNonFinite:
         broken = FundamentalData(data.areas, data.u_coeff, data.v_coeff.with_values(b))
         path = tmp_path / "kept.json"
         path.write_text("kept")
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="nan is not finite"):
             write_grid(broken.v_coeff, path)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="nan is not finite"):
             write_forms(broken, path)
         assert path.read_text() == "kept"
 
@@ -344,8 +346,10 @@ class TestNonFinite:
         for bad in (np.nan, np.inf, -np.inf):
             seed = am.canonical_seed(2.0)
             seed[2, 1] = bad
-            with pytest.raises(ValueError, match=r"seed has a non-finite value at point 2"):
+            with pytest.raises(ValueError) as err:   # point 2 is q01
                 write_seed(seed, path)
+            assert str(err.value) == (f"seed at grid index (0, 1), component 1: {bad} is not "
+                                      "finite or over 1.41e+102 in size")
             assert not path.exists()
 
     def test_seed_reader_rejects_nan_and_infinity_tokens(self, tmp_path):
@@ -353,10 +357,12 @@ class TestNonFinite:
         write_seed(am.canonical_seed(2.0), path)
         text = path.read_text()
         assert text.count("[1, 1, 4]") == 1
-        for token in ("NaN", "Infinity", "-Infinity"):
+        for token, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")):
             path.write_text(text.replace("[1, 1, 4]", f"[1, {token}, 4]"))
-            with pytest.raises(ValueError, match=r"non-finite value at point 3"):
+            with pytest.raises(ValueError) as err:   # point 3 is q11
                 read_seed(path)
+            assert str(err.value) == (f"seed file {path} at grid index (1, 1), component 1: "
+                                      f"{value} is not finite or over 1.41e+102 in size")
 
     def test_forms_reader_rejects_nan_token_outside_stencil(self, cubic, tmp_path):
         _, surf = cubic
@@ -365,5 +371,5 @@ class TestNonFinite:
         obj = json.loads(path.read_text())
         obj["A"]["values"][0] = float("nan")   # a padding slot, null before
         path.write_text(json.dumps(obj))
-        with pytest.raises(ValueError, match="A grid has a non-finite value"):
+        with pytest.raises(ValueError, match=r"A grid at grid index \(1, 1\): nan is not finite"):
             read_forms(path)
