@@ -23,9 +23,9 @@ from .errors import (
 )
 from .forms import TOL_FORMS, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .grids import (TINY, BandMax, FaceGrid, GridDomain, VertexGrid, absmax, as_positions, cross3,
-                    det3, div3, empty3, relative_residual, require_bounded, require_domain,
-                    row_bands, worst_index)
+from .grids import (TINY, VALUE_BOUND, BandMax, FaceGrid, GridDomain, VertexGrid, absmax,
+                    as_positions, cross3, det3, div3, empty3, relative_residual, require_bounded,
+                    require_domain, row_bands, worst_index)
 from .lelieuvre import Immersion, integrate
 
 __all__ = [
@@ -161,17 +161,21 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
 
     ``seed`` holds the four corner points (q00, q10, q01, q11) of the
     lower-left quadrangle; by default the canonical seed for the first
-    face's F.  A given seed passes ``as_seed`` (ValueError).  Raises
+    face's F.  A given seed passes ``as_seed`` (ValueError), and so must an
+    F^2 of the first face that does not underflow to 0.  Raises
     SeedDeterminantMismatch if the seed violates the
     corner determinant condition, and IncompatibleData (worst index and
-    gap) if a triple product of the co-normal misses F, A or B by more than
-    ``tol_compat`` relative to the largest F, or by NaN, or if an F of the
-    co-normal is <= 0.
+    gap) if a marched strip leaves ``VALUE_BOUND`` (gap inf), or if a triple
+    product of the co-normal misses F, A or B by more than ``tol_compat``
+    relative to the largest F, or by NaN, or if an F of the co-normal is <= 0.
     """
     dom = data.domain
     f, a, b = (grid.values for grid in (data.areas, data.u_coeff, data.v_coeff))
     f00 = float(f[0, 0])
     expected = f00 * f00
+    if not expected > 0.0:
+        raise ValueError(f"F at face {dom.u_min, dom.v_min} is {f00!r}: its square, the "
+                         "seed determinant, underflows to 0")
     seed = canonical_seed(f00) if seed is None else as_seed(seed)
     det = float(np.linalg.det(seed[1:] - seed[0]))   # rows q10 - q00, q01 - q00, q11 - q00
     if not abs(det - expected) <= tol_seed * expected:
@@ -180,8 +184,11 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
     # corners[v, u] is seed point q(u, v).  On a box a harmonic co-normal is
     # separable, so its values on vertex row 0 and column 0 fix it.
     corners = seed.reshape(2, 2, 3)
-    nu_row = _march_strip(corners.transpose(2, 0, 1), f[:, 0], a[:, :2])
-    nu_col = -_march_strip(corners.T, f[0], b[:2].T)   # e1 x e2 = -(along x across)
+    u, v = dom.u_min, dom.v_min
+    nu_row = _march_strip(corners.transpose(2, 0, 1), f[:, 0], a[:, :2],
+                          lambda i, r: (u + i, v + r))
+    nu_col = -_march_strip(corners.T, f[0], b[:2].T,   # e1 x e2 = -(along x across)
+                           lambda i, r: (u + r, v + i))
     vectors = VertexGrid(dom, np.add(nu_row[:, None], (nu_col - nu_col[0])[None],
                                      out=empty3((dom.n_u, dom.n_v, 3))))
 
@@ -206,7 +213,7 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
     return integrate(vectors, base_value=seed[0])
 
 
-def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray, at) -> np.ndarray:
     """March a strip of two vertex lines and return the co-normals of line 0.
 
     ``corners[k, r, i]`` is component k of vertex i (0, 1) on line r,
@@ -216,7 +223,8 @@ def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarra
     floats: per component, the operations and their order of the whole-array
     step, so the same bits (``FundamentalData`` keeps every F > 0).  The
     co-normal is (along x across) / F; the last vertex reuses the edge along
-    and the face before it.
+    and the face before it.  Vertex i of line r beyond ``VALUE_BOUND`` or NaN (after
+    a tiny F) raises IncompatibleData at ``at(i, r)`` before numpy reads the strip.
     """
     lines = corners.reshape(6, 2).tolist()   # lines[2 k + r]: component k of line r
     fl, cl = f.tolist(), c.tolist()
@@ -228,6 +236,9 @@ def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray) -> np.ndarra
             x0.append(2.0 * s0 - p0 + (df * (s0 - p0) + c0 * across) / f0)
             x1.append(2.0 * s1 - p1 + (df * (s1 - p1) + c1 * across) / f0)
     s = np.array(lines).reshape(3, 2, len(fl) + 1)
+    outside = np.argwhere(~(np.abs(s) <= VALUE_BOUND).all(axis=0).T)   # (i, r), i first
+    if outside.size:
+        raise IncompatibleData(at(*outside[0].tolist()), float("inf"))
     last = np.minimum(np.arange(s.shape[2]), s.shape[2] - 2)
     along = (s[:, 0, 1:] - s[:, 0, :-1])[:, last]
     return div3(cross3(along.T, (s[:, 1] - s[:, 0]).T), f[last])

@@ -14,15 +14,16 @@ and ``write_forms``, writes the ASCII bytes of each spelling pass as it
 comes and leaves no file if it fails.  Grid, forms and seed writers and
 readers hold every value to ``grids.require_bounded``: finite and at most
 ``VALUE_BOUND`` (~1.41e102) in size, so every file affmin writes is one it
-reads back; a ValueError names the first bad grid index (a seed's corner
-(u, v)) and, in a reader, the file.  Readers first take each value list in
-one step, which rejects an entry that is no number (``true``, ``"1.5"``) or
-an integer beyond the float range, naming the file and the entry; they also
-reject domain bounds and component counts that are not integers.
-Reports written by ``dumps_json`` spell a NaN or infinite value as null and
-numpy bools as true/false.  The forms bundle stores F as a face grid and the
-cubic coefficients as full vertex grids padded with nulls where their stencil
-does not reach.
+reads back; a ValueError names the file, the grid, and the first bad grid
+index (a seed's corner (u, v)).  Readers first take each value list in one
+step, which rejects an entry that is no number (``null``, ``true``,
+``"1.5"``) or an integer beyond the float range, naming the file and the
+entry; they also reject domain bounds and component counts that are not
+integers.  Reports written by ``dumps_json`` spell a NaN or infinite value
+as null and numpy bools as true/false.  The forms bundle is the object
+``{"F": grid, "A": grid, "B": grid}`` of three grid file objects, each on
+its own domain: F a face grid on the vertex box, A and B 1-component vertex
+grids on its u- and v-interior.
 """
 
 import itertools
@@ -32,7 +33,8 @@ import math
 import numpy as np
 
 from .compatibility import FundamentalData, as_seed
-from .grids import GRID_KINDS, FaceGrid, Grid, GridDomain, VertexGrid, require_bounded
+from .errors import DomainMismatch, DomainTooSmall
+from .grids import GRID_KINDS, Grid, GridDomain, require_bounded
 from .spelling import spell, write_chunks
 
 __all__ = [
@@ -54,7 +56,7 @@ _SCALARS = (bool, np.bool_, int, float, np.integer, np.floating)
 
 # What a JSON grid value list may hold: json.load gives bool and str too,
 # which np.asarray(..., dtype=float) would take as 1.0 or a parsed number.
-_JSON_NUMBERS = {int, float, type(None)}
+_JSON_NUMBERS = {int, float}
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -117,9 +119,9 @@ def write_json(obj, path):
 
 
 def _numbers(values, what: str) -> np.ndarray:
-    """The float64 array of a list of JSON numbers and nulls (null -> NaN);
-    ValueError naming ``what`` and the first entry that is no number or an
-    integer beyond the float range."""
+    """The float64 array of a list of JSON numbers; ValueError naming ``what``
+    and the first entry that is no number (null among them) or an integer
+    beyond the float range."""
     if not isinstance(values, list):
         raise ValueError(f"{what}: expected a list, got {type(values).__name__}")
     if not set(map(type, values)) <= _JSON_NUMBERS:
@@ -132,9 +134,10 @@ def _numbers(values, what: str) -> np.ndarray:
         raise ValueError(f"{what}: entry {k} is an integer beyond the float range") from None
 
 
-def grid_to_obj(grid: Grid) -> dict:
-    """Grid file object; ``"values"`` is the flat float64 array of the grid's values."""
-    require_bounded(grid.values, grid.domain, f"{grid.kind} grid")
+def grid_to_obj(grid: Grid, what: str) -> dict:
+    """Grid file object, ``"values"`` the grid's flat float64 array; a ValueError
+    starts with ``what``."""
+    require_bounded(grid.values, grid.domain, f"{what}: {grid.kind} grid")
     return {
         "kind": grid.kind,
         "domain": list(grid.domain.as_tuple()),
@@ -154,7 +157,7 @@ def grid_from_obj(obj: dict, what: str = "grid object") -> Grid:
         if type(components) is not int:
             raise ValueError(f"components must be an integer, got {json.dumps(components)}")
         domain = GridDomain(*bounds)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DomainTooSmall) as exc:
         raise ValueError(f"{what}: malformed grid object: {exc}") from exc
     if not isinstance(kind, str) or kind not in GRID_KINDS:
         raise ValueError(f"{what}: unknown grid kind {kind!r}")
@@ -162,7 +165,7 @@ def grid_from_obj(obj: dict, what: str = "grid object") -> Grid:
         raise ValueError(f"{what}: components must be 1 or 3, got {components}")
     cls = GRID_KINDS[kind]
     shape = cls._entry_shape(domain) + ((3,) if components == 3 else ())
-    array = _numbers(values, f"{what}: malformed grid values")   # null fails as NaN below
+    array = _numbers(values, f"{what}: malformed grid values")
     if array.size != math.prod(shape):
         raise ValueError(f"{what}: grid value count {array.size} does not match domain {domain} "
                          f"({math.prod(shape)} expected)")
@@ -172,7 +175,7 @@ def grid_from_obj(obj: dict, what: str = "grid object") -> Grid:
 
 
 def write_grid(grid: Grid, path):
-    write_json(grid_to_obj(grid), path)
+    write_json(grid_to_obj(grid, str(path)), path)
 
 
 def _load_json(path) -> dict:
@@ -196,73 +199,28 @@ def read_grid(path, expected_kind: str | None = None) -> Grid:
     return grid
 
 
-def _pad_coefficient(grid: VertexGrid, full: GridDomain, name: str) -> np.ndarray:
-    """Flat float64 array over ``full``, NaN (written null) where the stencil is missing."""
-    sub = grid.domain
-    require_bounded(grid.values, sub, f"{name} grid")
-    values = np.full((full.n_u, full.n_v), np.nan)
-    i0, j0 = sub.u_min - full.u_min, sub.v_min - full.v_min
-    values[i0:i0 + sub.n_u, j0:j0 + sub.n_v] = grid.values
-    return values.reshape(-1)
-
-
 def write_forms(data: FundamentalData, path):
-    full = data.domain
-    obj = {"F": grid_to_obj(data.areas)}
-    for name, grid in (("A", data.u_coeff), ("B", data.v_coeff)):
-        obj[name] = {
-            "kind": "vertex",
-            "domain": list(full.as_tuple()),
-            "components": 1,
-            "values": _pad_coefficient(grid, full, name),
-        }
-    write_json(obj, path)
-
-
-def _strip_coefficient(obj: dict, full: GridDomain, sub: GridDomain, name: str) -> VertexGrid:
-    """The ``sub`` part of a coefficient padded with nulls to ``full``; ValueError,
-    starting with ``name``, on an entry that is no number, a header other than a
-    1-component vertex grid on ``full``, a null inside ``sub``, a value outside it,
-    or any other value that ``require_bounded`` rejects."""
-    values = obj.get("values") if isinstance(obj, dict) else None
-    if not isinstance(values, list):
-        raise ValueError(f"{name} must be a grid object with a list of values")
-    if len(values) != full.n_u * full.n_v:
-        raise ValueError(f"{name} grid has wrong length for domain {full}")
-    arr = _numbers(values, f"{name} grid values").reshape(full.n_u, full.n_v)   # null -> NaN
-    header = json.dumps([obj.get(key) for key in ("kind", "domain", "components")])
-    if header != json.dumps(["vertex", list(full.as_tuple()), 1]):   # 1.0 and true differ too
-        raise ValueError(f"{name} must be a 1-component vertex grid on F's domain "
-                         f"{list(full.as_tuple())}, got [kind, domain, components] {header}")
-    # A null is read as NaN, so only the NaNs can be nulls; a NaN token is not.
-    nulls = np.zeros(arr.shape, dtype=bool)
-    candidates = np.flatnonzero(np.isnan(arr))
-    nulls.flat[candidates] = [values[k] is None for k in candidates.tolist()]
-    require_bounded(np.where(nulls, 0.0, arr), full, f"{name} grid")
-    inside = np.zeros(arr.shape, dtype=bool)
-    i0, j0 = sub.u_min - full.u_min, sub.v_min - full.v_min
-    inside[i0:i0 + sub.n_u, j0:j0 + sub.n_v] = True
-    if (nulls & inside).any():
-        raise ValueError(f"{name} grid has nulls inside its stencil domain {sub}")
-    if not nulls[~inside].all():
-        raise ValueError(f"{name} grid has values outside its stencil domain {sub}")
-    return VertexGrid(sub, arr[i0:i0 + sub.n_u, j0:j0 + sub.n_v])
+    grids = data.areas, data.u_coeff, data.v_coeff
+    write_json({key: grid_to_obj(grid, f"{path}: {key}") for key, grid in zip("FAB", grids)}, path)
 
 
 def read_forms(path) -> FundamentalData:
+    """The F, A and B of a forms bundle; ValueError naming the file and the grid
+    that is missing, malformed, not 1-component of its kind, or off F's box."""
     obj, what = _load_json(path), f"forms bundle {path}"
+    grids = []
+    for key, kind in zip("FAB", ("face", "vertex", "vertex")):
+        if key not in obj:
+            raise ValueError(f"{what} is missing key {key!r}")
+        grid = grid_from_obj(obj[key], f"{what}: {key}")
+        if grid.kind != kind or grid.components != 1:
+            raise ValueError(f"{what}: {key} must be a 1-component {kind} grid, "
+                             f"got a {grid.components}-component {grid.kind} grid")
+        grids.append(grid)
     try:
-        f_grid = grid_from_obj(obj["F"], f"{what}: F")
-        a_obj = obj["A"]
-        b_obj = obj["B"]
-    except KeyError as exc:
-        raise ValueError(f"{what} is missing key {exc}") from exc
-    if not isinstance(f_grid, FaceGrid):
-        raise ValueError(f"{what}: F must be a face grid")
-    full = f_grid.domain
-    a = _strip_coefficient(a_obj, full, full.shrink(du_lo=1, du_hi=1), f"{what}: A")
-    b = _strip_coefficient(b_obj, full, full.shrink(dv_lo=1, dv_hi=1), f"{what}: B")
-    return FundamentalData(f_grid, a, b)
+        return FundamentalData(*grids)
+    except DomainMismatch as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def write_seed(points, path):

@@ -28,7 +28,7 @@ GOLDEN_PARABOLOID = {
     "surface.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
     "reconstructed.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
     "check_report.json": "b667a8a02cb542da8f849050240d7b7efa06d3f930b9bc186e74a553dd38206f",
-    "forms.json": "63e9c87ccdb97eb540b97485dfcb44b76068992a5ed96a75c6ec7b0e125d2c37",
+    "forms.json": "33931ae688abc62598c87d530c07150078ea37d5baf090467ad9fee996be6970",
     "mesh_res1.obj": "9c4431c22a37c475282c05e900b47d9be183de200ec68bfde709c06f01de0669",
     "mesh_res8.obj": "796b9674b9940cec261f3f291eae84545fdfa8d8bfe6662166a161d52dc87192",
 }
@@ -42,7 +42,7 @@ GOLDEN_ROUNDED = {
         "surface.json": "fcdb072a0f11cfee397ee43902f7447ef6ebfb3975c992aa6632833d99eb7914",
         "reconstructed.json": "5aaf44698fa68642f643fea06371914168d2903df7358d58a11062b5d91366a6",
         "check_report.json": "3e9b6fb14ed9faf795e844f42873b707a91bd2cde031b580fb76da456a857a23",
-        "forms.json": "2b6f870d87018e1b2582f17c9b1b1c75708831e88440e55339ee90ebaaa7f241",
+        "forms.json": "77c6bbc9e5321fb75348ce9f6550b08d807252b9ebc7ab13598931821f1ffe69",
         "mesh_res1.obj": "0b72fce14b0cbfd949fcc83f7cf24ad4b435c7b3aca9bd8bf2ff67a16a134d08",
         "mesh_res8.obj": "3eb0922f7aeb7aca6f7c0132b179367882bbf677fb028713448f63ece2d1f12f",
     },
@@ -51,7 +51,7 @@ GOLDEN_ROUNDED = {
         "surface.json": "bf393794d17baad5ed1db5620a97bf84c4172b71dc76c46b31a076ebbec210e2",
         "reconstructed.json": "3c1c1439ffb256a6226a50514e3af8b651cfa607fd68c5dc60d8240f02fb8f39",
         "check_report.json": "6eb64ae0420faa510c902fdb93948bcc28151144b6632d06282b7505ffd1f3e2",
-        "forms.json": "f3824f1b26a4622613c4a7f7f97e893176e54aca7b1ad8c55e6a0a7c8201fa77",
+        "forms.json": "e6c6f70a380898798c4897c060bbdb48881d092c310f767886cca9fb5db9989a",
         "mesh_res1.obj": "9689f7dd6d0d3bb848b130b72001d25d5f73367516fc3d41952de52d9b132ae7",
         "mesh_res8.obj": "3e26a3bc5cb1779e1d48f297bcddbf35388c88d1309cb74f693473ab77ae372b",
     },
@@ -491,7 +491,30 @@ class TestInputContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("forms", "--surface", surface, "--out", out) == 2
-        assert capsys.readouterr().err.startswith("error: face grid at grid index (0, 0): 2.028")
+        assert capsys.readouterr().err.startswith(
+            f"error: {out}: F: face grid at grid index (0, 0): 2.028")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("entry, code, message", [
+        (0, 2, "error: F at face (1, 1) is 1e-300: its square, the seed determinant, underflows"),
+        (1, 1, "the co-normal misses it by inf at (1, 4)"),
+    ], ids=["first-face", "column-strip"])
+    def test_a_tiny_f_on_a_boundary_strip_is_refused_without_a_warning(
+            self, tmp_path, capsys, entry, code, message):
+        # F^2 of entry 0 underflowed to 0 and passed the seed check; dividing by
+        # either made numpy warn "overflow" and "invalid value" before the gap was nan.
+        _, surface = _surface_files(tmp_path, "cubic", (1, 4, 1, 5))
+        forms, out = tmp_path / "forms.json", tmp_path / "rebuilt.json"
+        assert run("forms", "--surface", surface, "--out", forms) == 0
+        obj = json.loads(forms.read_text())
+        obj["F"]["values"][entry] = 1e-300
+        forms.write_text(json.dumps(obj))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("reconstruct", "--forms", forms, "--out", out) == code
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

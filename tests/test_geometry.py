@@ -12,8 +12,9 @@ from affmin.geometry import (
     planarity_and_saddle,
     recover_conormal,
 )
+from affmin.conormal import minimal_cubic
 from affmin.grids import GridDomain, VertexGrid
-from affmin.lelieuvre import Immersion
+from affmin.lelieuvre import Immersion, integrate
 
 
 def perturbed(surf, vertex, offset):
@@ -138,6 +139,17 @@ class TestAsymptoticCertificate:
         report = asymptotic_certificate(surf)
         assert report.max_zero_residual <= 1e-14
         assert report.max_mixed_residual <= 1e-14
+
+    def test_noise_fails_through_the_zero_residual_alone(self):
+        # q12 = (q11 - q00) - e1 - e2 makes [e1', e2', q12] = M for either u- and
+        # v-edge of a face of any quad net: the mixed residual reads rounding.
+        surf = integrate(minimal_cubic(GridDomain(1, 12, 1, 10)))
+        p = surf.positions.values
+        noise = np.random.default_rng(0).standard_normal(p.shape)
+        report = asymptotic_certificate(surf.positions.with_values(p + 0.05 * noise))
+        assert not report.passed
+        assert report.max_zero_residual > 1e3
+        assert report.max_mixed_residual <= 1e-12
 
     def test_vertex_off_cross_plane_detected(self, paraboloid):
         _, surf = paraboloid

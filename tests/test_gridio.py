@@ -1,6 +1,7 @@
 """Grid, forms-bundle and seed file formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,18 +96,22 @@ def test_malformed_files_rejected(tmp_path):
         with pytest.raises(ValueError, match=f"malformed grid object: {key} must be"):
             grid_from_obj({"kind": "vertex", "domain": domain,
                            "components": components, "values": [0, 0, 0, 0]})
-    # In a forms bundle null is legal in the padding only, bools and strings nowhere.
-    header = {"kind": "vertex", "domain": [0, 2, 0, 2], "components": 1}
+    with pytest.raises(ValueError, match="malformed grid object: empty domain"):
+        grid_from_obj({"kind": "vertex", "domain": [5, 0, 0, 1], "components": 1, "values": []})
+    # In a forms bundle, as in any grid, null, bools and strings are no numbers.
     forms = {"F": {"kind": "face", "domain": [0, 2, 0, 2], "components": 1,
                    "values": [1.0, 1.0, 1.0, 1.0]},
-             "B": {**header, "values": [None, 0.0, None] * 3}}
-    for a_values, entry in (([None] * 3 + [0.0, False, 0.0] + [None] * 3, "entry 4 is false"),
-                            ([None] * 3 + [0.0] * 3 + [None, "0", None], 'entry 7 is "0"')):
+             "B": {"kind": "vertex", "domain": [0, 2, 1, 1], "components": 1,
+                   "values": [0.0, 0.0, 0.0]}}
+    header = {"kind": "vertex", "domain": [1, 1, 0, 2], "components": 1}
+    for a_values, entry in (([0.0, False, 0.0], "entry 1 is false"),
+                            ([0.0, 0.0, "0"], 'entry 2 is "0"'),
+                            ([None, 0.0, 0.0], "entry 0 is null")):
         bad.write_text(json.dumps({**forms, "A": {**header, "values": a_values}}))
-        with pytest.raises(ValueError, match=f"A grid values: {entry}, not a number"):
+        with pytest.raises(ValueError, match=f"bad.json: A: malformed grid values: {entry}, "
+                                             "not a number"):
             read_forms(bad)
-    bad.write_text(json.dumps({**forms, "A": {**header,
-                                              "values": [None] * 3 + [0.0] * 3 + [None] * 3}}))
+    bad.write_text(json.dumps({**forms, "A": {**header, "values": [0.0] * 3}}))
     assert read_forms(bad).u_coeff.values.shape == (1, 3)
     with pytest.raises(OSError):
         read_grid(tmp_path / "missing.json")
@@ -130,22 +135,30 @@ def test_forms_reader_requires_coefficient_objects(cubic, tmp_path, key, bad):
     obj = json.loads(path.read_text())
     obj[key] = bad
     path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError, match=f"{key} must be a grid object with a list of values"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {key}: malformed grid object"):
         read_forms(path)
+
+
+def _tripled(grid_obj):
+    """``grid_obj`` as a 3-component grid: each value three times."""
+    grid_obj.update(components=3, values=[x for x in grid_obj["values"] for _ in range(3)])
 
 
 @pytest.mark.parametrize("damage, message", [
     (lambda obj: obj.pop("B"), "is missing key 'B'"),
     (lambda obj: obj.update(F={**obj["F"], "kind": "vertex", "values": [1.0] * 64}),
-     "F must be a face grid"),
-    (lambda obj: obj["A"]["values"].pop(), "A grid has wrong length for domain"),
-    (lambda obj: obj["A"]["values"].__setitem__(0, 1.0), "A grid has values outside its stencil"),
-    (lambda obj: obj["A"].update(kind="face"), "A must be a 1-component vertex grid on F's"),
-    (lambda obj: obj["A"].update(kind=7), "A must be a 1-component vertex grid on F's"),
-    (lambda obj: obj["B"].update(domain=[0, 99, 0, 99]), "B must be a 1-component vertex grid"),
-    (lambda obj: obj["A"].update(components=3), "A must be a 1-component vertex grid on F's"),
+     "F must be a 1-component face"),
+    (lambda obj: obj["A"]["values"].pop(), "A: grid value count 47"),
+    (lambda obj: obj["A"].update(kind="face", values=obj["A"]["values"][:35]),
+     "A must be a 1-component vertex grid, got a 1-component face grid"),
+    (lambda obj: obj["A"].update(kind=7), "A: unknown grid kind 7"),
+    (lambda obj: obj["B"].update(domain=[0, 99, 0, 99]), "B: grid value count 48 does not match"),
+    (lambda obj: _tripled(obj["A"]),
+     "A must be a 1-component vertex grid, got a 3-component vertex grid"),
+    (lambda obj: _tripled(obj["B"]),
+     "B must be a 1-component vertex grid, got a 3-component vertex grid"),
     (lambda obj: [obj["B"].pop(key) for key in ("kind", "domain", "components")],
-     r"B must be a 1-component vertex grid .* got \[kind, domain, components\] \[null, null, null\]"),
+     "B: malformed grid object: 'kind'"),
 ])
 def test_forms_reader_rejects_a_damaged_bundle(cubic, tmp_path, damage, message):
     _, surf = cubic
@@ -154,8 +167,24 @@ def test_forms_reader_rejects_a_damaged_bundle(cubic, tmp_path, damage, message)
     obj = json.loads(path.read_text())
     damage(obj)
     path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError, match=message):
+    pattern = f"forms bundle {re.escape(str(path))}.* {re.escape(message)}"
+    with pytest.raises(ValueError, match=pattern):
         read_forms(path)
+
+
+def test_forms_reader_rejects_a_coefficient_on_the_whole_box(cubic, tmp_path):
+    # The domain of A in the padded layout, with numbers where nulls were.
+    _, surf = cubic
+    path = tmp_path / "forms.json"
+    write_forms(extract_fundamental_data(surf), path)
+    obj = json.loads(path.read_text())
+    obj["A"].update(domain=obj["F"]["domain"], values=[1.0] * 64)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as err:
+        read_forms(path)
+    assert str(err.value) == (f"forms bundle {path}: u_coeff domain GridDomain(u_min=1, u_max=8, "
+                              "v_min=1, v_max=8) is not GridDomain(u_min=2, u_max=7, v_min=1, "
+                              "v_max=8)")
 
 
 def test_forms_bundle_round_trip(cubic, tmp_path):
@@ -170,19 +199,17 @@ def test_forms_bundle_round_trip(cubic, tmp_path):
     assert back.u_coeff.domain == data.u_coeff.domain
 
 
-def test_forms_bundle_pads_with_nulls(cubic, tmp_path):
+def test_forms_bundle_stores_each_grid_on_its_own_domain(cubic, tmp_path):
     _, surf = cubic
     data = extract_fundamental_data(surf)
     path = tmp_path / "forms.json"
     write_forms(data, path)
     obj = json.loads(path.read_text())
-    dom = data.domain
-    a_values = obj["A"]["values"]
-    assert len(a_values) == dom.n_u * dom.n_v
-    # first and last u-columns have no stencil: all nulls
-    assert all(x is None for x in a_values[:dom.n_v])
-    assert all(x is None for x in a_values[-dom.n_v:])
-    assert obj["A"]["domain"] == list(dom.as_tuple())
+    assert list(obj) == ["F", "A", "B"]
+    for key, grid in (("F", data.areas), ("A", data.u_coeff), ("B", data.v_coeff)):
+        assert obj[key] == {"kind": grid.kind, "domain": list(grid.domain.as_tuple()),
+                            "components": 1, "values": grid.values.reshape(-1).tolist()}
+    assert obj["A"]["domain"] == [2, 7, 1, 8] and obj["B"]["domain"] == [1, 8, 2, 7]
 
 
 def test_forms_bundle_null_inside_stencil_rejected(cubic, tmp_path):
@@ -191,9 +218,10 @@ def test_forms_bundle_null_inside_stencil_rejected(cubic, tmp_path):
     path = tmp_path / "forms.json"
     write_forms(data, path)
     obj = json.loads(path.read_text())
-    obj["A"]["values"][data.domain.n_v + 2] = None   # interior entry
+    obj["A"]["values"][data.domain.n_v + 2] = None   # A holds its stencil's entries only
     path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: A: malformed grid values: "
+                                         "entry 10 is null, not a number"):
         read_forms(path)
 
 
@@ -301,8 +329,8 @@ class TestNonFinite:
         grid = surf.positions.with_values(values)
         with pytest.raises(ValueError) as err:
             write_grid(grid, tmp_path / "g.json")
-        assert str(err.value) == ("vertex grid at grid index (3, 5), component 2: inf is not "
-                                  "finite or over 1.41e+102 in size")
+        assert str(err.value) == (f"{tmp_path / 'g.json'}: vertex grid at grid index (3, 5), "
+                                  "component 2: inf is not finite or over 1.41e+102 in size")
         assert not (tmp_path / "g.json").exists()
 
     def test_forms_writer_rejects_nan_coefficient(self, cubic, tmp_path):
@@ -313,8 +341,10 @@ class TestNonFinite:
         broken = FundamentalData(data.areas, data.u_coeff, data.v_coeff.with_values(b))
         sub = data.v_coeff.domain
         where = (sub.u_min + 2, sub.v_min + 3)
-        with pytest.raises(ValueError, match=rf"B grid .* index \({where[0]}, {where[1]}\)"):
-            write_forms(broken, tmp_path / "forms.json")
+        path = tmp_path / "forms.json"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: B: vertex grid at grid "
+                                             rf"index \({where[0]}, {where[1]}\)"):
+            write_forms(broken, path)
 
     def test_grid_and_forms_writers_reject_before_opening(self, cubic, tmp_path):
         # A file the writer opened would be truncated, or removed on failure.
@@ -365,11 +395,16 @@ class TestNonFinite:
                                       f"{value} is not finite or over 1.41e+102 in size")
 
     def test_forms_reader_rejects_nan_token_outside_stencil(self, cubic, tmp_path):
+        # The padded layout of A, NaN tokens where its stencil does not reach.
         _, surf = cubic
+        data = extract_fundamental_data(surf)
         path = tmp_path / "forms.json"
-        write_forms(extract_fundamental_data(surf), path)
+        write_forms(data, path)
         obj = json.loads(path.read_text())
-        obj["A"]["values"][0] = float("nan")   # a padding slot, null before
+        padded = np.full((data.domain.n_u, data.domain.n_v), np.nan)
+        padded[1:-1] = data.u_coeff.values
+        obj["A"].update(domain=obj["F"]["domain"], values=padded.reshape(-1).tolist())
         path.write_text(json.dumps(obj))
-        with pytest.raises(ValueError, match=r"A grid at grid index \(1, 1\): nan is not finite"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: A: vertex grid at "
+                                             r"grid index \(1, 1\): nan is not finite"):
             read_forms(path)

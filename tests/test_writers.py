@@ -18,8 +18,7 @@ from hypothesis.extra import numpy as hnp
 import affmin as am
 from affmin import gridio, mesh as mesh_module, spelling
 from affmin.compatibility import extract_fundamental_data
-from affmin.gridio import (_format_number, _pad_coefficient, dumps_json, grid_to_obj, write_forms,
-                           write_grid)
+from affmin.gridio import _format_number, dumps_json, grid_to_obj, write_forms, write_grid
 from affmin.mesh import _write_obj, export_surface_obj, patch_point
 
 
@@ -247,7 +246,7 @@ def test_dumps_json_matches_reference(helicoid):
         "nulls": [None, 0.1, None],
         "rows": [SPECIAL, SPECIAL[:2], []],
         "empty": [],
-        "grid": grid_to_obj(surf.positions),
+        "grid": grid_to_obj(surf.positions, "positions"),
     }
     assert dumps_json(obj) == reference_dumps_json(obj)
     for value in obj.values():
@@ -325,17 +324,9 @@ def test_json_floats_match_format_number(values, padded):
 def test_forms_file_matches_reference(helicoid, tmp_path):
     _, surf = helicoid
     data = extract_fundamental_data(surf)
-    full = data.domain
-    obj = {"F": grid_to_obj(data.areas)}
-    for key, grid in (("A", data.u_coeff), ("B", data.v_coeff)):
-        padded = _pad_coefficient(grid, full, key)
-        obj[key] = {
-            "kind": "vertex",
-            "domain": list(full.as_tuple()),
-            "components": 1,
-            "values": [None if np.isnan(x) else x for x in padded.tolist()],
-        }
-    assert None in obj["A"]["values"] and None in obj["B"]["values"]
+    obj = {key: {"kind": grid.kind, "domain": list(grid.domain.as_tuple()), "components": 1,
+                 "values": grid.values.reshape(-1).tolist()}
+           for key, grid in (("F", data.areas), ("A", data.u_coeff), ("B", data.v_coeff))}
     path = tmp_path / "forms.json"
     write_forms(data, path)
     assert path.read_text() == reference_dumps_json(obj) + "\n"
@@ -359,8 +350,8 @@ def test_grid_file_streams_one_pass_at_a_time(tmp_path):
     assert values.size > 2 * spelling._PASS
     path = tmp_path / "grid.json"
     write_grid(grid, path)
-    assert path.read_text() == reference_dumps_json(grid_to_obj(grid)) + "\n"
-    chunks = list(gridio._json_chunks(grid_to_obj(grid)))
+    assert path.read_text() == reference_dumps_json(grid_to_obj(grid, "grid")) + "\n"
+    chunks = list(gridio._json_chunks(grid_to_obj(grid, "grid")))
     assert b"".join(chunks) + b"\n" == path.read_bytes()
     assert path.stat().st_size > 3 * 32 * spelling._PASS // 2
     assert max(map(len, chunks)) <= 32 * spelling._PASS   # 32 bytes a record at most
