@@ -366,8 +366,15 @@ def det3(a, b, c):
 
 
 def norm3(x):
-    """Euclidean length of 3-vectors along the last axis, summed as numpy's norm does."""
-    return np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
+    """Euclidean length of 3-vectors along the last axis: ``np.linalg.norm``'s
+    reduce without its ``conj`` copy.
+
+    Which NaN a sum of NaNs of both signs keeps depends on the loop numpy
+    runs for the array's shape and layout, so a component-wise sum cannot
+    give numpy's bits; the same reduce on the same array does.
+    """
+    x = np.asarray(x)
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def absmax(x):
