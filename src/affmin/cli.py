@@ -26,9 +26,7 @@ from .compatibility import (
     TOL_COMPAT,
     TOL_EQUIV,
     TOL_SEED,
-    FundamentalData,
     affine_equivalence,
-    canonical_seed,
     compatibility_residuals,
     extract_fundamental_data,
     reconstruct,
@@ -318,8 +316,7 @@ def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
     derivs, closed = a2_b1_closed_form(surface, normals, vols.areas, form)
     normal_derivs = normal_derivative_residuals(surface, normals, vols.areas,
                                                 derivs, tols["forms"])
-    data = FundamentalData(vols.areas, form.u_coeff, form.v_coeff)
-    write_forms(data, path("forms.json"))
+    write_forms(form, path("forms.json"))
     forms_report = {
         "max_face_choice_spread": max(form.max_spread_u, form.max_spread_v),
         "structural_max_residual": structural.max_residual,
@@ -331,14 +328,13 @@ def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
         ),
     }
 
-    residuals = compatibility_residuals(data)
+    residuals = compatibility_residuals(form)
     p = surface.positions.values
     own_seed = np.stack([p[0, 0], p[1, 0], p[0, 1], p[1, 1]])
-    roundtrip = reconstruct(data, own_seed, tols["seed"], tols["compat"])
+    roundtrip = reconstruct(form, own_seed, tols["seed"], tols["compat"])
     scale = max(float(np.abs(p - p[0, 0]).max()), TINY)
     roundtrip_gap = float(np.abs(roundtrip.positions.values - p).max()) / scale
-    canonical = reconstruct(data, canonical_seed(float(data.areas.values[0, 0])),
-                            tols["seed"], tols["compat"])
+    canonical = reconstruct(form, None, tols["seed"], tols["compat"])
     write_grid(canonical.positions, path("reconstructed.json"))
     mapping = affine_equivalence(canonical, surface, tols["equiv"])
     compat_report = {

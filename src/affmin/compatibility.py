@@ -14,18 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateQuadrangle,
-    IncompatibleData,
-    NonConvexFace,
-    NotEquivalent,
-    SeedDeterminantMismatch,
-)
-from .forms import TOL_FORMS, cubic_coefficients
+from .errors import DegenerateQuadrangle, IncompatibleData, NotEquivalent, SeedDeterminantMismatch
+from .forms import TOL_FORMS, CubicForm, FundamentalData, cubic_coefficients
 from .geometry import affine_normal, face_volumes
-from .grids import (TINY, VALUE_BOUND, BandMax, FaceGrid, GridDomain, VertexGrid, absmax,
-                    as_positions, cross3, det3, div3, empty3, relative_residual, require_bounded,
-                    require_domain, row_bands, worst_index)
+from .grids import (TINY, VALUE_BOUND, BandMax, GridDomain, VertexGrid, absmax, as_positions,
+                    cross3, det3, div3, empty3, relative_residual, require_bounded, require_domain,
+                    row_bands, worst_index)
 from .lelieuvre import Immersion, integrate
 
 __all__ = [
@@ -50,36 +44,9 @@ TOL_EQUIV = 1e-6   # max |L qa + t - qb| / max |qb - qb(u_min, v_min)|, and the 
 TOL_SEED = 1e-9    # |det(q10 - q00, q01 - q00, q11 - q00) - F^2| / F^2 of the seed
 
 
-@dataclass(frozen=True)
-class FundamentalData:
-    """Face area density plus cubic coefficients on their natural stencils.
-
-    ``areas`` lives on the faces of the vertex box; ``u_coeff`` (A) on its
-    u-interior vertices and ``v_coeff`` (B) on its v-interior vertices.
-    """
-
-    areas: FaceGrid
-    u_coeff: VertexGrid
-    v_coeff: VertexGrid
-
-    def __post_init__(self):
-        dom = self.areas.domain
-        require_domain(dom.shrink(du_lo=1, du_hi=1), u_coeff=self.u_coeff)
-        require_domain(dom.shrink(dv_lo=1, dv_hi=1), v_coeff=self.v_coeff)
-        lowest = self.areas.values.min()
-        if not lowest > 0.0:
-            raise NonConvexFace(worst_index(-self.areas.values, dom), float(lowest))
-
-    @property
-    def domain(self) -> GridDomain:
-        return self.areas.domain
-
-
-def extract_fundamental_data(surface, tol: float = TOL_FORMS) -> FundamentalData:
-    """Read (F, A, B) off an immersion; ``tol`` bounds the face-choice spread."""
-    vols = face_volumes(surface)
-    form = cubic_coefficients(surface, affine_normal(surface, vols.areas), tol)
-    return FundamentalData(vols.areas, form.u_coeff, form.v_coeff)
+def extract_fundamental_data(surface, tol: float = TOL_FORMS) -> CubicForm:
+    """Read (F, A, B) off an immersion: its cubic form (``tol`` bounds the spread)."""
+    return cubic_coefficients(surface, affine_normal(surface, face_volumes(surface).areas), tol)
 
 
 class CompatibilityResiduals(NamedTuple):
@@ -189,11 +156,20 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
                           lambda i, r: (u + i, v + r))
     nu_col = -_march_strip(corners.T, f[0], b[:2].T,   # e1 x e2 = -(along x across)
                            lambda i, r: (u + r, v + i))
-    vectors = VertexGrid(dom, np.add(nu_row[:, None], (nu_col - nu_col[0])[None],
+    col = nu_col - nu_col[0]
+    # Component k of nu is at most m_k in size, so a triple product of nu is finite
+    # when every product of two or three m_k is within VALUE_BOUND^3 = max float / 64.
+    m0, m1, m2 = (np.abs(nu_row).max(axis=0) + np.abs(col).max(axis=0)).tolist()
+    if not max(m0 * m1, m0 * m2, m1 * m2, m0 * m1 * m2) <= VALUE_BOUND ** 3:
+        big = absmax(nu_row), absmax(col)
+        i, j = int(np.argmax(big[0])), int(np.argmax(big[1]))
+        raise IncompatibleData((u + i, v) if big[0][i] >= big[1][j] else (u, v + j), float("inf"))
+    vectors = VertexGrid(dom, np.add(nu_row[:, None], col[None],
                                      out=empty3((dom.n_u, dom.n_v, 3))))
 
     # By Lelieuvre, F = [nu, nu(v+1), nu(u+1)], A = [nu(u-1), nu, nu(u+1)]
-    # and B = [nu(v+1), nu, nu(v-1)].
+    # and B = [nu(v+1), nu, nu(v-1)].  The gaps are divided by max F as Python
+    # floats, which give inf rather than a warning.
     scale = float(f.max())
     areas = np.empty_like(f)
     gaps = (BandMax(dom), BandMax(dom, 1, 0), BandMax(dom, 0, 1))
@@ -202,14 +178,14 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
         triples = (det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]), det3(nu[:-2], nu[1:-1], nu[2:]),
                    det3(nu[:, 2:], nu[:, 1:-1], nu[:, :-2]))
         for gap, triple, given in zip(gaps, triples, data_rows):
-            gap.add(np.abs(triple - given)[own] / scale, lo)
+            gap.add(np.abs(triple - given)[own], lo)
         areas_out[own] = triples[0][own]
     worst = gaps[int(np.argmax([gap.value for gap in gaps]))]   # a NaN counts as worst
-    if not worst.value <= tol_compat:
-        raise IncompatibleData(worst.index, worst.value)
+    if not worst.value / scale <= tol_compat:
+        raise IncompatibleData(worst.index, worst.value / scale)
     i, j = np.unravel_index(np.argmin(areas), areas.shape)
     if not areas[i, j] > 0.0:
-        raise IncompatibleData(worst_index(-areas, dom), float((f[i, j] - areas[i, j]) / scale))
+        raise IncompatibleData(worst_index(-areas, dom), float(f[i, j] - areas[i, j]) / scale)
     return integrate(vectors, base_value=seed[0])
 
 
@@ -224,7 +200,8 @@ def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray, at) -> np.nd
     step, so the same bits (``FundamentalData`` keeps every F > 0).  The
     co-normal is (along x across) / F; the last vertex reuses the edge along
     and the face before it.  Vertex i of line r beyond ``VALUE_BOUND`` or NaN (after
-    a tiny F) raises IncompatibleData at ``at(i, r)`` before numpy reads the strip.
+    a tiny F), or the co-normal of vertex i of line 0 over ``VALUE_BOUND``^3,
+    raises IncompatibleData at ``at(i, r)`` with gap inf before numpy computes it.
     """
     lines = corners.reshape(6, 2).tolist()   # lines[2 k + r]: component k of line r
     fl, cl = f.tolist(), c.tolist()
@@ -241,7 +218,11 @@ def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray, at) -> np.nd
         raise IncompatibleData(at(*outside[0].tolist()), float("inf"))
     last = np.minimum(np.arange(s.shape[2]), s.shape[2] - 2)
     along = (s[:, 0, 1:] - s[:, 0, :-1])[:, last]
-    return div3(cross3(along.T, (s[:, 1] - s[:, 0]).T), f[last])
+    cross = cross3(along.T, (s[:, 1] - s[:, 0]).T)   # at most 8 VALUE_BOUND^2
+    outside = np.argwhere(~(absmax(cross) / VALUE_BOUND ** 3 <= f[last]))
+    if outside.size:
+        raise IncompatibleData(at(int(outside[0, 0]), 0), float("inf"))
+    return div3(cross, f[last])
 
 
 @dataclass(frozen=True)

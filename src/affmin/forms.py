@@ -13,21 +13,24 @@ four adjacent faces supplies xi must not matter; the construction asserts
 this and reports the average.  The second differences of the positions then
 expand in the edge basis with coefficients built from F, A and B, and the
 affine normal differentiates against A_2 = d2(A), B_1 = d1(B); both facts
-are checked here as residual reports.
+are checked here as residual reports.  F, A and B are the fundamental data,
+which fix the surface up to an affine map: a ``CubicForm`` is that record
+plus the face-choice spreads.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllDefinedForm
+from .errors import IllDefinedForm, NonConvexFace
 from .geometry import face_volumes
-from .grids import (TINY, BandMax, FaceGrid, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
+from .grids import (TINY, BandMax, FaceGrid, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
                     as_positions, cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean, mul3,
-                    relative_residual, require_domain, row_bands)
+                    relative_residual, require_domain, row_bands, worst_index)
 
 __all__ = [
     "TOL_FORMS",
+    "FundamentalData",
     "CubicForm",
     "FormDerivatives",
     "cubic_coefficients",
@@ -44,12 +47,32 @@ TOL_FORMS = 1e-8
 
 
 @dataclass(frozen=True)
-class CubicForm:
-    """Cubic form coefficients: u_coeff (A) on u-interior vertices, v_coeff (B)
-    on v-interior vertices, each with the worst relative face-choice spread."""
+class FundamentalData:
+    """Face area density ``areas`` (F) on the faces of the vertex box, and the cubic
+    coefficients ``u_coeff`` (A) and ``v_coeff`` (B) on its u- and v-interior vertices."""
 
+    areas: FaceGrid
     u_coeff: VertexGrid
     v_coeff: VertexGrid
+
+    def __post_init__(self):
+        dom = self.areas.domain
+        require_domain(dom.shrink(du_lo=1, du_hi=1), u_coeff=self.u_coeff)
+        require_domain(dom.shrink(dv_lo=1, dv_hi=1), v_coeff=self.v_coeff)
+        lowest = self.areas.values.min()
+        if not lowest > 0.0:
+            raise NonConvexFace(worst_index(-self.areas.values, dom), float(lowest))
+
+    @property
+    def domain(self) -> GridDomain:
+        return self.areas.domain
+
+
+@dataclass(frozen=True)
+class CubicForm(FundamentalData):
+    """The fundamental data of a net plus the worst relative face-choice spread
+    of A (``max_spread_u``) and of B (``max_spread_v``)."""
+
     max_spread_u: float
     max_spread_v: float
 
@@ -83,16 +106,12 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
 
     Raises IllDefinedForm, naming the vertex of the largest spread (a NaN
     first), unless ``max_spread_u`` and ``max_spread_v`` are at most ``tol``.
-    Stored on the position grid, whatever ``tol``, when ``normals`` is the
-    affine normal that ``affine_normal`` stored there; others are used once.
+    Stored on the position grid with ``normals``, whatever ``tol``.
     """
     q = as_positions(surface)
     require_domain(q.domain, normals=normals)
-    own = q.memo("affine_normal")
-    if own is not None and normals is own:
-        form, worst = q.memo("cubic_coefficients", lambda: _cubic_coefficients(q, normals))
-    else:
-        form, worst = _cubic_coefficients(q, normals)
+    form, worst = q.memo("cubic_coefficients", (normals,),
+                         lambda: _cubic_coefficients(q, normals))
     for spread, vertex in zip((form.max_spread_u, form.max_spread_v), worst):
         if not spread <= tol:
             raise IllDefinedForm(vertex, spread)
@@ -101,10 +120,11 @@ def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> Cu
 
 def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
     dom = q.domain.require_interior("the cubic form")
-    areas = face_volumes(q).areas.values
+    areas = face_volumes(q).areas
     a, b = np.empty((dom.n_u - 2, dom.n_v)), np.empty((dom.n_u, dom.n_v - 2))
     spreads = (BandMax(dom, 1, 0), BandMax(dom, 0, 1))
-    for lo, band, (xi, f, a_out, b_out), own in row_bands(q, 1, 2, normals.values, areas, a, b):
+    for lo, band, (xi, f, a_out, b_out), own in row_bands(q, 1, 2, normals.values, areas.values,
+                                                          a, b):
         e1, e2 = d1(band).values, d2(band).values
         cross_u = cross3(e1[:-1, :], e1[1:, :])            # u-interior vertices
         _average((
@@ -123,6 +143,7 @@ def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
         ), cross_v.shape[:2], b_out, own, spreads[1], lo)
 
     return CubicForm(
+        areas=areas,
         u_coeff=VertexGrid(dom.shrink(du_lo=1, du_hi=1), a),
         v_coeff=VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), b),
         max_spread_u=spreads[0].value,
@@ -148,9 +169,7 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
     Every term, F1 = d1(F) and F2 = d2(F) included, is formed on row bands.
     """
     q = as_positions(surface)
-    require_domain(q.domain, areas=areas)
-    require_domain(q.domain.shrink(du_lo=1, du_hi=1), u_coeff=form.u_coeff)
-    require_domain(q.domain.shrink(dv_lo=1, dv_hi=1), v_coeff=form.v_coeff)
+    require_domain(q.domain, areas=areas, form=form)
 
     # The per-stencil scale is floored by F times the participating edge
     # lengths so identities whose every term vanishes (straight rulings,
@@ -222,9 +241,7 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
     are kept.
     """
     q = as_positions(surface)
-    require_domain(q.domain, normals=normals, areas=areas)
-    require_domain(q.domain.shrink(du_lo=1, du_hi=1), u_coeff=form.u_coeff)
-    require_domain(q.domain.shrink(dv_lo=1, dv_hi=1), v_coeff=form.v_coeff)
+    require_domain(q.domain, normals=normals, areas=areas, form=form)
     a, b = form.u_coeff.values, form.v_coeff.values
     a2_closed = np.empty((a.shape[0], a.shape[1] - 1))
     b1_closed = np.empty((b.shape[0] - 1, b.shape[1]))

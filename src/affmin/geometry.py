@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveVolume
-from .grids import (TINY, BandMax, FaceGrid, VertexGrid, absmax, as_positions, cross3, d1, d2,
-                    d11, d12, d22, det3, div3, dot3, empty3, face_choice_mean, mul3, norm3,
-                    require_domain, row_bands, worst_index)
+from .grids import (TINY, BandMax, FaceGrid, VertexGrid, absmax, as_conormal, as_positions,
+                    cross3, d1, d2, d11, d12, d22, det3, div3, dot3, empty3, face_choice_mean,
+                    mul3, norm3, require_domain, row_bands, worst_index)
 
 __all__ = [
     "TOL_DUAL",
@@ -55,7 +55,7 @@ def face_volumes(surface) -> FaceVolumes:
     (``Grid.memo``); a failing call stores nothing and fails again.
     """
     q = as_positions(surface)
-    return q.memo("face_volumes", lambda: _face_volumes(q))
+    return q.memo("face_volumes", (), lambda: _face_volumes(q))
 
 
 def _face_volumes(q: VertexGrid) -> FaceVolumes:
@@ -73,12 +73,10 @@ def _face_volumes(q: VertexGrid) -> FaceVolumes:
 def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
     """Affine normal per face: the mixed difference of q divided by F.
 
-    Stored on the position grid when ``areas`` is the area density that
-    ``face_volumes`` stored there; other areas are used once.
+    Stored on the position grid with ``areas`` (``Grid.memo``).
     """
     q = as_positions(surface)
     require_domain(q.domain, areas=areas)
-    own = q.memo("face_volumes")   # a look-up only: computing it may raise
 
     def compute():
         xi = empty3(areas.values.shape + (3,))
@@ -86,9 +84,7 @@ def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
             div3(d12(band).values, f, out=xi_out)
         return FaceGrid(q.domain, xi)
 
-    if own is not None and areas is own.areas:
-        return q.memo("affine_normal", compute)
-    return compute()
+    return q.memo("affine_normal", (areas,), compute)
 
 
 @dataclass(frozen=True)
@@ -198,15 +194,14 @@ class PlanarSaddleReport:
     saddle_failures: list
 
 
-def planarity_and_saddle(surface, vectors: VertexGrid,
-                         tol: float = TOL_DUAL) -> PlanarSaddleReport:
+def planarity_and_saddle(surface, vectors, tol: float = TOL_DUAL) -> PlanarSaddleReport:
     """Check the cross of edges at each interior vertex against its co-normal.
 
     (a) the four incident edge vectors are orthogonal to nu (normalized by
     edge and co-normal lengths); (b) the four diagonal increments dotted
     with nu alternate in sign cyclically (saddle condition).
     """
-    q = as_positions(surface)
+    q, vectors = as_positions(surface), as_conormal(vectors)
     require_domain(q.domain, vectors=vectors)
     dom = q.domain
     if dom.n_u < 3 or dom.n_v < 3:
@@ -261,8 +256,9 @@ class DualityReport:
     passed: bool
 
 
-def duality_certificate(vectors: VertexGrid, normals: FaceGrid, areas: FaceGrid,
+def duality_certificate(vectors, normals: FaceGrid, areas: FaceGrid,
                         tol: float = TOL_DUAL) -> DualityReport:
+    vectors = as_conormal(vectors)
     require_domain(vectors.domain, normals=normals, areas=areas)
     dom = vectors.domain
     worst_pairing, worst_cross = BandMax(dom), BandMax(dom)

@@ -23,12 +23,13 @@ products with and quotients by scalar arrays, the
 worst-entry lookup that names a grid index, the face-choice average, the
 relative residual of a stencil identity, and the ``TINY`` denominator floor.
 So does the input contract: ``require_bounded`` holds every value a file or
-a validator hands in within ``VALUE_BOUND``, and ``require_domain`` every
-grid a function takes to the domain it needs.  So do the row bands that
-every whole-grid certificate is evaluated on, and the worst-entry reducer
-that joins their results.  Every array is aligned at
-row 0, so a band of vertex rows ``start:stop`` reads rows ``start:stop - k``
-of an array k rows shorter; ``row_bands`` cuts them, and no caller does.
+a validator hands in within ``VALUE_BOUND``, ``require_domain`` every grid a
+function takes to the domain it needs, and ``as_positions``/``as_conormal``
+a surface or co-normal argument to a 3-vector vertex grid.  So do the row
+bands that every whole-grid certificate is evaluated on, and the worst-entry
+reducer that joins their results.  Every array is aligned at row 0, so a band
+of vertex rows ``start:stop`` reads rows ``start:stop - k`` of an array k
+rows shorter; ``row_bands`` cuts them, and no caller does.
 """
 
 from dataclasses import dataclass
@@ -59,6 +60,7 @@ __all__ = [
     "mul3",
     "div3",
     "as_positions",
+    "as_conormal",
     "VALUE_BOUND",
     "require_bounded",
     "require_domain",
@@ -200,17 +202,15 @@ class Grid:
         """Same-kind grid on the same domain with new values."""
         return type(self)(self.domain, values)
 
-    def memo(self, key, compute=None):
-        """What ``compute()`` returns, computed once per grid and ``key``.
-
-        Values are frozen, so a quantity derived from this grid alone is
-        stored on it.  A ``compute`` that raises stores nothing.  Without
-        ``compute``, return what is stored under ``key``, or None.
-        """
+    def memo(self, key, inputs: tuple, compute):
+        """``compute()``, stored under ``key`` with the ``inputs`` it was computed
+        from besides this grid, whose values are frozen.  A call with the stored
+        inputs (``is``) gets the stored value; other inputs compute again and
+        replace it.  A ``compute`` that raises stores nothing."""
         store = self.__dict__.setdefault("_memo", {})
-        if compute is not None and key not in store:
-            store[key] = compute()
-        return store.get(key)
+        if key not in store or any(a is not b for a, b in zip(store[key][0], inputs)):
+            store[key] = (inputs, compute())
+        return store[key][1]
 
     def _index(self, u: int, v: int):
         nu, nv = self._entry_shape(self.domain)
@@ -417,6 +417,14 @@ def as_positions(surface) -> VertexGrid:
     grid = getattr(surface, "positions", surface)
     if not isinstance(grid, VertexGrid) or grid.components != 3:
         raise TypeError("expected an Immersion or a 3-vector VertexGrid")
+    return grid
+
+
+def as_conormal(field) -> VertexGrid:
+    """Accept a ConormalField or a bare co-normal VertexGrid."""
+    grid = getattr(field, "vectors", field)
+    if not isinstance(grid, VertexGrid) or grid.components != 3:
+        raise TypeError("expected a ConormalField or a 3-vector co-normal VertexGrid")
     return grid
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conormal import ConormalField
-from .grids import (TINY, BandMax, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax, cross3,
-                    d1, d2, empty3, require_domain, row_bands)
+from .grids import (TINY, BandMax, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
+                    as_conormal, as_positions, cross3, d1, d2, empty3, require_domain, row_bands)
 
 __all__ = [
     "TOL_INTEGRATE",
@@ -75,7 +74,7 @@ def integrate(field, base_vertex=None, base_value=(0.0, 0.0, 0.0)) -> Immersion:
     The sums run in u through the base vertex, then in v from there;
     harmonicity makes every other path agree up to rounding.
     """
-    vectors = getattr(field, "vectors", field)
+    vectors = as_conormal(field)
     dom = vectors.domain
     if base_vertex is None:
         base_vertex = (dom.u_min, dom.v_min)
@@ -103,7 +102,7 @@ def path_independence_residual(field) -> float:
 
         (nu(u+1,v) + nu(u,v+1)) x (nu(u+1,v+1) + nu(u,v)).
     """
-    vectors = getattr(field, "vectors", field)
+    vectors = as_conormal(field)
     worst = []
     for _, band, _, _ in row_bands(vectors, after=1):
         nu = band.values
@@ -124,13 +123,13 @@ class LelieuvreReport:
     passed: bool
 
 
-def verify_lelieuvre(immersion: Immersion, field: ConormalField,
-                     tol: float = TOL_INTEGRATE) -> LelieuvreReport:
+def verify_lelieuvre(immersion, field, tol: float = TOL_INTEGRATE) -> LelieuvreReport:
     """Check both edge equations; residuals are relative to the longest edge."""
-    require_domain(immersion.domain, field=field)
-    res = (BandMax(immersion.domain), BandMax(immersion.domain))
+    q, vectors = as_positions(immersion), as_conormal(field)
+    require_domain(q.domain, field=vectors)
+    res = (BandMax(q.domain), BandMax(q.domain))
     scale = []
-    for lo, band, (nu,), _ in row_bands(immersion.positions, 0, 1, field.vectors.values):
+    for lo, band, (nu,), _ in row_bands(q, 0, 1, vectors.values):
         q1, q2 = (edges.values for edges in lelieuvre_edges(VertexGrid(band.domain, nu)))
         res[0].add(absmax(d1(band).values - q1), lo)
         res[1].add(absmax(d2(band).values - q2), lo)

@@ -48,8 +48,7 @@ def assert_certificates_pass(surf, field):
     assert am.structural_residuals(surf, vols.areas, form).passed
     derivs, _ = am.a2_b1_closed_form(surf, xi, vols.areas, form)
     assert am.normal_derivative_residuals(surf, xi, vols.areas, derivs).passed
-    data = am.FundamentalData(vols.areas, form.u_coeff, form.v_coeff)
-    assert am.compatibility_residuals(data).max <= TOL_COMPAT
+    assert am.compatibility_residuals(form).max <= TOL_COMPAT
     assert am.criticality_certificate(surf).passed
 
 

@@ -15,6 +15,8 @@
   sums over the component axis with ``np.einsum("...k...")``: 3-vector
   arrays come from ``grids.empty3`` and the grid kernels, so they are stored
   as component planes and summed in one order.
+* Each ``Grid.memo`` key has one call, in the function that derives its
+  quantity: no function reads another function's stored result.
 """
 
 import ast
@@ -92,6 +94,13 @@ def test_package_imports_only_public_names():
             if public is not None:
                 strays += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
     assert not strays, f"affmin/__init__.py imports names outside __all__: {strays}"
+
+
+def test_each_memo_key_has_one_call():
+    keys = [node.args[0].value for path in MODULES for node in ast.walk(parse(path))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "memo"]
+    assert sorted(keys) == ["affine_normal", "cubic_coefficients", "face_volumes"]
 
 
 def new_axis_operands(tree: ast.AST, exempt=()) -> list:

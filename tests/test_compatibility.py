@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import affmin as am
+from affmin.cli import main
 from affmin.compatibility import (
     AffineMap,
     FundamentalData,
@@ -25,6 +26,7 @@ from affmin.errors import (
     NotEquivalent,
     SeedDeterminantMismatch,
 )
+from affmin.gridio import write_forms
 from affmin.grids import FaceGrid, GridDomain, VertexGrid, det3
 from affmin.lelieuvre import Immersion, integrate
 
@@ -37,6 +39,24 @@ def constant_data(domain, f=1.0, a=0.0, b=0.0):
         VertexGrid(domain.shrink(dv_lo=1, dv_hi=1),
                    np.full((domain.n_u, domain.n_v - 2), b)),
     )
+
+
+# F grids of a fuzz (F flat index -> value on the cubic over ``box``) whose marched
+# co-normal overflowed in the division by F or in its triple products, and the
+# vertex that IncompatibleData names.
+OVERFLOWING_F = [
+    ((1, 4, 1, 5), {1: 9.581091087143166e-06, 3: 7.176527399306689e-252}, (1, 4)),
+    ((1, 9, 1, 7), {3: 7.072955434918124e-65, 5: 7.73061254983575e-256}, (1, 6)),
+    ((1, 9, 1, 7), {6: 3.54473000466302e+90}, (9, 1)),
+]
+
+
+def overflowing_data(box, entries):
+    data = extract_fundamental_data(integrate(am.minimal_cubic(GridDomain(*box))))
+    f = np.array(data.areas.values)
+    for k, value in entries.items():
+        f.flat[k] = value
+    return FundamentalData(data.areas.with_values(f), data.u_coeff, data.v_coeff)
 
 
 def own_seed(surf):
@@ -385,6 +405,35 @@ class TestNanGates:
         )
         with np.errstate(all="ignore"), pytest.raises(IncompatibleData):
             reconstruct(shifted)
+
+    @pytest.mark.parametrize("box, entries, vertex", OVERFLOWING_F)
+    def test_reconstruct_names_the_vertex_of_an_overflowing_conormal(self, box, entries,
+                                                                    vertex):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IncompatibleData) as err:
+                reconstruct(overflowing_data(box, entries))
+        assert err.value.face == vertex and err.value.gap == np.inf
+
+    def test_a_net_scaled_to_a_tiny_f_still_reconstructs(self, paraboloid):
+        # F = 1e-105: the canonical seed's co-normal reaches 1e105 along one
+        # axis, yet every product in its triple products stays finite.
+        _, surf = paraboloid
+        scaled = Immersion(VertexGrid(surf.domain, surf.positions.values * 1e-70))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rebuilt = reconstruct(extract_fundamental_data(scaled))
+        assert np.isfinite(rebuilt.positions.values).all()
+
+    @pytest.mark.parametrize("box, entries, vertex", OVERFLOWING_F)
+    def test_cli_rejects_an_overflowing_conormal(self, tmp_path, capsys, box, entries, vertex):
+        forms, out = tmp_path / "forms.json", tmp_path / "rebuilt.json"
+        write_forms(overflowing_data(box, entries), forms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reconstruct", "--forms", str(forms), "--out", str(out)]) == 1
+        assert f"misses it by inf at {vertex}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_seed_rejected_before_marching(self, paraboloid):
         _, surf = paraboloid

@@ -1,5 +1,7 @@
 """Cubic form coefficients and the structural identities of the net."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,10 +67,23 @@ class TestCubicCoefficients:
 
     def test_domains(self, cubic):
         _, surf = cubic
-        _, _, form = setup_chain(surf)
+        vols, _, form = setup_chain(surf)
         dom = surf.domain
         assert form.u_coeff.domain == dom.shrink(du_lo=1, du_hi=1)
         assert form.v_coeff.domain == dom.shrink(dv_lo=1, dv_hi=1)
+        # The cubic form is the fundamental data of the net plus its spreads.
+        assert isinstance(form, am.FundamentalData) and form.domain == dom
+        assert form.areas is vols.areas
+
+    def test_form_of_another_box_is_rejected(self, cubic):
+        _, surf = cubic
+        _, _, form = setup_chain(surf)
+        other = am.integrate(am.minimal_cubic(am.GridDomain(1, 9, 1, 8)))
+        with pytest.raises(DomainMismatch) as err:
+            CubicForm(form.areas, setup_chain(other)[2].u_coeff, form.v_coeff,
+                      form.max_spread_u, form.max_spread_v)
+        assert str(err.value) == (f"u_coeff domain {am.GridDomain(2, 8, 1, 8)} is not "
+                                  f"{am.GridDomain(2, 7, 1, 8)}")
 
     def test_four_face_agreement(self, all_examples):
         for name, (_, surf) in all_examples.items():
@@ -186,10 +201,8 @@ class TestStructuralResiduals:
     def test_shifted_coefficient_detected(self, cubic):
         _, surf = cubic
         vols, _, form = setup_chain(surf)
-        bumped = CubicForm(
-            form.u_coeff.with_values(form.u_coeff.values + 1.0),
-            form.v_coeff, form.max_spread_u, form.max_spread_v,
-        )
+        bumped = dataclasses.replace(
+            form, u_coeff=form.u_coeff.with_values(form.u_coeff.values + 1.0))
         report = structural_residuals(surf, vols.areas, bumped)
         assert report.max_residual > 1e-4
         assert not report.passed
@@ -278,8 +291,7 @@ class TestNanGates:
     def nan_b(form):
         b = np.array(form.v_coeff.values)
         b[0, 0] = np.nan   # reaches only the B-side (q22, B_1) terms
-        return CubicForm(form.u_coeff, form.v_coeff.with_values(b),
-                         form.max_spread_u, form.max_spread_v)
+        return dataclasses.replace(form, v_coeff=form.v_coeff.with_values(b))
 
     def test_structural_residuals(self, cubic):
         _, surf = cubic
@@ -321,7 +333,7 @@ def _chain_inputs(surf):
     (lambda surf, own, other: structural_residuals(surf, other["areas"], own["form"]),
      "areas", (1, 9, 1, 8)),
     (lambda surf, own, other: a2_b1_closed_form(surf, own["xi"], own["areas"], other["form"]),
-     "u_coeff", (2, 8, 1, 8)),
+     "form", (1, 9, 1, 8)),
     (lambda surf, own, other: normal_derivative_residuals(surf, own["xi"], own["areas"],
                                                           other["derivs"]),
      "u_coeff_dv", (2, 8, 1, 8)),

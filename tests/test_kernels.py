@@ -276,8 +276,7 @@ def certificate_values(field):
     struct = am.structural_residuals(surf, vols.areas, form)
     derivs, closed = am.a2_b1_closed_form(surf, xi, vols.areas, form)
     normal = am.normal_derivative_residuals(surf, xi, vols.areas, derivs)
-    data = am.FundamentalData(vols.areas, form.u_coeff, form.v_coeff)
-    compat = am.compatibility_residuals(data)
+    compat = am.compatibility_residuals(form)
     crit = am.criticality_certificate(surf)
     values = {
         "harmonic_residual": field.harmonic_residual,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from affmin.errors import DomainMismatch
+from affmin.geometry import affine_normal, duality_certificate, face_volumes, planarity_and_saddle
 from affmin.grids import GridDomain, VertexGrid, as_positions
 from affmin.lelieuvre import (
     Immersion,
@@ -25,6 +26,37 @@ def test_scalar_grid_is_no_surface(wrap, error, message):
     scalar = VertexGrid(GridDomain(0, 2, 0, 2), np.zeros((3, 3)))
     with pytest.raises(error, match=message):
         wrap(scalar)
+
+
+def _normals(surf):
+    areas = face_volumes(surf).areas
+    return affine_normal(surf, areas), areas
+
+
+@pytest.mark.parametrize("given, usual", [
+    (lambda field, surf: duality_certificate(field, *_normals(surf)),
+     lambda field, surf: duality_certificate(field.vectors, *_normals(surf))),
+    (lambda field, surf: planarity_and_saddle(surf, field),
+     lambda field, surf: planarity_and_saddle(surf, field.vectors)),
+    (lambda field, surf: verify_lelieuvre(surf.positions, field),
+     lambda field, surf: verify_lelieuvre(surf, field)),
+    (lambda field, surf: verify_lelieuvre(surf, field.vectors),
+     lambda field, surf: verify_lelieuvre(surf, field)),
+], ids=["duality_certificate", "planarity_and_saddle", "verify_lelieuvre[positions]",
+        "verify_lelieuvre[vectors]"])
+def test_surface_and_conormal_arguments_take_either_kind(paraboloid, given, usual):
+    # Each of these calls raised AttributeError on .values, .positions or .vectors.
+    assert given(*paraboloid) == usual(*paraboloid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda field, surf: integrate(surf),
+    lambda field, surf: path_independence_residual(field.areas),
+], ids=["integrate", "path_independence_residual"])
+def test_a_surface_or_an_area_grid_is_no_conormal(paraboloid, call):
+    with pytest.raises(TypeError, match="expected a ConormalField or a 3-vector co-normal "
+                                        "VertexGrid"):
+        call(*paraboloid)
 
 
 class TestIntegrate:
