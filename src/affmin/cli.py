@@ -183,8 +183,9 @@ def _cmd_check(args) -> int:
     except AffminError as exc:
         # Data so broken the certificates cannot even be evaluated (e.g. a
         # co-normal that is not harmonic, or a non-positive face volume)
-        # still produces a report naming it.
+        # still produces a report naming it, and says so on stderr.
         report = {"error": f"{type(exc).__name__}: {exc}", "passed": False}
+        print(f"error: {report['error']}", file=sys.stderr)
     report["tolerances"] = tols
     write_json(report, args.report)
     status = "pass" if report["passed"] else "FAIL"

@@ -14,12 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .conormal import face_area_density
 from .errors import DegenerateQuadrangle, IncompatibleData, NotEquivalent, SeedDeterminantMismatch
 from .forms import TOL_FORMS, CubicForm, FundamentalData, cubic_coefficients
 from .geometry import affine_normal, face_volumes
 from .grids import (TINY, VALUE_BOUND, BandMax, GridDomain, VertexGrid, absmax, as_positions,
                     cross3, det3, div3, empty3, relative_residual, require_bounded, require_domain,
-                    row_bands, worst_index)
+                    row_bands)
 from .lelieuvre import Immersion, integrate
 
 __all__ = [
@@ -175,7 +176,7 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
     gaps = (BandMax(dom), BandMax(dom, 1, 0), BandMax(dom, 0, 1))
     for lo, band, (*data_rows, areas_out), own in row_bands(vectors, 0, 2, f, a, b, areas):
         nu = band.values
-        triples = (det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]), det3(nu[:-2], nu[1:-1], nu[2:]),
+        triples = (face_area_density(band).values, det3(nu[:-2], nu[1:-1], nu[2:]),
                    det3(nu[:, 2:], nu[:, 1:-1], nu[:, :-2]))
         for gap, triple, given in zip(gaps, triples, data_rows):
             gap.add(np.abs(triple - given)[own], lo)
@@ -185,7 +186,8 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
         raise IncompatibleData(worst.index, worst.value / scale)
     i, j = np.unravel_index(np.argmin(areas), areas.shape)
     if not areas[i, j] > 0.0:
-        raise IncompatibleData(worst_index(-areas, dom), float(f[i, j] - areas[i, j]) / scale)
+        raise IncompatibleData((dom.u_min + int(i), dom.v_min + int(j)),
+                               float(f[i, j] - areas[i, j]) / scale)
     return integrate(vectors, base_value=seed[0])
 
 

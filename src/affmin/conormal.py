@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import NonConvexFace, NotHarmonic
 from .grids import (BandMax, FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, empty3,
-                    require_bounded, row_bands, worst_index)
+                    require_bounded, require_positive, row_bands)
 
 __all__ = [
     "TOL_HARMONIC",
-    "TOL_HARMONIC_INTERNAL",
     "ConormalField",
     "SeparableConormalSpec",
     "from_separable",
@@ -32,9 +31,8 @@ __all__ = [
 ]
 
 # Absolute per-component harmonicity tolerance for externally supplied fields;
-# generator output must meet the much tighter internal bound.
+# generator output is harmonic by construction and is not held to one.
 TOL_HARMONIC = 1e-9
-TOL_HARMONIC_INTERNAL = 1e-12
 
 
 def face_area_density(vectors: VertexGrid) -> FaceGrid:
@@ -112,28 +110,21 @@ def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
     if bad:
         raise NotHarmonic(worst.value, [worst.index] + [face for face in bad
                                                          if face != worst.index])
-
-    lowest = areas.min()
-    if not lowest > 0.0:
-        raise NonConvexFace(worst_index(-areas, dom), float(lowest))
+    require_positive(areas, dom, NonConvexFace)
     return ConormalField(vectors, FaceGrid(dom, areas), worst.value)
 
 
 def from_separable(spec: SeparableConormalSpec) -> ConormalField:
-    """Build the field nu(u,v) = u_part(u) + v_part(v) and validate it.
+    """Build the field nu(u,v) = u_part(u) + v_part(v) and check its F.
 
-    Harmonicity is structural here (each face residual is a rounding-level
-    cancellation), so the internal tolerance applies, times max(1, max |nu|).
-    Rounding is monotone, so max nu and min nu come from the profiles: per
-    component, max u_part + max v_part and min u_part + min v_part.
+    Harmonicity is structural here: each mixed difference cancels to a few
+    roundings of max |nu|, so no tolerance gates it (NonConvexFace still
+    does); ``harmonic_residual`` reports it.
     """
     spec.domain.require_faces("co-normal field")
-    top = spec.u_part.max(axis=0) + spec.v_part.max(axis=0)
-    bottom = spec.u_part.min(axis=0) + spec.v_part.min(axis=0)
     nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
                 out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
-    return _build(VertexGrid(spec.domain, nu),
-                  TOL_HARMONIC_INTERNAL * max(1.0, float(top.max()), -float(bottom.min())))
+    return _build(VertexGrid(spec.domain, nu), np.inf)
 
 
 def validate(vectors: VertexGrid, tol_harmonic: float = TOL_HARMONIC) -> ConormalField:

@@ -26,7 +26,7 @@ from .errors import IllDefinedForm, NonConvexFace
 from .geometry import face_volumes
 from .grids import (TINY, BandMax, FaceGrid, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
                     as_positions, cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean, mul3,
-                    relative_residual, require_domain, row_bands, worst_index)
+                    relative_residual, require_domain, require_positive, row_bands)
 
 __all__ = [
     "TOL_FORMS",
@@ -59,9 +59,7 @@ class FundamentalData:
         dom = self.areas.domain
         require_domain(dom.shrink(du_lo=1, du_hi=1), u_coeff=self.u_coeff)
         require_domain(dom.shrink(dv_lo=1, dv_hi=1), v_coeff=self.v_coeff)
-        lowest = self.areas.values.min()
-        if not lowest > 0.0:
-            raise NonConvexFace(worst_index(-self.areas.values, dom), float(lowest))
+        require_positive(self.areas.values, dom, NonConvexFace)
 
     @property
     def domain(self) -> GridDomain:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NonPositiveVolume
 from .grids import (TINY, BandMax, FaceGrid, VertexGrid, absmax, as_conormal, as_positions,
                     cross3, d1, d2, d11, d12, d22, det3, div3, dot3, empty3, face_choice_mean,
-                    mul3, norm3, require_domain, row_bands, worst_index)
+                    mul3, norm3, require_domain, require_positive, row_bands)
 
 __all__ = [
     "TOL_DUAL",
@@ -22,6 +22,7 @@ __all__ = [
     "FaceVolumes",
     "face_volumes",
     "affine_normal",
+    "face_conormals",
     "ConormalRecovery",
     "recover_conormal",
     "AsymptoticReport",
@@ -64,9 +65,7 @@ def _face_volumes(q: VertexGrid) -> FaceVolumes:
     for _, band, (m_out,), _ in row_bands(q, 0, 1, m):
         p, base = band.values, band.values[:-1, :-1]
         m_out[...] = det3(p[1:, :-1] - base, p[:-1, 1:] - base, p[1:, 1:] - base)
-    lowest = m.min()
-    if not lowest > 0.0:
-        raise NonPositiveVolume(worst_index(-m, q.domain), float(lowest))
+    require_positive(m, q.domain, NonPositiveVolume)
     return FaceVolumes(FaceGrid(q.domain, m), FaceGrid(q.domain, np.sqrt(m)))
 
 
@@ -85,6 +84,15 @@ def affine_normal(surface, areas: FaceGrid) -> FaceGrid:
         return FaceGrid(q.domain, xi)
 
     return q.memo("affine_normal", (areas,), compute)
+
+
+def face_conormals(band: VertexGrid, f) -> tuple:
+    """Co-normal e1 x e2 / F of each face of positions ``band`` with area densities
+    ``f``, read off the face's two edges at its corners (u, v), (u+1, v), (u, v+1)
+    and (u+1, v+1), in that order: four face arrays."""
+    e1, e2 = d1(band).values, d2(band).values
+    low, high = slice(None, -1), slice(1, None)
+    return tuple(div3(cross3(e1[:, v], e2[u, :]), f) for v in (low, high) for u in (low, high))
 
 
 @dataclass(frozen=True)
@@ -107,15 +115,11 @@ def recover_conormal(surface) -> ConormalRecovery:
     dom = q.domain
     mean = empty3((dom.n_u, dom.n_v, 3))
     worst = BandMax(dom)
+    low, high = slice(None, -1), slice(1, None)
     for lo, band, (f, mean_out), own in row_bands(q, 1, 1, areas, mean):
-        e1, e2 = d1(band).values, d2(band).values
-        # (estimate, vertex slice) per corner role of each face.
-        corner_estimates = (
-            (div3(cross3(e1[:, :-1], e2[:-1, :]), f), (slice(None, -1), slice(None, -1))),
-            (div3(cross3(e1[:, :-1], e2[1:, :]), f), (slice(1, None), slice(None, -1))),
-            (div3(cross3(e1[:, 1:], e2[:-1, :]), f), (slice(None, -1), slice(1, None))),
-            (div3(cross3(e1[:, 1:], e2[1:, :]), f), (slice(1, None), slice(1, None))),
-        )
+        # Each corner's estimate goes to the vertex slice of that corner.
+        corner_estimates = zip(face_conormals(band, f),
+                               ((low, low), (high, low), (low, high), (high, high)))
         band_mean, spread = face_choice_mean(corner_estimates, band.values.shape)
         mean_out[own] = band_mean[own]
         worst.add(absmax(spread[own]), lo)

@@ -19,17 +19,18 @@ reads is contiguous; ``empty3`` allocates that layout.
 
 The pointwise kernels shared by every certificate live here too: dot, cross
 and triple products, norm and largest |component| of 3-vector arrays, their
-products with and quotients by scalar arrays, the
-worst-entry lookup that names a grid index, the face-choice average, the
-relative residual of a stencil identity, and the ``TINY`` denominator floor.
-So does the input contract: ``require_bounded`` holds every value a file or
-a validator hands in within ``VALUE_BOUND``, ``require_domain`` every grid a
-function takes to the domain it needs, and ``as_positions``/``as_conormal``
-a surface or co-normal argument to a 3-vector vertex grid.  So do the row
-bands that every whole-grid certificate is evaluated on, and the worst-entry
-reducer that joins their results.  Every array is aligned at row 0, so a band
-of vertex rows ``start:stop`` reads rows ``start:stop - k`` of an array k
-rows shorter; ``row_bands`` cuts them, and no caller does.
+products with and quotients by scalar arrays, the worst-entry lookup that
+names a grid index, the face-choice average, the relative residual of a
+stencil identity, and the ``TINY`` denominator floor.  So does the input
+contract: ``require_bounded`` holds every value a file or a validator hands
+in within ``VALUE_BOUND``, ``require_domain`` every grid a function takes to
+the domain it needs, ``require_positive`` every F and M to be > 0, and
+``as_positions``/``as_conormal`` a surface or co-normal argument to a
+3-vector vertex grid.  So do the row bands that every whole-grid certificate
+is evaluated on, and the worst-entry reducer that joins their results.
+Every array is aligned at row 0, so a band of vertex rows ``start:stop``
+reads rows ``start:stop - k`` of an array k rows shorter; ``row_bands`` cuts
+them, and no caller does.
 """
 
 from dataclasses import dataclass
@@ -64,6 +65,7 @@ __all__ = [
     "VALUE_BOUND",
     "require_bounded",
     "require_domain",
+    "require_positive",
     "worst_index",
     "face_choice_mean",
     "relative_residual",
@@ -109,10 +111,6 @@ class GridDomain:
     @property
     def n_v(self) -> int:
         return self.v_max - self.v_min + 1
-
-    @property
-    def face_count(self) -> int:
-        return (self.n_u - 1) * (self.n_v - 1)
 
     def require_faces(self, what: str = "grid"):
         """Raise unless the box supports at least one face."""
@@ -449,6 +447,14 @@ def require_domain(domain: GridDomain, **grids):
     for name, grid in grids.items():
         if grid.domain != domain:
             raise DomainMismatch(f"{name} domain {grid.domain} is not {domain}")
+
+
+def require_positive(values, domain: GridDomain, error):
+    """Raise ``error(index, lowest)`` with the lowest entry of a 2-D array (the first
+    NaN, if any) and its grid index, as ``worst_index`` names it, unless every entry is > 0."""
+    lowest = values.min()
+    if not lowest > 0.0:
+        raise error(worst_index(-values, domain), float(lowest))
 
 
 def worst_index(values, domain: GridDomain, du=0, dv=0):

@@ -2,9 +2,10 @@
 
 The affine area of a quad net is the sum of F = sqrt(M) over faces.  Moving
 one interior vertex changes the four incident face areas; the exact
-per-vertex gradient is the signed sum of four cross products of opposing
-edges divided by twice the face area.  Integrated co-normal surfaces make
-this sum cancel identically, which is what the criticality certificate
+per-vertex gradient is half the alternating sum of the co-normals e1 x e2 / F
+that those four faces read at their corners opposite the vertex.  On an
+integrated co-normal surface each of them is the co-normal of that corner,
+so the sum cancels identically, which is what the criticality certificate
 checks.
 """
 
@@ -14,9 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonPositiveVolume
-from .geometry import face_volumes
-from .grids import (BandMax, GridDomain, VertexGrid, absmax, as_positions, cross3, d1, d2,
-                    det3, div3, row_bands)
+from .geometry import face_conormals, face_volumes
+from .grids import BandMax, GridDomain, VertexGrid, absmax, as_positions, det3, row_bands
 
 __all__ = [
     "TOL_CRIT",
@@ -40,8 +40,9 @@ def affine_area(surface) -> float:
 def area_gradient(surface) -> VertexGrid:
     """Gradient of the affine area with respect to interior vertex positions.
 
-    Returns a 3-vector grid on the interior vertex box; each entry is the
-    sum h1 + h2 + h3 + h4 of the four incident-face area variations.
+    Returns a 3-vector grid on the interior vertex box; each entry is half
+    the alternating sum of the corner co-normals (``face_conormals``) of
+    its four faces at their corners opposite it.
     Identically zero (to rounding) exactly on discrete affine minimal nets.
     """
     q = as_positions(surface)
@@ -53,12 +54,8 @@ def _gradient_bands(q: VertexGrid, f):
     """Area gradient of positions ``q`` whose face area densities are ``f``,
     as (first row, rows) band by band."""
     for lo, band, (fb,), _ in row_bands(q, 0, 2, f):
-        e1, e2 = d1(band).values, d2(band).values
-        h1 = div3(cross3(e1[:-1, :-2], e2[:-2, :-1]), 2.0 * fb[:-1, :-1])
-        h2 = div3(-cross3(e1[1:, :-2], e2[2:, :-1]), 2.0 * fb[1:, :-1])
-        h3 = div3(cross3(e1[1:, 2:], e2[2:, 1:]), 2.0 * fb[1:, 1:])
-        h4 = div3(-cross3(e1[:-1, 2:], e2[:-2, 1:]), 2.0 * fb[:-1, 1:])
-        yield lo, h1 + h2 + h3 + h4
+        c00, c10, c01, c11 = face_conormals(band, fb)
+        yield lo, (((c00[:-1, :-1] - c10[1:, :-1]) + c11[1:, 1:]) - c01[:-1, 1:]) * 0.5
 
 
 def _gradient(q: VertexGrid, f) -> VertexGrid:

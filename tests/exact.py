@@ -1,0 +1,100 @@
+"""Exact rational nets: the co-normal, its Lelieuvre positions, M and F in Fractions.
+
+The family is the cubic one shifted along z, nu(u, v) = alpha(a) + beta(b)
+with alpha = (a, 0, a^2 + k/9) and beta = (0, b, b^2), sampled at rational
+a_0 < a_1 < ... along u and b_0 < b_1 < ... along v.  Its face area density
+is F = (a' - a)(b' - b)(a a' + b b' - k/9) on the face with corners a, a'
+and b, b', so F > 0 wherever a a' + b b' > k/9.  The positions sum the
+Lelieuvre edges
+
+    q(u+1, v) - q(u, v) = nu(u, v) x nu(u+1, v)
+    q(u, v+1) - q(u, v) = nu(u, v+1) x nu(u, v)
+
+from q = 0 at the first vertex, in exact arithmetic, so every identity of
+the paper holds with no rounding: M = det(e1, e2, q11 - q00) is F^2, a
+perfect square of a rational.
+"""
+
+from fractions import Fraction
+from math import isqrt
+
+import numpy as np
+
+from affmin.grids import GridDomain, VertexGrid
+
+
+def sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def det(x, y, z):
+    """Triple product [x, y, z] = x . (y x z)."""
+    return sum(a * b for a, b in zip(x, cross(y, z)))
+
+
+def volume(q00, q10, q01, q11):
+    """M of the face with these corners: det(q10 - q00, q01 - q00, q11 - q00)."""
+    return det(sub(q10, q00), sub(q01, q00), sub(q11, q00))
+
+
+def rational_sqrt(m: Fraction) -> Fraction:
+    """The rational square root of ``m``; ValueError unless ``m`` is a perfect square."""
+    num, den = isqrt(m.numerator), isqrt(m.denominator)
+    if m < 0 or Fraction(num * num, den * den) != m:
+        raise ValueError(f"{m} is not the square of a rational")
+    return Fraction(num, den)
+
+
+class ExactNet:
+    """The cubic-like net on samples ``a`` (along u) and ``b`` (along v) with shift ``k``.
+
+    ``nu[i][j]`` and ``q[i][j]`` are the co-normal and the position of vertex
+    (u_min + i, v_min + j) of ``domain``; ``f[i, j]`` is [nu, nu(v+1), nu(u+1)]
+    and ``m[i, j]`` the volume M of face (i, j), both Fractions.
+    """
+
+    def __init__(self, domain: GridDomain, a, b, k):
+        a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+        if (len(a), len(b)) != (domain.n_u, domain.n_v):
+            raise ValueError(f"need {domain.n_u} a and {domain.n_v} b samples")
+        shift = Fraction(k, 9)
+        self.domain = domain
+        self.nu = [[(x, y, x * x + shift + y * y) for y in b] for x in a]
+        nu = self.nu
+        q = [[None] * len(b) for _ in a]
+        q[0][0] = (Fraction(0),) * 3
+        for i in range(1, len(a)):
+            q[i][0] = add(q[i - 1][0], cross(nu[i - 1][0], nu[i][0]))
+        for i in range(len(a)):
+            for j in range(1, len(b)):
+                q[i][j] = add(q[i][j - 1], cross(nu[i][j], nu[i][j - 1]))
+        self.q = q
+        faces = [(i, j) for i in range(len(a) - 1) for j in range(len(b) - 1)]
+        self.f = {(i, j): det(nu[i][j], nu[i][j + 1], nu[i + 1][j]) for i, j in faces}
+        self.m = {(i, j): volume(q[i][j], q[i + 1][j], q[i][j + 1], q[i + 1][j + 1])
+                  for i, j in faces}
+
+    def face_corners(self, i, j):
+        """Positions of face (i, j) at (u, v), (u+1, v), (u, v+1), (u+1, v+1)."""
+        q = self.q
+        return q[i][j], q[i + 1][j], q[i][j + 1], q[i + 1][j + 1]
+
+    def grid(self, rows) -> VertexGrid:
+        """A vertex grid of ``rows`` (``nu`` or ``q``), each Fraction rounded to float."""
+        return VertexGrid(self.domain, np.array([[[float(x) for x in vec] for vec in row]
+                                                 for row in rows]))
+
+
+def cubic_like(domain: GridDomain, k, step_u=1, step_v=1) -> ExactNet:
+    """The net with a = u * step_u and b = v * step_v over ``domain``."""
+    a = [Fraction(u) * Fraction(step_u) for u in domain.u_values().tolist()]
+    b = [Fraction(v) * Fraction(step_v) for v in domain.v_values().tolist()]
+    return ExactNet(domain, a, b, k)

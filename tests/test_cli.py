@@ -710,6 +710,16 @@ def test_every_exit_one_leaves_a_report_naming_the_error(tmp_path, case):
         assert report["box"] == argv[4:8]
 
 
+def test_a_check_that_stops_names_its_error_on_stderr(tmp_path, capsys):
+    argv, path = _check_a_non_harmonic_conormal(tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == f"check: FAIL (report in {path})\n"
+    assert err.startswith("error: NotHarmonic: ")
+    assert err == f"error: {json.loads(path.read_text())['error']}\n"
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "affmin.cli", "--help"],

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import affmin as am
-from affmin import conormal
 from affmin.conormal import (
-    TOL_HARMONIC_INTERNAL,
     SeparableConormalSpec,
     face_area_density,
     from_separable,
@@ -59,7 +57,8 @@ class TestFromSeparable:
     @pytest.mark.parametrize("seed", range(20))
     def test_large_entries_meet_the_scaled_internal_bound(self, seed):
         # Cubic profiles on (1, 64)^2 reach |nu| = 8192; the rounding of
-        # u_part + v_part alone then exceeds an absolute 1e-12.
+        # u_part + v_part alone then exceeds an absolute 1e-12, yet stays
+        # within a few roundings of max |nu|.
         rng = np.random.default_rng(seed)
         dom = GridDomain(1, 64, 1, 64)
         spec = spec_from(dom, lambda u: (u, 0.0, u * u), lambda v: (0.0, v, v * v))
@@ -67,23 +66,7 @@ class TestFromSeparable:
                                       spec.v_part + rng.uniform(-1e-2, 1e-2, (dom.n_v, 3)))
         field = from_separable(noisy)
         scale = np.abs(field.vectors.values).max()
-        assert TOL_HARMONIC_INTERNAL < field.harmonic_residual <= TOL_HARMONIC_INTERNAL * scale
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_profile_bound_equals_the_field_extremes(self, monkeypatch, seed):
-        # The bound comes from the profiles; it must be the one max nu and
-        # min nu give.
-        rng = np.random.default_rng(seed)
-        dom = GridDomain(0, 4, 0, 5)
-        parts = [rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 8, 3)
-                 for n in (dom.n_u, dom.n_v)]
-        seen = []
-        monkeypatch.setattr(conormal, "_build", lambda vectors, tol: seen.append((vectors, tol)))
-        from_separable(SeparableConormalSpec(dom, *parts))
-        (vectors, tol), = seen
-        nu = vectors.values
-        expected = TOL_HARMONIC_INTERNAL * max(1.0, float(nu.max()), -float(nu.min()))
-        assert float(tol).hex() == expected.hex()
+        assert 1e-12 < field.harmonic_residual <= 4 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("part, entry, component, value", [
         ("u_part", 0, 0, np.nan), ("u_part", 4, 2, np.inf), ("v_part", 3, 1, -np.inf),
@@ -334,3 +317,25 @@ def test_families_equal_their_per_point_profiles(name, u_min, v_min, n_u, n_v, n
     reference = outcome(lambda: from_separable(spec_from(box, lambda u: fu(u, n),
                                                          lambda v: fv(v, n))))
     assert outcome(lambda: family(box, n)) == reference
+
+
+@given(n_u=st.integers(2, 39), n_v=st.integers(2, 39), exponent=st.floats(-100.0, 100.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_separable_fields_are_harmonic_to_a_few_roundings(n_u, n_v, exponent, seed):
+    # nu = u_part + v_part, so each mixed difference of nu is four roundings of
+    # a sum of size at most max |nu|, cancelled; no tolerance gates it.  The
+    # profiles are the cubic family's on increasing positive a, b in (0, 1],
+    # scaled by 10^exponent, so that F > 0 and the field is built.
+    rng = np.random.default_rng(seed)
+    a, b = (np.cumsum(rng.uniform(0.05, 1.0, n)) for n in (n_u, n_v))
+    a, b = a / a[-1], b / b[-1]
+    zero_u, zero_v = np.zeros(n_u), np.zeros(n_v)
+    scale = 10.0 ** exponent
+    spec = SeparableConormalSpec(GridDomain(0, n_u - 1, 0, n_v - 1),
+                                 scale * np.column_stack([a, zero_u, a * a]),
+                                 scale * np.column_stack([zero_v, b, b * b]))
+    field = from_separable(spec)
+    bound = 4 * np.finfo(float).eps * np.abs(field.vectors.values).max()
+    assert field.harmonic_residual <= bound
+    assert field.harmonic_residual == np.abs(d12(field.vectors).values).max()

@@ -27,7 +27,6 @@ class TestGridDomain:
     def test_counts(self):
         dom = GridDomain(-2, 3, 0, 4)
         assert (dom.n_u, dom.n_v) == (6, 5)
-        assert dom.face_count == 20
 
     def test_empty_domain_rejected(self):
         with pytest.raises(DomainTooSmall):
