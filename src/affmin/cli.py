@@ -14,7 +14,6 @@ keeps the first 8).  ``path_independence``, ``area_density_bridge``,
 import argparse
 import dataclasses
 import functools
-import hashlib
 import os
 import sys
 import time
@@ -97,14 +96,6 @@ def _load_surface(path) -> Immersion:
     if grid.components != 3:
         raise ValueError(f"{path}: surface grids must hold 3-vectors")
     return Immersion(grid)
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _record(report, **extra) -> dict:
@@ -303,9 +294,9 @@ def _cmd_pipeline(args) -> int:
 
 def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
     """Write every artifact but the run report; return the report's later sections."""
-    write_grid(field.vectors, path("conormal.json"))
+    digests = {"conormal.json": write_grid(field.vectors, path("conormal.json"))}
     surface = integrate(field)
-    write_grid(surface.positions, path("surface.json"))
+    digests["surface.json"] = write_grid(surface.positions, path("surface.json"))
 
     checks = _surface_checks(surface, field, tols)
     write_json(checks, path("check_report.json"))
@@ -317,7 +308,7 @@ def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
     derivs, closed = a2_b1_closed_form(surface, normals, vols.areas, form)
     normal_derivs = normal_derivative_residuals(surface, normals, vols.areas,
                                                 derivs, tols["forms"])
-    write_forms(form, path("forms.json"))
+    digests["forms.json"] = write_forms(form, path("forms.json"))
     forms_report = {
         "max_face_choice_spread": max(form.max_spread_u, form.max_spread_v),
         "structural_max_residual": structural.max_residual,
@@ -336,7 +327,7 @@ def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
     scale = max(float(np.abs(p - p[0, 0]).max()), TINY)
     roundtrip_gap = float(np.abs(roundtrip.positions.values - p).max()) / scale
     canonical = reconstruct(form, None, tols["seed"], tols["compat"])
-    write_grid(canonical.positions, path("reconstructed.json"))
+    digests["reconstructed.json"] = write_grid(canonical.positions, path("reconstructed.json"))
     mapping = affine_equivalence(canonical, surface, tols["equiv"])
     compat_report = {
         "residuals": list(residuals),
@@ -354,10 +345,8 @@ def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
     meshes = {}
     for res in resolutions:
         name = f"mesh_res{res}.obj"
-        meshes[name] = export_surface_obj(surface, res, path(name))._asdict()
-
-    digests = {name: _sha256(path(name)) for name in (
-        "conormal.json", "surface.json", "forms.json", "reconstructed.json", *meshes)}
+        vertices, triangles, digests[name] = export_surface_obj(surface, res, path(name))
+        meshes[name] = {"vertices": vertices, "triangles": triangles}
 
     return {
         "input_digests": digests,
@@ -451,7 +440,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except AffminError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,11 @@ A grid file is one JSON object:
 
 Floats are written as ``%.17g`` writes them, float64 arrays by the shared
 numpy kernel of ``spelling``, so round trips are exact and repeated writes
-are byte-identical.  Writers stream: ``write_json``, and so ``write_grid``
-and ``write_forms``, writes the ASCII bytes of each spelling pass as it
-comes and leaves no file if it fails.  Grid, forms and seed writers and
-readers hold every value to ``grids.require_bounded``: finite and at most
+are byte-identical.  Writers stream: ``write_json``, and so ``write_grid``,
+``write_forms`` and ``write_seed``, writes the ASCII bytes of each spelling
+pass as it comes, returns their SHA-256 hex digest and leaves no file if it
+fails.  Grid, forms and seed writers and readers hold every value to
+``grids.require_bounded``: finite and at most
 ``VALUE_BOUND`` (~1.41e102) in size, so every file affmin writes is one it
 reads back; a ValueError names the file, the grid, and the first bad grid
 index (a seed's corner (u, v)).  Readers first take each value list in one
@@ -112,10 +113,11 @@ def dumps_json(obj, indent: int = 0) -> str:
     return b"".join(_json_chunks(obj, indent)).decode("ascii")
 
 
-def write_json(obj, path):
-    """Write ``dumps_json(obj)`` and a newline to ``path`` chunk by chunk; a value
-    that cannot be serialized raises ``TypeError`` and, like any failure, leaves no file."""
-    write_chunks(path, itertools.chain(_json_chunks(obj), [b"\n"]))
+def write_json(obj, path) -> str:
+    """Write ``dumps_json(obj)`` and a newline to ``path`` chunk by chunk and return
+    the SHA-256 hex digest of the bytes written; a value that cannot be serialized
+    raises ``TypeError`` and, like any failure, leaves no file."""
+    return write_chunks(path, itertools.chain(_json_chunks(obj), [b"\n"]))
 
 
 def _numbers(values, what: str) -> np.ndarray:
@@ -174,8 +176,8 @@ def grid_from_obj(obj: dict, what: str = "grid object") -> Grid:
     return cls(domain, array)
 
 
-def write_grid(grid: Grid, path):
-    write_json(grid_to_obj(grid, str(path)), path)
+def write_grid(grid: Grid, path) -> str:
+    return write_json(grid_to_obj(grid, str(path)), path)
 
 
 def _load_json(path) -> dict:
@@ -199,9 +201,9 @@ def read_grid(path, expected_kind: str | None = None) -> Grid:
     return grid
 
 
-def write_forms(data: FundamentalData, path):
-    grids = data.areas, data.u_coeff, data.v_coeff
-    write_json({key: grid_to_obj(grid, f"{path}: {key}") for key, grid in zip("FAB", grids)}, path)
+def write_forms(data: FundamentalData, path) -> str:
+    grids = zip("FAB", (data.areas, data.u_coeff, data.v_coeff))
+    return write_json({key: grid_to_obj(grid, f"{path}: {key}") for key, grid in grids}, path)
 
 
 def read_forms(path) -> FundamentalData:
@@ -223,9 +225,9 @@ def read_forms(path) -> FundamentalData:
         raise ValueError(f"{what}: {exc}") from exc
 
 
-def write_seed(points, path):
+def write_seed(points, path) -> str:
     points = as_seed(points)
-    write_json({"points": [list(p) for p in points]}, path)
+    return write_json({"points": [list(p) for p in points]}, path)
 
 
 def read_seed(path) -> np.ndarray:

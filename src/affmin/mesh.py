@@ -41,10 +41,11 @@ def _require_finite(positions: np.ndarray, first: int):
 
 
 class ObjCounts(NamedTuple):
-    """Vertex and triangle counts of an OBJ file written by export_surface_obj."""
+    """Vertex and triangle counts and SHA-256 hex digest of an export_surface_obj file."""
 
     vertices: int
     triangles: int
+    sha256: str
 
 
 def _face_corners(q: VertexGrid, face):
@@ -183,8 +184,9 @@ def _vertex_lines(block: np.ndarray):
                  "%.17g".__mod__)
 
 
-def _write_obj(path, vertex_blocks, triangle_blocks):
-    """Write (n, 3) vertex blocks, then 0-based (m, 3) triangle blocks, as OBJ.
+def _write_obj(path, vertex_blocks, triangle_blocks) -> str:
+    """Write (n, 3) vertex blocks, then 0-based (m, 3) triangle blocks, as OBJ;
+    return the SHA-256 hex digest of the file.
 
     ``_vertex_lines`` spells vertex rows as ``"v %.17g %.17g %.17g"`` does,
     ``_face_lines`` triangle rows as ``"f %d %d %d"``; each vertex pass and
@@ -193,11 +195,11 @@ def _write_obj(path, vertex_blocks, triangle_blocks):
     is removed.
     """
     vertex_passes = itertools.chain.from_iterable(map(_vertex_lines, vertex_blocks))
-    write_chunks(path, itertools.chain(vertex_passes, map(_face_lines, triangle_blocks)))
+    return write_chunks(path, itertools.chain(vertex_passes, map(_face_lines, triangle_blocks)))
 
 
 def export_surface_obj(surface, resolution: int, path) -> ObjCounts:
-    """Tessellate a surface band by band into an OBJ file; returns the counts.
+    """Tessellate a surface band by band into an OBJ file; returns its counts and digest.
 
     Every patch is sampled on a shared (resolution+1)^2 lattice; a point on
     a shared face boundary is evaluated once, from a single owning face, so
@@ -224,5 +226,5 @@ def export_surface_obj(surface, resolution: int, path) -> ObjCounts:
 
     triangle_bands = (_cell_triangles(nj, c0, min(c0 + cell_rows, ni - 1))
                       for c0 in range(0, ni - 1, cell_rows))
-    _write_obj(path, vertex_bands(), triangle_bands)
-    return ObjCounts(ni * nj, 2 * (ni - 1) * (nj - 1))
+    digest = _write_obj(path, vertex_bands(), triangle_bands)
+    return ObjCounts(ni * nj, 2 * (ni - 1) * (nj - 1), digest)

@@ -4,12 +4,13 @@ writer that the OBJ and JSON writers share.
 The 17 digits come from numpy arithmetic off by < 2^-45 of the last digit;
 inf, nan and numbers within 2^-40 of a rounding tie go to the writer's own
 per-number spelling.  ``spell`` yields ASCII bytes one pass (6144 numbers)
-at a time and ``write_chunks`` writes each as it comes, so no writer holds
-a whole file's text.
+at a time and ``write_chunks`` hashes and writes each as it comes, so no
+writer holds a whole file's text or reads a file back to digest it.
 """
 
 import contextlib
 import functools
+import hashlib
 import os
 
 import numpy as np
@@ -141,13 +142,17 @@ def _spell_records(x: np.ndarray, lead: tuple, trail: bytes, deferred) -> bytes:
     return rec.T.tobytes().translate(None, b"\0")   # record j is column j's 32 slots
 
 
-def write_chunks(path, chunks):
-    """Write bytes chunks to the binary file ``path`` as they come; if anything
-    fails once it is open (a chunk generator raising too), remove the file."""
+def write_chunks(path, chunks) -> str:
+    """Write bytes chunks to the binary file ``path`` as they come and return the
+    SHA-256 hex digest of what was written; if anything fails once it is open (a
+    chunk generator raising too), remove the file."""
+    digest = hashlib.sha256()
     try:
         with open(path, "wb") as handle:
             try:
-                handle.writelines(chunks)
+                for chunk in chunks:
+                    digest.update(chunk)
+                    handle.write(chunk)
             except BaseException:
                 handle.close()
                 with contextlib.suppress(OSError):
@@ -155,3 +160,4 @@ def write_chunks(path, chunks):
                 raise
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+    return digest.hexdigest()

@@ -1,4 +1,5 @@
-"""Exact rational nets: the co-normal, its Lelieuvre positions, M and F in Fractions.
+"""Exact rational nets: the co-normal, its Lelieuvre positions, M, F, the affine
+normal and the cubic form in Fractions.
 
 The family is the cubic one shifted along z, nu(u, v) = alpha(a) + beta(b)
 with alpha = (a, 0, a^2 + k/9) and beta = (0, b, b^2), sampled at rational
@@ -12,7 +13,15 @@ Lelieuvre edges
 
 from q = 0 at the first vertex, in exact arithmetic, so every identity of
 the paper holds with no rounding: M = det(e1, e2, q11 - q00) is F^2, a
-perfect square of a rational.
+perfect square of a rational.  The affine normal xi = d12(q) / F of each
+face, and each face choice of the cubic coefficients
+
+    A(u, v) = [q1(u-1/2, v), q1(u+1/2, v), xi]
+    B(u, v) = [q2(u, v+1/2), q2(u, v-1/2), xi]
+
+over the up to four faces at the vertex (as ``forms.cubic_coefficients``
+forms them), are rational too; ``compatibility_products`` gives the three
+equations of ``compatibility.compatibility_residuals`` as exact differences.
 """
 
 from fractions import Fraction
@@ -58,7 +67,10 @@ class ExactNet:
 
     ``nu[i][j]`` and ``q[i][j]`` are the co-normal and the position of vertex
     (u_min + i, v_min + j) of ``domain``; ``f[i, j]`` is [nu, nu(v+1), nu(u+1)]
-    and ``m[i, j]`` the volume M of face (i, j), both Fractions.
+    and ``m[i, j]`` the volume M of face (i, j), both Fractions.  ``xi[i, j]``
+    is the affine normal of face (i, j); ``a_choices[i, j]`` and
+    ``b_choices[i, j]`` list A and B at vertex (i, j) as each face that meets
+    it gives them.
     """
 
     def __init__(self, domain: GridDomain, a, b, k):
@@ -81,6 +93,18 @@ class ExactNet:
         self.f = {(i, j): det(nu[i][j], nu[i][j + 1], nu[i + 1][j]) for i, j in faces}
         self.m = {(i, j): volume(q[i][j], q[i + 1][j], q[i][j + 1], q[i + 1][j + 1])
                   for i, j in faces}
+        self.xi = {(i, j): tuple(x / self.f[i, j] for x in sub(
+            add(q[i + 1][j + 1], q[i][j]), add(q[i + 1][j], q[i][j + 1]))) for i, j in faces}
+        self.a_choices = {(i, j): [det(sub(q[i][j], q[i - 1][j]), sub(q[i + 1][j], q[i][j]),
+                                       self.xi[face]) for face in self._incident(i, j)]
+                          for i in range(1, len(a) - 1) for j in range(len(b))}
+        self.b_choices = {(i, j): [det(sub(q[i][j + 1], q[i][j]), sub(q[i][j], q[i][j - 1]),
+                                       self.xi[face]) for face in self._incident(i, j)]
+                          for i in range(len(a)) for j in range(1, len(b) - 1)}
+
+    def _incident(self, i, j):
+        """The faces (i - 1 or i, j - 1 or j) of the box that meet vertex (i, j)."""
+        return [(fi, fj) for fi in (i - 1, i) for fj in (j - 1, j) if (fi, fj) in self.f]
 
     def face_corners(self, i, j):
         """Positions of face (i, j) at (u, v), (u+1, v), (u, v+1), (u+1, v+1)."""
@@ -91,6 +115,35 @@ class ExactNet:
         """A vertex grid of ``rows`` (``nu`` or ``q``), each Fraction rounded to float."""
         return VertexGrid(self.domain, np.array([[[float(x) for x in vec] for vec in row]
                                                  for row in rows]))
+
+    def coefficients(self):
+        """(A, B): each vertex's coefficient, once every face choice agrees on it."""
+        spread = [key for key, values in (*self.a_choices.items(), *self.b_choices.items())
+                  if len(set(values)) != 1]
+        if spread:
+            raise ValueError(f"face choices differ at vertices {spread}")
+        return ({key: values[0] for key, values in self.a_choices.items()},
+                {key: values[0] for key, values in self.b_choices.items()})
+
+    def compatibility_products(self):
+        """Vertex (i, j), fully interior -> the exact (r0, r1, r2) differences
+
+        r0 = F(i-1, j) F(i, j-1) - F(i, j) F(i-1, j-1) - A B
+        r1 = F(i-1, j-1) B_1(i+1/2) - F(i, j-1) B_1(i-1/2) - B A_2(j-1/2)
+        r2 = F(i-1, j-1) A_2(j+1/2) - F(i-1, j) A_2(j-1/2) - A B_1(i-1/2)
+
+        with A, B at (i, j) unless shifted, B_1 = d1(B) and A_2 = d2(A)."""
+        f, (a, b) = self.f, self.coefficients()
+        products = {}
+        for i in range(1, self.domain.n_u - 1):
+            for j in range(1, self.domain.n_v - 1):
+                b1_lo, b1_hi = b[i, j] - b[i - 1, j], b[i + 1, j] - b[i, j]
+                a2_lo, a2_hi = a[i, j] - a[i, j - 1], a[i, j + 1] - a[i, j]
+                products[i, j] = (
+                    f[i - 1, j] * f[i, j - 1] - f[i, j] * f[i - 1, j - 1] - a[i, j] * b[i, j],
+                    f[i - 1, j - 1] * b1_hi - f[i, j - 1] * b1_lo - b[i, j] * a2_lo,
+                    f[i - 1, j - 1] * a2_hi - f[i - 1, j] * a2_lo - a[i, j] * b1_lo)
+        return products
 
 
 def cubic_like(domain: GridDomain, k, step_u=1, step_v=1) -> ExactNet:

@@ -124,8 +124,8 @@ class TestIntegrateAndCheck:
         capsys.readouterr()
         assert run("integrate", "--conormal", bad, "--out", tmp_path / "s.json") == 1
         assert capsys.readouterr().err == (
-            "error: co-normal field is not harmonic: max residual 2.000e+00 on 8 face(s), "
-            "worst first: [(3, 3), (0, 0), (0, 1), (1, 0)]\n")
+            "error: NotHarmonic: co-normal field is not harmonic: max residual 2.000e+00 "
+            "on 8 face(s), worst first: [(3, 3), (0, 0), (0, 1), (1, 0)]\n")
 
     def test_check_passes(self, tmp_path, paraboloid_files):
         conormal, surface = paraboloid_files
@@ -272,7 +272,7 @@ class TestFormsReconstructCompare:
         capsys.readouterr()
         assert run("compare", "--a", surfaces["a"], "--b", surfaces[b],
                    "--report", report) == 1
-        assert capsys.readouterr().err == f"error: {error.split(': ', 1)[1]}\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert json.loads(report.read_text()) == {"equivalent": False, "error": error,
                                                   "tolerance": TOL_EQUIV}
 
@@ -698,16 +698,34 @@ EXIT_ONE = {
 
 
 @pytest.mark.parametrize("case", EXIT_ONE)
-def test_every_exit_one_leaves_a_report_naming_the_error(tmp_path, case):
+def test_every_exit_one_leaves_a_report_naming_the_error(tmp_path, capsys, case):
     build, error = EXIT_ONE[case]
     argv, path = build(tmp_path)
+    capsys.readouterr()
     assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
     report = json.loads(path.read_text())
     assert report["error"].startswith(f"{error}: ")
     assert report.get("passed", report.get("equivalent")) is False
     if argv[0] == "pipeline":
         assert list(report) == ["command", "example", "box", "n", "tolerances", "error", "passed"]
         assert report["box"] == argv[4:8]
+
+
+def test_reconstruct_names_the_type_of_incompatible_data_on_stderr(tmp_path, capsys):
+    # reconstruct writes no report, so the type is on stderr alone.
+    _, surface = _surface_files(tmp_path, "cubic", (1, 6, 1, 6))
+    forms, out = tmp_path / "forms.json", tmp_path / "rebuilt.json"
+    assert run("forms", "--surface", surface, "--out", forms) == 0
+    obj = json.loads(forms.read_text())
+    obj["A"]["values"][5] *= 1.5   # A at vertex (2, 6): -6 becomes -9
+    forms.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("reconstruct", "--forms", forms, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IncompatibleData: incompatible fundamental data: ")
+    assert err.endswith(" at (2, 6)\n") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_a_check_that_stops_names_its_error_on_stderr(tmp_path, capsys):

@@ -6,8 +6,11 @@ and the derivative of F with respect to a vertex is half the co-normal that
 the face reads at the corner opposite it, with sign + on the diagonal
 through (u, v) and - on the other.  So the area gradient, half the
 alternating sum of those co-normals over the four faces of a vertex,
-vanishes.  ``exact.py`` builds the nets in Fractions; these tests check each
-step exactly and the floating-point kernel against it.
+vanishes.  The affine normal and each face choice of the cubic coefficients
+are rational as well: the choices agree exactly, and the three compatibility
+equations hold with no remainder.  ``exact.py`` builds the nets in
+Fractions; these tests check each step exactly and the floating-point
+kernels against it.
 """
 
 from fractions import Fraction
@@ -16,7 +19,8 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from affmin.geometry import face_conormals, face_volumes
+from affmin.forms import cubic_coefficients
+from affmin.geometry import affine_normal, face_conormals, face_volumes
 from affmin.grids import GridDomain
 from exact import ExactNet, add, cross, cubic_like, rational_sqrt, sub, volume
 
@@ -123,3 +127,53 @@ def test_exact_area_gradient_vanishes(net):
                 slope = _volume_slopes(net.face_corners(*face))[3 - k]
                 total = [t + s / (2 * net.f[face]) for t, s in zip(total, slope)]
             assert total == [0, 0, 0], (dom.u_min + i, dom.v_min + j)
+
+
+def test_face_choices_of_the_cubic_form_agree_exactly(net):
+    for choices in (net.a_choices, net.b_choices):
+        assert choices and all(len(values) in (2, 4) for values in choices.values())
+        for vertex, values in choices.items():
+            assert max(values) - min(values) == 0, vertex
+
+
+def test_compatibility_products_vanish_exactly(net):
+    products = net.compatibility_products()
+    assert len(products) == (net.domain.n_u - 2) * (net.domain.n_v - 2)
+    for vertex, (r0, r1, r2) in products.items():
+        assert (r0, r1, r2) == (0, 0, 0), vertex
+
+
+def _exact_array(table, shape):
+    return np.array([[table[i, j] for j in range(shape[1])] for i in range(shape[0])], dtype=float)
+
+
+# xi = d12(q) / F cancels positions that are larger than d12(q): per face its
+# error is within 4 ulps of max |q| over the corners / F (at most 1.9 seen, also
+# on the random nets of seeds 1-59), and within 64 ulps of max |xi| on these
+# nets (at most 23 seen).  A and B dot a cross product of edges with xi, and are
+# within 128 ulps of max |A| and max |B| here (at most 41 seen; random nets of
+# other seeds reached 254).
+ULPS_XI_OF_Q, ULPS_XI, ULPS_FORMS = 4, 64, 128
+
+
+def test_affine_normal_is_within_ulps_of_the_exact_one(net):
+    q = net.grid(net.q)
+    areas = face_volumes(q).areas
+    exact = _exact_array(net.xi, areas.values.shape)
+    error = np.abs(affine_normal(q, areas).values - exact).max(axis=-1)
+    eps, p = np.finfo(float).eps, np.abs(q.values).max(axis=-1)
+    corners = np.maximum.reduce([p[:-1, :-1], p[1:, :-1], p[:-1, 1:], p[1:, 1:]])
+    assert (error <= ULPS_XI_OF_Q * eps * corners / areas.values).all()
+    assert error.max() <= ULPS_XI * eps * np.abs(exact).max()
+
+
+def test_cubic_coefficients_are_within_ulps_of_the_exact_ones(net):
+    q = net.grid(net.q)
+    form = cubic_coefficients(q, affine_normal(q, face_volumes(q).areas))
+    a, b = net.coefficients()
+    u_coeff, v_coeff = form.u_coeff.values, form.v_coeff.values
+    exact_a = _exact_array({(i - 1, j): x for (i, j), x in a.items()}, u_coeff.shape)
+    exact_b = _exact_array({(i, j - 1): x for (i, j), x in b.items()}, v_coeff.shape)
+    eps = np.finfo(float).eps
+    for coeff, exact in ((u_coeff, exact_a), (v_coeff, exact_b)):
+        assert np.abs(coeff - exact).max() <= ULPS_FORMS * eps * np.abs(exact).max()

@@ -262,8 +262,8 @@ class TestStreamingExport:
     def test_returns_counts(self, cubic, tmp_path):
         _, surf = cubic
         counts = export_surface_obj(surf, 3, tmp_path / "c.obj")
-        assert counts == (22 * 22, 2 * 21 * 21)
-        assert (counts.vertices, counts.triangles) == tuple(counts)
+        assert (counts.vertices, counts.triangles) == (22 * 22, 2 * 21 * 21)
+        assert (counts.vertices, counts.triangles, counts.sha256) == tuple(counts)
 
     def test_peak_memory_is_bounded_by_a_band(self, tmp_path):
         # The mesh is 255,025 vertices and 508,032 triangles (25 MB of OBJ);

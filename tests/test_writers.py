@@ -7,6 +7,7 @@ band, must equal theirs.  ``reference_mesh`` builds the exported mesh point
 by point through the public ``patch_point``.
 """
 
+import hashlib
 import json
 import tracemalloc
 
@@ -375,7 +376,7 @@ def streamed_and_reference(tmp_path, surface, resolution, mesh=None):
     counts = export_surface_obj(surface, resolution, ours)
     positions, triangles = mesh if mesh is not None else reference_mesh(surface, resolution)
     reference_export_obj(positions, triangles, theirs)
-    assert counts == (len(positions), len(triangles))
+    assert (counts.vertices, counts.triangles) == (len(positions), len(triangles))
     return ours.read_bytes(), theirs.read_bytes()
 
 
@@ -401,3 +402,45 @@ def test_streamed_export_matches_reference_on_rows_wider_than_a_block(tmp_path):
     surf = am.integrate(am.hyperbolic_paraboloid(am.GridDomain(0, 2, 0, n_v - 1)))
     ours, theirs = streamed_and_reference(tmp_path, surf, 1)   # one lattice row per band
     assert ours == theirs
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("res", [1, 3])
+def test_every_writer_returns_the_digest_of_the_file_it_wrote(tmp_path, res):
+    # At res 3 the surface grid spans two spelling passes and the mesh two bands.
+    surf = am.integrate(am.minimal_cubic(am.GridDomain(1, 16 * res, 1, 16 * res)))
+    p = surf.positions.values
+    writers = {
+        "surface.json": lambda path: write_grid(surf.positions, path),
+        "forms.json": lambda path: write_forms(extract_fundamental_data(surf), path),
+        "report.json": lambda path: gridio.write_json(
+            {"passed": np.True_, "gap": float("nan"), "column": p[:, 0, 2]}, path),
+        "seed.json": lambda path: gridio.write_seed(
+            np.stack([p[0, 0], p[1, 0], p[0, 1], p[1, 1]]), path),
+        "mesh.obj": lambda path: export_surface_obj(surf, res, path).sha256,
+    }
+    for name, write in writers.items():
+        assert write(tmp_path / name) == sha256_of(tmp_path / name), name
+    assert (p.size > spelling._PASS) == (res == 3)
+
+
+def test_write_chunks_digests_the_chunks_it_writes(tmp_path):
+    chunks = [b"v 1 2 3\n", b"", b"f 1 1 1\n"]
+    assert spelling.write_chunks(tmp_path / "a.obj", chunks) == sha256_of(tmp_path / "a.obj")
+    assert (tmp_path / "a.obj").read_bytes() == b"".join(chunks)
+    assert spelling.write_chunks(tmp_path / "empty", []) == hashlib.sha256(b"").hexdigest()
+
+
+def test_write_chunks_leaves_no_file_when_a_chunk_generator_raises(tmp_path):
+    path = tmp_path / "partial.obj"
+
+    def chunks():
+        yield b"v 1 2 3\n"
+        raise RuntimeError("spelling failed")
+
+    with pytest.raises(RuntimeError, match="spelling failed"):
+        spelling.write_chunks(path, chunks())
+    assert not path.exists()
