@@ -57,7 +57,7 @@ from .gridio import (
     write_grid,
     write_json,
 )
-from .grids import TINY, Grid, GridDomain
+from .grids import TINY, Grid, GridDomain, require_bounded
 from .lelieuvre import (
     TOL_INTEGRATE,
     Immersion,
@@ -157,7 +157,9 @@ def _cmd_integrate(args) -> int:
         if not (u.is_integer() and v.is_integer() and field.domain.contains_vertex(u, v)):
             raise ValueError(f"--base vertex ({u:g}, {v:g}) is not an integer vertex of the box "
                              f"{field.domain.as_tuple()}")
-        base = {"base_vertex": (int(u), int(v)), "base_value": args.base[2:]}
+        u, v = int(u), int(v)
+        require_bounded([[args.base[2:]]], GridDomain(u, u, v, v), "--base position")
+        base = {"base_vertex": (u, v), "base_value": args.base[2:]}
     surface = integrate(field, **base)
     write_grid(surface.positions, args.out)
     print(f"wrote surface grid {args.out} (domain {surface.domain.as_tuple()})")

@@ -270,10 +270,10 @@ def affine_equivalence(qa, qb, tol: float = TOL_EQUIV) -> AffineMap:
     """Affine map sending qa to qb, determined by the corner quadrangles.
 
     The four lower-left corner points fix the map; it is then verified on
-    every vertex, band by band: one pass takes the extent of qb that scales
-    the gaps, a second the worst relative gap and its vertex.  Raises
-    NotEquivalent (with the worst vertex and relative gap, NaN included) if
-    the map fails globally, DegenerateQuadrangle if no map exists.
+    every vertex in one band sweep, which takes both the worst gap with its
+    vertex and the extent of qb that scales it.  Raises NotEquivalent (with
+    the worst vertex and relative gap, NaN included) if the map fails
+    globally, DegenerateQuadrangle if no map exists.
     """
     qa, qb = as_positions(qa), as_positions(qb)
     require_domain(qa.domain, qb=qb)
@@ -282,20 +282,18 @@ def affine_equivalence(qa, qb, tol: float = TOL_EQUIV) -> AffineMap:
     linear = np.linalg.solve(frame_a.T, frame_b.T).T
     translation = base_b - linear @ base_a
     pb = qb.values
-    # fmax reductions, as nanmax is: a NaN in qb does not hide which vertex carries it.
-    spans = []
-    for _, band, _, _ in row_bands(qb):
-        span = band.values - pb[0, 0]
-        spans.append(np.fmax.reduce(np.abs(span, out=span), axis=None))
-    scale = max(float(np.fmax.reduce(spans)), TINY)
-    worst = BandMax(qa.domain)
+    spans, worst = [], BandMax(qa.domain)
     for lo, band, (target,), _ in row_bands(qa, 0, 0, pb):
         gap = band.values @ linear.T   # the whole grid's matmul, one u-row at a time
         gap += translation
         gap -= target
-        gap = absmax(gap)
-        gap /= scale
-        worst.add(gap, lo)
-    if not worst.value <= tol:
-        raise NotEquivalent(worst.index, worst.value)
+        worst.add(absmax(gap), lo)
+        # qb's extent in gap's buffer, by fmax: a NaN in qb does not hide its vertex.
+        np.abs(np.subtract(target, pb[0, 0], out=gap), out=gap)
+        spans.append(np.fmax.reduce(gap, axis=None))
+        del gap
+    # Division by a positive scale is monotone: the worst quotient is the worst gap's.
+    relative = worst.value / max(float(np.fmax.reduce(spans)), TINY)
+    if not relative <= tol:
+        raise NotEquivalent(worst.index, relative)
     return AffineMap(linear, translation)

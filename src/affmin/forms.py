@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllDefinedForm, NonConvexFace
-from .geometry import face_volumes
+from .geometry import edge_cross_products, face_volumes
 from .grids import (TINY, BandMax, FaceGrid, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
-                    as_positions, cross3, d1, d2, d11, d22, det3, dot3, face_choice_mean, mul3,
+                    as_positions, d1, d2, d11, d22, det3, dot3, face_choice_mean, mul3,
                     relative_residual, require_domain, require_positive, row_bands)
 
 __all__ = [
@@ -99,6 +99,15 @@ def _average(dets_by_face, shape, out, own, spreads: BandMax, lo):
     spreads.add(spread[own] / np.maximum(scale, TINY), lo)
 
 
+def _face_choices(cross, xi, f, axis):
+    """((determinant, area), slice) per face choice of the coefficient with edge cross
+    products ``cross`` on vertices interior along ``axis``: faces on the low, then the
+    high side across the edges, each on the high, then the low side along them."""
+    across = [(slice(None),) * (1 - axis) + (sl,) for sl in (slice(None, -1), slice(1, None))]
+    along = [(slice(None),) * axis + (sl,) for sl in (slice(1, None), slice(None, -1))]
+    return [((dot3(cross[c], xi[a]), f[a]), c) for c in across for a in along]
+
+
 def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> CubicForm:
     """Cubic coefficients of an immersion given its affine normal field.
 
@@ -123,22 +132,9 @@ def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
     spreads = (BandMax(dom, 1, 0), BandMax(dom, 0, 1))
     for lo, band, (xi, f, a_out, b_out), own in row_bands(q, 1, 2, normals.values, areas.values,
                                                           a, b):
-        e1, e2 = d1(band).values, d2(band).values
-        cross_u = cross3(e1[:-1, :], e1[1:, :])            # u-interior vertices
-        _average((
-            ((dot3(cross_u[:, :-1], xi[1:, :]), f[1:, :]), (slice(None), slice(None, -1))),
-            ((dot3(cross_u[:, :-1], xi[:-1, :]), f[:-1, :]), (slice(None), slice(None, -1))),
-            ((dot3(cross_u[:, 1:], xi[1:, :]), f[1:, :]), (slice(None), slice(1, None))),
-            ((dot3(cross_u[:, 1:], xi[:-1, :]), f[:-1, :]), (slice(None), slice(1, None))),
-        ), cross_u.shape[:2], a_out, own, spreads[0], lo)
-
-        cross_v = cross3(e2[:, 1:], e2[:, :-1])            # v-interior vertices
-        _average((
-            ((dot3(cross_v[:-1, :], xi[:, 1:]), f[:, 1:]), (slice(None, -1), slice(None))),
-            ((dot3(cross_v[:-1, :], xi[:, :-1]), f[:, :-1]), (slice(None, -1), slice(None))),
-            ((dot3(cross_v[1:, :], xi[:, 1:]), f[:, 1:]), (slice(1, None), slice(None))),
-            ((dot3(cross_v[1:, :], xi[:, :-1]), f[:, :-1]), (slice(1, None), slice(None))),
-        ), cross_v.shape[:2], b_out, own, spreads[1], lo)
+        cross_u, cross_v = edge_cross_products(d1(band).values, d2(band).values)
+        _average(_face_choices(cross_u, xi, f, 0), cross_u.shape[:2], a_out, own, spreads[0], lo)
+        _average(_face_choices(cross_v, xi, f, 1), cross_v.shape[:2], b_out, own, spreads[1], lo)
 
     return CubicForm(
         areas=areas,

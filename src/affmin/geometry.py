@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import NonPositiveVolume
 from .grids import (TINY, BandMax, FaceGrid, VertexGrid, absmax, as_conormal, as_positions,
-                    cross3, d1, d2, d11, d12, d22, det3, div3, dot3, empty3, face_choice_mean,
-                    mul3, norm3, require_domain, require_positive, row_bands)
+                    cross3, d1, d2, d12, det3, div3, dot3, empty3, face_choice_mean, mul3, norm3,
+                    require_domain, require_positive, row_bands)
 
 __all__ = [
     "TOL_DUAL",
@@ -23,6 +23,7 @@ __all__ = [
     "face_volumes",
     "affine_normal",
     "face_conormals",
+    "edge_cross_products",
     "ConormalRecovery",
     "recover_conormal",
     "AsymptoticReport",
@@ -95,6 +96,13 @@ def face_conormals(band: VertexGrid, f) -> tuple:
     return tuple(div3(cross3(e1[:, v], e2[u, :]), f) for v in (low, high) for u in (low, high))
 
 
+def edge_cross_products(e1, e2) -> tuple:
+    """A nu and B nu from u-edges ``e1`` and v-edges ``e2`` of one box:
+    q1(u-1/2) x q1(u+1/2) on its u-interior vertices and q2(v+1/2) x q2(v-1/2)
+    on its v-interior vertices, in the argument order of the cubic form."""
+    return cross3(e1[:-1], e1[1:]), cross3(e2[:, 1:], e2[:, :-1])
+
+
 @dataclass(frozen=True)
 class ConormalRecovery:
     """Co-normals recovered from an immersion, with cross-formula agreement.
@@ -128,12 +136,12 @@ def recover_conormal(surface) -> ConormalRecovery:
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    """Certificate that the net is asymptotic.
+    """Certificate that the net is asymptotic: every vertex star is planar.
 
-    ``max_zero_residual`` is the worst absolute value over all determinants
-    pairing both second differences with the adjacent edges (all of which
-    must vanish); ``max_mixed_residual`` is the worst relative deviation of
-    the four edge/edge/mixed-difference determinants from the face volume.
+    ``max_zero_residual`` is the worst |star determinant|, q2(v+-1/2) . A nu at
+    u-interior and q1(u+-1/2) . B nu at v-interior vertices (all must vanish;
+    ``edge_cross_products``); ``max_mixed_residual`` is the worst relative
+    deviation of the four edge/edge/mixed-difference determinants from M.
     """
 
     max_zero_residual: float
@@ -152,18 +160,12 @@ def asymptotic_certificate(surface, tol: float = TOL_ASYMPTOTIC) -> AsymptoticRe
     mixed = BandMax(dom)
     for lo, band, (m,), own in row_bands(q, 0, 2, volumes):
         e1, e2 = d1(band).values, d2(band).values
-        # [a, b, c] = a . (b x c), with each cross product taken once.
-        dets = []   # (a, b x c, du, dv)
+        cross_u, cross_v = edge_cross_products(e1, e2)
+        dets = []   # (edge, cross product of the two edges opposite it, du, dv)
         if dom.n_u >= 3:
-            quu = d11(band).values
-            cross = (cross3(e2[1:-1, :], quu[:, :-1]), cross3(e2[1:-1, :], quu[:, 1:]))
-            for e1_pick in (e1[:-1, :], e1[1:, :]):
-                dets += [(e1_pick[:, :-1], cross[0], 1, 0), (e1_pick[:, 1:], cross[1], 1, 1)]
+            dets += [(e2[1:-1], cross_u[:, :-1], 1, 0), (e2[1:-1], cross_u[:, 1:], 1, 1)]
         if dom.n_v >= 3:
-            qvv = d22(band).values
-            for e2_pick in (e2[:, :-1], e2[:, 1:]):
-                cross = cross3(e2_pick, qvv)
-                dets += [(e1[:, 1:-1], cross[:-1], 0, 1), (e1[:, 1:-1], cross[1:], 1, 1)]
+            dets += [(e1[:, 1:-1], cross_v[:-1], 0, 1), (e1[:, 1:-1], cross_v[1:], 1, 1)]
         for k, (a, bc, du, dv) in enumerate(dets):
             zero.setdefault(k, BandMax(dom, du, dv)).add(np.abs(dot3(a[own], bc[own])), lo)
         quv = d12(band).values

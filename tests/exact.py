@@ -22,12 +22,17 @@ face, and each face choice of the cubic coefficients
 over the up to four faces at the vertex (as ``forms.cubic_coefficients``
 forms them), are rational too; ``compatibility_products`` gives the three
 equations of ``compatibility.compatibility_residuals`` as exact differences.
+``star_determinants`` gives the determinants of each vertex star that
+vanish on any asymptotic net, of these positions or of corrupted ones.
+``rational_nets`` draws nets of the family on random rational samples.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
+from hypothesis import assume, strategies as st
 
 from affmin.grids import GridDomain, VertexGrid
 
@@ -52,6 +57,28 @@ def det(x, y, z):
 def volume(q00, q10, q01, q11):
     """M of the face with these corners: det(q10 - q00, q01 - q00, q11 - q00)."""
     return det(sub(q10, q00), sub(q01, q00), sub(q11, q00))
+
+
+def star_determinants(q):
+    """Vertex (i, j) -> the determinants of its star, from positions ``q[i][j]``:
+    [q1(u-1/2), q1(u+1/2), q2(v+-1/2)] if it is u-interior and
+    [q2(v+1/2), q2(v-1/2), q1(u+-1/2)] if it is v-interior, for each edge
+    q2(v+-1/2) or q1(u+-1/2) of the box, the + side first.  All of them
+    vanish exactly when every vertex star is planar."""
+    n_u, n_v, stars = len(q), len(q[0]), {}
+    for i in range(n_u):
+        for j in range(n_v):
+            # The edges at u-1/2, u+1/2 and at v-1/2, v+1/2, None off the box.
+            q1 = [sub(q[i + s][j], q[i + s - 1][j]) if 0 < i + s < n_u else None for s in (0, 1)]
+            q2 = [sub(q[i][j + s], q[i][j + s - 1]) if 0 < j + s < n_v else None for s in (0, 1)]
+            dets = []
+            if None not in q1:
+                dets += [det(q1[0], q1[1], edge) for edge in q2[::-1] if edge is not None]
+            if None not in q2:
+                dets += [det(q2[1], q2[0], edge) for edge in q1[::-1] if edge is not None]
+            if dets:
+                stars[i, j] = dets
+    return stars
 
 
 def rational_sqrt(m: Fraction) -> Fraction:
@@ -151,3 +178,23 @@ def cubic_like(domain: GridDomain, k, step_u=1, step_v=1) -> ExactNet:
     a = [Fraction(u) * Fraction(step_u) for u in domain.u_values().tolist()]
     b = [Fraction(v) * Fraction(step_v) for v in domain.v_values().tolist()]
     return ExactNet(domain, a, b, k)
+
+
+def stepped(domain: GridDomain, steps_u, steps_v, k) -> ExactNet:
+    """The net on samples that climb from 1/4 by ``steps_u`` along u and ``steps_v`` along v."""
+    a, b = (list(accumulate(steps, initial=Fraction(1, 4)))[1:] for steps in (steps_u, steps_v))
+    return ExactNet(domain, a, b, k)
+
+
+@st.composite
+def rational_nets(draw, max_n=8):
+    """Nets ``stepped`` on 3 to ``max_n`` samples each way, with steps p/q (p in
+    1..8, q in 1..5) and shift k in -9..3, kept only with F > 0 on every face."""
+    u_min, v_min = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    n_u, n_v = draw(st.integers(3, max_n)), draw(st.integers(3, max_n))
+    step = st.builds(Fraction, st.integers(1, 8), st.integers(1, 5))
+    net = stepped(GridDomain(u_min, u_min + n_u - 1, v_min, v_min + n_v - 1),
+                  draw(st.lists(step, min_size=n_u, max_size=n_u)),
+                  draw(st.lists(step, min_size=n_v, max_size=n_v)), draw(st.integers(-9, 3)))
+    assume(min(net.f.values()) > 0)
+    return net

@@ -86,7 +86,7 @@ def image_of(surf):
 def test_asymptotic_zero_residual_of_an_image():
     surf = am.integrate(am.minimal_cubic(am.GridDomain(1, 12, 1, 12)))
     assert am.asymptotic_certificate(surf).passed   # exact: every residual is 0
-    assert am.asymptotic_certificate(image_of(surf)).passed   # 1.6e-8
+    assert am.asymptotic_certificate(image_of(surf)).passed   # 1.5e-8
 
 
 @pytest.mark.xfail(strict=True, reason="A_2 and B_1 vanish on the sphere, so the closed-form "

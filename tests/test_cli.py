@@ -41,7 +41,7 @@ GOLDEN_ROUNDED = {
         "conormal.json": "cb823ba05ffa6ac5e8f99c0b7a02169543dd7b41cd75646d8006c891181d5cde",
         "surface.json": "fcdb072a0f11cfee397ee43902f7447ef6ebfb3975c992aa6632833d99eb7914",
         "reconstructed.json": "5aaf44698fa68642f643fea06371914168d2903df7358d58a11062b5d91366a6",
-        "check_report.json": "3e9b6fb14ed9faf795e844f42873b707a91bd2cde031b580fb76da456a857a23",
+        "check_report.json": "94fda5efa964848037394b10f569746a4a6e7ff2f22a929061cfb9dfbd9d6cd2",
         "forms.json": "77c6bbc9e5321fb75348ce9f6550b08d807252b9ebc7ab13598931821f1ffe69",
         "mesh_res1.obj": "0b72fce14b0cbfd949fcc83f7cf24ad4b435c7b3aca9bd8bf2ff67a16a134d08",
         "mesh_res8.obj": "3eb0922f7aeb7aca6f7c0132b179367882bbf677fb028713448f63ece2d1f12f",
@@ -111,6 +111,19 @@ class TestIntegrateAndCheck:
         err = capsys.readouterr().err
         assert err == (f"error: --base vertex {shown} is not an integer vertex "
                        "of the box (0, 5, 0, 5)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "nan"])
+    def test_integrate_names_an_unbounded_base_position(self, tmp_path, capsys,
+                                                         paraboloid_files, value):
+        conormal, _ = paraboloid_files
+        out = tmp_path / "shifted.json"
+        capsys.readouterr()
+        assert run("integrate", "--conormal", conormal, "--out", out,
+                   "--base", 1, 1, 0, value, 0) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --base position at grid index (1, 1), component 1: ")
+        assert str(out) not in err
         assert not out.exists()
 
     def test_integrate_names_the_worst_face_of_a_non_harmonic_file_first(self, tmp_path, capsys,

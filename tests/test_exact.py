@@ -7,31 +7,32 @@ the face reads at the corner opposite it, with sign + on the diagonal
 through (u, v) and - on the other.  So the area gradient, half the
 alternating sum of those co-normals over the four faces of a vertex,
 vanishes.  The affine normal and each face choice of the cubic coefficients
-are rational as well: the choices agree exactly, and the three compatibility
-equations hold with no remainder.  ``exact.py`` builds the nets in
-Fractions; these tests check each step exactly and the floating-point
-kernels against it.
+are rational as well: the choices agree exactly, every vertex star is
+planar, and the three compatibility equations hold with no remainder.
+``exact.py`` builds the nets in Fractions; these tests check each step
+exactly and the floating-point kernels against it, on fixed nets and on
+nets that hypothesis draws.
 """
 
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from affmin.forms import cubic_coefficients
-from affmin.geometry import affine_normal, face_conormals, face_volumes
-from affmin.grids import GridDomain
-from exact import ExactNet, add, cross, cubic_like, rational_sqrt, sub, volume
+from affmin.geometry import affine_normal, asymptotic_certificate, face_conormals, face_volumes
+from affmin.grids import GridDomain, absmax, d1, d2
+from exact import (add, cross, cubic_like, det, rational_nets, rational_sqrt, star_determinants,
+                   stepped, sub, volume)
 
 
 def _random_net(seed):
     """A 7 x 6 net on random increasing rational samples a, b >= 1/4."""
     rng = np.random.default_rng(seed)
-    steps = ((Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 6))) for _ in range(n))
-             for n in (7, 6))
-    a, b = (list(accumulate(row, initial=Fraction(1, 4)))[1:] for row in steps)
-    return ExactNet(GridDomain(-3, 3, 2, 7), a, b, int(rng.integers(-9, 4)))
+    steps_u, steps_v = ([Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 6)))
+                         for _ in range(n)] for n in (7, 6))
+    return stepped(GridDomain(-3, 3, 2, 7), steps_u, steps_v, int(rng.integers(-9, 4)))
 
 
 NETS = {
@@ -143,6 +144,45 @@ def test_compatibility_products_vanish_exactly(net):
         assert (r0, r1, r2) == (0, 0, 0), vertex
 
 
+def test_star_determinants_vanish_exactly(net):
+    stars = star_determinants(net.q)
+    dom = net.domain
+    assert len(stars) == dom.n_u * dom.n_v - 4   # every vertex but the box corners
+    for vertex, dets in stars.items():
+        assert dets and all(d == 0 for d in dets), vertex
+
+
+def test_second_difference_determinants_are_star_determinants():
+    # [q1(u-+1/2), q2, q11] with q11 = q1(u+1/2) - q1(u-1/2) is minus the star
+    # determinant [q1(u-1/2), q1(u+1/2), q2] on any net, and so is
+    # [q2(v+-1/2), q1, ...] with q22 for [q2(v+1/2), q2(v-1/2), q1].  On a
+    # net with one vertex moved, every such pair holds exactly, and the float
+    # certificate reads the largest star determinant.
+    net = NETS["k2-12x10"]()
+    q = [row[:] for row in net.q]
+    q[5][4] = add(q[5][4], (Fraction(1, 1000), Fraction(-1, 2000), Fraction(1, 3000)))
+    stars = star_determinants(q)
+    n_u, n_v = len(q), len(q[0])
+    for (i, j), dets in stars.items():
+        # The edges at u-1/2, u+1/2 and at v-1/2, v+1/2 that the box has.
+        q1 = [sub(q[i + s][j], q[i + s - 1][j]) for s in (0, 1) if 0 < i + s < n_u]
+        q2 = [sub(q[i][j + s], q[i][j + s - 1]) for s in (0, 1) if 0 < j + s < n_v]
+        old = []   # the second-difference determinants, each star's two in a row
+        if 0 < i < n_u - 1:
+            old += [det(pick, e, sub(q1[1], q1[0])) for e in q2[::-1] for pick in q1]
+        if 0 < j < n_v - 1:
+            old += [det(e, pick, sub(q2[1], q2[0])) for e in q1[::-1] for pick in q2]
+        assert old == [-d for d in dets for _ in range(2)], (i, j)
+
+    exact = max(abs(d) for dets in stars.values() for d in dets)
+    assert exact > 0
+    report = asymptotic_certificate(net.grid(q))
+    # Positions of up to 1.2e3 rounded to half an ulp each; 6.6e-13 relative seen.
+    assert abs(report.max_zero_residual - float(exact)) <= 1e-11 * float(exact)
+    assert report.worst_zero_vertex == (net.domain.u_min + 5, net.domain.v_min + 4)
+    assert not report.passed
+
+
 def _exact_array(table, shape):
     return np.array([[table[i, j] for j in range(shape[1])] for i in range(shape[0])], dtype=float)
 
@@ -177,3 +217,45 @@ def test_cubic_coefficients_are_within_ulps_of_the_exact_ones(net):
     eps = np.finfo(float).eps
     for coeff, exact in ((u_coeff, exact_a), (v_coeff, exact_b)):
         assert np.abs(coeff - exact).max() <= ULPS_FORMS * eps * np.abs(exact).max()
+
+
+# The error bounds above use the largest |nu|, |xi|, |A| of the fixed nets as
+# scales; drawn nets with long thin faces break them (face co-normals and A
+# up to 1.9e3 ulps of max |nu| and max |A| over 400 draws).  These bounds scale each
+# error by the rounding it propagates instead: nu through M = F^2, whose
+# rounding is eps max|q| |e|^2 per face (at most 0.5 ulps seen); xi as
+# ULPS_XI_OF_Q; A and B through a cross product of edges (eps max|q| |e|) and
+# xi (eps max|q| / F times |e|^2), with this net's largest values (0.08 seen).
+ULPS_NU_OF_M, ULPS_FORMS_OF_Q = 1, 1
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(rational_nets())
+def test_drawn_nets_hold_every_identity_and_rounding_bound(net):
+    test_star_determinants_vanish_exactly(net)
+    test_compatibility_products_vanish_exactly(net)
+    eps = np.finfo(float).eps
+    q = net.grid(net.q)
+    areas = face_volumes(q).areas
+    f = areas.values
+    p, e1, e2 = absmax(q.values), absmax(d1(q).values), absmax(d2(q).values)
+    corners = np.maximum.reduce([p[:-1, :-1], p[1:, :-1], p[:-1, 1:], p[1:, 1:]])
+    edges = np.maximum.reduce([e1[:, :-1], e1[:, 1:], e2[:-1], e2[1:]])
+
+    nu = net.grid(net.nu).values
+    for estimate, ((di, dj), _) in zip(face_conormals(q, f), CORNERS):
+        corner = nu[di:di + nu.shape[0] - 1, dj:dj + nu.shape[1] - 1]
+        bound = ULPS_NU_OF_M * eps * absmax(corner) * corners * edges ** 2 / f ** 2
+        assert (absmax(estimate - corner) <= bound).all()
+
+    xi = affine_normal(q, areas)
+    exact_xi = _exact_array(net.xi, f.shape)
+    assert (absmax(xi.values - exact_xi) <= ULPS_XI_OF_Q * eps * corners / f).all()
+
+    form = cubic_coefficients(q, xi)
+    a, b = net.coefficients()
+    scale = p.max() * edges.max() * (np.abs(exact_xi).max() + (edges / f).max())
+    for coeff, exact in ((form.u_coeff.values, {(i - 1, j): x for (i, j), x in a.items()}),
+                         (form.v_coeff.values, {(i, j - 1): x for (i, j), x in b.items()})):
+        error = np.abs(coeff - _exact_array(exact, coeff.shape))
+        assert error.max() <= ULPS_FORMS_OF_Q * eps * scale

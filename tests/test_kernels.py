@@ -316,7 +316,7 @@ PINS = {
         "lelieuvre_v": "0x1.4000000000000p-48",
         "lelieuvre_edge_scale": "0x1.2d1bd0d1f4727p+0",
         "conormal_recovery": "0x1.a600000000000p-42",
-        "asymptotic_zero": "0x1.f7c0000000000p-51",
+        "asymptotic_zero": "0x1.fb40000000000p-51",
         "asymptotic_mixed": "0x1.739f65eff51f9p-44",
         "orthogonality": "0x1.285355a986d67p-47",
         "duality_pairing": "0x1.5800000000000p-44",
