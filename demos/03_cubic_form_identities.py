@@ -1,6 +1,6 @@
 """Cubic form coefficients and the identities that tie them to the net.
 
-Shows the eight expansions of the second differences, the closed forms of
+Shows the four expansions of the second differences, the closed forms of
 the staggered derivatives of A and B, the derivative formulas for the
 affine normal, and the improper-affine-sphere criterion (A = A(u) and
 B = B(v) exactly when the affine normal is constant).

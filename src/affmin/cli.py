@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 import time
 
@@ -394,8 +395,16 @@ def _example_options(box_required: bool, box_help: str):
             ("--n", {"type": int, "default": 16, "help": "helicoid samples per turn"}))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e5``, ``-2.5E-3`` and ``-1.`` as negative numbers, as it does ``-5``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(   # its subparsers are _Parsers too
         prog="affmin",
         description="Construct, verify, reconstruct and export discrete "
                     "affine minimal surfaces with indefinite metric.",

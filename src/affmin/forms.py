@@ -99,12 +99,17 @@ def _average(dets_by_face, shape, out, own, spreads: BandMax, lo):
     spreads.add(spread[own] / np.maximum(scale, TINY), lo)
 
 
+def _along(axis, sl):
+    """The index that cuts ``sl`` from a grid along ``axis`` (0: u, 1: v)."""
+    return (slice(None),) * axis + (sl,)
+
+
 def _face_choices(cross, xi, f, axis):
     """((determinant, area), slice) per face choice of the coefficient with edge cross
     products ``cross`` on vertices interior along ``axis``: faces on the low, then the
     high side across the edges, each on the high, then the low side along them."""
-    across = [(slice(None),) * (1 - axis) + (sl,) for sl in (slice(None, -1), slice(1, None))]
-    along = [(slice(None),) * axis + (sl,) for sl in (slice(1, None), slice(None, -1))]
+    across = [_along(1 - axis, sl) for sl in (slice(None, -1), slice(1, None))]
+    along = [_along(axis, sl) for sl in (slice(1, None), slice(None, -1))]
     return [((dot3(cross[c], xi[a]), f[a]), c) for c in across for a in along]
 
 
@@ -147,7 +152,7 @@ def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
 
 @dataclass(frozen=True)
 class StructuralReport:
-    """Worst relative residual of the eight second-difference expansions."""
+    """Worst relative residual of the four second-difference expansions (``per_identity``)."""
 
     max_residual: float
     per_identity: dict
@@ -157,10 +162,13 @@ class StructuralReport:
 
 def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
                          tol: float = TOL_FORMS) -> StructuralReport:
-    """Check F*q11 = F1*q1 + A*q2 and F*q22 = B*q1 + F2*q2, all variants.
+    """Check F*q11 = F1*q1 + A*q2 with q2 at v+-1/2 (``q11[v+-]``) and F*q22 = B*q1 +
+    F2*q2 with q1 at u+-1/2 (``q22[u+-]``), F and q1 (q2) read at u+1/2 (v+1/2).
 
-    Residuals are normalized by the largest participating term per stencil.
-    Every term, F1 = d1(F) and F2 = d2(F) included, is formed on row bands.
+    The u-1/2 (v-1/2) reading is the same vector for any positions, F, A and B:
+    the two differ by F1*q11 - F1*(q1(u+1/2) - q1(u-1/2)) = 0.  Residuals are
+    normalized by the largest participating term per stencil.  Every term,
+    F1 = d1(F) and F2 = d2(F) included, is formed on row bands.
     """
     q = as_positions(surface)
     require_domain(q.domain, areas=areas, form=form)
@@ -168,39 +176,23 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
     # The per-stencil scale is floored by F times the participating edge
     # lengths so identities whose every term vanishes (straight rulings,
     # constant F) register as satisfied instead of comparing noise to noise.
-    per = {}
+    per, hi, lo = {}, slice(1, None), slice(None, -1)
     for _, band, (f, a, b), _ in row_bands(q, 0, 2, areas.values, form.u_coeff.values,
                                            form.v_coeff.values):
-        e1, e2 = d1(band).values, d2(band).values
-        quu, qvv = d11(band).values, d22(band).values
-        f1, f2 = f[1:] - f[:-1], f[:, 1:] - f[:, :-1]   # d1(F), d2(F) on the band's faces
-        abs_e1, abs_e2 = absmax(e1), absmax(e2)
-
-        # q11 expansions (vertex u-interior; vsign picks the v+1/2 or v-1/2 row).
-        q2_used, abs_q2 = e2[1:-1, :], abs_e2[1:-1, :]
-        for vsign, vsl in ((+1, np.s_[:, :-1]), (-1, np.s_[:, 1:])):
-            a_q2 = mul3(a[vsl], q2_used)
-            for uside, f_face, e1_used, abs_e1_used in (
-                (+1, f[1:, :], e1[1:, :][vsl], abs_e1[1:, :][vsl]),
-                (-1, f[:-1, :], e1[:-1, :][vsl], abs_e1[:-1, :][vsl]),
-            ):
-                floor = f_face * np.maximum(abs_e1_used, abs_q2)
-                name = f"q11[v{'+' if vsign > 0 else '-'}][u{'+' if uside > 0 else '-'}]"
-                per.setdefault(name, []).append(relative_residual(
-                    [mul3(f_face, quu[vsl]), mul3(f1, e1_used), a_q2], floor))
-
-        # q22 expansions (vertex v-interior; usign picks the u+1/2 or u-1/2 column).
-        q1_used, abs_q1 = e1[:, 1:-1], abs_e1[:, 1:-1]
-        for usign, usl in ((+1, np.s_[:-1, :]), (-1, np.s_[1:, :])):
-            b_q1 = mul3(b[usl], q1_used)
-            for vside, f_face, e2_used, abs_e2_used in (
-                (+1, f[:, 1:], e2[:, 1:][usl], abs_e2[:, 1:][usl]),
-                (-1, f[:, :-1], e2[:, :-1][usl], abs_e2[:, :-1][usl]),
-            ):
-                floor = f_face * np.maximum(abs_q1, abs_e2_used)
-                name = f"q22[u{'+' if usign > 0 else '-'}][v{'+' if vside > 0 else '-'}]"
-                per.setdefault(name, []).append(relative_residual(
-                    [mul3(f_face, qvv[usl]), b_q1, mul3(f2, e2_used)], floor))
+        edges = (d1(band).values, d2(band).values)
+        abs_edges = (absmax(edges[0]), absmax(edges[1]))
+        for axis, second, coeff in ((0, d11(band).values, a), (1, d22(band).values, b)):
+            high, across = _along(axis, hi), _along(axis, slice(1, -1))
+            f_face, f_d = f[high], f[high] - f[_along(axis, lo)]   # F, and d1(F) or d2(F)
+            for sign, side in (("+", lo), ("-", hi)):   # the across edge at +1/2, -1/2
+                sl = _along(1 - axis, side)
+                by_edge = {axis: (mul3(f_d, edges[axis][high][sl]), abs_edges[axis][high][sl]),
+                           1 - axis: (mul3(coeff[sl], edges[1 - axis][across]),
+                                      abs_edges[1 - axis][across])}
+                (t1, m1), (t2, m2) = by_edge[0], by_edge[1]   # the q1 term first
+                per.setdefault(f"q{axis + 1}{axis + 1}[{'vu'[axis]}{sign}]", []).append(
+                    relative_residual([mul3(f_face, second[sl]), t1, t2],
+                                      f_face * np.maximum(m1, m2)))
 
     per = {name: float(np.max(values)) for name, values in per.items()}
     worst = list(per)[int(np.argmax(list(per.values())))]   # a NaN counts as worst
@@ -283,24 +275,22 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
     require_domain(q.domain, normals=normals, areas=areas)
     require_domain(q.domain.shrink(du_lo=1, du_hi=1), u_coeff_dv=derivs.u_coeff_dv)
     require_domain(q.domain.shrink(dv_lo=1, dv_hi=1), v_coeff_du=derivs.v_coeff_du)
-    res_u, res_v = [], []
+    res = ([], [])
     # Floored by F F |xi| so constant-normal regions do not compare rounding
     # noise against rounding noise.
     for _, band, (xi, f, a2, b1), _ in row_bands(q, 0, 2, normals.values, areas.values,
                                                  derivs.u_coeff_dv.values,
                                                  derivs.v_coeff_du.values):
-        abs_xi = absmax(xi)
-        ff_u = f[:-1, :] * f[1:, :]
-        res_u.append(relative_residual(
-            [mul3(ff_u, xi[1:, :] - xi[:-1, :]), mul3(a2, d2(band).values[1:-1, :])],
-            ff_u * np.maximum(abs_xi[1:, :], abs_xi[:-1, :]),
-        ))
-        ff_v = f[:, :-1] * f[:, 1:]
-        res_v.append(relative_residual(
-            [mul3(ff_v, xi[:, 1:] - xi[:, :-1]), mul3(b1, d1(band).values[:, 1:-1])],
-            ff_v * np.maximum(abs_xi[:, 1:], abs_xi[:, :-1]),
-        ))
-    res_u, res_v = float(np.max(res_u)), float(np.max(res_v))
+        abs_xi, edges = absmax(xi), (d1(band).values, d2(band).values)
+        for axis, coeff_d in ((0, a2), (1, b1)):
+            hi, lo, mid = (_along(axis, sl) for sl in (slice(1, None), slice(None, -1),
+                                                       slice(1, -1)))
+            ff = f[lo] * f[hi]
+            res[axis].append(relative_residual(
+                [mul3(ff, xi[hi] - xi[lo]), mul3(coeff_d, edges[1 - axis][mid])],
+                ff * np.maximum(abs_xi[hi], abs_xi[lo]),
+            ))
+    res_u, res_v = float(np.max(res[0])), float(np.max(res[1]))
     worst = float(np.max([res_u, res_v]))
     return NormalDerivativeReport(
         max_residual_u=res_u,

@@ -94,24 +94,16 @@ def fd_gradient_check(surface, vertex, direction, h: float) -> FdGradientCheck:
     j = vertex[1] - dom.v_min
 
     numeric = 0.0
-    # The four incident faces, each with the moving vertex in another corner.
-    for (fi, fj), corner in (
-        ((i, j), 0), ((i - 1, j), 1), ((i, j - 1), 2), ((i - 1, j - 1), 3),
-    ):
+    # The four incident faces: the vertex sits at corner k = (k % 2, k // 2) of face k.
+    for corner in range(4):
+        fi, fj = i - corner % 2, j - corner // 2
         a = p[fi, fj]
-        e1 = p[fi + 1, fj] - a
-        e2 = p[fi, fj + 1] - a
-        e3 = p[fi + 1, fj + 1] - a
-        m0 = det3(e1, e2, e3)
-        if corner == 0:
-            slope = -(det3(direction, e2, e3) + det3(e1, direction, e3)
-                      + det3(e1, e2, direction))
-        elif corner == 1:
-            slope = det3(direction, e2, e3)
-        elif corner == 2:
-            slope = det3(e1, direction, e3)
-        else:
-            slope = det3(e1, e2, direction)
+        edges = (p[fi + 1, fj] - a, p[fi, fj + 1] - a, p[fi + 1, fj + 1] - a)
+        m0 = det3(*edges)
+        # M is linear in each edge: moving corner k > 0 moves edge k (of three) by
+        # the direction, and moving corner 0 moves all three against it.
+        slopes = [det3(*edges[:k], direction, *edges[k + 1:]) for k in range(3)]
+        slope = slopes[corner - 1] if corner else -(slopes[0] + slopes[1] + slopes[2])
         m_plus = m0 + h * slope
         m_minus = m0 - h * slope
         if m_plus <= 0.0 or m_minus <= 0.0:

@@ -23,7 +23,9 @@ over the up to four faces at the vertex (as ``forms.cubic_coefficients``
 forms them), are rational too; ``compatibility_products`` gives the three
 equations of ``compatibility.compatibility_residuals`` as exact differences.
 ``star_determinants`` gives the determinants of each vertex star that
-vanish on any asymptotic net, of these positions or of corrupted ones.
+vanish on any asymptotic net, of these positions or of corrupted ones, and
+``structural_vectors`` the residual vectors of the structural equations
+F q11 = F1 q1 + A q2 and F q22 = B q1 + F2 q2 for any positions, F, A and B.
 ``rational_nets`` draws nets of the family on random rational samples.
 """
 
@@ -79,6 +81,47 @@ def star_determinants(q):
             if dets:
                 stars[i, j] = dets
     return stars
+
+
+def mul(c, x):
+    return tuple(c * a for a in x)
+
+
+def structural_vectors(q, f, a, b):
+    """Name -> vertex (i, j) -> residual vector of a structural equation, from
+    positions ``q[i][j]``, F ``f[i, j]`` of face (i, j) and A ``a[i, j]``, B
+    ``b[i, j]`` of vertex (i, j), whatever they are:
+
+        q11[v s][u t] = F q11 - F1 q1 - A q2   at u-interior vertices,
+        q22[u s][v t] = F q22 - B q1 - F2 q2   at v-interior vertices,
+
+    with the edge across the axis (q2, q1) on side s (+: v+1/2, u+1/2; -: v-1/2,
+    u-1/2), F and the edge along it (q1, q2) on side t, and F1 = d1(F), F2 =
+    d2(F) between the two faces on side s.  ``forms.structural_residuals``
+    reports the four with t = +, as ``q11[v s]`` and ``q22[u s]``."""
+    n_u, n_v, vectors = len(q), len(q[0]), {}
+    for i in range(n_u):
+        for j in range(n_v):
+            # The edges at u-1/2, u+1/2 and at v-1/2, v+1/2 (keys -1, +1) that the box has.
+            q1 = {s: sub(q[i + max(s, 0)][j], q[i + min(s, 0)][j]) for s in (-1, 1)
+                  if 0 <= i + s < n_u}
+            q2 = {s: sub(q[i][j + max(s, 0)], q[i][j + min(s, 0)]) for s in (-1, 1)
+                  if 0 <= j + s < n_v}
+            for s, s_name in ((1, "+"), (-1, "-")):   # the side of the edge across
+                for t, t_name in ((1, "+"), (-1, "-")):   # the side of F and the edge along
+                    if len(q1) == 2 and s in q2:
+                        fj = j + min(s, 0)
+                        f1 = f[i, fj] - f[i - 1, fj]
+                        vectors.setdefault(f"q11[v{s_name}][u{t_name}]", {})[i, j] = sub(sub(
+                            mul(f[i + min(t, 0), fj], sub(q1[1], q1[-1])), mul(f1, q1[t])),
+                            mul(a[i, j], q2[s]))
+                    if len(q2) == 2 and s in q1:
+                        fi = i + min(s, 0)
+                        f2 = f[fi, j] - f[fi, j - 1]
+                        vectors.setdefault(f"q22[u{s_name}][v{t_name}]", {})[i, j] = sub(sub(
+                            mul(f[fi, j + min(t, 0)], sub(q2[1], q2[-1])), mul(b[i, j], q1[s])),
+                            mul(f2, q2[t]))
+    return vectors
 
 
 def rational_sqrt(m: Fraction) -> Fraction:

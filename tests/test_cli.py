@@ -99,6 +99,15 @@ class TestIntegrateAndCheck:
         grid = read_grid(out)
         np.testing.assert_array_equal(grid.values[0, 0], (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("text, value", [("-1e5", -1e5), ("-2.5E-3", -2.5e-3), ("-1.", -1.0)])
+    def test_integrate_reads_a_negative_base_position_in_any_float_spelling(
+            self, tmp_path, paraboloid_files, text, value):
+        conormal, _ = paraboloid_files
+        out = tmp_path / "shifted.json"
+        assert run("integrate", "--conormal", conormal, "--out", out,
+                   "--base", 2, 3, 1, 0, text) == 0
+        np.testing.assert_array_equal(read_grid(out).vertex_at(2, 3), (1.0, 0.0, value))
+
     @pytest.mark.parametrize("u, v, shown", [(99, 99, "(99, 99)"), (1.7, 1, "(1.7, 1)"),
                                               (-1, 0, "(-1, 0)")])
     def test_integrate_rejects_a_base_that_is_no_vertex(self, tmp_path, capsys, paraboloid_files,

@@ -8,23 +8,25 @@ through (u, v) and - on the other.  So the area gradient, half the
 alternating sum of those co-normals over the four faces of a vertex,
 vanishes.  The affine normal and each face choice of the cubic coefficients
 are rational as well: the choices agree exactly, every vertex star is
-planar, and the three compatibility equations hold with no remainder.
+planar, and the structural and the three compatibility equations hold with
+no remainder.
 ``exact.py`` builds the nets in Fractions; these tests check each step
 exactly and the floating-point kernels against it, on fixed nets and on
 nets that hypothesis draws.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from affmin.forms import cubic_coefficients
+from affmin.forms import TOL_FORMS, cubic_coefficients, structural_residuals
 from affmin.geometry import affine_normal, asymptotic_certificate, face_conormals, face_volumes
 from affmin.grids import GridDomain, absmax, d1, d2
 from exact import (add, cross, cubic_like, det, rational_nets, rational_sqrt, star_determinants,
-                   stepped, sub, volume)
+                   stepped, structural_vectors, sub, volume)
 
 
 def _random_net(seed):
@@ -181,6 +183,69 @@ def test_second_difference_determinants_are_star_determinants():
     assert abs(report.max_zero_residual - float(exact)) <= 1e-11 * float(exact)
     assert report.worst_zero_vertex == (net.domain.u_min + 5, net.domain.v_min + 4)
     assert not report.passed
+
+
+# The variants that structural_residuals reports, F and the edge along the axis at +1/2.
+KEPT = ("q11[v+][u+]", "q11[v-][u+]", "q22[u+][v+]", "q22[u-][v+]")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_face_side_twins_of_the_structural_equations_are_equal_on_any_data(seed):
+    # r(u+1/2) - r(u-1/2) = (F(u+1/2) - F(u-1/2)) q11 - F1 (q1(u+1/2) - q1(u-1/2))
+    # = F1 q11 - F1 q11, and the same along v: the twins agree on data that
+    # is no net of the family, nor F, A, B of any net.
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 20)))
+
+    n_u, n_v = 6, 5
+    q = [[(draw(), draw(), draw()) for _ in range(n_v)] for _ in range(n_u)]
+    f = {(i, j): draw() for i in range(n_u - 1) for j in range(n_v - 1)}
+    a = {(i, j): draw() for i in range(1, n_u - 1) for j in range(n_v)}
+    b = {(i, j): draw() for i in range(n_u) for j in range(1, n_v - 1)}
+    vectors = structural_vectors(q, f, a, b)
+    assert sorted(vectors) == sorted(KEPT + tuple(name[:-2] + "-]" for name in KEPT))
+    for name in KEPT:
+        kept, twin = vectors[name], vectors[name[:-2] + "-]"]
+        assert len(kept) == ((n_u - 2) * (n_v - 1) if name[1] == "1" else (n_u - 1) * (n_v - 2))
+        assert kept == twin, name
+        assert any(vec != (0, 0, 0) for vec in kept.values()), name   # not equal as zeros
+
+
+def test_structural_equations_hold_exactly(net):
+    a, b = net.coefficients()
+    vectors = structural_vectors(net.q, net.f, a, b)
+    for name in KEPT:
+        assert vectors[name] and all(vec == (0, 0, 0) for vec in vectors[name].values()), name
+
+
+def test_a_bumped_cubic_coefficient_fails_the_q11_equations():
+    # A + 1/1000 at vertex (5, 4) leaves F q11 - F1 q1 - (A + 1/1000) q2 =
+    # -(1/1000) q2 there, for q2 at v+1/2 and at v-1/2, and 0 everywhere else.
+    net, bump = NETS["k2-12x10"](), Fraction(1, 1000)
+    a, b = net.coefficients()
+    a[5, 4] += bump
+    q = net.q
+    q2 = {"+": sub(q[5][5], q[5][4]), "-": sub(q[5][4], q[5][3])}
+    for name in KEPT:
+        for vertex, vec in structural_vectors(q, net.f, a, b)[name].items():
+            if name.startswith("q11") and vertex == (5, 4):
+                assert vec == tuple(-bump * x for x in q2[name[5]]) != (0, 0, 0), name
+            else:
+                assert vec == (0, 0, 0), (name, vertex)
+
+    positions = net.grid(q)
+    areas = face_volumes(positions).areas
+    form = cubic_coefficients(positions, affine_normal(positions, areas))
+    bumped = form.u_coeff.values.copy()
+    bumped[4, 4] += float(bump)   # vertex (5, 4) of the box, on A's u-interior rows
+    form = dataclasses.replace(form, u_coeff=form.u_coeff.with_values(bumped))
+    report = structural_residuals(positions, areas, form)
+    assert not report.passed
+    assert report.worst_identity.startswith("q11[")
+    per = report.per_identity   # 1.4e-5 seen on both q11, 4.2e-15 on both q22
+    assert min(per["q11[v+]"], per["q11[v-]"]) > TOL_FORMS >= max(per["q22[u+]"], per["q22[u-]"])
 
 
 def _exact_array(table, shape):

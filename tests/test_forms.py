@@ -182,7 +182,9 @@ def test_structural_residuals_equal_a_whole_grid_reference(net):
     report = structural_residuals(q, areas, form)
     expected = structural_reference(q.values, areas.values, form.u_coeff.values,
                                     form.v_coeff.values)
-    assert list(report.per_identity.items()) == list(expected.items())
+    # The report keeps the variants whose face and own edge sit on the high side.
+    kept = {name[:-4]: value for name, value in expected.items() if name.endswith("+]")}
+    assert list(report.per_identity.items()) == list(kept.items())
 
 
 class TestStructuralResiduals:

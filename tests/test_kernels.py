@@ -323,14 +323,10 @@ PINS = {
         "duality_cross": "0x1.243e2bc667789p-43",
         "spread_u": "0x1.81725a0b5e9f9p-92",
         "spread_v": "0x1.938a62ce05b7bp-47",
-        "structural_q11[v+][u+]": "0x1.a8a288f8a679bp-45",
-        "structural_q11[v+][u-]": "0x1.a8a288f8a6695p-45",
-        "structural_q11[v-][u+]": "0x1.2c28b36ae633cp-45",
-        "structural_q11[v-][u-]": "0x1.2c28b36ae6289p-45",
-        "structural_q22[u+][v+]": "0x1.2d99d36385821p-45",
-        "structural_q22[u+][v-]": "0x1.3380d69286d99p-45",
-        "structural_q22[u-][v+]": "0x1.0ea5ef51637e6p-45",
-        "structural_q22[u-][v-]": "0x1.190653443ec44p-45",
+        "structural_q11[v+]": "0x1.a8a288f8a679bp-45",
+        "structural_q11[v-]": "0x1.2c28b36ae633cp-45",
+        "structural_q22[u+]": "0x1.2d99d36385821p-45",
+        "structural_q22[u-]": "0x1.0ea5ef51637e6p-45",
         "closed_form_gap": "0x1.6a90000000000p-51",
         "closed_form_scale": "0x1.eee7fc00e4607p-11",
         "normal_derivative_u": "0x1.da7e2a7afa835p-43",
@@ -355,14 +351,10 @@ PINS = {
         "duality_cross": "0x1.b4e81b4e81b50p-53",
         "spread_u": "0x1.1745d1745d174p-53",
         "spread_v": "0x1.1745d1745d174p-53",
-        "structural_q11[v+][u+]": "0x1.790ccb9f28f6bp-55",
-        "structural_q11[v+][u-]": "0x1.802a049880ae1p-55",
-        "structural_q11[v-][u+]": "0x1.6a47d767130cap-55",
-        "structural_q11[v-][u-]": "0x1.756cac201756dp-55",
-        "structural_q22[u+][v+]": "0x1.790ccb9f28f6bp-55",
-        "structural_q22[u+][v-]": "0x1.802a049880ae1p-55",
-        "structural_q22[u-][v+]": "0x1.6a47d767130cap-55",
-        "structural_q22[u-][v-]": "0x1.756cac201756dp-55",
+        "structural_q11[v+]": "0x1.790ccb9f28f6bp-55",
+        "structural_q11[v-]": "0x1.6a47d767130cap-55",
+        "structural_q22[u+]": "0x1.790ccb9f28f6bp-55",
+        "structural_q22[u-]": "0x1.6a47d767130cap-55",
         "closed_form_gap": "0x1.e000000000000p-46",
         "closed_form_scale": "0x1.000000000002fp+1",
         "normal_derivative_u": "0x1.0842108421084p-51",
