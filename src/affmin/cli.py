@@ -78,17 +78,18 @@ EXAMPLES = {
     "sphere": (lambda box, n: conormal.improper_sphere(GridDomain(*box)), (1, 11, -10, 0)),
 }
 
-# Tolerance name -> (default, help); the flag is --tol-<name>.
+# Each certificate's fixed tolerance, under the name and in the order that every
+# report records it.
 _TOLERANCES = {
-    "harmonic": (TOL_HARMONIC, "harmonicity tolerance"),
-    "integrate": (TOL_INTEGRATE, "edge-equation tolerance"),
-    "asymptotic": (TOL_ASYMPTOTIC, "asymptotic-certificate tolerance"),
-    "dual": (TOL_DUAL, "duality/recovery tolerance"),
-    "forms": (TOL_FORMS, "cubic-form tolerance"),
-    "compat": (TOL_COMPAT, "compatibility tolerance"),
-    "seed": (TOL_SEED, "seed determinant tolerance"),
-    "equiv": (TOL_EQUIV, "affine-equivalence tolerance"),
-    "crit": (TOL_CRIT, "criticality tolerance"),
+    "harmonic": TOL_HARMONIC,
+    "integrate": TOL_INTEGRATE,
+    "asymptotic": TOL_ASYMPTOTIC,
+    "dual": TOL_DUAL,
+    "forms": TOL_FORMS,
+    "compat": TOL_COMPAT,
+    "seed": TOL_SEED,
+    "equiv": TOL_EQUIV,
+    "crit": TOL_CRIT,
 }
 
 
@@ -108,7 +109,7 @@ def _record(report, **extra) -> dict:
     return record
 
 
-def _surface_checks(surface: Immersion, field: ConormalField | None, tols) -> dict:
+def _surface_checks(surface: Immersion, field: ConormalField | None) -> dict:
     """Run the geometry (and, with a field, the Lelieuvre) certificates."""
     vols = face_volumes(surface)
     normals = affine_normal(surface, vols.areas)
@@ -117,30 +118,25 @@ def _surface_checks(surface: Immersion, field: ConormalField | None, tols) -> di
     extra = {}
     if field is not None:
         # Raises DomainMismatch before the bridge divides grids of other shapes.
-        extra["lelieuvre"] = _record(verify_lelieuvre(surface, field, tols["integrate"]))
+        extra["lelieuvre"] = _record(verify_lelieuvre(surface, field))
         closure = path_independence_residual(field)
         closure_scale = max(float(np.abs(nu.values).max()) ** 2, 1.0)
         extra["path_independence"] = {"residual": closure,
-                                      "passed": closure <= tols["integrate"] * closure_scale}
+                                      "passed": closure <= TOL_INTEGRATE * closure_scale}
         bridge = float(np.abs(field.areas.values / vols.areas.values - 1.0).max())
         extra["area_density_bridge"] = {"max_relative_gap": bridge,
-                                        "passed": bridge <= tols["dual"]}
-    planar = planarity_and_saddle(surface, nu, tols["dual"])
+                                        "passed": bridge <= TOL_DUAL}
+    planar = planarity_and_saddle(surface, nu)
     report = {
-        "asymptotic": _record(asymptotic_certificate(surface, tols["asymptotic"])),
+        "asymptotic": _record(asymptotic_certificate(surface)),
         "conormal_recovery": _record(recovery,
-                                     passed=recovery.max_deviation <= tols["dual"]),
+                                     passed=recovery.max_deviation <= TOL_DUAL),
         "planar_saddle": _record(planar, saddle_failures=planar.saddle_failures[:8]),
-        "duality": _record(duality_certificate(nu, normals, vols.areas, tols["dual"])),
+        "duality": _record(duality_certificate(nu, normals, vols.areas)),
         **extra,
     }
     report["passed"] = all(section["passed"] for section in report.values())
     return report
-
-
-def _tols(args) -> dict:
-    return {name: getattr(args, f"tol_{name}", default)
-            for name, (default, _) in _TOLERANCES.items()}
 
 
 def _cmd_generate(args) -> int:
@@ -151,7 +147,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    field = validate(read_grid(args.conormal, "vertex"), _tols(args)["harmonic"])
+    field = validate(read_grid(args.conormal, "vertex"))
     base = {}
     if args.base is not None:
         u, v = args.base[:2]
@@ -169,18 +165,17 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_check(args) -> int:
     surface = _load_surface(args.surface)
-    tols = _tols(args)
     conormal_grid = read_grid(args.conormal, "vertex") if args.conormal else None
     try:
-        field = None if conormal_grid is None else validate(conormal_grid, tols["harmonic"])
-        report = _surface_checks(surface, field, tols)
+        field = None if conormal_grid is None else validate(conormal_grid)
+        report = _surface_checks(surface, field)
     except AffminError as exc:
         # Data so broken the certificates cannot even be evaluated (e.g. a
         # co-normal that is not harmonic, or a non-positive face volume)
         # still produces a report naming it, and says so on stderr.
         report = {"error": f"{type(exc).__name__}: {exc}", "passed": False}
         print(f"error: {report['error']}", file=sys.stderr)
-    report["tolerances"] = tols
+    report["tolerances"] = _TOLERANCES
     write_json(report, args.report)
     status = "pass" if report["passed"] else "FAIL"
     print(f"check: {status} (report in {args.report})")
@@ -193,7 +188,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_forms(args) -> int:
     surface = _load_surface(args.surface)
-    data = extract_fundamental_data(surface, args.tol_forms)
+    data = extract_fundamental_data(surface)
     write_forms(data, args.out)
     print(f"wrote fundamental data {args.out}")
     return 0
@@ -202,8 +197,7 @@ def _cmd_forms(args) -> int:
 def _cmd_reconstruct(args) -> int:
     data = read_forms(args.forms)
     seed = read_seed(args.seed) if args.seed else None
-    tols = _tols(args)
-    surface = reconstruct(data, seed, tols["seed"], tols["compat"])
+    surface = reconstruct(data, seed)
     write_grid(surface.positions, args.out)
     print(f"wrote reconstructed surface {args.out}")
     return 0
@@ -212,26 +206,25 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_compare(args) -> int:
     qa = _load_surface(args.a)
     qb = _load_surface(args.b)
-    tols = _tols(args)
     try:
-        mapping = affine_equivalence(qa, qb, tols["equiv"])
+        mapping = affine_equivalence(qa, qb)
     except NotEquivalent as exc:
         write_json({
             "equivalent": False,
             "worst_vertex": list(exc.vertex),
             "gap": exc.gap,
-            "tolerance": tols["equiv"],
+            "tolerance": TOL_EQUIV,
         }, args.report)
         print(f"compare: NOT equivalent (gap {exc.gap:.3e} at {exc.vertex})")
         return 1
     except AffminError as exc:
         # Surfaces that cannot be compared (other boxes, a flat corner) still get a report.
         write_json({"equivalent": False, "error": f"{type(exc).__name__}: {exc}",
-                    "tolerance": tols["equiv"]}, args.report)
+                    "tolerance": TOL_EQUIV}, args.report)
         raise
     write_json({"equivalent": True, **_record(
-        mapping, det=mapping.det, unimodular=abs(abs(mapping.det) - 1.0) <= tols["equiv"],
-        tolerance=tols["equiv"])}, args.report)
+        mapping, det=mapping.det, unimodular=abs(abs(mapping.det) - 1.0) <= TOL_EQUIV,
+        tolerance=TOL_EQUIV)}, args.report)
     print(f"compare: equivalent, det = {mapping.det:.12g}")
     return 0
 
@@ -249,14 +242,13 @@ def _cmd_gradient(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    tol = _tols(args)["crit"]
-    report = criticality_certificate(_load_surface(args.surface), tol)
+    report = criticality_certificate(_load_surface(args.surface))
     if report.vacuous:
         print("critical: vacuous pass (no interior vertex)")
         return 0
     ratio = report.max_gradient / max(report.mean_area, TINY)
     status = "pass" if report.passed else "FAIL"
-    print(f"critical: {status} (|grad|_inf / mean F = {ratio:.3e}, tol {tol:g})")
+    print(f"critical: {status} (|grad|_inf / mean F = {ratio:.3e}, tol {TOL_CRIT:g})")
     return 0 if report.passed else 1
 
 
@@ -268,7 +260,6 @@ def _cmd_export(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     started = time.perf_counter()
-    tols = _tols(args)
     os.makedirs(args.outdir, exist_ok=True)
     build, default_box = EXAMPLES[args.example]
     box = tuple(args.box) if args.box else default_box
@@ -278,10 +269,10 @@ def _cmd_pipeline(args) -> int:
         "example": args.example,
         "box": list(box),
         "n": args.n,
-        "tolerances": tols,
+        "tolerances": _TOLERANCES,
     }
     try:
-        report.update(_pipeline_stages(build(box, args.n), tols, args.resolutions, path))
+        report.update(_pipeline_stages(build(box, args.n), path))
     except AffminError as exc:
         # A stage that raises (a field that is not convex, an ill-defined
         # form) still leaves a report naming the error.
@@ -295,22 +286,21 @@ def _cmd_pipeline(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
+def _pipeline_stages(field: ConormalField, path) -> dict:
     """Write every artifact but the run report; return the report's later sections."""
     digests = {"conormal.json": write_grid(field.vectors, path("conormal.json"))}
     surface = integrate(field)
     digests["surface.json"] = write_grid(surface.positions, path("surface.json"))
 
-    checks = _surface_checks(surface, field, tols)
+    checks = _surface_checks(surface, field)
     write_json(checks, path("check_report.json"))
 
     vols = face_volumes(surface)
     normals = affine_normal(surface, vols.areas)
-    form = cubic_coefficients(surface, normals, tols["forms"])
-    structural = structural_residuals(surface, vols.areas, form, tols["forms"])
+    form = cubic_coefficients(surface, normals)
+    structural = structural_residuals(surface, vols.areas, form)
     derivs, closed = a2_b1_closed_form(surface, normals, vols.areas, form)
-    normal_derivs = normal_derivative_residuals(surface, normals, vols.areas,
-                                                derivs, tols["forms"])
+    normal_derivs = normal_derivative_residuals(surface, normals, vols.areas, derivs)
     digests["forms.json"] = write_forms(form, path("forms.json"))
     forms_report = {
         "max_face_choice_spread": max(form.max_spread_u, form.max_spread_v),
@@ -319,34 +309,34 @@ def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
         "normal_derivative_max_residual": normal_derivs.max_residual,
         "passed": bool(
             structural.passed and normal_derivs.passed
-            and closed.relative_gap <= tols["forms"]
+            and closed.relative_gap <= TOL_FORMS
         ),
     }
 
     residuals = compatibility_residuals(form)
     p = surface.positions.values
     own_seed = np.stack([p[0, 0], p[1, 0], p[0, 1], p[1, 1]])
-    roundtrip = reconstruct(form, own_seed, tols["seed"], tols["compat"])
+    roundtrip = reconstruct(form, own_seed)
     scale = max(float(np.abs(p - p[0, 0]).max()), TINY)
     roundtrip_gap = float(np.abs(roundtrip.positions.values - p).max()) / scale
-    canonical = reconstruct(form, None, tols["seed"], tols["compat"])
+    canonical = reconstruct(form)
     digests["reconstructed.json"] = write_grid(canonical.positions, path("reconstructed.json"))
-    mapping = affine_equivalence(canonical, surface, tols["equiv"])
+    mapping = affine_equivalence(canonical, surface)
     compat_report = {
         "residuals": list(residuals),
         "roundtrip_relative_gap": roundtrip_gap,
         "canonical_equivalence_det": mapping.det,
         "passed": bool(
-            residuals.max <= tols["compat"]
-            and roundtrip_gap <= tols["compat"]
-            and abs(mapping.det - 1.0) <= tols["equiv"]
+            residuals.max <= TOL_COMPAT
+            and roundtrip_gap <= TOL_COMPAT
+            and abs(mapping.det - 1.0) <= TOL_EQUIV
         ),
     }
 
-    crit = criticality_certificate(surface, tols["crit"])
+    crit = criticality_certificate(surface)
 
     meshes = {}
-    for res in resolutions:
+    for res in (1, 8):
         name = f"mesh_res{res}.obj"
         vertices, triangles, digests[name] = export_surface_obj(surface, res, path(name))
         meshes[name] = {"vertices": vertices, "triangles": triangles}
@@ -363,20 +353,17 @@ def _pipeline_stages(field: ConormalField, tols, resolutions, path) -> dict:
     }
 
 
-def _command(sub, func, help_text, *options, tols=()):
+def _command(sub, func, help_text, *options):
     """Add the subcommand that ``func`` (``_cmd_<name>``) runs.
 
     An option is a flag of a required value, or a tuple of flags ending in
-    ``add_argument``'s keywords; the ``--tol-<name>`` flags of ``tols`` come last.
+    ``add_argument``'s keywords.
     """
     p = sub.add_parser(func.__name__.removeprefix("_cmd_"), help=help_text,
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     for option in options:
         *flags, kwargs = (option, {"required": True}) if isinstance(option, str) else option
         p.add_argument(*flags, **kwargs)
-    for name in tols:
-        default, tol_help = _TOLERANCES[name]
-        p.add_argument(f"--tol-{name}", type=float, default=default, help=tol_help)
     p.set_defaults(func=func)
 
 
@@ -415,33 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
              *_example_options(True, "inclusive vertex bounds"), "--out")
     _command(sub, _cmd_integrate, "integrate a co-normal field", "--conormal", "--out",
              ("--base", {"type": float, "nargs": 5, "metavar": ("U", "V", "X", "Y", "Z"),
-                         "help": "base vertex and its position"}),
-             tols=["harmonic"])
+                         "help": "base vertex and its position"}))
     _command(sub, _cmd_check, "run the certificate suite on a surface", "--surface",
-             ("--conormal", {"help": "optional generating co-normal grid"}), "--report",
-             tols=["harmonic", "integrate", "asymptotic", "dual"])
-    _command(sub, _cmd_forms, "extract fundamental data (F, A, B)", "--surface", "--out",
-             tols=["forms"])
+             ("--conormal", {"help": "optional generating co-normal grid"}), "--report")
+    _command(sub, _cmd_forms, "extract fundamental data (F, A, B)", "--surface", "--out")
     _command(sub, _cmd_reconstruct, "rebuild a surface from (F, A, B)", "--forms",
-             ("--seed", "--seed-file", {"dest": "seed",
-                                        "help": "JSON file with the four corner points"}),
-             "--out", tols=["seed", "compat"])
+             ("--seed", {"help": "JSON file with the four corner points"}), "--out")
     _command(sub, _cmd_compare, "solve and verify an affine equivalence", "--a", "--b",
-             "--report", tols=["equiv"])
+             "--report")
     _command(sub, _cmd_area, "print the affine area of a surface", "--surface")
     _command(sub, _cmd_gradient, "write the interior area gradient", "--surface", "--out")
-    _command(sub, _cmd_critical, "criticality certificate", "--surface", tols=["crit"])
+    _command(sub, _cmd_critical, "criticality certificate", "--surface")
     _command(sub, _cmd_export, "tessellate and write an OBJ mesh", "--surface",
              ("--resolution", {"type": _resolution, "required": True}), "--out")
-    # pipeline never validates a supplied co-normal, so it takes no --tol-harmonic.
     _command(sub, _cmd_pipeline,
              "generate/integrate/check/forms/reconstruct/critical/export end to end",
              *_example_options(False, "inclusive vertex bounds (per-example default)"),
-             "--outdir",
-             ("--resolutions", {"type": _resolution, "nargs": 2, "default": (1, 8),
-                                "metavar": ("R1", "R2"),
-                                "help": "the two mesh export resolutions"}),
-             tols=[name for name in _TOLERANCES if name != "harmonic"])
+             "--outdir")
     return parser
 
 

@@ -123,18 +123,17 @@ def as_seed(points, what: str = "seed") -> np.ndarray:
     return points
 
 
-def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
-                tol_compat: float = TOL_COMPAT) -> Immersion:
+def reconstruct(data: FundamentalData, seed=None) -> Immersion:
     """Rebuild the surface of fundamental data through its co-normal.
 
     ``seed`` holds the four corner points (q00, q10, q01, q11) of the
     lower-left quadrangle; by default the canonical seed for the first
     face's F.  A given seed passes ``as_seed`` (ValueError), and so must an
     F^2 of the first face that does not underflow to 0.  Raises
-    SeedDeterminantMismatch if the seed violates the
-    corner determinant condition, and IncompatibleData (worst index and
+    SeedDeterminantMismatch if the seed's corner determinant misses F^2 by
+    more than ``TOL_SEED`` of it, and IncompatibleData (worst index and
     gap) if a marched strip leaves ``VALUE_BOUND`` (gap inf), or if a triple
-    product of the co-normal misses F, A or B by more than ``tol_compat``
+    product of the co-normal misses F, A or B by more than ``TOL_COMPAT``
     relative to the largest F, or by NaN, or if an F of the co-normal is <= 0.
     """
     dom = data.domain
@@ -146,7 +145,7 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
                          "seed determinant, underflows to 0")
     seed = canonical_seed(f00) if seed is None else as_seed(seed)
     det = float(np.linalg.det(seed[1:] - seed[0]))   # rows q10 - q00, q01 - q00, q11 - q00
-    if not abs(det - expected) <= tol_seed * expected:
+    if not abs(det - expected) <= TOL_SEED * expected:
         raise SeedDeterminantMismatch(expected, det)
 
     # corners[v, u] is seed point q(u, v).  On a box a harmonic co-normal is
@@ -182,7 +181,7 @@ def reconstruct(data: FundamentalData, seed=None, tol_seed: float = TOL_SEED,
             gap.add(np.abs(triple - given)[own], lo)
         areas_out[own] = triples[0][own]
     worst = gaps[int(np.argmax([gap.value for gap in gaps]))]   # a NaN counts as worst
-    if not worst.value / scale <= tol_compat:
+    if not worst.value / scale <= TOL_COMPAT:
         raise IncompatibleData(worst.index, worst.value / scale)
     i, j = np.unravel_index(np.argmin(areas), areas.shape)
     if not areas[i, j] > 0.0:
@@ -266,14 +265,14 @@ def _corner_frame(positions: VertexGrid) -> tuple[np.ndarray, np.ndarray]:
     return base, frame
 
 
-def affine_equivalence(qa, qb, tol: float = TOL_EQUIV) -> AffineMap:
+def affine_equivalence(qa, qb) -> AffineMap:
     """Affine map sending qa to qb, determined by the corner quadrangles.
 
     The four lower-left corner points fix the map; it is then verified on
     every vertex in one band sweep, which takes both the worst gap with its
     vertex and the extent of qb that scales it.  Raises NotEquivalent (with
-    the worst vertex and relative gap, NaN included) if the map fails
-    globally, DegenerateQuadrangle if no map exists.
+    the worst vertex and relative gap, NaN included) if that gap exceeds
+    ``TOL_EQUIV``, DegenerateQuadrangle if no map exists.
     """
     qa, qb = as_positions(qa), as_positions(qb)
     require_domain(qa.domain, qb=qb)
@@ -294,6 +293,6 @@ def affine_equivalence(qa, qb, tol: float = TOL_EQUIV) -> AffineMap:
         del gap
     # Division by a positive scale is monotone: the worst quotient is the worst gap's.
     relative = worst.value / max(float(np.fmax.reduce(spans)), TINY)
-    if not relative <= tol:
+    if not relative <= TOL_EQUIV:
         raise NotEquivalent(worst.index, relative)
     return AffineMap(linear, translation)

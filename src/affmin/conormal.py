@@ -127,18 +127,18 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     return _build(VertexGrid(spec.domain, nu), np.inf)
 
 
-def validate(vectors: VertexGrid, tol_harmonic: float = TOL_HARMONIC) -> ConormalField:
+def validate(vectors: VertexGrid) -> ConormalField:
     """Check an externally supplied vertex grid and wrap it as a field.
 
-    Raises NotHarmonic (naming every face over tolerance) or NonConvexFace,
-    and, by ``require_bounded``, ValueError naming the first vertex whose nu
-    is not finite or over ``VALUE_BOUND`` in size.
+    Raises NotHarmonic (naming every face over ``TOL_HARMONIC``) or
+    NonConvexFace, and, by ``require_bounded``, ValueError naming the first
+    vertex whose nu is not finite or over ``VALUE_BOUND`` in size.
     """
     vectors.domain.require_faces("co-normal field")
     if vectors.components != 3:
         raise ValueError("co-normal grids must hold 3-vectors")
     require_bounded(vectors.values, vectors.domain, "co-normal grid")
-    return _build(vectors, tol_harmonic)
+    return _build(vectors, TOL_HARMONIC)
 
 
 def _separable(domain: GridDomain, u_columns, v_columns) -> ConormalField:

@@ -160,8 +160,7 @@ class StructuralReport:
     passed: bool
 
 
-def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
-                         tol: float = TOL_FORMS) -> StructuralReport:
+def structural_residuals(surface, areas: FaceGrid, form: CubicForm) -> StructuralReport:
     """Check F*q11 = F1*q1 + A*q2 with q2 at v+-1/2 (``q11[v+-]``) and F*q22 = B*q1 +
     F2*q2 with q1 at u+-1/2 (``q22[u+-]``), F and q1 (q2) read at u+1/2 (v+1/2).
 
@@ -200,7 +199,7 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm,
         max_residual=per[worst],
         per_identity=per,
         worst_identity=worst,
-        passed=per[worst] <= tol,
+        passed=per[worst] <= TOL_FORMS,
     )
 
 
@@ -269,8 +268,7 @@ class NormalDerivativeReport:
 
 
 def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
-                                derivs: FormDerivatives,
-                                tol: float = TOL_FORMS) -> NormalDerivativeReport:
+                                derivs: FormDerivatives) -> NormalDerivativeReport:
     q = as_positions(surface)
     require_domain(q.domain, normals=normals, areas=areas)
     require_domain(q.domain.shrink(du_lo=1, du_hi=1), u_coeff_dv=derivs.u_coeff_dv)
@@ -296,5 +294,5 @@ def normal_derivative_residuals(surface, normals: FaceGrid, areas: FaceGrid,
         max_residual_u=res_u,
         max_residual_v=res_v,
         max_residual=worst,
-        passed=worst <= tol,
+        passed=worst <= TOL_FORMS,
     )

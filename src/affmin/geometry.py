@@ -151,8 +151,8 @@ class AsymptoticReport:
     passed: bool
 
 
-def asymptotic_certificate(surface, tol: float = TOL_ASYMPTOTIC) -> AsymptoticReport:
-    """Both residuals of ``AsymptoticReport``, each held to ``tol``."""
+def asymptotic_certificate(surface) -> AsymptoticReport:
+    """Both residuals of ``AsymptoticReport``, each held to ``TOL_ASYMPTOTIC``."""
     q = as_positions(surface)
     dom = q.domain
     volumes = face_volumes(q).volumes.values
@@ -185,7 +185,7 @@ def asymptotic_certificate(surface, tol: float = TOL_ASYMPTOTIC) -> AsymptoticRe
         worst_zero_vertex=zero_worst,
         max_mixed_residual=mixed.value,
         worst_mixed_face=mixed.index,
-        passed=zero_best <= tol and mixed.value <= tol,
+        passed=zero_best <= TOL_ASYMPTOTIC and mixed.value <= TOL_ASYMPTOTIC,
     )
 
 
@@ -200,7 +200,7 @@ class PlanarSaddleReport:
     saddle_failures: list
 
 
-def planarity_and_saddle(surface, vectors, tol: float = TOL_DUAL) -> PlanarSaddleReport:
+def planarity_and_saddle(surface, vectors) -> PlanarSaddleReport:
     """Check the cross of edges at each interior vertex against its co-normal.
 
     (a) the four incident edge vectors are orthogonal to nu (normalized by
@@ -241,7 +241,7 @@ def planarity_and_saddle(surface, vectors, tol: float = TOL_DUAL) -> PlanarSaddl
         max_orthogonality_residual=worst.value,
         worst_vertex=worst.index,
         saddle_ok=not failures,
-        passed=not failures and worst.value <= tol,
+        passed=not failures and worst.value <= TOL_DUAL,
         saddle_failures=failures,
     )
 
@@ -262,8 +262,7 @@ class DualityReport:
     passed: bool
 
 
-def duality_certificate(vectors, normals: FaceGrid, areas: FaceGrid,
-                        tol: float = TOL_DUAL) -> DualityReport:
+def duality_certificate(vectors, normals: FaceGrid, areas: FaceGrid) -> DualityReport:
     vectors = as_conormal(vectors)
     require_domain(vectors.domain, normals=normals, areas=areas)
     dom = vectors.domain
@@ -289,5 +288,5 @@ def duality_certificate(vectors, normals: FaceGrid, areas: FaceGrid,
         worst_pairing_face=worst_pairing.index,
         max_cross_residual=worst_cross.value,
         worst_cross_face=worst_cross.index,
-        passed=worst_pairing.value <= tol and worst_cross.value <= tol,
+        passed=worst_pairing.value <= TOL_DUAL and worst_cross.value <= TOL_DUAL,
     )

@@ -30,6 +30,7 @@ grids on its u- and v-interior.
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .spelling import spell, write_chunks
 __all__ = [
     "dumps_json",
     "write_json",
+    "RowMajor",
     "grid_to_obj",
     "grid_from_obj",
     "write_grid",
@@ -73,6 +75,15 @@ def _format_number(x) -> str:
     return f"{x:.17g}" if math.isfinite(x) else "null"
 
 
+@dataclass(frozen=True, eq=False)
+class RowMajor:
+    """A float64 array that ``dumps_json`` spells as one flat list in row-major
+    order.  The kernel reads ``rows``, its (n, p) view, p numbers a record, so a
+    3-vector grid's component planes are never copied into one interleaved array."""
+
+    rows: np.ndarray
+
+
 def _json_chunks(obj, indent: int = 0):
     """Yield the ASCII bytes of ``dumps_json(obj, indent)`` piece by piece, a
     float64 array one spelling pass at a time."""
@@ -81,9 +92,13 @@ def _json_chunks(obj, indent: int = 0):
     elif obj is None or isinstance(obj, _SCALARS):
         yield _format_number(obj).encode("ascii")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        # ", " leads every number the kernel spells, so it gets all but the first.
-        yield b"[" + "".join(map(_format_number, obj[:1])).encode("ascii")
-        yield from spell(obj[1:, None], (b", ",), b"\0", _format_number)
+        yield from _json_chunks(RowMajor(obj[:, None]))
+    elif isinstance(obj, RowMajor):
+        p = obj.rows.shape[1]
+        # ", " leads every number the kernel spells; the first pass drops the first one.
+        passes = spell(obj.rows, (b", ",) * p, bytes(p), _format_number)
+        yield b"[" + next(passes, b", ")[2:]
+        yield from passes
         yield b"]"
     elif isinstance(obj, dict) and not obj:
         yield b"{}"
@@ -137,14 +152,14 @@ def _numbers(values, what: str) -> np.ndarray:
 
 
 def grid_to_obj(grid: Grid, what: str) -> dict:
-    """Grid file object, ``"values"`` the grid's flat float64 array; a ValueError
-    starts with ``what``."""
+    """Grid file object, ``"values"`` the ``RowMajor`` of the grid's (n, components)
+    view; a ValueError starts with ``what``."""
     require_bounded(grid.values, grid.domain, f"{what}: {grid.kind} grid")
     return {
         "kind": grid.kind,
         "domain": list(grid.domain.as_tuple()),
         "components": grid.components,
-        "values": grid.values.reshape(-1),
+        "values": RowMajor(grid.values.reshape(-1, grid.components)),
     }
 
 

@@ -123,7 +123,7 @@ class LelieuvreReport:
     passed: bool
 
 
-def verify_lelieuvre(immersion, field, tol: float = TOL_INTEGRATE) -> LelieuvreReport:
+def verify_lelieuvre(immersion, field) -> LelieuvreReport:
     """Check both edge equations; residuals are relative to the longest edge."""
     q, vectors = as_positions(immersion), as_conormal(field)
     require_domain(q.domain, field=vectors)
@@ -144,5 +144,5 @@ def verify_lelieuvre(immersion, field, tol: float = TOL_INTEGRATE) -> LelieuvreR
         max_residual=worst,
         edge_scale=scale,
         worst_edge=("uv"[side], res[side].index),
-        passed=bool(worst <= tol * np.maximum(scale, TINY)),
+        passed=bool(worst <= TOL_INTEGRATE * np.maximum(scale, TINY)),
     )

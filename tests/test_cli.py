@@ -11,9 +11,14 @@ import numpy as np
 import pytest
 
 from affmin.cli import build_parser, main
-from affmin.compatibility import TOL_EQUIV
+from affmin.compatibility import TOL_COMPAT, TOL_EQUIV, TOL_SEED, extract_fundamental_data
+from affmin.conormal import TOL_HARMONIC
+from affmin.forms import TOL_FORMS
+from affmin.geometry import TOL_ASYMPTOTIC, TOL_DUAL
 from affmin.gridio import read_grid, write_grid
 from affmin.grids import VALUE_BOUND, GridDomain
+from affmin.lelieuvre import TOL_INTEGRATE
+from affmin.variational import TOL_CRIT
 
 
 def run(*argv):
@@ -328,9 +333,9 @@ class TestFormsReconstructCompare:
         surface.write_text(json.dumps(body))
         assert run("forms", "--surface", surface, "--out", forms) == 1
         assert not forms.exists()
-        assert run("forms", "--surface", surface, "--out", forms,
-                   "--tol-forms", 1e-2) == 0
-        assert forms.exists()
+        # The CLI holds the spread to TOL_FORMS; the library takes a looser one.
+        form = extract_fundamental_data(read_grid(surface), tol=1e-2)
+        assert 1e-8 < max(form.max_spread_u, form.max_spread_v) <= 1e-2
 
     @pytest.mark.parametrize("which", ["seed", "forms", "A"])
     def test_reconstruct_rejects_json_that_is_not_an_object(self, tmp_path, capsys,
@@ -585,18 +590,20 @@ class TestPipeline:
         assert "the cubic form needs at least 3 vertices along u and v" in err
         assert "got 2 x 6" in err
 
-    @pytest.mark.parametrize("command, resolution", [
+    # pipeline always exports at resolutions 1 and 8 and takes no resolution option.
+    @pytest.mark.parametrize("command, message", [
         (["pipeline", "--example", "cubic", "--box", 1, 6, 1, 6, "--outdir", "D",
-          "--resolutions", 0, 8], "0"),
-        (["export", "--surface", "s.json", "--out", "D/mesh.obj", "--resolution", -1], "-1"),
+          "--resolutions", 0, 8], "unrecognized arguments: --resolutions 0 8"),
+        (["export", "--surface", "s.json", "--out", "D/mesh.obj", "--resolution", -1],
+         "resolution must be an integer >= 1, got -1"),
     ], ids=["pipeline", "export"])
     def test_a_resolution_below_one_is_a_usage_error_before_any_file(
-            self, tmp_path, monkeypatch, capsys, command, resolution):
+            self, tmp_path, monkeypatch, capsys, command, message):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:
             run(*command)
         assert err.value.code == 2
-        assert f"resolution must be an integer >= 1, got {resolution}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_default_boxes_per_example(self, tmp_path):
@@ -613,47 +620,28 @@ OPTIONS = {
                  (("--out",), None, None, None, True)],
     "integrate": [(("--conormal",), None, None, None, True),
                   (("--out",), None, None, None, True),
-                  (("--base",), None, None, 5, False),
-                  (("--tol-harmonic",), 1e-09, None, None, False)],
+                  (("--base",), None, None, 5, False)],
     "check": [(("--surface",), None, None, None, True),
               (("--conormal",), None, None, None, False),
-              (("--report",), None, None, None, True),
-              (("--tol-harmonic",), 1e-09, None, None, False),
-              (("--tol-integrate",), 1e-10, None, None, False),
-              (("--tol-asymptotic",), 1e-09, None, None, False),
-              (("--tol-dual",), 1e-09, None, None, False)],
+              (("--report",), None, None, None, True)],
     "forms": [(("--surface",), None, None, None, True),
-              (("--out",), None, None, None, True),
-              (("--tol-forms",), 1e-08, None, None, False)],
+              (("--out",), None, None, None, True)],
     "reconstruct": [(("--forms",), None, None, None, True),
-                    (("--seed", "--seed-file"), None, None, None, False),
-                    (("--out",), None, None, None, True),
-                    (("--tol-seed",), 1e-09, None, None, False),
-                    (("--tol-compat",), 1e-07, None, None, False)],
+                    (("--seed",), None, None, None, False),
+                    (("--out",), None, None, None, True)],
     "compare": [(("--a",), None, None, None, True),
                 (("--b",), None, None, None, True),
-                (("--report",), None, None, None, True),
-                (("--tol-equiv",), 1e-06, None, None, False)],
+                (("--report",), None, None, None, True)],
     "area": [(("--surface",), None, None, None, True)],
     "gradient": [(("--surface",), None, None, None, True), (("--out",), None, None, None, True)],
-    "critical": [(("--surface",), None, None, None, True),
-                 (("--tol-crit",), 1e-09, None, None, False)],
+    "critical": [(("--surface",), None, None, None, True)],
     "export": [(("--surface",), None, None, None, True),
                (("--resolution",), None, None, None, True),
                (("--out",), None, None, None, True)],
     "pipeline": [(("--example",), None, ("helicoid", "cubic", "paraboloid", "sphere"), None, True),
                  (("--box",), None, None, 4, False),
                  (("--n",), 16, None, None, False),
-                 (("--outdir",), None, None, None, True),
-                 (("--resolutions",), (1, 8), None, 2, False),
-                 (("--tol-integrate",), 1e-10, None, None, False),
-                 (("--tol-asymptotic",), 1e-09, None, None, False),
-                 (("--tol-dual",), 1e-09, None, None, False),
-                 (("--tol-forms",), 1e-08, None, None, False),
-                 (("--tol-compat",), 1e-07, None, None, False),
-                 (("--tol-seed",), 1e-09, None, None, False),
-                 (("--tol-equiv",), 1e-06, None, None, False),
-                 (("--tol-crit",), 1e-09, None, None, False)],
+                 (("--outdir",), None, None, None, True)],
 }
 
 
@@ -675,6 +663,45 @@ def test_pipeline_records_the_harmonic_default_it_takes_no_flag_for(tmp_path, ca
     with pytest.raises(SystemExit) as err:
         run("pipeline", "--example", "paraboloid", "--outdir", tmp_path, "--tol-harmonic", 1)
     assert err.value.code == 2
+
+
+def test_reports_record_the_library_tolerances(tmp_path):
+    expected = [("harmonic", TOL_HARMONIC), ("integrate", TOL_INTEGRATE),
+                ("asymptotic", TOL_ASYMPTOTIC), ("dual", TOL_DUAL), ("forms", TOL_FORMS),
+                ("compat", TOL_COMPAT), ("seed", TOL_SEED), ("equiv", TOL_EQUIV),
+                ("crit", TOL_CRIT)]
+    assert run("pipeline", "--example", "paraboloid", "--box", 0, 3, 0, 3,
+               "--outdir", tmp_path) == 0
+    assert run("check", "--surface", tmp_path / "surface.json", "--conormal",
+               tmp_path / "conormal.json", "--report", tmp_path / "check.json") == 0
+    for name in ("check.json", "pipeline_report.json"):
+        report = json.loads((tmp_path / name).read_text())
+        assert list(report["tolerances"].items()) == expected, name
+
+
+@pytest.mark.parametrize("option", ["--tol-dual", "--resolutions", "--seed-file"])
+def test_a_removed_option_is_a_usage_error_before_any_file(tmp_path, capsys, option):
+    conormal, surface = _surface_files(tmp_path, "paraboloid", (0, 3, 0, 3))
+    forms, seed, out = tmp_path / "forms.json", tmp_path / "seed.json", tmp_path / "out"
+    assert run("forms", "--surface", surface, "--out", forms) == 0
+    seed.write_text(json.dumps({"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1]]}))
+    out.mkdir()
+    # Each run ends with the removed option and its values, and exits 0 without them.
+    argv = {
+        "--tol-dual": ["check", "--surface", surface, "--conormal", conormal,
+                       "--report", out / "r.json", "--tol-dual", 1],
+        "--resolutions": ["pipeline", "--example", "paraboloid", "--box", 0, 3, 0, 3,
+                          "--outdir", out, "--resolutions", 1, 8],
+        "--seed-file": ["reconstruct", "--forms", forms, "--out", out / "q.json",
+                        "--seed-file", seed],
+    }[option]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        run(*argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert run(*argv[:argv.index(option)]) == 0
 
 
 def _surface_files(tmp_path, example, box):
@@ -714,8 +741,6 @@ EXIT_ONE = {
     "compare-two-boxes": (_compare_two_boxes, "DomainMismatch"),
     "pipeline-sphere-box": (_pipeline("--example", "sphere", "--box", 1, 11, -10, 5),
                             "NonConvexFace"),
-    "pipeline-forms-tolerance": (_pipeline("--example", "cubic", "--box", 1, 8, 1, 8,
-                                           "--tol-forms", 1e-30), "IllDefinedForm"),
 }
 
 

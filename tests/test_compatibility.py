@@ -257,9 +257,11 @@ class TestReconstruct:
 
     def test_conormal_with_a_folded_face_rejected(self):
         # nu = (u, v, alpha(u) + beta(v)) has F > 0 on vertex row 0 and column
-        # 0, which fix it, and F = -0.5 inside; the data claims +0.5 there.
-        # With no bound on the gap, only the sign of the co-normal's F is left.
-        alpha, beta = np.array([-2.0, -1, -1, -1]), np.array([-2.0, 1.5, 1.5, 1.5])
+        # 0, which fix it, and F = -2^-30 inside; the data claims +2^-30 there.
+        # That gap, 2^-31 of max F = 4, is within TOL_COMPAT, so only the sign
+        # of the co-normal's F rejects the data.
+        x = 1.0 + 2.0 ** -30
+        alpha, beta = np.array([-2.0, -1, -1, -1]), np.array([-2.0, x, x, x])
         i = np.arange(4.0)
         nu = np.stack(np.broadcast_arrays(i[:, None], i[None], alpha[:, None] + beta[None]), -1)
         dom = GridDomain(0, 3, 0, 3)
@@ -267,9 +269,10 @@ class TestReconstruct:
             FaceGrid(dom, np.abs(det3(nu[:-1, :-1], nu[:-1, 1:], nu[1:, :-1]))),
             VertexGrid(dom.shrink(du_lo=1, du_hi=1), det3(nu[:-2], nu[1:-1], nu[2:])),
             VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), det3(nu[:, 2:], nu[:, 1:-1], nu[:, :-2])))
+        assert folded.areas.values[1:, 1:].tolist() == [[2.0 ** -30] * 2] * 2
         with pytest.raises(IncompatibleData) as err:
-            reconstruct(folded, tol_compat=np.inf)
-        assert err.value.face == (1, 1) and err.value.gap == 0.25
+            reconstruct(folded)
+        assert err.value.face == (1, 1) and err.value.gap == 2.0 ** -31
 
     def test_seed_freedom_gives_unimodular_map(self, cubic):
         _, surf = cubic
