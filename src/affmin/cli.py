@@ -1,9 +1,10 @@
 """Command-line pipelines over the affmin library.
 
 Exit codes: 0 on success, 1 when a certificate or data check fails, 2 for
-usage and I/O errors.  All artifact files (grid JSON, forms bundles, OBJ
-meshes) are byte-deterministic across runs; the pipeline run report is the
-one exception, because it records wall time.
+usage and I/O errors.  All artifact files (grid JSON, forms bundles, their
+``.npy`` sidecars, OBJ meshes) are byte-deterministic across runs; the
+pipeline run report is the one exception, because it records wall time.
+Each step reads the grids a previous step wrote from their sidecars.
 
 Each report section is its certificate's record (``_record``): the report
 dataclass's fields without grids, plus any overrides (``saddle_failures``
@@ -139,6 +140,12 @@ def _surface_checks(surface: Immersion, field: ConormalField | None) -> dict:
     return report
 
 
+def _write_check_report(report: dict, path) -> None:
+    """The report of ``check``, and of ``pipeline``'s check stage: ``report``, then
+    the tolerances its verdicts used."""
+    write_json({**report, "tolerances": _TOLERANCES}, path)
+
+
 def _cmd_generate(args) -> int:
     field = EXAMPLES[args.example][0](args.box, args.n)
     write_grid(field.vectors, args.out)
@@ -175,8 +182,7 @@ def _cmd_check(args) -> int:
         # still produces a report naming it, and says so on stderr.
         report = {"error": f"{type(exc).__name__}: {exc}", "passed": False}
         print(f"error: {report['error']}", file=sys.stderr)
-    report["tolerances"] = _TOLERANCES
-    write_json(report, args.report)
+    _write_check_report(report, args.report)
     status = "pass" if report["passed"] else "FAIL"
     print(f"check: {status} (report in {args.report})")
     if not report["passed"]:
@@ -293,7 +299,7 @@ def _pipeline_stages(field: ConormalField, path) -> dict:
     digests["surface.json"] = write_grid(surface.positions, path("surface.json"))
 
     checks = _surface_checks(surface, field)
-    write_json(checks, path("check_report.json"))
+    _write_check_report(checks, path("check_report.json"))
 
     vols = face_volumes(surface)
     normals = affine_normal(surface, vols.areas)

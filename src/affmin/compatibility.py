@@ -19,8 +19,8 @@ from .errors import DegenerateQuadrangle, IncompatibleData, NotEquivalent, SeedD
 from .forms import TOL_FORMS, CubicForm, FundamentalData, cubic_coefficients
 from .geometry import affine_normal, face_volumes
 from .grids import (TINY, VALUE_BOUND, BandMax, GridDomain, VertexGrid, absmax, as_positions,
-                    cross3, det3, div3, empty3, relative_residual, require_bounded, require_domain,
-                    row_bands)
+                    cross3, det3, div3, outer_sum3, relative_residual, require_bounded,
+                    require_domain, row_bands)
 from .lelieuvre import Immersion, integrate
 
 __all__ = [
@@ -164,8 +164,7 @@ def reconstruct(data: FundamentalData, seed=None) -> Immersion:
         big = absmax(nu_row), absmax(col)
         i, j = int(np.argmax(big[0])), int(np.argmax(big[1]))
         raise IncompatibleData((u + i, v) if big[0][i] >= big[1][j] else (u, v + j), float("inf"))
-    vectors = VertexGrid(dom, np.add(nu_row[:, None], col[None],
-                                     out=empty3((dom.n_u, dom.n_v, 3))))
+    vectors = VertexGrid(dom, outer_sum3(nu_row, col))
 
     # By Lelieuvre, F = [nu, nu(v+1), nu(u+1)], A = [nu(u-1), nu, nu(u+1)]
     # and B = [nu(v+1), nu, nu(v-1)].  The gaps are divided by max F as Python

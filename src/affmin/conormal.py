@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvexFace, NotHarmonic
-from .grids import (BandMax, FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, empty3,
+from .grids import (BandMax, FaceGrid, GridDomain, VertexGrid, absmax, d12, det3, outer_sum3,
                     require_bounded, require_positive, row_bands)
 
 __all__ = [
@@ -122,9 +122,7 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     does); ``harmonic_residual`` reports it.
     """
     spec.domain.require_faces("co-normal field")
-    nu = np.add(spec.u_part[:, None, :], spec.v_part[None, :, :],
-                out=empty3((spec.domain.n_u, spec.domain.n_v, 3)))
-    return _build(VertexGrid(spec.domain, nu), np.inf)
+    return _build(VertexGrid(spec.domain, outer_sum3(spec.u_part, spec.v_part)), np.inf)
 
 
 def validate(vectors: VertexGrid) -> ConormalField:

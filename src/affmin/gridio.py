@@ -25,17 +25,35 @@ as null and numpy bools as true/false.  The forms bundle is the object
 ``{"F": grid, "A": grid, "B": grid}`` of three grid file objects, each on
 its own domain: F a face grid on the vertex box, A and B 1-component vertex
 grids on its u- and v-interior.
+
+Once a grid file or forms bundle is complete, ``write_grid`` and
+``write_forms`` also write its sidecar ``<path>.npy`` (a temporary file, then
+renamed): one ``.npy`` record of the SHA-256 of the JSON bytes, a row
+(kind, u_min, u_max, v_min, v_max, components) per grid, and the grids'
+values, each 3-vector grid as its three component planes.  ``read_grid``
+and ``read_forms`` take the grids from a sidecar that loads without pickles,
+holds the SHA-256 of the JSON file's bytes now, agrees with itself and
+passes the checks the JSON path makes; otherwise, and for any file without
+one, they parse the JSON.  Either path gives the same bits: a JSON ``-0``
+reads as +0.0, so sidecar values get ``+ 0.0``.  A sidecar is trusted as a
+hash-checked ``.pyc`` is: one forged to match its JSON file is believed.
+Seeds and reports get no sidecar.  A failed sidecar write leaves the JSON
+file as it is, no temporary file and no new sidecar; a sidecar left from an
+earlier write holds another hash unless the bytes are the same.
 """
 
+import contextlib
+import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compatibility import FundamentalData, as_seed
-from .errors import DomainMismatch, DomainTooSmall
+from .errors import AffminError, DomainMismatch, DomainTooSmall
 from .grids import GRID_KINDS, Grid, GridDomain, require_bounded
 from .spelling import spell, write_chunks
 
@@ -61,6 +79,11 @@ _SCALARS = (bool, np.bool_, int, float, np.integer, np.floating)
 # which np.asarray(..., dtype=float) would take as 1.0 or a parsed number.
 _JSON_NUMBERS = {int, float}
 _FLOAT_MAX = float(np.finfo(float).max)
+
+# A sidecar names each grid's kind by its index here.
+_KINDS = tuple(GRID_KINDS)
+# Bytes of a grid file that a reader hashes at a time.
+_HASH_CHUNK = 1 << 20
 
 
 def _format_number(x) -> str:
@@ -191,8 +214,96 @@ def grid_from_obj(obj: dict, what: str = "grid object") -> Grid:
     return cls(domain, array)
 
 
+def _sidecar_dtype(n_grids: int, n_values: int) -> np.dtype:
+    """The sidecar record of ``n_grids`` grids of ``n_values`` numbers in all."""
+    return np.dtype([("sha256", "S64"), ("grids", np.int64, (n_grids, 6)),
+                     ("values", float, (n_values,))])
+
+
+def _write_sidecar(path, digest: str, grids) -> None:
+    """Write the sidecar of the grid file ``path``, whose bytes hash to ``digest``,
+    each component plane as it is; an OSError leaves no new sidecar and no
+    temporary file and is not raised, since a missing sidecar only costs a
+    reader time."""
+    sidecar = f"{os.fspath(path)}.npy"
+    temp = f"{sidecar}.tmp"
+    rows = np.array([(_KINDS.index(grid.kind), *grid.domain.as_tuple(), grid.components)
+                     for grid in grids], np.int64)
+    try:
+        dtype = _sidecar_dtype(len(grids), sum(grid.values.size for grid in grids))
+    except ValueError:   # a numpy record holds at most 2 GiB: 268M numbers get no sidecar
+        return
+    try:
+        with open(temp, "wb") as handle:
+            np.lib.format.write_array_header_1_0(handle, {
+                "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
+                "shape": ()})
+            handle.write(digest.encode("ascii"))
+            handle.write(rows.tobytes())
+            for grid in grids:
+                v = grid.values
+                for plane in (v,) if grid.components == 1 else (v[..., k] for k in range(3)):
+                    handle.write(np.ascontiguousarray(plane))
+        os.replace(temp, sidecar)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):   # no temporary file is left after the rename
+            os.remove(temp)
+
+
+def _sha256_file(path) -> str:
+    """SHA-256 hex digest of the file ``path``, read ``_HASH_CHUNK`` bytes at a time."""
+    digest, view = hashlib.sha256(), memoryview(bytearray(_HASH_CHUNK))
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(view):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def _sidecar_grids(path, kinds: tuple) -> list | None:
+    """The grids in the sidecar of the grid file ``path``, or None unless the
+    sidecar loads without pickles, holds the SHA-256 of the bytes now in
+    ``path``, one grid of each of ``kinds`` (None: any kind) and nothing more,
+    and its values fit their domains and ``require_bounded``."""
+    try:
+        with open(f"{os.fspath(path)}.npy", "rb") as handle:
+            if np.lib.format.read_magic(handle) != (1, 0):
+                return None
+            shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+            # Checked before anything is allocated: a header may claim any size.
+            if (shape != () or dtype.names != ("sha256", "grids", "values")
+                    or dtype != _sidecar_dtype(len(kinds), dtype["values"].itemsize // 8)
+                    or os.fstat(handle.fileno()).st_size != handle.tell() + dtype.itemsize
+                    or handle.read(64) != _sha256_file(path).encode("ascii")):
+                return None
+            handle.seek(0)
+            record = np.load(handle, allow_pickle=False)
+        values, grids, start = record["values"], [], 0
+        np.add(values, 0.0, out=values)   # the JSON path reads "-0" as 0.0
+        for (code, *bounds, components), kind in zip(record["grids"].tolist(), kinds):
+            cls = GRID_KINDS[_KINDS[code]] if 0 <= code < len(_KINDS) else None
+            if cls is None or kind not in (None, cls.kind) or components not in (1, 3):
+                return None
+            domain = GridDomain(*bounds)
+            shape = (components,) + cls._entry_shape(domain)
+            array = values[start:start + math.prod(shape)]
+            start += array.size
+            if array.size != math.prod(shape):
+                return None
+            array = array.reshape(shape).transpose(1, 2, 0) if components == 3 \
+                else array.reshape(shape[1:])
+            require_bounded(array, domain, str(path))
+            grids.append(cls(domain, array))
+        return grids if start == values.size else None
+    except (OSError, ValueError, DomainTooSmall):
+        return None
+
+
 def write_grid(grid: Grid, path) -> str:
-    return write_json(grid_to_obj(grid, str(path)), path)
+    digest = write_json(grid_to_obj(grid, str(path)), path)
+    _write_sidecar(path, digest, (grid,))
+    return digest
 
 
 def _load_json(path) -> dict:
@@ -210,6 +321,9 @@ def _load_json(path) -> dict:
 
 
 def read_grid(path, expected_kind: str | None = None) -> Grid:
+    sidecar = _sidecar_grids(path, (expected_kind,))
+    if sidecar is not None:
+        return sidecar[0]
     grid = grid_from_obj(_load_json(path), str(path))
     if expected_kind is not None and grid.kind != expected_kind:
         raise ValueError(f"{path} holds a {grid.kind} grid, expected {expected_kind}")
@@ -217,13 +331,20 @@ def read_grid(path, expected_kind: str | None = None) -> Grid:
 
 
 def write_forms(data: FundamentalData, path) -> str:
-    grids = zip("FAB", (data.areas, data.u_coeff, data.v_coeff))
-    return write_json({key: grid_to_obj(grid, f"{path}: {key}") for key, grid in grids}, path)
+    grids = (data.areas, data.u_coeff, data.v_coeff)
+    digest = write_json({key: grid_to_obj(grid, f"{path}: {key}")
+                         for key, grid in zip("FAB", grids)}, path)
+    _write_sidecar(path, digest, grids)
+    return digest
 
 
 def read_forms(path) -> FundamentalData:
     """The F, A and B of a forms bundle; ValueError naming the file and the grid
     that is missing, malformed, not 1-component of its kind, or off F's box."""
+    sidecar = _sidecar_grids(path, ("face", "vertex", "vertex"))
+    if sidecar is not None and all(grid.components == 1 for grid in sidecar):
+        with contextlib.suppress(AffminError):   # the JSON path names the error
+            return FundamentalData(*sidecar)
     obj, what = _load_json(path), f"forms bundle {path}"
     grids = []
     for key, kind in zip("FAB", ("face", "vertex", "vertex")):

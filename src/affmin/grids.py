@@ -19,9 +19,10 @@ reads is contiguous; ``empty3`` allocates that layout.
 
 The pointwise kernels shared by every certificate live here too: dot, cross
 and triple products, norm and largest |component| of 3-vector arrays, their
-products with and quotients by scalar arrays, the worst-entry lookup that
-names a grid index, the face-choice average, the relative residual of a
-stencil identity, and the ``TINY`` denominator floor.  So does the input
+products with and quotients by scalar arrays, the separable sum of a column
+and a row of 3-vectors, the worst-entry lookup that names a grid index, the
+face-choice average, the relative residual of a stencil identity, and the
+``TINY`` denominator floor.  So does the input
 contract: ``require_bounded`` holds every value a file or a validator hands
 in within ``VALUE_BOUND``, ``require_domain`` every grid a function takes to
 the domain it needs, ``require_positive`` every F and M to be > 0, and
@@ -60,6 +61,7 @@ __all__ = [
     "absmax",
     "mul3",
     "div3",
+    "outer_sum3",
     "as_positions",
     "as_conormal",
     "VALUE_BOUND",
@@ -407,6 +409,16 @@ def div3(v, s, out=None):
         out = empty3(np.broadcast_shapes(v.shape, s.shape + (1,)), np.result_type(v, s))
     for k in range(3):
         np.divide(v[..., k], s, out=out[..., k])
+    return out
+
+
+def outer_sum3(a, b):
+    """``a[:, None] + b[None]`` of (m, 3) and (n, 3) arrays, bit for bit, into new
+    (m, n) component planes: one outer sum per component, no broadcast loop."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = empty3((len(a), len(b), 3), np.result_type(a, b))
+    for k in range(3):
+        np.add(a[:, k, None], b[None, :, k], out=out[..., k])
     return out
 
 

@@ -32,7 +32,7 @@ GOLDEN_PARABOLOID = {
     "conormal.json": "f36fa3e1446fb537d2441895e905b7d0737e3b7d4784ad767fed19d624082e30",
     "surface.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
     "reconstructed.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
-    "check_report.json": "b667a8a02cb542da8f849050240d7b7efa06d3f930b9bc186e74a553dd38206f",
+    "check_report.json": "5fed50db060272355f490fc68c4908f42d4360e3f08abfe267297d29768cd8da",
     "forms.json": "33931ae688abc62598c87d530c07150078ea37d5baf090467ad9fee996be6970",
     "mesh_res1.obj": "9c4431c22a37c475282c05e900b47d9be183de200ec68bfde709c06f01de0669",
     "mesh_res8.obj": "796b9674b9940cec261f3f291eae84545fdfa8d8bfe6662166a161d52dc87192",
@@ -46,7 +46,7 @@ GOLDEN_ROUNDED = {
         "conormal.json": "cb823ba05ffa6ac5e8f99c0b7a02169543dd7b41cd75646d8006c891181d5cde",
         "surface.json": "fcdb072a0f11cfee397ee43902f7447ef6ebfb3975c992aa6632833d99eb7914",
         "reconstructed.json": "5aaf44698fa68642f643fea06371914168d2903df7358d58a11062b5d91366a6",
-        "check_report.json": "94fda5efa964848037394b10f569746a4a6e7ff2f22a929061cfb9dfbd9d6cd2",
+        "check_report.json": "661cdb2f0f587a04f365adadcc46ba23ad94d9fb3f73d4d58d9dba9ce220aa84",
         "forms.json": "77c6bbc9e5321fb75348ce9f6550b08d807252b9ebc7ab13598931821f1ffe69",
         "mesh_res1.obj": "0b72fce14b0cbfd949fcc83f7cf24ad4b435c7b3aca9bd8bf2ff67a16a134d08",
         "mesh_res8.obj": "3eb0922f7aeb7aca6f7c0132b179367882bbf677fb028713448f63ece2d1f12f",
@@ -55,7 +55,7 @@ GOLDEN_ROUNDED = {
         "conormal.json": "01a7fb98fc7800a782bb07cc896685a4afb657c1c8fa5f76a6b69b8bb8b162d4",
         "surface.json": "bf393794d17baad5ed1db5620a97bf84c4172b71dc76c46b31a076ebbec210e2",
         "reconstructed.json": "3c1c1439ffb256a6226a50514e3af8b651cfa607fd68c5dc60d8240f02fb8f39",
-        "check_report.json": "6eb64ae0420faa510c902fdb93948bcc28151144b6632d06282b7505ffd1f3e2",
+        "check_report.json": "38c86474f00fb461d05f0d782f24c67badf0ca79fdc69bf4fb4ba4415b132d68",
         "forms.json": "e6c6f70a380898798c4897c060bbdb48881d092c310f767886cca9fb5db9989a",
         "mesh_res1.obj": "9689f7dd6d0d3bb848b130b72001d25d5f73367516fc3d41952de52d9b132ae7",
         "mesh_res8.obj": "3e26a3bc5cb1779e1d48f297bcddbf35388c88d1309cb74f693473ab77ae372b",
@@ -559,7 +559,8 @@ class TestPipeline:
         assert report["compatibility"]["passed"] is True
         for name in ("conormal.json", "surface.json", "forms.json",
                      "reconstructed.json", "mesh_res1.obj", "mesh_res8.obj",
-                     "check_report.json"):
+                     "check_report.json", "conormal.json.npy", "surface.json.npy",
+                     "forms.json.npy", "reconstructed.json.npy"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_golden_artifact_digests(self, tmp_path):
@@ -674,9 +675,11 @@ def test_reports_record_the_library_tolerances(tmp_path):
                "--outdir", tmp_path) == 0
     assert run("check", "--surface", tmp_path / "surface.json", "--conormal",
                tmp_path / "conormal.json", "--report", tmp_path / "check.json") == 0
-    for name in ("check.json", "pipeline_report.json"):
+    for name in ("check.json", "check_report.json", "pipeline_report.json"):
         report = json.loads((tmp_path / name).read_text())
         assert list(report["tolerances"].items()) == expected, name
+    # pipeline's check stage writes the report that check writes.
+    assert (tmp_path / "check.json").read_bytes() == (tmp_path / "check_report.json").read_bytes()
 
 
 @pytest.mark.parametrize("option", ["--tol-dual", "--resolutions", "--seed-file"])

@@ -2,8 +2,9 @@
 
 ``absmax``, ``cross3`` and ``norm3`` must give the very bits of
 ``np.abs(x).max(axis=-1)``, ``np.cross`` and ``np.linalg.norm(x, axis=-1)``,
-``dot3`` those of ``np.einsum`` on interleaved vectors, and ``mul3``/``div3``
-those of ``s[..., None] * v`` and ``v / s[..., None]``, on any memory layout,
+``dot3`` those of ``np.einsum`` on interleaved vectors, ``mul3``/``div3``
+those of ``s[..., None] * v`` and ``v / s[..., None]``, and ``outer_sum3``
+that of ``a[:, None] + b[None]``, on any memory layout,
 so the certificates below are pinned as ``float.hex`` strings: non-dyadic
 residuals that the golden artifact digests of the paraboloid do not cover.
 Every 3-vector grid that the package produces is stored as component planes.
@@ -16,7 +17,8 @@ from hypothesis.extra import numpy as hnp
 
 import affmin as am
 from affmin.gridio import read_grid, write_grid
-from affmin.grids import VertexGrid, absmax, cross3, div3, dot3, empty3, mul3, norm3
+from affmin.grids import (VertexGrid, absmax, cross3, div3, dot3, empty3, mul3, norm3,
+                          outer_sum3)
 
 SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300,
                     1.0, -3.5, 0.1])
@@ -126,6 +128,37 @@ class TestScalarProducts:
     def test_every_pair_of_special_values(self):
         s, v = np.meshgrid(SPECIAL, SPECIAL, indexing="ij")
         check_scalar_products(s, np.stack([v, v[::-1], np.roll(v, 5, axis=1)], axis=-1))
+
+
+def check_outer_sum(a, b):
+    with np.errstate(all="ignore"):
+        got = outer_sum3(a, b)
+        assert_same_bits(got, a[:, None] + b[None])
+    assert all(got[..., k].flags.c_contiguous for k in range(3))
+
+
+class TestOuterSum:
+    @given(st.integers(0, 9), st.integers(0, 9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_profiles(self, m, n, data):
+        values = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        a, b = (data.draw(hnp.arrays(np.float64, (k, 3), elements=values)) for k in (m, n))
+        check_outer_sum(a, b)
+
+    def test_every_pair_of_special_values(self):
+        a = np.stack([SPECIAL, SPECIAL[::-1], np.roll(SPECIAL, 5)], axis=-1)
+        check_outer_sum(a, a)
+        check_outer_sum(a[::2], a[1::3])   # strided profiles
+
+    def test_separable_fields_are_the_broadcast_sum(self):
+        # The minimal cubic's profiles (u, 0, u^2) and (0, v, v^2) on non-dyadic samples.
+        u, v = np.arange(1, 34) / 3.0, np.arange(4, 22) / 7.0
+        zeros = np.zeros_like
+        spec = am.SeparableConormalSpec(am.GridDomain(-2, 30, 4, 21),
+                                        np.column_stack([u, zeros(u), u * u]),
+                                        np.column_stack([zeros(v), v, v * v]))
+        field = am.from_separable(spec)
+        assert_same_bits(field.vectors.values, spec.u_part[:, None] + spec.v_part[None])
 
 
 def planes(x):
