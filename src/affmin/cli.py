@@ -111,11 +111,17 @@ def _record(report, **extra) -> dict:
 
 
 def _surface_checks(surface: Immersion, field: ConormalField | None) -> dict:
-    """Run the geometry (and, with a field, the Lelieuvre) certificates."""
+    """Run the geometry (and, with a field, the Lelieuvre) certificates.
+
+    Each section is recorded as soon as its certificate returns.  With a
+    field, the recovered co-normals feed only their own section and are
+    dropped at once; the affine normals are derived just for ``duality``.
+    """
     vols = face_volumes(surface)
-    normals = affine_normal(surface, vols.areas)
     recovery = recover_conormal(surface)
+    done = {"conormal_recovery": _record(recovery, passed=recovery.max_deviation <= TOL_DUAL)}
     nu = recovery.vectors if field is None else field.vectors
+    del recovery
     extra = {}
     if field is not None:
         # Raises DomainMismatch before the bridge divides grids of other shapes.
@@ -128,14 +134,13 @@ def _surface_checks(surface: Immersion, field: ConormalField | None) -> dict:
         extra["area_density_bridge"] = {"max_relative_gap": bridge,
                                         "passed": bridge <= TOL_DUAL}
     planar = planarity_and_saddle(surface, nu)
-    report = {
-        "asymptotic": _record(asymptotic_certificate(surface)),
-        "conormal_recovery": _record(recovery,
-                                     passed=recovery.max_deviation <= TOL_DUAL),
-        "planar_saddle": _record(planar, saddle_failures=planar.saddle_failures[:8]),
-        "duality": _record(duality_certificate(nu, normals, vols.areas)),
-        **extra,
-    }
+    done["planar_saddle"] = _record(planar, saddle_failures=planar.saddle_failures[:8])
+    done["asymptotic"] = _record(asymptotic_certificate(surface))
+    done["duality"] = _record(duality_certificate(nu, affine_normal(surface, vols.areas),
+                                                  vols.areas))
+    report = {name: done[name]
+              for name in ("asymptotic", "conormal_recovery", "planar_saddle", "duality")}
+    report.update(extra)
     report["passed"] = all(section["passed"] for section in report.values())
     return report
 
@@ -396,7 +401,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each
+    ``add_argument`` looks up gettext and probes the terminal size."""
     parser = _Parser(   # its subparsers are _Parsers too
         prog="affmin",
         description="Construct, verify, reconstruct and export discrete "

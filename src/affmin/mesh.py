@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import face_volumes
 from .grids import GridDomain, VertexGrid, as_positions, det3, empty3, worst_index
-from .spelling import spell, write_chunks
+from .spelling import int_digits, spell, write_chunks
 
 __all__ = [
     "patch_point",
@@ -153,27 +153,20 @@ def _cell_triangles(nj: int, c0: int, c1: int) -> np.ndarray:
 def _face_lines(block: np.ndarray) -> bytes:
     """OBJ face lines ``f i j k`` of a 0-based (m, 3) triangle block, 1-based.
 
-    Each index is spelled as ``%d`` spells it, in exact integer arithmetic,
-    into a zeroed byte table with one row per character position and one
-    column per triangle: every index gets a space and one slot per digit of
-    the block's largest index, and the slots above its leading digit stay
-    0.  Deleting the 0 bytes from the transposed table leaves the lines.
+    ``int_digits`` spells each index into a zeroed byte table with one row
+    per character position and one column per triangle: every index gets a
+    space and one slot per digit of the block's largest index.  Deleting the
+    0 bytes from the transposed table leaves the lines.
     """
     top = int(block.max(initial=0)) + 1
-    x = block.T.astype(np.uint32 if top < 1 << 32 else np.uint64, order="C")
-    x += 1
     digits = len(str(top))
     text = np.zeros((3 * (digits + 1) + 2, len(block)), np.uint8)
     text[0], text[-1] = ord("f"), ord("\n")
     fields = text[1:-1].reshape(3, digits + 1, -1)
     fields[:, 0] = ord(" ")
-    for slot in range(digits, 0, -1):
-        q = x // 10
-        d = x - 10 * q
-        d += ord("0")
-        d *= x > 0
-        fields[:, slot] = d
-        x = q
+    # Unnamed, so that int_digits frees each quotient as it takes the next.
+    int_digits(np.add(block.T, 1, dtype=np.uint32 if top < 1 << 32 else np.uint64,
+                      casting="unsafe", order="C"), fields[:, 1:].swapaxes(0, 1))
     return text.T.tobytes().replace(b"\0", b"")
 
 

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-__all__ = ["spell", "write_chunks"]
+__all__ = ["int_digits", "spell", "write_chunks"]
 
 
 # Numbers per pass of spell, a multiple of 3 so that an OBJ pass holds whole vertex
@@ -89,13 +89,82 @@ def spell(block: np.ndarray, lead: tuple, trail: bytes, deferred):
 
     Column c's number follows ``lead[c]`` (at most 2 bytes) and precedes the
     byte ``trail[c]`` (0 for none); ``deferred`` spells, in at most 29
-    characters, what ``_decimal_digits`` defers.  Each number fills 32
-    byte-table slots (lead, sign, "0.000", 18 for the digits and point,
-    "e-XXX", trail) whose 0s are then deleted.
+    characters, what ``_decimal_digits`` defers.  A pass of short dyadic
+    decimals (``_dyadic``) is spelled from integers by ``_spell_dyadic``; any
+    other pass fills 32 byte-table slots per number (lead, sign, "0.000", 18
+    for the digits and point, "e-XXX", trail) whose 0s are then deleted.
     """
     step = _PASS // block.shape[1]
     for r in range(0, len(block), step):
-        yield _spell_records(block[r:r + step].ravel(), lead, trail, deferred)
+        x = block[r:r + step].ravel()
+        parts = _dyadic(x)
+        yield _spell_records(x, lead, trail, deferred) if parts is None \
+            else _spell_dyadic(x, *parts, lead, trail)
+
+
+def int_digits(x: np.ndarray, rows: np.ndarray):
+    """Spell the non-negative integers ``x`` as ``%d`` does into ``rows``, one
+    ASCII digit per row with the units in the last: ``rows[j]`` has the shape
+    of ``x``, and a row above a number's leading digit gets 0, the byte that
+    every writer deletes."""
+    for j in range(len(rows) - 1, -1, -1):
+        q = x // 10
+        d = x - 10 * q
+        d += ord("0")
+        if j < len(rows) - 1:       # the units digit, 0 too, is always shown
+            d *= x > 0
+        rows[j] = d
+        x = q
+
+
+def _dyadic(x: np.ndarray):
+    """(whole, fraction, places) when every number of ``x`` is finite and, for
+    the smallest ``places`` <= 13 that makes every |x| 2^places an integer,
+    |x| 10^places < 10^17; None otherwise.
+
+    ``whole`` is the integer part of |x| and ``fraction`` the rest times
+    2^places, as uint16.  Such a pass is exactly D / 10^places for integers D
+    < 10^17, so ``%.17g`` rounds nothing; and |x| >= 2^-13 > 10^-4 (or 0) and
+    |x| < 10^17 keep ``%g`` in its fixed style.
+    """
+    ax = np.abs(x)
+    top = ax.max()
+    if not top < 1e17:          # nan and inf fail here too
+        return None
+    fraction, whole = np.modf(ax)
+    fraction *= 2.0 ** 13
+    low = fraction.astype(np.uint16)
+    if (low != fraction).any():
+        return None
+    bits = int(np.bitwise_or.reduce(low))
+    places = 14 - (bits & -bits).bit_length() if bits else 0
+    if not top < 10.0 ** (17 - places):
+        return None
+    return whole, low >> (13 - places), places
+
+
+def _spell_dyadic(x, whole, fraction, places: int, lead: tuple, trail: bytes) -> bytes:
+    """The records of a ``_dyadic`` pass: sign, ``whole`` spelled by
+    ``int_digits``, and, where ``fraction`` is not 0, a point and its digits
+    up to the last nonzero one, each digit 5 times the remainder, shifted."""
+    n, p = len(x), len(lead)
+    top = int(whole.max())
+    start = max(map(len, lead))
+    point = start + 1 + len(str(top))       # slot of the point
+    rec = np.zeros((point + places + 2, n), np.uint8)
+    for c, (before, after) in enumerate(zip(lead, trail)):
+        rec[:len(before), c::p] = np.frombuffer(before, np.uint8)[:, None]
+        rec[-1, c::p] = after
+    rec[start] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+    int_digits(whole.astype(np.uint32 if top < 1 << 32 else np.uint64), rec[start + 1:point])
+    shown = fraction != 0
+    rec[point] = shown * np.uint8(ord("."))
+    for j in range(places):     # fraction / 2^(places - j) is what is left to spell
+        fraction *= 5
+        rec[point + 1 + j] = ((fraction >> (places - 1 - j)) + ord("0")) * shown
+        fraction &= (1 << (places - 1 - j)) - 1
+        shown = fraction != 0
+    return rec.T.tobytes().translate(None, b"\0")
 
 
 def _spell_records(x: np.ndarray, lead: tuple, trail: bytes, deferred) -> bytes:

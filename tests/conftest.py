@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import affmin as am
+
+# ``pytest --hypothesis-profile ci`` runs each property test that sets no
+# example count of its own 20,000 times; without it they take hypothesis's default.
+settings.register_profile("ci", max_examples=20_000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,16 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affmin.cli
 from affmin.cli import build_parser, main
 from affmin.compatibility import TOL_COMPAT, TOL_EQUIV, TOL_SEED, extract_fundamental_data
 from affmin.conormal import TOL_HARMONIC
@@ -786,6 +789,48 @@ def test_a_check_that_stops_names_its_error_on_stderr(tmp_path, capsys):
     assert out == f"check: FAIL (report in {path})\n"
     assert err.startswith("error: NotHarmonic: ")
     assert err == f"error: {json.loads(path.read_text())['error']}\n"
+
+
+def test_one_process_runs_each_command_as_a_fresh_process_does(tmp_path, monkeypatch, capsys):
+    # main reuses one parser per process: after a usage error and a data error it
+    # must still give every command the exit code, output and files a fresh process gives.
+    steps = [["area"],
+             ["check", "--surface", "s.json", "--conormal", "bad.json", "--report", "r1.json"],
+             ["generate", "--example", "cubic", "--box", "1", "5", "1", "6", "--out", "c.json"],
+             ["integrate", "--conormal", "c.json", "--out", "q.json"],
+             ["check", "--surface", "q.json", "--conormal", "c.json", "--report", "r2.json"],
+             ["export", "--surface", "q.json", "--resolution", "2", "--out", "m.obj"],
+             ["critical", "--help"]]
+    monkeypatch.setenv("COLUMNS", "80")     # help text width, here and in the children
+    # The children run in other directories, so they import this affmin by absolute path.
+    package_root = str(Path(affmin.cli.__file__).parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    runs = {}
+    for mode in ("fresh", "reused"):
+        work = tmp_path / mode
+        work.mkdir()
+        conormal, surface = _surface_files(work, "paraboloid", (0, 5, 0, 5))
+        body = json.loads(conormal.read_text())
+        body["values"][(1 * 6 + 1) * 3 + 2] += 0.5   # not harmonic at vertex (1, 1)
+        (work / "bad.json").write_text(json.dumps(body))
+        surface.rename(work / "s.json")
+        capsys.readouterr()
+        runs[mode] = []
+        for argv in steps:
+            if mode == "fresh":
+                result = subprocess.run([sys.executable, "-m", "affmin.cli", *argv], cwd=work,
+                                        capture_output=True, text=True)
+                runs[mode].append((result.returncode, result.stdout, result.stderr))
+                continue
+            monkeypatch.chdir(work)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            runs[mode].append((code, *capsys.readouterr()))
+        runs[mode].append({path.name: path.read_bytes() for path in sorted(work.iterdir())})
+    assert [run[0] for run in runs["reused"][:-1]] == [2, 1, 0, 0, 0, 0, 0]
+    assert runs["reused"] == runs["fresh"]
 
 
 def test_console_entry_point():

@@ -10,6 +10,7 @@ by point through the public ``patch_point``.
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,98 @@ def test_face_lines_spell_like_percent_d(top):
     block = np.array([[top, 0, top], [top // 10, top, 7], [0, 0, 0]])
     expected = "f %d %d %d\n" * 3 % tuple((block + 1).ravel().tolist())
     assert mesh_module._face_lines(block) == expected.encode("ascii")
+
+
+# The two record layouts of the kernel for p columns: an OBJ vertex row and a
+# JSON number list.
+def layouts(p):
+    return {"obj": ((b"v ",) + (b"",) * (p - 1), b" " * (p - 1) + b"\n"),
+            "json": ((b", ",) * p, bytes(p))}
+
+
+def percent_g(block, layout) -> bytes:
+    """What ``spell`` must write for ``block`` in ``layout``, one ``%.17g`` per number."""
+    if layout == "json":
+        return "".join(", %.17g" % x for x in block.ravel().tolist()).encode("ascii")
+    return "".join("v " + " ".join("%.17g" % x for x in row) + "\n"
+                   for row in block.tolist()).encode("ascii")
+
+
+def spelled(block, layout) -> bytes:
+    lead, trail = layouts(block.shape[1])[layout]
+    return b"".join(spelling.spell(block, lead, trail, "%.17g".__mod__))
+
+
+def count_paths(monkeypatch) -> dict:
+    """Count the passes that ``spell`` hands to each of its two spellers."""
+    counts = {"integer": 0, "general": 0}
+    for path, name in (("integer", "_spell_dyadic"), ("general", "_spell_records")):
+        def counted(*args, path=path, kernel=getattr(spelling, name)):
+            counts[path] += 1
+            return kernel(*args)
+        monkeypatch.setattr(spelling, name, counted)
+    return counts
+
+
+@st.composite
+def dyadic_blocks(draw):
+    """A block of short dyadic decimals: m / 2^K with K <= 13 and m 5^K < 10^17,
+    both signs, and signed zeros; 1 to 3 columns."""
+    places = draw(st.integers(0, 13))
+    top = min(-(-10 ** 17 // 5 ** places) - 1, 2 ** 53)   # m exact as a double
+    number = st.builds(lambda m, sign: sign * m / 2.0 ** places,
+                       st.integers(0, top), st.sampled_from([1.0, -1.0]))
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 3)))
+    return draw(hnp.arrays(np.float64, shape, elements=number | st.sampled_from([0.0, -0.0])))
+
+
+@settings(deadline=None)
+@given(dyadic_blocks())
+def test_dyadic_blocks_take_the_integer_path_and_spell_like_percent_g(block):
+    assert spelling._dyadic(block.ravel()) is not None
+    for layout in ("obj", "json"):
+        assert spelled(block, layout) == percent_g(block, layout)
+    assert dumps_json(block.ravel()) == "[" + percent_g(block, "json")[2:].decode() + "]"
+    if block.shape[1] == 3:
+        assert vertex_lines(block) == percent_g(block, "obj")
+
+
+DYADIC = [0.0, 1.5, -2.25, 1000.125]
+
+
+@pytest.mark.parametrize("values, path", [
+    ([2.0 ** -13], "integer"),          # 0.0001220703125, 13 places
+    ([2.0 ** -14], "general"),          # 6.103515625e-05: 14 places
+    ([2.0 ** 56], "integer"),           # 17 digits, above int64's float-exact range
+    ([2.0 ** 53 + 2], "integer"),
+    ([1e17], "general"),                # 1e+17
+    ([-0.0], "integer"),                # -0
+    (DYADIC + [0.1], "general"),
+    (DYADIC + [5e-324], "general"),
+    (DYADIC + [np.inf], "general"),
+    (DYADIC + [np.nan], "general"),
+    (DYADIC + [1e300], "general"),
+    ([2.0 ** -13, 2.0 ** 14], "general"),   # 2^14 10^13 >= 10^17
+    ([2.0 ** -13, 2.0 ** 13], "integer"),   # 2^13 10^13 < 10^17
+], ids=lambda v: v if isinstance(v, str) else repr(v[-1]))
+def test_boundary_passes_take_the_expected_path(monkeypatch, values, path):
+    counts = count_paths(monkeypatch)
+    block = np.array(values)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning on inf, NaN or huge values
+        for layout in ("obj", "json"):
+            assert spelled(block, layout) == percent_g(block, layout)
+    assert counts == {"integer": 2 * (path == "integer"), "general": 2 * (path == "general")}
+
+
+def test_dyadic_exports_spell_every_vertex_pass_from_integers(monkeypatch, tmp_path):
+    counts = count_paths(monkeypatch)
+    paraboloid = am.integrate(am.hyperbolic_paraboloid(am.GridDomain(0, 6, 0, 6)))
+    export_surface_obj(paraboloid, 8, tmp_path / "paraboloid.obj")
+    assert counts["integer"] >= 2 and counts["general"] == 0
+    counts.update(integer=0)
+    export_surface_obj(am.integrate(am.helicoid(32, (0, 8), (0, 8))), 8, tmp_path / "helicoid.obj")
+    assert counts["integer"] == 0 and counts["general"] >= 2
 
 
 @pytest.mark.parametrize("u_range, v_range, res", [((-2, 2), (0, 7), 3), ((0, 1), (0, 5), 3),
