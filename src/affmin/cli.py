@@ -113,13 +113,13 @@ def _record(report, **extra) -> dict:
 def _surface_checks(surface: Immersion, field: ConormalField | None) -> dict:
     """Run the geometry (and, with a field, the Lelieuvre) certificates.
 
-    Each section is recorded as soon as its certificate returns.  With a
-    field, the recovered co-normals feed only their own section and are
-    dropped at once; the affine normals are derived just for ``duality``.
+    With a field, the recovered co-normals feed only their own section, so
+    they are dropped once it is recorded; the affine normals are derived
+    only for ``duality``.
     """
     vols = face_volumes(surface)
     recovery = recover_conormal(surface)
-    done = {"conormal_recovery": _record(recovery, passed=recovery.max_deviation <= TOL_DUAL)}
+    recovered = _record(recovery, passed=recovery.max_deviation <= TOL_DUAL)
     nu = recovery.vectors if field is None else field.vectors
     del recovery
     extra = {}
@@ -134,13 +134,14 @@ def _surface_checks(surface: Immersion, field: ConormalField | None) -> dict:
         extra["area_density_bridge"] = {"max_relative_gap": bridge,
                                         "passed": bridge <= TOL_DUAL}
     planar = planarity_and_saddle(surface, nu)
-    done["planar_saddle"] = _record(planar, saddle_failures=planar.saddle_failures[:8])
-    done["asymptotic"] = _record(asymptotic_certificate(surface))
-    done["duality"] = _record(duality_certificate(nu, affine_normal(surface, vols.areas),
-                                                  vols.areas))
-    report = {name: done[name]
-              for name in ("asymptotic", "conormal_recovery", "planar_saddle", "duality")}
-    report.update(extra)
+    report = {
+        "asymptotic": _record(asymptotic_certificate(surface)),
+        "conormal_recovery": recovered,
+        "planar_saddle": _record(planar, saddle_failures=planar.saddle_failures[:8]),
+        "duality": _record(duality_certificate(nu, affine_normal(surface, vols.areas),
+                                               vols.areas)),
+        **extra,
+    }
     report["passed"] = all(section["passed"] for section in report.values())
     return report
 

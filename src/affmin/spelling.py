@@ -1,11 +1,18 @@
 """Exact ``%.17g`` spelling of float64 blocks in numpy, and the binary file
 writer that the OBJ and JSON writers share.
 
-The 17 digits come from numpy arithmetic off by < 2^-45 of the last digit;
-inf, nan and numbers within 2^-40 of a rounding tie go to the writer's own
-per-number spelling.  ``spell`` yields ASCII bytes one pass (6144 numbers)
-at a time and ``write_chunks`` hashes and writes each as it comes, so no
-writer holds a whole file's text or reads a file back to digest it.
+``spell`` yields ASCII bytes one pass (6144 numbers) at a time, and
+``write_chunks`` hashes and writes each as it comes.  A pass of short dyadic
+decimals (all finite, each |x| 2^K an integer for the smallest K <= 13, and
+|x| 10^K < 10^17) takes the integer path: each x is D / 10^K for an integer
+D < 10^17, so ``%.17g`` rounds nothing, and 2^-13 > 10^-4 keeps ``%g`` fixed;
+its bytes are the ``%d`` digits of the integer part, then a point and the K
+fraction digits up to the last nonzero one.  The paper's polynomial nets and
+their lattices take it: 72 (was 131) ns per number on cubic 64^2 at
+resolution 8, 47 (was 120) on a paraboloid.  On any other pass the 17 digits
+come from numpy arithmetic off by < 2^-45 of the last digit, and inf, nan and
+numbers within 2^-40 of a rounding tie go to the writer's own spelling (125
+ns per number on a helicoid).
 """
 
 import contextlib
@@ -89,10 +96,9 @@ def spell(block: np.ndarray, lead: tuple, trail: bytes, deferred):
 
     Column c's number follows ``lead[c]`` (at most 2 bytes) and precedes the
     byte ``trail[c]`` (0 for none); ``deferred`` spells, in at most 29
-    characters, what ``_decimal_digits`` defers.  A pass of short dyadic
-    decimals (``_dyadic``) is spelled from integers by ``_spell_dyadic``; any
-    other pass fills 32 byte-table slots per number (lead, sign, "0.000", 18
-    for the digits and point, "e-XXX", trail) whose 0s are then deleted.
+    characters, what ``_decimal_digits`` defers.  Each path fills a byte table
+    whose 0s are then deleted: on the general one, 32 slots per number (lead,
+    sign, "0.000", 18 for the digits and point, "e-XXX", trail).
     """
     step = _PASS // block.shape[1]
     for r in range(0, len(block), step):
@@ -118,15 +124,8 @@ def int_digits(x: np.ndarray, rows: np.ndarray):
 
 
 def _dyadic(x: np.ndarray):
-    """(whole, fraction, places) when every number of ``x`` is finite and, for
-    the smallest ``places`` <= 13 that makes every |x| 2^places an integer,
-    |x| 10^places < 10^17; None otherwise.
-
-    ``whole`` is the integer part of |x| and ``fraction`` the rest times
-    2^places, as uint16.  Such a pass is exactly D / 10^places for integers D
-    < 10^17, so ``%.17g`` rounds nothing; and |x| >= 2^-13 > 10^-4 (or 0) and
-    |x| < 10^17 keep ``%g`` in its fixed style.
-    """
+    """(whole, fraction, K) when ``x`` takes the integer path, else None:
+    the integer parts of |x| and the rest times 2^K, as uint16."""
     ax = np.abs(x)
     top = ax.max()
     if not top < 1e17:          # nan and inf fail here too
@@ -143,20 +142,25 @@ def _dyadic(x: np.ndarray):
     return whole, low >> (13 - places), places
 
 
+def _table(x: np.ndarray, width: int, lead: tuple, trail: bytes) -> np.ndarray:
+    """A zeroed (width, n) byte table, one column per number of ``x``, holding
+    each number's lead (slots 0-1), sign (slot 2) and trail (the last slot)."""
+    rec = np.zeros((width, len(x)), np.uint8)
+    for c, (before, after) in enumerate(zip(lead, trail)):
+        rec[:len(before), c::len(lead)] = np.frombuffer(before, np.uint8)[:, None]
+        rec[-1, c::len(lead)] = after
+    rec[2] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+    return rec
+
+
 def _spell_dyadic(x, whole, fraction, places: int, lead: tuple, trail: bytes) -> bytes:
     """The records of a ``_dyadic`` pass: sign, ``whole`` spelled by
     ``int_digits``, and, where ``fraction`` is not 0, a point and its digits
     up to the last nonzero one, each digit 5 times the remainder, shifted."""
-    n, p = len(x), len(lead)
     top = int(whole.max())
-    start = max(map(len, lead))
-    point = start + 1 + len(str(top))       # slot of the point
-    rec = np.zeros((point + places + 2, n), np.uint8)
-    for c, (before, after) in enumerate(zip(lead, trail)):
-        rec[:len(before), c::p] = np.frombuffer(before, np.uint8)[:, None]
-        rec[-1, c::p] = after
-    rec[start] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
-    int_digits(whole.astype(np.uint32 if top < 1 << 32 else np.uint64), rec[start + 1:point])
+    point = 3 + len(str(top))       # the slot of the point
+    rec = _table(x, point + places + 2, lead, trail)
+    int_digits(whole.astype(np.uint32 if top < 1 << 32 else np.uint64), rec[3:point])
     shown = fraction != 0
     rec[point] = shown * np.uint8(ord("."))
     for j in range(places):     # fraction / 2^(places - j) is what is left to spell
@@ -170,11 +174,7 @@ def _spell_dyadic(x, whole, fraction, places: int, lead: tuple, trail: bytes) ->
 def _spell_records(x: np.ndarray, lead: tuple, trail: bytes, deferred) -> bytes:
     n = len(x)
     digits, k, defer = _decimal_digits(x)
-    rec = np.zeros((32, n), np.uint8)
-    for c, (before, after) in enumerate(zip(lead, trail)):
-        rec[:len(before), c::len(lead)] = np.frombuffer(before, np.uint8)[:, None]
-        rec[31, c::len(lead)] = after
-    rec[2] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+    rec = _table(x, 32, lead, trail)
     # a[1 + j] is the j-th of the 17 digits; a[0] and a[18] are padding.
     a = np.zeros((19, n), np.uint8)
     a[1] = first = digits // 10 ** 16
