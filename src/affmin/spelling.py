@@ -8,10 +8,10 @@ decimals (all finite, each |x| 2^K an integer for the smallest K <= 13, and
 D < 10^17, so ``%.17g`` rounds nothing, and 2^-13 > 10^-4 keeps ``%g`` fixed;
 its bytes are the ``%d`` digits of the integer part, then a point and the K
 fraction digits up to the last nonzero one.  The paper's polynomial nets and
-their lattices take it: 72 (was 131) ns per number on cubic 64^2 at
-resolution 8, 47 (was 120) on a paraboloid.  On any other pass the 17 digits
+their lattices take it: 52 (was 117) ns per number on cubic 64^2 at
+resolution 8, 46 (was 113) on a paraboloid.  On any other pass the 17 digits
 come from numpy arithmetic off by < 2^-45 of the last digit, and inf, nan and
-numbers within 2^-40 of a rounding tie go to the writer's own spelling (125
+numbers within 2^-40 of a rounding tie go to the writer's own spelling (122
 ns per number on a helicoid).
 """
 
@@ -115,7 +115,8 @@ def int_digits(x: np.ndarray, rows: np.ndarray):
     every writer deletes."""
     for j in range(len(rows) - 1, -1, -1):
         q = x // 10
-        d = x - 10 * q
+        d = q * 10
+        np.subtract(x, d, out=d)
         d += ord("0")
         if j < len(rows) - 1:       # the units digit, 0 too, is always shown
             d *= x > 0
