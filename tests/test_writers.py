@@ -291,6 +291,8 @@ DYADIC = [0.0, 1.5, -2.25, 1000.125]
     ([1e17], "general"),                # 1e+17
     ([-0.0], "integer"),                # -0
     (DYADIC + [0.1], "general"),
+    # past the first 96 numbers, which _dyadic tests first
+    pytest.param(DYADIC * 25 + [0.1], "general", id="0.1 at 100-general"),
     (DYADIC + [5e-324], "general"),
     (DYADIC + [np.inf], "general"),
     (DYADIC + [np.nan], "general"),
