@@ -12,7 +12,7 @@ their lattices take it: 52 (was 117) ns per number on cubic 64^2 at
 resolution 8, 46 (was 113) on a paraboloid.  On any other pass the 17 digits
 come from numpy arithmetic off by < 2^-45 of the last digit, and inf, nan and
 numbers within 2^-40 of a rounding tie go to the writer's own spelling (122
-ns per number on a helicoid).
+ns per number on a helicoid, of which the test takes 1.5).
 """
 
 import contextlib
