@@ -131,7 +131,7 @@ def _dyadic(x: np.ndarray):
     top = ax.max()
     if not top < 1e17:          # nan and inf fail here too
         return None
-    head = ax[:96] * 2.0 ** 13   # a pass that fails mostly fails here, at a tenth of the cost
+    head = ax[:96] * 2.0 ** 13   # a pass that fails mostly fails here, at a third of the cost
     if (head != np.floor(head)).any():
         return None
     fraction, whole = np.modf(ax)
