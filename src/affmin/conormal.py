@@ -93,23 +93,24 @@ def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
     """Validate a co-normal grid and wrap it; a NaN residual or F fails too.
 
     Harmonicity and F run on row bands.  A field that is not harmonic raises
-    NotHarmonic naming the worst face, then every other face over
-    ``tol_harmonic`` in row-major order; F is not evaluated past the first
-    band with such a face.
+    NotHarmonic with the number of faces over ``tol_harmonic``, naming the
+    worst face, then the next three such faces in row-major order; F is not
+    evaluated past the first band with such a face.
     """
     dom = vectors.domain
-    worst, bad = BandMax(dom), []
+    worst, count, first = BandMax(dom), 0, []   # first: the first four faces over tol
     areas = np.empty((dom.n_u - 1, dom.n_v - 1))
     for lo, band, (areas_out,), own in row_bands(vectors, 0, 1, areas):
         residuals = absmax(d12(band).values[own])
         worst.add(residuals, lo)
-        bad += [(dom.u_min + lo + int(i), dom.v_min + int(j))
-                for i, j in np.argwhere(~(residuals <= tol_harmonic))]
-        if not bad:
+        bad = np.argwhere(~(residuals <= tol_harmonic))
+        count += len(bad)
+        first += [(dom.u_min + lo + int(i), dom.v_min + int(j)) for i, j in bad[:4 - len(first)]]
+        if not count:
             areas_out[own] = face_area_density(band).values[own]
-    if bad:
-        raise NotHarmonic(worst.value, [worst.index] + [face for face in bad
-                                                         if face != worst.index])
+    if count:
+        others = [face for face in first if face != worst.index]
+        raise NotHarmonic(worst.value, [worst.index] + others[:3], count)
     require_positive(areas, dom, NonConvexFace)
     return ConormalField(vectors, FaceGrid(dom, areas), worst.value)
 
@@ -128,7 +129,7 @@ def from_separable(spec: SeparableConormalSpec) -> ConormalField:
 def validate(vectors: VertexGrid) -> ConormalField:
     """Check an externally supplied vertex grid and wrap it as a field.
 
-    Raises NotHarmonic (naming every face over ``TOL_HARMONIC``) or
+    Raises NotHarmonic (counting the faces over ``TOL_HARMONIC``) or
     NonConvexFace, and, by ``require_bounded``, ValueError naming the first
     vertex whose nu is not finite or over ``VALUE_BOUND`` in size.
     """

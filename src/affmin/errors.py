@@ -21,16 +21,18 @@ class NotHarmonic(AffminError):
 
     Attributes:
         max_residual: worst |mixed difference| component over all faces.
-        faces: (u, v) indices of the faces whose residual exceeds tolerance,
-            the worst first, then in row-major order.
+        faces: (u, v) indices of the worst face, then of the next three (or
+            fewer) faces over tolerance in row-major order.
+        count: the number of faces over tolerance.
     """
 
-    def __init__(self, max_residual, faces):
+    def __init__(self, max_residual, faces, count):
         self.max_residual = max_residual
         self.faces = list(faces)
+        self.count = count
         super().__init__(
             f"co-normal field is not harmonic: max residual {max_residual:.3e} "
-            f"on {len(self.faces)} face(s), worst first: {self.faces[:4]}"
+            f"on {count} face(s), worst first: {self.faces}"
         )
 
 

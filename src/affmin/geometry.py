@@ -141,7 +141,8 @@ class AsymptoticReport:
     ``max_zero_residual`` is the worst |star determinant|, q2(v+-1/2) . A nu at
     u-interior and q1(u+-1/2) . B nu at v-interior vertices (all must vanish;
     ``edge_cross_products``); ``max_mixed_residual`` is the worst relative
-    deviation of the four edge/edge/mixed-difference determinants from M.
+    deviation of [q1(u+1/2, v), q2(u, v+1/2), q12] from M, one determinant per
+    face: the other edge picks add q12 to an edge, which leaves it unchanged.
     """
 
     max_zero_residual: float
@@ -168,13 +169,8 @@ def asymptotic_certificate(surface) -> AsymptoticReport:
             dets += [(e1[:, 1:-1], cross_v[:-1], 0, 1), (e1[:, 1:-1], cross_v[1:], 1, 1)]
         for k, (a, bc, du, dv) in enumerate(dets):
             zero.setdefault(k, BandMax(dom, du, dv)).add(np.abs(dot3(a[own], bc[own])), lo)
-        quv = d12(band).values
-        cross = (cross3(e2[:-1, :], quv), cross3(e2[1:, :], quv))
-        band_mixed = np.zeros_like(m)
-        for e1_pick in (e1[:, :-1], e1[:, 1:]):
-            for c in cross:
-                np.maximum(band_mixed, np.abs(dot3(e1_pick, c) - m) / m, out=band_mixed)
-        mixed.add(band_mixed[own], lo)
+        mixed_det = dot3(e1[:, :-1], cross3(e2[:-1, :], d12(band).values))
+        mixed.add((np.abs(mixed_det - m) / m)[own], lo)
 
     zero_best, zero_worst = 0.0, (dom.u_min, dom.v_min)
     for group in zero.values():
@@ -205,7 +201,9 @@ def planarity_and_saddle(surface, vectors) -> PlanarSaddleReport:
 
     (a) the four incident edge vectors are orthogonal to nu (normalized by
     edge and co-normal lengths); (b) the four diagonal increments dotted
-    with nu alternate in sign cyclically (saddle condition).
+    with nu alternate in sign cyclically (saddle condition): NE.NW, NW.SW and
+    SW.SE < 0 force SE.NE < 0 unless it underflows, and a zero or NaN fails
+    one of the three.
     """
     q, vectors = as_positions(surface), as_conormal(vectors)
     require_domain(q.domain, vectors=vectors)
@@ -228,13 +226,9 @@ def planarity_and_saddle(surface, vectors) -> PlanarSaddleReport:
         worst.add(ortho, lo)
 
         # Diagonal dot products in cyclic order NE, NW, SW, SE must alternate.
-        diag = [
-            dot3(corner - center, nu)
-            for corner in (p[2:, 2:], p[:-2, 2:], p[:-2, :-2], p[2:, :-2])
-        ]
-        alternating = np.ones(center.shape[:2], dtype=bool)
-        for a, b in zip(diag, diag[1:] + diag[:1]):
-            alternating &= (a * b) < 0.0
+        ne, nw, sw, se = (dot3(corner - center, nu)
+                          for corner in (p[2:, 2:], p[:-2, 2:], p[:-2, :-2], p[2:, :-2]))
+        alternating = (ne * nw < 0.0) & (nw * sw < 0.0) & (sw * se < 0.0)
         failures += [(dom.u_min + 1 + lo + int(i), dom.v_min + 1 + int(j))
                      for i, j in np.argwhere(~alternating)]
     return PlanarSaddleReport(

@@ -7,14 +7,14 @@ A grid file is one JSON object:
      "components": 1|3,
      "values": [...row-major numbers...]}
 
-Floats are written as ``%.17g`` writes them, float64 arrays by the shared
-numpy kernel of ``spelling``, so round trips are exact and repeated writes
-are byte-identical.  Writers stream: ``write_json``, and so ``write_grid``,
-``write_forms`` and ``write_seed``, writes the ASCII bytes of each spelling
-pass as it comes, returns their SHA-256 hex digest and leaves no file if it
-fails.  Grid, forms and seed writers and readers hold every value to
-``grids.require_bounded``: finite and at most
-``VALUE_BOUND`` (~1.41e102) in size, so every file affmin writes is one it
+Floats are written as ``%.17g`` writes them, grid values (``RowMajor``) by
+the shared numpy kernel of ``spelling``, so round trips are exact and
+repeated writes are byte-identical.  Writers stream: ``write_json``, and so
+``write_grid``, ``write_forms`` and ``write_seed``, writes the ASCII bytes of
+each spelling pass as it comes, returns their SHA-256 hex digest and leaves
+no file if it fails.  Grid, forms and seed writers and readers hold every
+value to ``grids.require_bounded``: finite and at most ``VALUE_BOUND``
+(~1.41e102) in size, so every file affmin writes is one it
 reads back; a ValueError names the file, the grid, and the first bad grid
 index (a seed's corner (u, v)).  Readers first take each value list in one
 step, which rejects an entry that is no number (``null``, ``true``,
@@ -108,14 +108,12 @@ class RowMajor:
 
 
 def _json_chunks(obj, indent: int = 0):
-    """Yield the ASCII bytes of ``dumps_json(obj, indent)`` piece by piece, a
-    float64 array one spelling pass at a time."""
+    """Yield the ASCII bytes of ``dumps_json(obj)``, each entry at ``indent``
+    more spaces, piece by piece, a ``RowMajor`` one spelling pass at a time."""
     if isinstance(obj, str):
         yield json.dumps(obj).encode("ascii")
     elif obj is None or isinstance(obj, _SCALARS):
         yield _format_number(obj).encode("ascii")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        yield from _json_chunks(RowMajor(obj[:, None]))
     elif isinstance(obj, RowMajor):
         p = obj.rows.shape[1]
         # ", " leads every number the kernel spells; the first pass drops the first one.
@@ -143,12 +141,12 @@ def _json_chunks(obj, indent: int = 0):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj, indent: int = 0) -> str:
+def dumps_json(obj) -> str:
     """Serialize with deterministic 17-significant-digit floats.
 
     NaN and the infinities, which JSON cannot spell, are written as null.
     """
-    return b"".join(_json_chunks(obj, indent)).decode("ascii")
+    return b"".join(_json_chunks(obj)).decode("ascii")
 
 
 def write_json(obj, path) -> str:

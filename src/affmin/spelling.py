@@ -8,11 +8,11 @@ decimals (all finite, each |x| 2^K an integer for the smallest K <= 13, and
 D < 10^17, so ``%.17g`` rounds nothing, and 2^-13 > 10^-4 keeps ``%g`` fixed;
 its bytes are the ``%d`` digits of the integer part, then a point and the K
 fraction digits up to the last nonzero one.  The paper's polynomial nets and
-their lattices take it: 52 (was 117) ns per number on cubic 64^2 at
-resolution 8, 46 (was 113) on a paraboloid.  On any other pass the 17 digits
-come from numpy arithmetic off by < 2^-45 of the last digit, and inf, nan and
-numbers within 2^-40 of a rounding tie go to the writer's own spelling (122
-ns per number on a helicoid, of which the test takes 1.5).
+their lattices take it: 52 ns per number on cubic 64^2 at resolution 8,
+46 on a paraboloid.  On any other pass the 17 digits come from numpy
+arithmetic off by < 2^-45 of the last digit, and inf, nan and numbers
+within 2^-40 of a rounding tie go to the writer's own spelling (122 ns per
+number on a helicoid, of which the test takes 1.5).
 """
 
 import contextlib

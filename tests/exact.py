@@ -22,7 +22,8 @@ face, and each face choice of the cubic coefficients
 over the up to four faces at the vertex (as ``forms.cubic_coefficients``
 forms them), are rational too; ``compatibility_products`` gives the three
 equations of ``compatibility.compatibility_residuals`` as exact differences.
-``star_determinants`` gives the determinants of each vertex star that
+``mixed_determinants`` gives the four edge picks of [q1, q2, q12] of a face,
+``star_determinants`` the determinants of each vertex star that
 vanish on any asymptotic net, of these positions or of corrupted ones, and
 ``structural_vectors`` the residual vectors of the structural equations
 F q11 = F1 q1 + A q2 and F q22 = B q1 + F2 q2 for any positions, F, A and B.
@@ -59,6 +60,15 @@ def det(x, y, z):
 def volume(q00, q10, q01, q11):
     """M of the face with these corners: det(q10 - q00, q01 - q00, q11 - q00)."""
     return det(sub(q10, q00), sub(q01, q00), sub(q11, q00))
+
+
+def mixed_determinants(q00, q10, q01, q11):
+    """[q1, q2, q12] of the face with these corners for each pick of its edges:
+    q1 at v, then v+1 (outer), q2 at u, then u+1, with q12 = q11 - q10 - q01 + q00.
+    The first is the one ``geometry.asymptotic_certificate`` forms."""
+    q12 = add(sub(q11, q10), sub(q00, q01))
+    return [det(q1, q2, q12) for q1 in (sub(q10, q00), sub(q11, q01))
+            for q2 in (sub(q01, q00), sub(q11, q10))]
 
 
 def star_determinants(q):

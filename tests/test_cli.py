@@ -49,7 +49,7 @@ GOLDEN_ROUNDED = {
         "conormal.json": "cb823ba05ffa6ac5e8f99c0b7a02169543dd7b41cd75646d8006c891181d5cde",
         "surface.json": "fcdb072a0f11cfee397ee43902f7447ef6ebfb3975c992aa6632833d99eb7914",
         "reconstructed.json": "5aaf44698fa68642f643fea06371914168d2903df7358d58a11062b5d91366a6",
-        "check_report.json": "661cdb2f0f587a04f365adadcc46ba23ad94d9fb3f73d4d58d9dba9ce220aa84",
+        "check_report.json": "b6c4d4a507d7c87f51560f365e167fd5b5a64f42678df384ca3c163a3979280d",
         "forms.json": "77c6bbc9e5321fb75348ce9f6550b08d807252b9ebc7ab13598931821f1ffe69",
         "mesh_res1.obj": "0b72fce14b0cbfd949fcc83f7cf24ad4b435c7b3aca9bd8bf2ff67a16a134d08",
         "mesh_res8.obj": "3eb0922f7aeb7aca6f7c0132b179367882bbf677fb028713448f63ece2d1f12f",

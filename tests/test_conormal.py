@@ -1,5 +1,6 @@
 """Co-normal construction, validation and the four example families."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -180,7 +181,29 @@ class TestValidate:
         with pytest.raises(NotHarmonic) as err:
             validate(VertexGrid(dom, values))
         assert sorted(err.value.faces) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert err.value.count == 4
         assert err.value.max_residual == pytest.approx(1.0)
+
+    def test_a_noisy_grid_is_counted_not_listed(self):
+        # Every face of a 600^2 grid is over the tolerance: validate keeps the worst
+        # and the next three, and peaks below twice what the harmonic grid does.
+        field = am.minimal_cubic(GridDomain(1, 600, 1, 600))
+        noise = 1e-3 * np.random.default_rng(5).standard_normal(field.vectors.values.shape)
+        noisy = field.vectors.with_values(field.vectors.values + noise)
+        peaks = []
+        for vectors in (field.vectors, noisy):
+            tracemalloc.start()
+            try:
+                validate(vectors)
+            except NotHarmonic as exc:
+                err = exc
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+        assert err.count == 599 * 599 and len(err.faces) == 4
+        assert err.faces[1:] == sorted(err.faces[1:])
+        assert str(err).endswith(f"on {599 * 599} face(s), worst first: {err.faces}")
 
     def test_scalar_grid_rejected(self):
         grid = VertexGrid.from_function(GridDomain(0, 2, 0, 2), lambda u, v: u)

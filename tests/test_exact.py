@@ -20,13 +20,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from affmin.forms import TOL_FORMS, cubic_coefficients, structural_residuals
 from affmin.geometry import affine_normal, asymptotic_certificate, face_conormals, face_volumes
 from affmin.grids import GridDomain, absmax, d1, d2
-from exact import (add, cross, cubic_like, det, rational_nets, rational_sqrt, star_determinants,
-                   stepped, structural_vectors, sub, volume)
+from exact import (add, cross, cubic_like, det, mixed_determinants, rational_nets, rational_sqrt,
+                   star_determinants, stepped, structural_vectors, sub, volume)
 
 
 def _random_net(seed):
@@ -152,6 +152,20 @@ def test_star_determinants_vanish_exactly(net):
     assert len(stars) == dom.n_u * dom.n_v - 4   # every vertex but the box corners
     for vertex, dets in stars.items():
         assert dets and all(d == 0 for d in dets), vertex
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 20))
+_POINT = st.tuples(_RATIONAL, _RATIONAL, _RATIONAL)
+
+
+@settings(deadline=None)
+@given(_POINT, _POINT, _POINT, _POINT)
+def test_every_mixed_pick_is_the_volume_of_any_four_points(q00, q10, q01, q11):
+    # q12 = (q11 - q00) - q1 - q2 for either pick of q1 and q2, and a determinant does
+    # not change when q1 or q2 is added to its third column: [q1, q2, q12] =
+    # [q1, q2, q11 - q00] = M on any four points, planar, twisted or repeated.  So the
+    # asymptotic certificate's mixed residual reads rounding only, from one pick.
+    assert mixed_determinants(q00, q10, q01, q11) == [volume(q00, q10, q01, q11)] * 4
 
 
 def test_second_difference_determinants_are_star_determinants():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affmin.errors import DomainMismatch, NonPositiveVolume
 from affmin.geometry import (
+    TOL_DUAL,
     affine_normal,
     asymptotic_certificate,
     duality_certificate,
@@ -12,7 +14,7 @@ from affmin.geometry import (
     planarity_and_saddle,
     recover_conormal,
 )
-from affmin.conormal import minimal_cubic
+from affmin.conormal import helicoid, minimal_cubic
 from affmin.grids import GridDomain, VertexGrid
 from affmin.lelieuvre import Immersion, integrate
 
@@ -192,6 +194,85 @@ class TestPlanarityAndSaddle:
         nu = VertexGrid.from_function(dom, lambda u, v: (-v, -u, 1.0))
         assert planarity_and_saddle(q, nu).passed
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_saddle_report_equals_the_four_pair_reference(self, seed):
+        # Small integers make many diagonal dot products exactly 0; NaN at a few
+        # positions and co-normals makes some NaN.
+        rng = np.random.default_rng(seed)
+        dom = GridDomain(-2, 9, 3, 11)
+        shape = (dom.n_u, dom.n_v, 3)
+        q, nu = (rng.integers(-2, 3, shape).astype(float) if seed % 2 else
+                 rng.standard_normal(shape) for _ in range(2))
+        for values in (q, nu):
+            values[tuple(rng.integers(0, (dom.n_u, dom.n_v, 3), (3, 3)).T)] = np.nan
+        report = planarity_and_saddle(VertexGrid(dom, q), VertexGrid(dom, nu))
+        failures = four_pair_saddle_failures(dom, q, nu)
+        assert failures and len(failures) < (dom.n_u - 2) * (dom.n_v - 2)
+        assert report.saddle_failures == failures
+        assert report.saddle_ok is report.passed is False
+
+    def test_saddle_signs_alternate_where_the_fourth_product_underflows(self):
+        # NE, NW, SW, SE = 1e-200, -1, 1, -1e-200 alternate, and NE.NW, NW.SW and
+        # SW.SE are < 0; SE.NE = -1e-400 rounds to -0.0, which a fourth product fails.
+        dom = GridDomain(0, 2, 0, 2)
+        z = {(2, 2): 1e-200, (0, 2): -1.0, (0, 0): 1.0, (2, 0): -1e-200}
+        q = VertexGrid.from_function(dom, lambda u, v: (u - 1.0, v - 1.0, z.get((u, v), 0.0)))
+        nu = VertexGrid.from_function(dom, lambda u, v: (0.0, 0.0, 1.0))
+        assert -1e-200 * 1e-200 == 0.0
+        assert planarity_and_saddle(q, nu).passed
+
+
+def four_pair_saddle_failures(dom, q, nu):
+    """Interior vertices of positions ``q`` where the diagonal dot products NE, NW,
+    SW, SE with co-normals ``nu`` do not give NE.NW, NW.SW, SW.SE and SE.NE all < 0."""
+    center, nu = q[1:-1, 1:-1], nu[1:-1, 1:-1]
+    diag = [np.einsum("ijk,ijk->ij", corner - center, nu)
+            for corner in (q[2:, 2:], q[:-2, 2:], q[:-2, :-2], q[2:, :-2])]
+    alternating = np.ones(center.shape[:2], dtype=bool)
+    for a, b in zip(diag, diag[1:] + diag[:1]):
+        alternating &= a * b < 0.0
+    return [(dom.u_min + 1 + int(i), dom.v_min + 1 + int(j))
+            for i, j in np.argwhere(~alternating)]
+
+
+# Signs whose products neither underflow nor round to 0: +-0.0, NaN, +-inf, and
+# magnitudes in [1e-150, 1e150].
+SIGNS = (st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+         | st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150))
+
+
+@settings(deadline=None)
+@given(SIGNS, SIGNS, SIGNS, SIGNS)
+def test_three_negative_sign_products_imply_the_fourth(ne, nw, sw, se):
+    # NE.NW < 0 and NW.SW < 0 give NE and SW one sign, SW.SE < 0 gives SE the other;
+    # a zero or NaN fails a product it takes part in, and each value is in one of three.
+    three = ne * nw < 0.0 and nw * sw < 0.0 and sw * se < 0.0
+    assert three == (three and se * ne < 0.0)
+
+
+CORNER_NETS = pytest.mark.parametrize("make, corner", [
+    (make, corner) for make in (lambda: minimal_cubic(GridDomain(1, 8, 1, 7)),
+                                lambda: helicoid(16, (-4, 4), (0, 6)))
+    for corner in ((0, 0), (-1, 0), (0, -1), (-1, -1))],
+    ids=[f"{name}-{corner}" for name in ("cubic", "helicoid")
+         for corner in ("min-min", "max-min", "min-max", "max-max")])
+
+
+def duality_with_a_moved_corner(field, corner, move):
+    """The duality report of ``field``'s net against its co-normal with nu at the box
+    corner ``corner`` (an index pair of 0 and -1) moved by ``move(nu, far_u, far_v)``,
+    far_u and far_v the u- and v-edge of the corner's face that do not touch it; and
+    the (u, v) of that face."""
+    surf = integrate(field)
+    vols = face_volumes(surf)
+    nu = np.array(field.vectors.values)
+    (i, j), (fi, fj) = corner, (1 if k == 0 else -2 for k in corner)
+    nu[i, j] += move(nu[i, j], nu[fi, fj] - nu[i, fj], nu[fi, fj] - nu[fi, j])
+    report = duality_certificate(field.vectors.with_values(nu), affine_normal(surf, vols.areas),
+                                 vols.areas)
+    dom = field.domain
+    return report, (dom.u_max - 1 if i else dom.u_min, dom.v_max - 1 if j else dom.v_min)
+
 
 class TestDuality:
     def test_integrated_surfaces(self, all_examples):
@@ -218,6 +299,29 @@ class TestDuality:
             field.vectors, xi.with_values(2.0 * xi.values), vols.areas)
         assert report.max_pairing_residual == pytest.approx(1.0)
         assert not report.passed
+
+    @CORNER_NETS
+    def test_a_corner_conormal_fails_its_one_face(self, make, corner):
+        # nu at a box corner is read by one face only, at one corner pick of the
+        # pairing and at one edge of each cross pick.
+        report, face = duality_with_a_moved_corner(make(), corner, lambda nu, *far: 1e-6 * nu)
+        assert report.max_pairing_residual > TOL_DUAL
+        assert report.max_cross_residual > TOL_DUAL
+        assert report.worst_pairing_face == report.worst_cross_face == face
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    @CORNER_NETS
+    def test_a_corner_conormal_moved_along_a_far_edge_fails_two_cross_picks(self, make, corner,
+                                                                           edge):
+        # Moved along the u- (v-) edge of its face that does not touch it, nu at a box
+        # corner keeps nu . xi = 1.  Of the four cross picks only the two with the
+        # corner's u- (v-) edge change: its other edge moves along the far edge that
+        # it is crossed with, so each edge pick is needed.
+        report, face = duality_with_a_moved_corner(make(), corner,
+                                                   lambda nu, *far: 1e-6 * far[edge])
+        assert report.max_pairing_residual <= TOL_DUAL
+        assert report.max_cross_residual > TOL_DUAL
+        assert report.worst_cross_face == face
 
 
 def test_area_density_bridge(all_examples):

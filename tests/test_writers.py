@@ -400,9 +400,9 @@ def test_json_floats_longer_than_one_pass_match_reference():
     values[spelling._PASS - 1:spelling._PASS + 1] = np.nan   # nulls on a pass boundary
     values[2 * spelling._PASS] = np.inf
     padded = [None if k % 97 == 3 else x for k, x in enumerate(values.tolist())]
-    for seq in (values, padded):
+    for seq in (gridio.RowMajor(values[:, None]), values, padded):
         text = dumps_json(seq)
-        assert text == reference_json_floats(seq if isinstance(seq, list) else seq.tolist())
+        assert text == reference_json_floats(padded if seq is padded else values.tolist())
         assert len(json.loads(text)) == n
 
 
@@ -415,7 +415,9 @@ def test_empty_json_float_lists():
 @given(hnp.arrays(np.float64, st.integers(0, 60), elements=st.floats()),
        st.lists(st.one_of(st.none(), st.floats()), min_size=1, max_size=60))
 def test_json_floats_match_format_number(values, padded):
+    # A 1-D array takes the scalar-list path, a RowMajor the kernel: the same bytes.
     assert dumps_json(values) == reference_json_floats(values.tolist())
+    assert dumps_json(gridio.RowMajor(values[:, None])) == reference_json_floats(values.tolist())
     assert dumps_json(padded) == reference_json_floats(padded)
 
 
@@ -435,8 +437,9 @@ def test_float_lists_are_spelled_without_the_kernel(monkeypatch):
     monkeypatch.setattr(gridio, "spell", lambda *args: calls.append(args) or iter([]))
     expected = "[0.10000000000000001, null, null]"
     assert dumps_json([0.1, None, np.inf]) == dumps_json((0.1, None, np.inf)) == expected
+    assert dumps_json(np.array([0.1, 2.5])) == "[0.10000000000000001, 2.5]"
     assert calls == []
-    dumps_json(np.array([0.1, 2.5]))
+    dumps_json(gridio.RowMajor(np.array([[0.1], [2.5]])))
     assert len(calls) == 1
 
 
