@@ -24,13 +24,15 @@ print(f"compatibility residuals: {r0:.2e}, {r1:.2e}, {r2:.2e}")
 p = surface.positions.values
 seed = np.stack([p[0, 0], p[1, 0], p[0, 1], p[1, 1]])
 rebuilt = am.reconstruct(data, seed)
-gap = np.abs(rebuilt.positions.values - p).max()
-print("own-seed reconstruction gap:", gap)
+gap = np.abs(rebuilt.positions.values - p).max() / np.abs(p - p[0, 0]).max()
+print("own-seed reconstruction gap, relative to the extent:", gap)
 
-# Canonical seed: a different representative of the same affine class.
+# Canonical seed: a different representative of the same affine class.  The map
+# is fitted on the own seed, the corner quadrangle, so it carries the same gap.
 canonical = am.reconstruct(data)
 mapping = am.affine_equivalence(canonical, surface)
 print("canonical seed is affinely equivalent, det =", mapping.det)
+print("canonical reconstruction sent by that map, relative gap:", mapping.relative_gap)
 print("linear part:")
 print(mapping.linear)
 

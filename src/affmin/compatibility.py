@@ -227,10 +227,12 @@ def _march_strip(corners: np.ndarray, f: np.ndarray, c: np.ndarray, at) -> np.nd
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Affine transformation x -> linear @ x + translation."""
+    """Affine transformation x -> linear @ x + translation; ``relative_gap`` is the gap
+    that ``affine_equivalence`` verified it to (NaN for a map built by hand)."""
 
     linear: np.ndarray
     translation: np.ndarray
+    relative_gap: float = float("nan")
 
     def __post_init__(self):
         object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float))
@@ -269,9 +271,9 @@ def affine_equivalence(qa, qb) -> AffineMap:
 
     The four lower-left corner points fix the map; it is then verified on
     every vertex in one band sweep, which takes both the worst gap with its
-    vertex and the extent of qb that scales it.  Raises NotEquivalent (with
-    the worst vertex and relative gap, NaN included) if that gap exceeds
-    ``TOL_EQUIV``, DegenerateQuadrangle if no map exists.
+    vertex and the extent of qb that scales it.  The map keeps that relative
+    gap.  Raises NotEquivalent (with the worst vertex and relative gap, NaN
+    included) if it exceeds ``TOL_EQUIV``, DegenerateQuadrangle if no map exists.
     """
     qa, qb = as_positions(qa), as_positions(qb)
     require_domain(qa.domain, qb=qb)
@@ -294,4 +296,4 @@ def affine_equivalence(qa, qb) -> AffineMap:
     relative = worst.value / max(float(np.fmax.reduce(spans)), TINY)
     if not relative <= TOL_EQUIV:
         raise NotEquivalent(worst.index, relative)
-    return AffineMap(linear, translation)
+    return AffineMap(linear, translation, relative)

@@ -193,7 +193,8 @@ class PlanarSaddleReport:
     worst_vertex: tuple
     saddle_ok: bool
     passed: bool
-    saddle_failures: list
+    saddle_failures: list   # the first 8 of the saddle_count failures, in row-major order
+    saddle_count: int
 
 
 def planarity_and_saddle(surface, vectors) -> PlanarSaddleReport:
@@ -209,9 +210,8 @@ def planarity_and_saddle(surface, vectors) -> PlanarSaddleReport:
     require_domain(q.domain, vectors=vectors)
     dom = q.domain
     if dom.n_u < 3 or dom.n_v < 3:
-        return PlanarSaddleReport(0.0, (dom.u_min, dom.v_min), True, True, [])
-    worst = BandMax(dom, 1, 1)
-    failures = []
+        return PlanarSaddleReport(0.0, (dom.u_min, dom.v_min), True, True, [], 0)
+    worst, count, failures = BandMax(dom, 1, 1), 0, []
     for lo, band, (nu,), _ in row_bands(q, 0, 2, vectors.values):
         p, nu = band.values, nu[1:-1, 1:-1]
         center = p[1:-1, 1:-1]
@@ -229,14 +229,17 @@ def planarity_and_saddle(surface, vectors) -> PlanarSaddleReport:
         ne, nw, sw, se = (dot3(corner - center, nu)
                           for corner in (p[2:, 2:], p[:-2, 2:], p[:-2, :-2], p[2:, :-2]))
         alternating = (ne * nw < 0.0) & (nw * sw < 0.0) & (sw * se < 0.0)
+        bad = np.argwhere(~alternating)
+        count += len(bad)
         failures += [(dom.u_min + 1 + lo + int(i), dom.v_min + 1 + int(j))
-                     for i, j in np.argwhere(~alternating)]
+                     for i, j in bad[:8 - len(failures)]]
     return PlanarSaddleReport(
         max_orthogonality_residual=worst.value,
         worst_vertex=worst.index,
-        saddle_ok=not failures,
-        passed=not failures and worst.value <= TOL_DUAL,
+        saddle_ok=not count,
+        passed=not count and worst.value <= TOL_DUAL,
         saddle_failures=failures,
+        saddle_count=count,
     )
 
 

@@ -14,7 +14,8 @@ import pytest
 
 import affmin.cli
 from affmin.cli import build_parser, main
-from affmin.compatibility import TOL_COMPAT, TOL_EQUIV, TOL_SEED, extract_fundamental_data
+from affmin.compatibility import (TOL_COMPAT, TOL_EQUIV, TOL_SEED, extract_fundamental_data,
+                                  reconstruct)
 from affmin.conormal import TOL_HARMONIC
 from affmin.forms import TOL_FORMS
 from affmin.geometry import TOL_ASYMPTOTIC, TOL_DUAL
@@ -35,7 +36,7 @@ GOLDEN_PARABOLOID = {
     "conormal.json": "f36fa3e1446fb537d2441895e905b7d0737e3b7d4784ad767fed19d624082e30",
     "surface.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
     "reconstructed.json": "b4e411109b64b5297464313d49d2c771a82cc0b472546af65a37a76d92bf587c",
-    "check_report.json": "5fed50db060272355f490fc68c4908f42d4360e3f08abfe267297d29768cd8da",
+    "check_report.json": "def003f948b3c331373f37557f8ab64f831cb6809d0ba74a45ac586c367633c2",
     "forms.json": "33931ae688abc62598c87d530c07150078ea37d5baf090467ad9fee996be6970",
     "mesh_res1.obj": "9c4431c22a37c475282c05e900b47d9be183de200ec68bfde709c06f01de0669",
     "mesh_res8.obj": "796b9674b9940cec261f3f291eae84545fdfa8d8bfe6662166a161d52dc87192",
@@ -49,7 +50,7 @@ GOLDEN_ROUNDED = {
         "conormal.json": "cb823ba05ffa6ac5e8f99c0b7a02169543dd7b41cd75646d8006c891181d5cde",
         "surface.json": "fcdb072a0f11cfee397ee43902f7447ef6ebfb3975c992aa6632833d99eb7914",
         "reconstructed.json": "5aaf44698fa68642f643fea06371914168d2903df7358d58a11062b5d91366a6",
-        "check_report.json": "b6c4d4a507d7c87f51560f365e167fd5b5a64f42678df384ca3c163a3979280d",
+        "check_report.json": "7717c123e1ab84a0d88afd46716c91947b30c42ff3c4f51e510c194727a9e89b",
         "forms.json": "77c6bbc9e5321fb75348ce9f6550b08d807252b9ebc7ab13598931821f1ffe69",
         "mesh_res1.obj": "0b72fce14b0cbfd949fcc83f7cf24ad4b435c7b3aca9bd8bf2ff67a16a134d08",
         "mesh_res8.obj": "3eb0922f7aeb7aca6f7c0132b179367882bbf677fb028713448f63ece2d1f12f",
@@ -58,7 +59,7 @@ GOLDEN_ROUNDED = {
         "conormal.json": "01a7fb98fc7800a782bb07cc896685a4afb657c1c8fa5f76a6b69b8bb8b162d4",
         "surface.json": "bf393794d17baad5ed1db5620a97bf84c4172b71dc76c46b31a076ebbec210e2",
         "reconstructed.json": "3c1c1439ffb256a6226a50514e3af8b651cfa607fd68c5dc60d8240f02fb8f39",
-        "check_report.json": "38c86474f00fb461d05f0d782f24c67badf0ca79fdc69bf4fb4ba4415b132d68",
+        "check_report.json": "9b5f85622c9bfb2c419faf8b644d71c2b20eb4f2c16c93bc24378c72f480c5e5",
         "forms.json": "e6c6f70a380898798c4897c060bbdb48881d092c310f767886cca9fb5db9989a",
         "mesh_res1.obj": "9689f7dd6d0d3bb848b130b72001d25d5f73367516fc3d41952de52d9b132ae7",
         "mesh_res8.obj": "3e26a3bc5cb1779e1d48f297bcddbf35388c88d1309cb74f693473ab77ae372b",
@@ -268,6 +269,9 @@ class TestFormsReconstructCompare:
         assert body["det"] == pytest.approx(1.0, abs=1e-9)
         assert body["unimodular"] is True
         assert len(body["linear"]) == 3 and len(body["translation"]) == 3
+        assert list(body) == ["equivalent", "linear", "translation", "relative_gap", "det",
+                              "unimodular", "tolerance"]
+        assert body["relative_gap"] == 0.0   # dyadic paraboloid: the map is exact
 
     def test_compare_detects_difference(self, tmp_path, paraboloid_files):
         _, surface = paraboloid_files
@@ -578,6 +582,21 @@ class TestPipeline:
                    "--outdir", tmp_path) == 0
         for name, digest in GOLDEN_ROUNDED[example, box, n].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_reconstructs_once_from_the_canonical_seed(self, tmp_path, monkeypatch):
+        # The round trip is the canonical reconstruction sent by the corner map.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(affmin.cli, "reconstruct", counting)
+        assert run("pipeline", "--example", "cubic", "--box", 1, 8, 1, 8,
+                   "--outdir", tmp_path) == 0
+        assert calls == [((), {})]
+        report = json.loads((tmp_path / "pipeline_report.json").read_text())
+        assert report["compatibility"]["roundtrip_relative_gap"] == 0.0
 
     def test_golden_mesh_with_six_digit_face_indices(self, tmp_path):
         # 255,025 vertices: the res-8 face lines spell indices of 1 to 6 digits.

@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from affmin.errors import (
 from affmin.gridio import write_forms
 from affmin.grids import FaceGrid, GridDomain, VertexGrid, det3
 from affmin.lelieuvre import Immersion, integrate
+from exact import rational_nets
 
 
 def constant_data(domain, f=1.0, a=0.0, b=0.0):
@@ -320,6 +322,38 @@ def test_perturbed_profiles_round_trip(family, n_u, n_v, noise_seed):
     assert np.abs(rebuilt.positions.values - p).max() <= 1e-8 * np.abs(p - p[0, 0]).max()
 
 
+# Det-1 maps of small rational entries, a unit lower times a unit upper triangle.
+# Condition numbers reach about 1e3; at larger ones reconstruct rejects some of
+# these nets through its co-normal check, which does not scale with the map.
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+# The two marches round in different frames, so the gaps differ by the rounding of
+# both reconstructions, not by a few ulps: by up to 1.3e5 ulps of the extent (median
+# 84) in 4,000 draws of nets up to 8 x 8, and 1.6e5 (median 250) up to 12 x 12.
+# 2^21 ulps is 4.7e-10, TOL_COMPAT / 200.
+ULPS_ROUND_TRIP = 2 ** 21
+
+
+@settings(deadline=None)
+@given(rational_nets(), st.lists(RATIONALS, min_size=9, max_size=9))
+def test_corner_map_gap_matches_the_own_seed_gap(net, entries):
+    """The canonical reconstruction sent by the corner map has the own-seed round
+    trip's gap, on exact nets in det-1 rational images."""
+    l1, l2, l3, u1, u2, u3, *shift = entries
+    linear = (np.array([[1, 0, 0], [l1, 1, 0], [l2, l3, 1]], dtype=object)
+              @ np.array([[1, u1, u2], [0, 1, u3], [0, 0, 1]], dtype=object))
+    surf = Immersion(net.grid(np.array(net.q, dtype=object) @ linear.T + np.array(shift)))
+    data = extract_fundamental_data(surf)
+    p = surf.positions.values
+    extent = np.abs(p - p[0, 0]).max()
+    own_gap = np.abs(reconstruct(data, own_seed(surf)).positions.values - p).max() / extent
+    canonical = reconstruct(data)
+    mapping = affine_equivalence(canonical, surf)
+    mapped = mapping.apply(canonical.positions.values)
+    assert mapping.relative_gap == np.abs(mapped - p).max() / extent
+    assert abs(mapping.relative_gap - own_gap) <= ULPS_ROUND_TRIP * np.finfo(float).eps
+
+
 class TestAffineEquivalence:
     def test_constructed_equivalence_recovered(self, helicoid, rng):
         _, surf = helicoid
@@ -366,6 +400,7 @@ class TestAffineEquivalence:
         np.testing.assert_array_equal(mapping.apply(np.array([1.0, 1.0, 1.0])),
                                       (3.0, 2.0, 2.0))
         assert mapping.det == pytest.approx(8.0)
+        assert np.isnan(mapping.relative_gap)   # no pair of nets verified it
 
     @pytest.mark.parametrize("linear, error, message", [
         (np.eye(2), ValueError, "needs a 3x3 linear part and a 3-translation"),

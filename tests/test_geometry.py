@@ -186,7 +186,8 @@ class TestPlanarityAndSaddle:
         report = planarity_and_saddle(flat, nu)
         assert report.max_orthogonality_residual == 0.0
         assert not report.saddle_ok
-        assert len(report.saddle_failures) == 9
+        assert report.saddle_count == 9
+        assert report.saddle_failures == [(u, v) for u in (1, 2, 3) for v in (1, 2, 3)][:8]
 
     def test_no_interior_is_vacuous(self):
         dom = GridDomain(0, 1, 0, 1)
@@ -208,7 +209,8 @@ class TestPlanarityAndSaddle:
         report = planarity_and_saddle(VertexGrid(dom, q), VertexGrid(dom, nu))
         failures = four_pair_saddle_failures(dom, q, nu)
         assert failures and len(failures) < (dom.n_u - 2) * (dom.n_v - 2)
-        assert report.saddle_failures == failures
+        assert report.saddle_count == len(failures)
+        assert report.saddle_failures == failures[:8]
         assert report.saddle_ok is report.passed is False
 
     def test_saddle_signs_alternate_where_the_fourth_product_underflows(self):

@@ -117,9 +117,10 @@ def test_failing_net_caps_saddle_failures_and_names_worst_faces(checks, tmp_path
     surface = am.Immersion(noisy)
     nu = recover_conormal(surface).vectors
     planar = planarity_and_saddle(surface, nu)
-    assert len(planar.saddle_failures) == 13
+    assert planar.saddle_count == report["planar_saddle"]["saddle_count"] == 13
+    assert len(planar.saddle_failures) == 8
     assert report["planar_saddle"]["saddle_failures"] == [
-        list(vertex) for vertex in planar.saddle_failures[:8]]
+        list(vertex) for vertex in planar.saddle_failures]
     assert report["planar_saddle"]["saddle_ok"] is False
 
     areas = face_volumes(surface).areas
