@@ -13,7 +13,7 @@ field = am.hyperbolic_paraboloid(am.GridDomain(0, 10, 0, 10))
 print("co-normal at (1, 2):", field.vectors.vertex_at(1, 2))   # (-2, -1, 1)
 print("min F over faces:", field.min_area)                     # 1.0
 
-surface = am.integrate(field)   # base vertex (0, 0) pinned at the origin
+surface = am.integrate(field)   # corner (0, 0) pinned at the origin
 u, v = np.meshgrid(np.arange(11), np.arange(11), indexing="ij")
 exact = np.stack([u, v, u * v], axis=-1).astype(float)
 print("max |q - (u, v, uv)|:", np.abs(surface.positions.values - exact).max())

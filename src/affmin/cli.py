@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import os
-import re
 import sys
 import time
 
@@ -58,7 +57,7 @@ from .gridio import (
     write_grid,
     write_json,
 )
-from .grids import TINY, Grid, GridDomain, require_bounded
+from .grids import TINY, Grid, GridDomain
 from .lelieuvre import (
     TOL_INTEGRATE,
     Immersion,
@@ -158,17 +157,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    field = validate(read_grid(args.conormal, "vertex"))
-    base = {}
-    if args.base is not None:
-        u, v = args.base[:2]
-        if not (u.is_integer() and v.is_integer() and field.domain.contains_vertex(u, v)):
-            raise ValueError(f"--base vertex ({u:g}, {v:g}) is not an integer vertex of the box "
-                             f"{field.domain.as_tuple()}")
-        u, v = int(u), int(v)
-        require_bounded([[args.base[2:]]], GridDomain(u, u, v, v), "--base position")
-        base = {"base_vertex": (u, v), "base_value": args.base[2:]}
-    surface = integrate(field, **base)
+    surface = integrate(validate(read_grid(args.conormal, "vertex")))
     write_grid(surface.positions, args.out)
     print(f"wrote surface grid {args.out} (domain {surface.domain.as_tuple()})")
     return 0
@@ -388,19 +377,11 @@ def _example_options(box_required: bool, box_help: str):
             ("--n", {"type": int, "default": 16, "help": "helicoid samples per turn"}))
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e5``, ``-2.5E-3`` and ``-1.`` as negative numbers, as it does ``-5``."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: each
     ``add_argument`` looks up gettext and probes the terminal size."""
-    parser = _Parser(   # its subparsers are _Parsers too
+    parser = argparse.ArgumentParser(
         prog="affmin",
         description="Construct, verify, reconstruct and export discrete "
                     "affine minimal surfaces with indefinite metric.",
@@ -409,9 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _command(sub, _cmd_generate, "write an example co-normal field",
              *_example_options(True, "inclusive vertex bounds"), "--out")
-    _command(sub, _cmd_integrate, "integrate a co-normal field", "--conormal", "--out",
-             ("--base", {"type": float, "nargs": 5, "metavar": ("U", "V", "X", "Y", "Z"),
-                         "help": "base vertex and its position"}))
+    _command(sub, _cmd_integrate, "integrate a co-normal field", "--conormal", "--out")
     _command(sub, _cmd_check, "run the certificate suite on a surface", "--surface",
              ("--conormal", {"help": "optional generating co-normal grid"}), "--report")
     _command(sub, _cmd_forms, "extract fundamental data (F, A, B)", "--surface", "--out")

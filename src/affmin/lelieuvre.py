@@ -6,14 +6,15 @@ The edge vectors of the immersion are cross products of adjacent co-normals,
     q2(u, v+1/2) = -nu(u,v) x nu(u,v+1),
 
 and harmonicity of nu makes the two-form closed, so summing edge vectors from
-a base vertex is path independent and produces a well-defined vertex grid of
-positions.
+the corner (u_min, v_min) is path independent and produces a well-defined
+vertex grid of positions.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import edge_cross_products
 from .grids import (TINY, BandMax, GridDomain, UEdgeGrid, VEdgeGrid, VertexGrid, absmax,
                     as_conormal, as_positions, cross3, d1, d2, empty3, require_domain, row_bands)
 
@@ -49,48 +50,36 @@ class Immersion:
 
 def lelieuvre_edges(vectors: VertexGrid) -> tuple[UEdgeGrid, VEdgeGrid]:
     """Edge vectors prescribed by a co-normal vertex grid (not validated)."""
-    nu = vectors.values
-    q1 = cross3(nu[:-1, :], nu[1:, :])
-    q2 = cross3(nu[:, 1:], nu[:, :-1])
+    q1, q2 = edge_cross_products(vectors.values, vectors.values)
     return UEdgeGrid(vectors.domain, q1), VEdgeGrid(vectors.domain, q2)
 
 
-def _line_integral(steps: np.ndarray, anchor: int, start, out: np.ndarray):
+def _line_integral(steps: np.ndarray, start, out: np.ndarray):
     """Fill ``out`` with positions along grid lines (axis 0) given their steps,
-    entry ``anchor`` holding ``start``; each sum runs outward from the anchor."""
-    out[anchor] = start
-    if anchor < len(out) - 1:
-        ahead = np.cumsum(steps[anchor:], axis=0, out=out[anchor + 1:])
-        np.add(start, ahead, out=ahead)
-    if anchor > 0:
-        behind = np.cumsum(steps[:anchor][::-1], axis=0, out=out[:anchor][::-1])
-        np.subtract(start, behind, out=behind)
+    entry 0 holding ``start``."""
+    out[0] = start
+    ahead = np.cumsum(steps, axis=0, out=out[1:])
+    np.add(start, ahead, out=ahead)
 
 
-def integrate(field, base_vertex=None, base_value=(0.0, 0.0, 0.0)) -> Immersion:
+def integrate(field, base_value=(0.0, 0.0, 0.0)) -> Immersion:
     """Sum the Lelieuvre edges of a ConormalField or co-normal VertexGrid into positions.
 
-    The base vertex (default: the lower-left corner) receives ``base_value``.
-    The sums run in u through the base vertex, then in v from there;
-    harmonicity makes every other path agree up to rounding.
+    The corner (u_min, v_min) receives ``base_value``.  The sums run in u
+    along the row v = v_min, then in v from there; harmonicity makes every
+    other path agree up to rounding.
     """
     vectors = as_conormal(field)
     dom = vectors.domain
-    if base_vertex is None:
-        base_vertex = (dom.u_min, dom.v_min)
     base_value = np.asarray(base_value, dtype=float)
-    if not dom.contains_vertex(*base_vertex):
-        raise IndexError(f"base vertex {base_vertex} outside domain {dom}")
-    ib = base_vertex[0] - dom.u_min
-    jb = base_vertex[1] - dom.v_min
 
-    # q1 is read on the base row only; every u-row's v-sum runs on its own.
+    # q1 is read on the row v = v_min only; every u-row's v-sum runs on its own.
     nu = vectors.values
     q = empty3((dom.n_u, dom.n_v, 3))
-    _line_integral(cross3(nu[:-1, jb], nu[1:, jb]), ib, base_value, q[:, jb])
+    _line_integral(cross3(nu[:-1, 0], nu[1:, 0]), base_value, q[:, 0])
     for _, band, (q_out,), _ in row_bands(vectors, 0, 0, q):
         q2 = cross3(band.values[:, 1:], band.values[:, :-1])
-        _line_integral(np.moveaxis(q2, 1, 0), jb, q_out[:, jb], np.moveaxis(q_out, 1, 0))
+        _line_integral(np.moveaxis(q2, 1, 0), q_out[:, 0], np.moveaxis(q_out, 1, 0))
     return Immersion(VertexGrid(dom, q))
 
 
@@ -130,7 +119,7 @@ def verify_lelieuvre(immersion, field) -> LelieuvreReport:
     res = (BandMax(q.domain), BandMax(q.domain))
     scale = []
     for lo, band, (nu,), _ in row_bands(q, 0, 1, vectors.values):
-        q1, q2 = (edges.values for edges in lelieuvre_edges(VertexGrid(band.domain, nu)))
+        q1, q2 = edge_cross_products(nu, nu)
         res[0].add(absmax(d1(band).values - q1), lo)
         res[1].add(absmax(d2(band).values - q2), lo)
         scale += [np.abs(q1).max(), np.abs(q2).max()]

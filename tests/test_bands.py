@@ -246,19 +246,15 @@ CLEAN = [net[:2] for net in NETS if not net[0].endswith("noisy")]
 
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("name, field", CLEAN, ids=[name for name, _ in CLEAN])
-def test_integrate_from_an_interior_base_equals_the_whole_grid(monkeypatch, rows, name, field):
-    # From an interior base every v-sum runs both ways from the base column,
-    # in bands that start before and after the base row; a bare co-normal
-    # grid, as ``reconstruct`` passes, integrates to the field's bits.
-    dom = field.domain
-    base = (dom.u_min + dom.n_u // 2, dom.v_min + dom.n_v // 3)
-
+def test_integrate_from_the_corner_equals_the_whole_grid(monkeypatch, rows, name, field):
+    # Each band's v-sums start from its own u-row's corner value; a bare
+    # co-normal grid, as ``reconstruct`` passes, integrates to the field's bits.
     def positions():
-        return [am.integrate(x, base, (1.0, -2.0, 0.5)).positions.values.tobytes()
+        return [am.integrate(x, (1.0, -2.0, 0.5)).positions.values.tobytes()
                 for x in (field, field.vectors)]
 
     whole = positions()
-    rows_per_band(monkeypatch, rows, dom.n_v)
+    rows_per_band(monkeypatch, rows, field.domain.n_v)
     assert positions() == whole and whole[0] == whole[1]
 
 

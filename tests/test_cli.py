@@ -98,52 +98,20 @@ class TestGenerate:
                 "--out", tmp_path / "c.json")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command, example, box", [("generate", "sphere", (1, 11, -10, 0)),
+                                                       ("pipeline", "helicoid", (-3, 3, 0, 16))])
+    def test_negative_box_bounds_are_numbers(self, tmp_path, command, example, box):
+        # argparse reads "-10" and "-3" as integers, not as options.
+        out = ("--out", tmp_path / "conormal.json") if command == "generate" else (
+            "--outdir", tmp_path)
+        assert run(command, "--example", example, "--box", *box, *out) == 0
+        assert read_grid(tmp_path / "conormal.json").domain.as_tuple() == box
+        if command == "pipeline":
+            report = json.loads((tmp_path / "pipeline_report.json").read_text())
+            assert report["box"] == list(box)
+
 
 class TestIntegrateAndCheck:
-    def test_integrate_with_base(self, tmp_path, paraboloid_files):
-        conormal, _ = paraboloid_files
-        out = tmp_path / "shifted.json"
-        assert run("integrate", "--conormal", conormal, "--out", out,
-                   "--base", 0, 0, 1, 2, 3) == 0
-        grid = read_grid(out)
-        np.testing.assert_array_equal(grid.values[0, 0], (1.0, 2.0, 3.0))
-
-    @pytest.mark.parametrize("text, value", [("-1e5", -1e5), ("-2.5E-3", -2.5e-3), ("-1.", -1.0)])
-    def test_integrate_reads_a_negative_base_position_in_any_float_spelling(
-            self, tmp_path, paraboloid_files, text, value):
-        conormal, _ = paraboloid_files
-        out = tmp_path / "shifted.json"
-        assert run("integrate", "--conormal", conormal, "--out", out,
-                   "--base", 2, 3, 1, 0, text) == 0
-        np.testing.assert_array_equal(read_grid(out).vertex_at(2, 3), (1.0, 0.0, value))
-
-    @pytest.mark.parametrize("u, v, shown", [(99, 99, "(99, 99)"), (1.7, 1, "(1.7, 1)"),
-                                              (-1, 0, "(-1, 0)")])
-    def test_integrate_rejects_a_base_that_is_no_vertex(self, tmp_path, capsys, paraboloid_files,
-                                                        u, v, shown):
-        conormal, _ = paraboloid_files
-        out = tmp_path / "shifted.json"
-        capsys.readouterr()
-        assert run("integrate", "--conormal", conormal, "--out", out,
-                   "--base", u, v, 0, 0, 0) == 2
-        err = capsys.readouterr().err
-        assert err == (f"error: --base vertex {shown} is not an integer vertex "
-                       "of the box (0, 5, 0, 5)\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["1e308", "nan"])
-    def test_integrate_names_an_unbounded_base_position(self, tmp_path, capsys,
-                                                         paraboloid_files, value):
-        conormal, _ = paraboloid_files
-        out = tmp_path / "shifted.json"
-        capsys.readouterr()
-        assert run("integrate", "--conormal", conormal, "--out", out,
-                   "--base", 1, 1, 0, value, 0) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --base position at grid index (1, 1), component 1: ")
-        assert str(out) not in err
-        assert not out.exists()
-
     def test_integrate_names_the_worst_face_of_a_non_harmonic_file_first(self, tmp_path, capsys,
                                                                           paraboloid_files):
         conormal, _ = paraboloid_files
@@ -642,8 +610,7 @@ OPTIONS = {
                  (("--n",), 16, None, None, False),
                  (("--out",), None, None, None, True)],
     "integrate": [(("--conormal",), None, None, None, True),
-                  (("--out",), None, None, None, True),
-                  (("--base",), None, None, 5, False)],
+                  (("--out",), None, None, None, True)],
     "check": [(("--surface",), None, None, None, True),
               (("--conormal",), None, None, None, False),
               (("--report",), None, None, None, True)],

@@ -237,7 +237,7 @@ class TestStorage:
                   am.hyperbolic_paraboloid(box), am.improper_sphere(am.GridDomain(9, 17, 0, 7))]
         for field in fields:
             assert_planes(field.vectors)
-            surf = am.integrate(field, (field.domain.u_min + 2, field.domain.v_min + 3))
+            surf = am.integrate(field)
             assert_planes(surf.positions)
             assert_planes(am.affine_normal(surf, am.face_volumes(surf).areas))
             assert_planes(am.recover_conormal(surf).vectors)

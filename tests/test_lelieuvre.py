@@ -77,26 +77,23 @@ class TestIntegrate:
             atol=1e-12,
         )
 
-    def test_base_vertex_honored(self, cubic):
-        field, _ = cubic
-        surf = integrate(field, base_vertex=(3, 4), base_value=(1.0, 2.0, 3.0))
-        np.testing.assert_array_equal(surf.positions.vertex_at(3, 4), (1.0, 2.0, 3.0))
-
-    def test_base_outside_domain(self, cubic):
-        field, _ = cubic
-        with pytest.raises(IndexError):
-            integrate(field, base_vertex=(100, 0))
-
     def test_opposite_corner_base_agrees(self, all_examples):
-        # Anchored at the far corner, every vertex is reached along another
-        # path; harmonicity makes both runs agree up to summation rounding.
+        # Summed back from the far corner, along the row v = v_max and then
+        # each u-row, every vertex is reached along another path; harmonicity
+        # makes both agree with the corner-anchored run up to rounding.
+        def tail_sums(steps, axis):
+            """Sums of ``steps`` from each index to the end of ``axis``, then a 0."""
+            sums = np.cumsum(np.flip(steps, axis), axis=axis)
+            pad = [(0, 0)] * steps.ndim
+            pad[axis] = (1, 0)
+            return np.flip(np.pad(sums, pad), axis)
+
         for name, (field, _) in all_examples.items():
-            a = integrate(field).positions
-            dom = field.domain
-            far = (dom.u_max, dom.v_max)
-            b = integrate(field, base_vertex=far, base_value=a.vertex_at(*far)).positions
-            scale = np.abs(a.values).max()
-            assert np.abs(a.values - b.values).max() <= 1e-10 * scale, name
+            a = integrate(field).positions.values
+            q1, q2 = (edges.values for edges in lelieuvre_edges(field.vectors))
+            b = (a[-1, -1] - tail_sums(q1[:, -1], 0))[:, None] - tail_sums(q2, 1)
+            scale = np.abs(a).max()
+            assert np.abs(a - b).max() <= 1e-10 * scale, name
 
     def test_negating_conormals_leaves_edges_unchanged(self, sphere):
         # Both edge cross products are quadratic in nu, hence even under
