@@ -21,7 +21,7 @@ from affmin.forms import TOL_FORMS
 from affmin.geometry import TOL_ASYMPTOTIC, TOL_DUAL
 from affmin.gridio import read_grid, write_grid
 from affmin.grids import VALUE_BOUND, GridDomain
-from affmin.lelieuvre import TOL_INTEGRATE
+from affmin.lelieuvre import TOL_INTEGRATE, integrate
 from affmin.variational import TOL_CRIT
 
 
@@ -99,9 +99,14 @@ class TestGenerate:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("command, example, box", [("generate", "sphere", (1, 11, -10, 0)),
-                                                       ("pipeline", "helicoid", (-3, 3, 0, 16))])
+                                                       ("pipeline", "helicoid", (-3, 3, 0, 16)),
+                                                       ("generate", "paraboloid", (-4, 2, -3, 5)),
+                                                       ("generate", "helicoid", (-5, -1, -8, -2)),
+                                                       ("generate", "cubic", (-8, -1, -9, -2)),
+                                                       ("pipeline", "paraboloid", (-3, 3, -4, 2))])
     def test_negative_box_bounds_are_numbers(self, tmp_path, command, example, box):
-        # argparse reads "-10" and "-3" as integers, not as options.
+        # argparse reads "-10" and "-3" as integers, not as options, in any
+        # of the four bounds.
         out = ("--out", tmp_path / "conormal.json") if command == "generate" else (
             "--outdir", tmp_path)
         assert run(command, "--example", example, "--box", *box, *out) == 0
@@ -112,6 +117,30 @@ class TestGenerate:
 
 
 class TestIntegrateAndCheck:
+    def test_integrate_places_the_corner_at_the_origin(self, tmp_path):
+        # The surface file holds the library's corner-anchored sums, bit for
+        # bit, also when the corner (u_min, v_min) has a negative bound.
+        conormal, surface = tmp_path / "conormal.json", tmp_path / "surface.json"
+        assert run("generate", "--example", "sphere", "--box", 1, 7, -6, 0,
+                   "--out", conormal) == 0
+        assert run("integrate", "--conormal", conormal, "--out", surface) == 0
+        grid = read_grid(surface)
+        np.testing.assert_array_equal(grid.vertex_at(1, -6), (0.0, 0.0, 0.0))
+        expected = integrate(read_grid(conormal)).positions
+        assert grid.domain == expected.domain
+        assert grid.values.tobytes() == expected.values.tobytes()
+
+    def test_integrate_has_no_base_option(self, tmp_path, capsys, paraboloid_files):
+        # Every surface is placed by its corner; a base vertex is a usage error.
+        conormal, _ = paraboloid_files
+        out = tmp_path / "shifted.json"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run("integrate", "--conormal", conormal, "--out", out, "--base", 0, 0, 1, 2, 3)
+        assert err.value.code == 2
+        assert "unrecognized arguments: --base 0 0 1 2 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integrate_names_the_worst_face_of_a_non_harmonic_file_first(self, tmp_path, capsys,
                                                                           paraboloid_files):
         conormal, _ = paraboloid_files

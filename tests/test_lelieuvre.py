@@ -11,6 +11,7 @@ from affmin.grids import GridDomain, VertexGrid, as_positions
 from affmin.lelieuvre import (
     Immersion,
     LelieuvreReport,
+    _line_integral,
     integrate,
     lelieuvre_edges,
     path_independence_residual,
@@ -77,6 +78,16 @@ class TestIntegrate:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("base", [(1.0, 2.0, 3.0), (1.0, 0.0, -1e5), (1.0, 0.0, -2.5e-3)],
+                             ids=["unit", "large", "small"])
+    def test_base_value_lands_on_the_corner(self, all_examples, base):
+        # The corner (u_min, v_min) holds base_value itself, not a sum that
+        # rounds it, whatever the magnitude of the value.
+        for name, (field, _) in all_examples.items():
+            dom = field.domain
+            corner = integrate(field, base_value=base).positions.vertex_at(dom.u_min, dom.v_min)
+            np.testing.assert_array_equal(corner, base, err_msg=name)
+
     def test_opposite_corner_base_agrees(self, all_examples):
         # Summed back from the far corner, along the row v = v_max and then
         # each u-row, every vertex is reached along another path; harmonicity
@@ -105,6 +116,21 @@ class TestIntegrate:
         n1, n2 = lelieuvre_edges(negated)
         np.testing.assert_array_equal(q1.values, n1.values)
         np.testing.assert_array_equal(q2.values, n2.values)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["rows", "strided"])
+def test_line_integral_sums_outward_from_entry_0(transpose):
+    # Each entry is ``start`` plus the steps before it, written through a
+    # strided view as well, as ``integrate`` passes its v-lines.
+    steps = np.arange(1.0, 13.0).reshape(4, 3) ** 2
+    start = np.array([0.5, -1.0, 2.0])
+    if transpose:
+        out = np.moveaxis(np.zeros((3, 5)), 1, 0)
+    else:
+        out = np.zeros((5, 3))
+    _line_integral(steps, start, out)
+    expected = np.vstack([start, start + np.cumsum(steps, axis=0)])
+    np.testing.assert_array_equal(out, expected)
 
 
 class TestEdgeFormulas:
