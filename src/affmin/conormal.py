@@ -6,7 +6,8 @@ vanishes on every face (discrete harmonicity) and whose face area density
     F(u+1/2, v+1/2) = nu(u,v) . (nu(u,v+1) x nu(u+1,v))
 
 is strictly positive.  Harmonic fields are exactly the separable ones,
-nu(u,v) = nu1(u) + nu2(v), which is how every generator below is built.
+nu(u,v) = nu1(u) + nu2(v), which is how every generator below is built;
+so only ``validate`` evaluates mixed differences, and every field checks F.
 """
 
 from dataclasses import dataclass
@@ -49,12 +50,10 @@ class ConormalField:
     Attributes:
         vectors: VertexGrid of co-normal 3-vectors.
         areas: FaceGrid of the (positive) area density F.
-        harmonic_residual: worst |mixed difference| component over all faces.
     """
 
     vectors: VertexGrid
     areas: FaceGrid
-    harmonic_residual: float
 
     @property
     def domain(self) -> GridDomain:
@@ -89,55 +88,52 @@ class SeparableConormalSpec:
             require_bounded(part[:, None], GridDomain(0, n - 1, 0, 0), name)
 
 
-def _build(vectors: VertexGrid, tol_harmonic: float) -> ConormalField:
-    """Validate a co-normal grid and wrap it; a NaN residual or F fails too.
-
-    Harmonicity and F run on row bands.  A field that is not harmonic raises
-    NotHarmonic with the number of faces over ``tol_harmonic``, naming the
-    worst face, then the next three such faces in row-major order; F is not
-    evaluated past the first band with such a face.
-    """
+def _with_areas(vectors: VertexGrid) -> ConormalField:
+    """Wrap a co-normal grid with its F, computed on row bands; NonConvexFace
+    unless every F is > 0 (a NaN F fails too)."""
     dom = vectors.domain
-    worst, count, first = BandMax(dom), 0, []   # first: the first four faces over tol
     areas = np.empty((dom.n_u - 1, dom.n_v - 1))
-    for lo, band, (areas_out,), own in row_bands(vectors, 0, 1, areas):
-        residuals = absmax(d12(band).values[own])
-        worst.add(residuals, lo)
-        bad = np.argwhere(~(residuals <= tol_harmonic))
-        count += len(bad)
-        first += [(dom.u_min + lo + int(i), dom.v_min + int(j)) for i, j in bad[:4 - len(first)]]
-        if not count:
-            areas_out[own] = face_area_density(band).values[own]
-    if count:
-        others = [face for face in first if face != worst.index]
-        raise NotHarmonic(worst.value, [worst.index] + others[:3], count)
+    for _, band, (areas_out,), own in row_bands(vectors, 0, 1, areas):
+        areas_out[own] = face_area_density(band).values[own]
     require_positive(areas, dom, NonConvexFace)
-    return ConormalField(vectors, FaceGrid(dom, areas), worst.value)
+    return ConormalField(vectors, FaceGrid(dom, areas))
 
 
 def from_separable(spec: SeparableConormalSpec) -> ConormalField:
     """Build the field nu(u,v) = u_part(u) + v_part(v) and check its F.
 
     Harmonicity is structural here: each mixed difference cancels to a few
-    roundings of max |nu|, so no tolerance gates it (NonConvexFace still
-    does); ``harmonic_residual`` reports it.
+    roundings of max |nu|, so it is not evaluated (NonConvexFace still gates F).
     """
     spec.domain.require_faces("co-normal field")
-    return _build(VertexGrid(spec.domain, outer_sum3(spec.u_part, spec.v_part)), np.inf)
+    return _with_areas(VertexGrid(spec.domain, outer_sum3(spec.u_part, spec.v_part)))
 
 
 def validate(vectors: VertexGrid) -> ConormalField:
     """Check an externally supplied vertex grid and wrap it as a field.
 
-    Raises NotHarmonic (counting the faces over ``TOL_HARMONIC``) or
-    NonConvexFace, and, by ``require_bounded``, ValueError naming the first
-    vertex whose nu is not finite or over ``VALUE_BOUND`` in size.
+    Raises, by ``require_bounded``, ValueError naming the first vertex whose
+    nu is not finite or over ``VALUE_BOUND`` in size; then NotHarmonic with
+    the number of faces over ``TOL_HARMONIC``, naming the worst face, then
+    the next three such faces in row-major order; then NonConvexFace.  F is
+    evaluated only on a harmonic grid.
     """
-    vectors.domain.require_faces("co-normal field")
+    dom = vectors.domain
+    dom.require_faces("co-normal field")
     if vectors.components != 3:
         raise ValueError("co-normal grids must hold 3-vectors")
-    require_bounded(vectors.values, vectors.domain, "co-normal grid")
-    return _build(vectors, TOL_HARMONIC)
+    require_bounded(vectors.values, dom, "co-normal grid")
+    worst, count, first = BandMax(dom), 0, []   # first: the first four faces over tol
+    for lo, band, _, own in row_bands(vectors, 0, 1):
+        residuals = absmax(d12(band).values[own])
+        worst.add(residuals, lo)
+        bad = np.argwhere(~(residuals <= TOL_HARMONIC))
+        count += len(bad)
+        first += [(dom.u_min + lo + int(i), dom.v_min + int(j)) for i, j in bad[:4 - len(first)]]
+    if count:
+        others = [face for face in first if face != worst.index]
+        raise NotHarmonic(worst.value, [worst.index] + others[:3], count)
+    return _with_areas(vectors)
 
 
 def _separable(domain: GridDomain, u_columns, v_columns) -> ConormalField:

@@ -269,14 +269,15 @@ def _sidecar_grids(path, kinds: tuple) -> list | None:
             if np.lib.format.read_magic(handle) != (1, 0):
                 return None
             shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+            offset = handle.tell()
             # Checked before anything is allocated: a header may claim any size.
             if (shape != () or dtype.names != ("sha256", "grids", "values")
                     or dtype != _sidecar_dtype(len(kinds), dtype["values"].itemsize // 8)
-                    or os.fstat(handle.fileno()).st_size != handle.tell() + dtype.itemsize
+                    or os.fstat(handle.fileno()).st_size != offset + dtype.itemsize
                     or handle.read(64) != _sha256_file(path).encode("ascii")):
                 return None
-            handle.seek(0)
-            record = np.load(handle, allow_pickle=False)
+            handle.seek(offset)
+            record = np.fromfile(handle, dtype, 1)[0]
         values, grids, start = record["values"], [], 0
         np.add(values, 0.0, out=values)   # the JSON path reads "-0" as 0.0
         for (code, *bounds, components), kind in zip(record["grids"].tolist(), kinds):

@@ -2,12 +2,12 @@
 
 Every whole-grid certificate, the co-normal certificate of ``reconstruct``,
 the compatibility equations, the gap check of ``affine_equivalence``, the
-harmonicity and F of ``validate`` and ``from_separable``, and the v-sums of
-``integrate`` run on row bands of ``grids._BAND_VERTICES`` vertices.  The
-nets below fit one band at the default size, so the default call is the
-whole-grid evaluation; shrinking the bands to one row, or to seven rows
-(which divide none of the row counts), must change no bit of any report
-field, no worst index and no order of a failure list.
+harmonicity gate of ``validate``, the F of every co-normal field and the
+v-sums of ``integrate`` run on row bands of ``grids._BAND_VERTICES``
+vertices.  The nets below fit one band at the default size, so the default
+call is the whole-grid evaluation; shrinking the bands to one row, or to
+seven rows (which divide none of the row counts), must change no bit of any
+report field, no worst index and no order of a failure list.
 """
 
 import dataclasses

@@ -30,7 +30,7 @@ from affmin.errors import (
 from affmin.gridio import write_forms
 from affmin.grids import FaceGrid, GridDomain, VertexGrid, det3
 from affmin.lelieuvre import Immersion, integrate
-from exact import rational_nets
+from exact import cubic_like, rational_nets
 
 
 def constant_data(domain, f=1.0, a=0.0, b=0.0):
@@ -352,6 +352,20 @@ def test_corner_map_gap_matches_the_own_seed_gap(net, entries):
     mapped = mapping.apply(canonical.positions.values)
     assert mapping.relative_gap == np.abs(mapped - p).max() / extent
     assert abs(mapping.relative_gap - own_gap) <= ULPS_ROUND_TRIP * np.finfo(float).eps
+
+
+@pytest.mark.xfail(strict=True, raises=IncompatibleData,
+                   reason="ROADMAP item 2: the co-normal check divides the triple-product gap "
+                          "by max F, which does not scale with the map")
+def test_a_det_one_image_of_an_exact_cubic_net_reconstructs():
+    # cond 3.4e3: reconstruct reads 6.5e-7 at (8, 7) against TOL_COMPAT = 1e-7,
+    # while the net itself reconstructs with gap 0.
+    net = cubic_like(GridDomain(1, 8, 1, 8), 0)
+    linear = np.array([[4, 0, 0], [0, 6, 0], [12, 24, Fraction(1, 24)]], dtype=object)
+    surf = Immersion(net.grid(np.array(net.q, dtype=object) @ linear.T))
+    p = surf.positions.values
+    rebuilt = reconstruct(extract_fundamental_data(surf), own_seed(surf))
+    assert np.abs(rebuilt.positions.values - p).max() <= 1e-8 * np.abs(p - p[0, 0]).max()
 
 
 class TestAffineEquivalence:

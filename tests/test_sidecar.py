@@ -109,6 +109,15 @@ def test_readers_take_the_sidecar(cubic, tmp_path, json_reads):
     assert nbytes < sidecar(tmp_path / "s.json").stat().st_size < nbytes + 512
 
 
+def test_a_sidecar_read_parses_the_npy_header_once(cubic, tmp_path, json_reads, monkeypatch):
+    # The header is read and checked once; the record follows it, without np.load.
+    _, surf = cubic
+    gridio.write_grid(surf.positions, tmp_path / "s.json")
+    monkeypatch.setattr(np, "load", lambda *args, **kwargs: pytest.fail("np.load called"))
+    same_bits(gridio.read_grid(tmp_path / "s.json", "vertex"), surf.positions)
+    assert json_reads == []
+
+
 def test_sidecar_holds_the_digest_header_and_planes(cubic, tmp_path):
     _, surf = cubic
     path = tmp_path / "s.json"
