@@ -4,7 +4,9 @@ Each quad face carries the unique hyperbolic-paraboloid patch through its
 four corners.  The patch is asymptotic, its affine area element is the
 constant F of the face, and bilinear interpolation along a shared edge
 depends only on that edge's corners, so sampling all faces on a common
-parameter lattice produces a watertight triangle mesh.
+parameter lattice produces a watertight triangle mesh.  The OBJ face lines
+depend only on the lattice shape, so they are spelled from vertex indices
+alone, each index once per block.
 """
 
 import itertools
@@ -26,9 +28,10 @@ __all__ = [
 ]
 
 
-# Lattice rows per band: enough that the fixed cost of a band (a few numpy
-# passes) is nothing next to its rows, few enough that the writer's
-# tracemalloc peak stays under 2 MB (cubic 64^2 at resolution 8: 1.9 MB).
+# Lattice points or triangles per band: enough that the fixed cost of a band
+# (a few numpy passes) is nothing next to its rows, few enough that the
+# writer's tracemalloc peak stays under 2 MB (cubic 64^2 at resolution 8:
+# 1.74 MB).
 _BLOCK_ROWS = 1 << 14
 
 
@@ -139,35 +142,33 @@ def _lattice_points(p: np.ndarray, res: int, i0: int, i1: int) -> np.ndarray:
     return points.reshape(-1, 3)
 
 
-def _cell_triangles(nj: int, c0: int, c1: int) -> np.ndarray:
-    """Triangles of cell rows c0..c1-1 of a lattice with ``nj`` points per row.
+def _face_block(nj: int, c0: int, c1: int):
+    """OBJ face lines ``f i j k`` of cell rows c0..c1-1 of a lattice with ``nj``
+    points per row, as ``"f %d %d %d"`` spells the 1-based indices.
 
-    Each cell splits along its (0,0)-(1,1) diagonal; indices are 0-based and
-    global.
+    Each cell splits along its (0,0)-(1,1) diagonal.  ``int_digits`` spells
+    each index of vertex rows c0..c1 once, as a space and one slot per digit
+    of the block's last index; six copies of these fixed-width fields fill
+    the lines.  When every index has that many digits the table holds no 0
+    byte and goes out as it is; otherwise its 0 bytes are deleted.
     """
-    v00 = (np.arange(c0, c1)[:, None] * nj + np.arange(nj - 1)[None, :]).ravel()
-    v10 = v00 + nj
-    return np.stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1], axis=1).reshape(-1, 3)
-
-
-def _face_lines(block: np.ndarray) -> bytes:
-    """OBJ face lines ``f i j k`` of a 0-based (m, 3) triangle block, 1-based.
-
-    ``int_digits`` spells each index into a zeroed byte table with one row
-    per character position and one column per triangle: every index gets a
-    space and one slot per digit of the block's largest index.  Deleting the
-    0 bytes from the transposed table leaves the lines.
-    """
-    top = int(block.max(initial=0)) + 1
-    digits = len(str(top))
-    text = np.zeros((3 * (digits + 1) + 2, len(block)), np.uint8)
-    text[0], text[-1] = ord("f"), ord("\n")
-    fields = text[1:-1].reshape(3, digits + 1, -1)
+    first, last = c0 * nj + 1, (c1 + 1) * nj
+    width = len(str(last)) + 1
+    fields = np.zeros((last - first + 1, width), np.uint8)
     fields[:, 0] = ord(" ")
-    # Unnamed, so that int_digits frees each quotient as it takes the next.
-    int_digits(np.add(block.T, 1, dtype=np.uint32 if top < 1 << 32 else np.uint64,
-                      casting="unsafe", order="C"), fields[:, 1:].swapaxes(0, 1))
-    return text.T.tobytes().replace(b"\0", b"")
+    int_digits(np.arange(first, last + 1, dtype=np.uint32 if last < 1 << 32 else np.uint64),
+               fields[:, 1:].T)
+    field = fields.view(f"V{width}").reshape(c1 - c0 + 1, nj)
+    text = np.empty((c1 - c0, nj - 1, 2, 3 * width + 2), np.uint8)
+    text[..., 0], text[..., -1] = ord("f"), ord("\n")
+    corner = text[..., 1:-1].view(f"V{width}")     # [cell row, cell, triangle, corner]
+    corner[:, :, 0, 0] = corner[:, :, 1, 0] = field[:-1, :-1]
+    corner[:, :, 0, 1] = field[1:, :-1]
+    corner[:, :, 0, 2] = corner[:, :, 1, 1] = field[1:, 1:]
+    corner[:, :, 1, 2] = field[:-1, 1:]
+    if len(str(first)) + 1 == width:
+        return memoryview(text.reshape(-1))
+    return text.tobytes().replace(b"\0", b"")
 
 
 def _vertex_lines(block: np.ndarray):
@@ -177,32 +178,22 @@ def _vertex_lines(block: np.ndarray):
                  "%.17g".__mod__)
 
 
-def _write_obj(path, vertex_blocks, triangle_blocks) -> str:
-    """Write (n, 3) vertex blocks, then 0-based (m, 3) triangle blocks, as OBJ;
-    return the SHA-256 hex digest of the file.
-
-    ``_vertex_lines`` spells vertex rows as ``"v %.17g %.17g %.17g"`` does,
-    ``_face_lines`` triangle rows as ``"f %d %d %d"``; each vertex pass and
-    face block is written as soon as it is spelled.  If anything fails once
-    the file is open (including a block generator raising), the partial file
-    is removed.
-    """
-    vertex_passes = itertools.chain.from_iterable(map(_vertex_lines, vertex_blocks))
-    return write_chunks(path, itertools.chain(vertex_passes, map(_face_lines, triangle_blocks)))
-
-
 def export_surface_obj(surface, resolution: int, path) -> ObjCounts:
     """Tessellate a surface band by band into an OBJ file; returns its counts and digest.
 
     Every patch is sampled on a shared (resolution+1)^2 lattice; a point on
     a shared face boundary is evaluated once, from a single owning face, so
     the mesh is watertight and bit-deterministic.  Each parameter cell splits
-    into two triangles along its (0,0)-(1,1) diagonal.  Only one band of
-    lattice rows (about ``_BLOCK_ROWS`` vertices or triangles, at least one
-    row) exists at a time.  A non-finite vertex raises ``ValueError`` naming
-    its index in the whole mesh, and leaves no file behind.
+    into two triangles along its (0,0)-(1,1) diagonal.  The vertex passes of
+    each band of lattice rows, then the face blocks of each band of cell rows
+    (about ``_BLOCK_ROWS`` vertices or triangles, at least one row), stream
+    into the file; only one band exists at a time.  A non-finite vertex
+    raises ``ValueError`` naming its index in the whole mesh, and leaves no
+    file behind.
     """
-    if not isinstance(resolution, numbers.Integral) or resolution < 1:
+    # bool is an Integral, so True would write the resolution-1 mesh.
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) \
+            or resolution < 1:
         raise ValueError(f"resolution must be an integer >= 1, got {resolution}")
     q = as_positions(surface)
     q.domain.require_faces("tessellation")
@@ -211,13 +202,13 @@ def export_surface_obj(surface, resolution: int, path) -> ObjCounts:
     rows = max(1, _BLOCK_ROWS // nj)
     cell_rows = max(1, _BLOCK_ROWS // (2 * (nj - 1)))
 
-    def vertex_bands():
+    def vertex_passes():
         for i0 in range(0, ni, rows):
             points = _lattice_points(p, res, i0, min(i0 + rows, ni))
             _require_finite(points, i0 * nj)
-            yield points
+            yield from _vertex_lines(points)
 
-    triangle_bands = (_cell_triangles(nj, c0, min(c0 + cell_rows, ni - 1))
-                      for c0 in range(0, ni - 1, cell_rows))
-    digest = _write_obj(path, vertex_bands(), triangle_bands)
+    face_blocks = (_face_block(nj, c0, min(c0 + cell_rows, ni - 1))
+                   for c0 in range(0, ni - 1, cell_rows))
+    digest = write_chunks(path, itertools.chain(vertex_passes(), face_blocks))
     return ObjCounts(ni * nj, 2 * (ni - 1) * (nj - 1), digest)

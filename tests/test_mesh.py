@@ -13,7 +13,7 @@ import pytest
 import affmin as am
 from affmin import mesh as mesh_module
 from affmin.geometry import affine_normal, face_volumes
-from affmin.mesh import _write_obj, export_surface_obj, patch_area_check, patch_point
+from affmin.mesh import export_surface_obj, patch_area_check, patch_point
 from affmin.variational import affine_area
 
 
@@ -174,26 +174,28 @@ class TestTessellate:
         assert not path.exists()
 
     def test_non_integral_resolution_rejected(self, helicoid, tmp_path):
-        # 2.5 used to write the resolution-2 mesh and return its counts.
+        # 2.5 used to write the resolution-2 mesh and True, an Integral, the
+        # resolution-1 mesh; both returned their counts.
         _, surf = helicoid
-        path = tmp_path / "res2.5.obj"
-        with pytest.raises(ValueError, match="2.5"):
-            export_surface_obj(surf, 2.5, path)
-        assert not path.exists()
+        path = tmp_path / "res.obj"
+        for resolution in (2.5, True, np.True_):
+            with pytest.raises(ValueError, match=f"got {resolution}"):
+                export_surface_obj(surf, resolution, path)
+            assert not path.exists()
         assert export_surface_obj(surf, np.int64(2), path) == export_surface_obj(surf, 2, path)
 
 
 class TestExportObj:
     def test_line_counts(self, tmp_path):
-        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                              [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-        triangles = np.array([[0, 1, 3], [0, 3, 2]])
+        # One face at resolution 1: its corners (0,0), (0,1), (1,0), (1,1) are
+        # vertices 1 to 4, split along the diagonal from 1 to 4.
+        surf = am.integrate(am.hyperbolic_paraboloid(am.GridDomain(0, 1, 0, 1)))
         path = tmp_path / "two.obj"
-        _write_obj(path, [positions], [triangles])
+        export_surface_obj(surf, 1, path)
         lines = path.read_text().splitlines()
         assert sum(1 for x in lines if x.startswith("v ")) == 4
         assert sum(1 for x in lines if x.startswith("f ")) == 2
-        assert lines[-1] == "f 1 4 3"
+        assert lines[-2:] == ["f 1 3 4", "f 1 4 2"]
 
     def test_deterministic_bytes(self, cubic, tmp_path):
         _, surf = cubic
@@ -267,7 +269,7 @@ class TestStreamingExport:
 
     def test_peak_memory_is_bounded_by_a_band(self, tmp_path):
         # The mesh is 255,025 vertices and 508,032 triangles (25 MB of OBJ);
-        # holding it whole peaked at 57 MB.
+        # holding it whole peaked at 57 MB, a band of it peaks at about 1.7 MB.
         surf = am.integrate(am.minimal_cubic(am.GridDomain(1, 64, 1, 64)))
         tracemalloc.start()
         try:
@@ -275,4 +277,4 @@ class TestStreamingExport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 2e6

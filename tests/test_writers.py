@@ -4,7 +4,8 @@
 one-f-string-per-number writers, kept as oracles: every byte the block
 writers produce, and every byte the streaming surface export writes band by
 band, must equal theirs.  ``reference_mesh`` builds the exported mesh point
-by point through the public ``patch_point``.
+by point through the public ``patch_point``, and ``reference_faces`` spells
+its face lines one ``"f %d %d %d"`` per triangle.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ import affmin as am
 from affmin import gridio, mesh as mesh_module, spelling
 from affmin.compatibility import extract_fundamental_data
 from affmin.gridio import _format_number, dumps_json, grid_to_obj, write_forms, write_grid
-from affmin.mesh import _write_obj, export_surface_obj, patch_point
+from affmin.mesh import export_surface_obj, patch_point
 
 
 def reference_export_obj(positions, triangles, path):
@@ -117,41 +118,8 @@ SPECIAL = [-0.0, 5e-324, 1e300, 0.1, 2.0, 1.0 / 3.0, 1e16, 1e-5,
 TIES = SPECIAL[-2:]
 
 
-def blocks(rows):
-    return [rows[k:k + mesh_module._BLOCK_ROWS]
-            for k in range(0, len(rows), mesh_module._BLOCK_ROWS)]
-
-
-def obj_bytes(tmp_path, positions, triangles):
-    ours, theirs = tmp_path / "ours.obj", tmp_path / "reference.obj"
-    _write_obj(ours, blocks(positions), blocks(triangles))
-    reference_export_obj(positions, triangles, theirs)
-    return ours.read_bytes(), theirs.read_bytes()
-
-
 def test_special_values_spell_differently_under_repr():
     assert sum(repr(x) != "%.17g" % x for x in SPECIAL) >= 6
-
-
-def test_obj_matches_reference_across_block_boundaries(helicoid_mesh, tmp_path):
-    positions, triangles = helicoid_mesh
-    assert len(positions) > 1 << 15 and len(triangles) > 1 << 16
-    ours, theirs = obj_bytes(tmp_path, positions, triangles)
-    assert ours == theirs
-
-
-def test_obj_matches_reference_on_special_values(tmp_path):
-    positions = np.array(SPECIAL).reshape(-1, 3)
-    ours, theirs = obj_bytes(tmp_path, positions, np.array([[0, 1, 2], [3, 2, 1], [0, 3, 3]]))
-    assert ours == theirs
-    assert b"v -0 4.9406564584124654e-324 1.0000000000000001e+300\n" in ours
-
-
-def test_obj_without_triangles_matches_reference(tmp_path):
-    ours, theirs = obj_bytes(tmp_path, np.array(SPECIAL).reshape(-1, 3),
-                             np.zeros((0, 3), dtype=int))
-    assert ours == theirs
-    assert ours.endswith(b"\n") and not ours.endswith(b"\n\n")
 
 
 def reference_vertex_text(positions, tmp_path):
@@ -163,6 +131,37 @@ def reference_vertex_text(positions, tmp_path):
 def vertex_lines(block) -> bytes:
     """The vertex lines ``_vertex_lines`` yields pass by pass, joined."""
     return b"".join(mesh_module._vertex_lines(block))
+
+
+def test_obj_matches_reference_across_block_boundaries(helicoid_mesh, tmp_path):
+    # The whole streamed file is test_streamed_export_matches_reference_over_several_bands.
+    positions, triangles = helicoid_mesh
+    assert len(positions) > 1 << 15 and len(triangles) > 1 << 16
+    rows = mesh_module._BLOCK_ROWS
+    text = b"".join(vertex_lines(positions[k:k + rows]) for k in range(0, len(positions), rows))
+    assert text == reference_vertex_text(positions, tmp_path)
+
+
+def test_obj_matches_reference_on_special_values(tmp_path):
+    positions = np.array(SPECIAL).reshape(-1, 3)
+    text = vertex_lines(positions)
+    assert text == reference_vertex_text(positions, tmp_path)
+    assert b"v -0 4.9406564584124654e-324 1.0000000000000001e+300\n" in text
+    # The six rows as the corners of a 2 x 3 net, exported at resolution 1.
+    grid = am.VertexGrid(am.GridDomain(0, 1, 0, 2), positions.reshape(2, 3, 3))
+    ours, theirs = streamed_and_reference(tmp_path, grid, 1)
+    assert ours == theirs
+
+
+def test_obj_without_triangles_matches_reference(paraboloid, tmp_path):
+    # The vertex section of an export is the reference's file of its vertices alone.
+    _, surf = paraboloid
+    positions, _ = reference_mesh(surf, 2)
+    path = tmp_path / "mesh.obj"
+    export_surface_obj(surf, 2, path)
+    vertices = path.read_bytes().split(b"f ", 1)[0]
+    assert vertices == reference_vertex_text(positions, tmp_path)
+    assert vertices.endswith(b"\n") and not vertices.endswith(b"\n\n")
 
 
 def test_vertex_lines_match_reference_on_bit_patterns_and_powers_of_ten(tmp_path):
@@ -202,28 +201,50 @@ def test_non_finite_values_are_spelled_by_percent_g(tmp_path):
     assert vertex_lines(positions) == reference_vertex_text(positions, tmp_path)
 
 
-def test_empty_obj_is_an_empty_file(tmp_path):
-    # The reference wrote a lone newline for a mesh without vertices.
-    ours, theirs = obj_bytes(tmp_path, np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-    assert (ours, theirs) == (b"", b"\n")
+def reference_faces(nj, c0, c1) -> bytes:
+    """``"f %d %d %d"`` lines of cell rows c0..c1-1, each cell split along its
+    (0,0)-(1,1) diagonal, 1-based."""
+    cells = [a for a in range(c0 * nj + 1, c1 * nj + 1) if a % nj]   # not last in its row
+    return "".join("f %d %d %d\nf %d %d %d\n" % (a, a + nj, a + nj + 1, a, a + nj + 1, a + 1)
+                   for a in cells).encode("ascii")
 
 
-def test_face_indices_straddling_every_power_of_ten_match_reference(tmp_path):
-    # 1-based 9, 10, 11, 99, 100, 101, ..., 10^7 + 1 next to 1-digit indices,
-    # so the rows of one block have different widths.
-    big = np.array([10 ** e + d for e in range(1, 8) for d in (-2, -1, 0)])
-    triangles = np.stack([big, np.roll(big, 1), np.arange(len(big)) % 3], axis=1)
-    ours, theirs = obj_bytes(tmp_path, np.array(SPECIAL).reshape(-1, 3), triangles)
-    assert ours == theirs
-    assert b"\nf 9 10000001 1\nf 10 9 2\n" in ours
+# Blocks whose indices straddle each power of ten from 10 to 10^10; the block
+# whose last index, 2^32 - 1, is the largest that uint32 arithmetic spells; and
+# the block after it, which ends at 2^32; then blocks of one width.
+STRADDLING = [(3, 10 ** e // 3 - 1, 10 ** e // 3 + 1) for e in range(1, 11)] + [
+    (3, (2 ** 32 - 1) // 3 - 3, (2 ** 32 - 1) // 3 - 1), (4, 2 ** 30 - 3, 2 ** 30 - 1),
+    (2, 0, 1), (5, 2, 3), (17, 30, 40)]
 
 
-@pytest.mark.parametrize("top", [0, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 63 - 2])
-def test_face_lines_spell_like_percent_d(top):
-    # 2^32 - 1 is the largest 1-based index spelled in uint32 arithmetic.
-    block = np.array([[top, 0, top], [top // 10, top, 7], [0, 0, 0]])
-    expected = "f %d %d %d\n" * 3 % tuple((block + 1).ravel().tolist())
-    assert mesh_module._face_lines(block) == expected.encode("ascii")
+@pytest.mark.parametrize("nj, c0, c1", STRADDLING)
+def test_face_indices_straddling_every_power_of_ten_match_reference(nj, c0, c1):
+    lines = mesh_module._face_block(nj, c0, c1)
+    assert bytes(lines) == reference_faces(nj, c0, c1)
+    # A block of one width goes out without a 0-byte pass.
+    assert isinstance(lines, memoryview) == (len(str(c0 * nj + 1)) == len(str((c1 + 1) * nj)))
+
+
+@st.composite
+def face_blocks(draw):
+    nj = draw(st.integers(2, 6))
+    c0 = draw(st.integers(0, 10 ** 10 // nj))
+    return nj, c0, c0 + draw(st.integers(1, 4))
+
+
+@settings(deadline=None)
+@given(face_blocks())
+def test_face_block_spells_like_percent_d(block):
+    assert bytes(mesh_module._face_block(*block)) == reference_faces(*block)
+
+
+@pytest.mark.parametrize("values, dtype", [([0, 7, 10, 99, 2 ** 32 - 1], np.uint32),
+                                           ([0, 2 ** 32, 2 ** 63 - 2, 2 ** 64 - 1], np.uint64)])
+def test_int_digits_spell_like_percent_d(values, dtype):
+    rows = np.zeros((21, len(values)), np.uint8)   # 2^64 - 1 has 20 digits
+    spelling.int_digits(np.array(values, dtype), rows)
+    assert rows.T.tobytes().replace(b"\0", b" ").split() == [b"%d" % x for x in values]
+    assert rows[-1, 0] == ord("0") and not rows[:-1, 0].any()   # 0 is one digit
 
 
 # The two record layouts of the kernel for p columns: an OBJ vertex row and a
