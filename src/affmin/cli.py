@@ -1,9 +1,11 @@
 """Command-line pipelines over the affmin library.
 
 Exit codes: 0 on success, 1 when a certificate or data check fails, 2 for
-usage and I/O errors.  All artifact files (grid JSON, forms bundles, their
-``.npy`` sidecars, OBJ meshes) are byte-deterministic across runs; the
-pipeline run report is the one exception, because it records wall time.
+usage and I/O errors and for a job too large: a ``MemoryError``, or an OBJ
+export of more than 2^32 - 1 vertices.  All artifact files (grid JSON, forms
+bundles, their ``.npy`` sidecars, OBJ meshes) are byte-deterministic across
+runs; the pipeline run report is the one exception, because it records wall
+time.
 Each step reads the grids a previous step wrote from their sidecars.
 
 Each report section is its certificate's record (``_record``): the report
@@ -418,7 +420,7 @@ def main(argv=None) -> int:
     except AffminError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,9 @@ __all__ = [
 # writer's tracemalloc peak stays under 2 MB (cubic 64^2 at resolution 8:
 # 1.74 MB).
 _BLOCK_ROWS = 1 << 14
+# The most vertices an export takes: its face lines spell each 1-based index
+# in uint32, and an OBJ this large would already exceed about 150 GB.
+_MAX_VERTICES = (1 << 32) - 1
 
 
 def _require_finite(positions: np.ndarray, first: int):
@@ -189,7 +192,8 @@ def export_surface_obj(surface, resolution: int, path) -> ObjCounts:
     (about ``_BLOCK_ROWS`` vertices or triangles, at least one row), stream
     into the file; only one band exists at a time.  A non-finite vertex
     raises ``ValueError`` naming its index in the whole mesh, and leaves no
-    file behind.
+    file behind; a lattice of more than 2^32 - 1 vertices raises it before
+    the file is opened.
     """
     # bool is an Integral, so True would write the resolution-1 mesh.
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) \
@@ -199,6 +203,9 @@ def export_surface_obj(surface, resolution: int, path) -> ObjCounts:
     q.domain.require_faces("tessellation")
     p, res = q.values, int(resolution)
     ni, nj = (q.domain.n_u - 1) * res + 1, (q.domain.n_v - 1) * res + 1
+    if ni * nj > _MAX_VERTICES:
+        raise ValueError(f"a resolution-{res} mesh of this surface has {ni} x {nj} = "
+                         f"{ni * nj} vertices, more than the {_MAX_VERTICES} an OBJ export indexes")
     rows = max(1, _BLOCK_ROWS // nj)
     cell_rows = max(1, _BLOCK_ROWS // (2 * (nj - 1)))
 

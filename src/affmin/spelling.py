@@ -12,7 +12,7 @@ their lattices take it: 52 ns per number on cubic 64^2 at resolution 8,
 46 on a paraboloid.  On any other pass the 17 digits come from numpy
 arithmetic off by < 2^-45 of the last digit, and inf, nan and numbers
 within 2^-40 of a rounding tie go to the writer's own spelling (122 ns per
-number on a helicoid, of which the test takes 1.5).
+number on a helicoid, of which the test, read over the whole pass, takes 6).
 """
 
 import contextlib
@@ -103,9 +103,7 @@ def spell(block: np.ndarray, lead: tuple, trail: bytes, deferred):
     step = _PASS // block.shape[1]
     for r in range(0, len(block), step):
         x = block[r:r + step].ravel()
-        parts = _dyadic(x)
-        yield _spell_records(x, lead, trail, deferred) if parts is None \
-            else _spell_dyadic(x, *parts, lead, trail)
+        yield _spell_dyadic(x, lead, trail) or _spell_records(x, lead, trail, deferred)
 
 
 def int_digits(x: np.ndarray, rows: np.ndarray):
@@ -124,28 +122,6 @@ def int_digits(x: np.ndarray, rows: np.ndarray):
         x = q
 
 
-def _dyadic(x: np.ndarray):
-    """(whole, fraction, K) when ``x`` takes the integer path, else None:
-    the integer parts of |x| and the rest times 2^K, as uint16."""
-    ax = np.abs(x)
-    top = ax.max()
-    if not top < 1e17:          # nan and inf fail here too
-        return None
-    head = ax[:96] * 2.0 ** 13   # a pass that fails mostly fails here, at a third of the cost
-    if (head != np.floor(head)).any():
-        return None
-    fraction, whole = np.modf(ax)
-    fraction *= 2.0 ** 13
-    low = fraction.astype(np.uint16)
-    if (low != fraction).any():
-        return None
-    bits = int(np.bitwise_or.reduce(low))
-    places = 14 - (bits & -bits).bit_length() if bits else 0
-    if not top < 10.0 ** (17 - places):
-        return None
-    return whole, low >> (13 - places), places
-
-
 def _table(x: np.ndarray, width: int, lead: tuple, trail: bytes) -> np.ndarray:
     """A zeroed (width, n) byte table, one column per number of ``x``, holding
     each number's lead (slots 0-1), sign (slot 2) and trail (the last slot)."""
@@ -157,11 +133,26 @@ def _table(x: np.ndarray, width: int, lead: tuple, trail: bytes) -> np.ndarray:
     return rec
 
 
-def _spell_dyadic(x, whole, fraction, places: int, lead: tuple, trail: bytes) -> bytes:
-    """The records of a ``_dyadic`` pass: sign, ``whole`` spelled by
-    ``int_digits``, and, where ``fraction`` is not 0, a point and its digits
-    up to the last nonzero one, each digit 5 times the remainder, shifted."""
-    top = int(whole.max())
+def _spell_dyadic(x: np.ndarray, lead: tuple, trail: bytes):
+    """The records of a pass on the integer path, or None when ``x`` does not
+    take it: sign, the integer part of |x| spelled by ``int_digits``, and,
+    where the rest f / 2^K is not 0, a point and its digits up to the last
+    nonzero one, each digit 5 times the remainder, shifted."""
+    ax = np.abs(x)
+    top = ax.max()
+    if not top < 1e17:          # nan and inf fail here too
+        return None
+    fraction, whole = np.modf(ax)
+    fraction *= 2.0 ** 13
+    low = fraction.astype(np.uint16)
+    if (low != fraction).any():
+        return None
+    bits = int(np.bitwise_or.reduce(low))
+    places = 14 - (bits & -bits).bit_length() if bits else 0
+    if not top < 10.0 ** (17 - places):
+        return None
+    fraction = low >> (13 - places)
+    top = int(top)
     point = 3 + len(str(top))       # the slot of the point
     rec = _table(x, point + places + 2, lead, trail)
     int_digits(whole.astype(np.uint32 if top < 1 << 32 else np.uint64), rec[3:point])

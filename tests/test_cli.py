@@ -626,6 +626,29 @@ class TestPipeline:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # generate and pipeline fail at numpy's allocation of the (3, 10^6, 10^6) co-normal;
+    # export refuses a lattice beyond uint32 indices before opening its file.
+    @pytest.mark.parametrize("command, message", [
+        (["generate", "--example", "cubic", "--box", 1, 1000000, 1, 1000000,
+          "--out", "out/conormal.json"], "error: Unable to allocate 21.8 TiB"),
+        (["pipeline", "--example", "cubic", "--box", 1, 1000000, 1, 1000000,
+          "--outdir", "out"], "error: Unable to allocate 21.8 TiB"),
+        (["export", "--surface", "s0_2_0_2.json", "--resolution", 100000,
+          "--out", "out/mesh.obj"], "200001 x 200001 = 40000400001 vertices"),
+    ], ids=["generate", "pipeline", "export"])
+    def test_a_job_too_large_exits_two_and_leaves_no_file(
+            self, tmp_path, monkeypatch, capsys, command, message):
+        _surface_files(tmp_path, "paraboloid", (0, 2, 0, 2))
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        # An export that got past its bound fails here instead of filling the disk.
+        monkeypatch.setattr(affmin.mesh, "write_chunks", None)
+        capsys.readouterr()
+        assert run(*command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_default_boxes_per_example(self, tmp_path):
         # the sphere default box must respect u > v
         assert run("pipeline", "--example", "sphere",

@@ -211,6 +211,21 @@ class TestExportObj:
         assert len(verts) > 0
         assert np.abs(verts[:, 2] - verts[:, 0] * verts[:, 1]).max() <= 1e-12
 
+    def test_a_lattice_beyond_uint32_indices_is_refused_before_the_file(self, monkeypatch):
+        # 3 x 3 vertices: at resolution 100000 the export streamed until the disk was full.
+        surf = am.integrate(am.hyperbolic_paraboloid(am.GridDomain(0, 2, 0, 2)))
+        opened = []     # write_chunks opens the file; here it records the call and writes nothing
+        monkeypatch.setattr(mesh_module, "write_chunks", lambda path, chunks: opened.append(path))
+        for resolution, vertices in ((100000, "200001 x 200001 = 40000400001"),
+                                     (32768, "65537 x 65537 = 4295098369")):
+            with pytest.raises(ValueError, match=f"has {vertices} vertices, more than the "
+                                                 "4294967295 an OBJ export indexes"):
+                export_surface_obj(surf, resolution, "huge.obj")
+        assert opened == []
+        # 65535^2 = 4294836225 vertices, the most at this box, is still exported.
+        assert export_surface_obj(surf, 32767, "huge.obj")[:2] == (65535 ** 2, 2 * 65534 ** 2)
+        assert opened == ["huge.obj"]
+
     def test_unwritable_path(self, paraboloid):
         _, surf = paraboloid
         with pytest.raises(OSError) as err:

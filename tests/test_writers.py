@@ -268,12 +268,14 @@ def spelled(block, layout) -> bytes:
 
 
 def count_paths(monkeypatch) -> dict:
-    """Count the passes that ``spell`` hands to each of its two spellers."""
+    """Count the passes that each of ``spell``'s two spellers spells: an integer
+    pass only when ``_spell_dyadic`` returns bytes, not None."""
     counts = {"integer": 0, "general": 0}
     for path, name in (("integer", "_spell_dyadic"), ("general", "_spell_records")):
         def counted(*args, path=path, kernel=getattr(spelling, name)):
-            counts[path] += 1
-            return kernel(*args)
+            records = kernel(*args)
+            counts[path] += records is not None
+            return records
         monkeypatch.setattr(spelling, name, counted)
     return counts
 
@@ -293,7 +295,8 @@ def dyadic_blocks(draw):
 @settings(deadline=None)
 @given(dyadic_blocks())
 def test_dyadic_blocks_take_the_integer_path_and_spell_like_percent_g(block):
-    assert spelling._dyadic(block.ravel()) is not None
+    lead, trail = layouts(block.shape[1])["obj"]
+    assert spelling._spell_dyadic(block.ravel(), lead, trail) is not None
     for layout in ("obj", "json"):
         assert spelled(block, layout) == percent_g(block, layout)
     assert dumps_json(block.ravel()) == "[" + percent_g(block, "json")[2:].decode() + "]"
@@ -312,7 +315,7 @@ DYADIC = [0.0, 1.5, -2.25, 1000.125]
     ([1e17], "general"),                # 1e+17
     ([-0.0], "integer"),                # -0
     (DYADIC + [0.1], "general"),
-    # past the first 96 numbers, which _dyadic tests first
+    # 0.1 as the 101st number: the test reads the whole pass, not a head of it
     pytest.param(DYADIC * 25 + [0.1], "general", id="0.1 at 100-general"),
     (DYADIC + [5e-324], "general"),
     (DYADIC + [np.inf], "general"),
