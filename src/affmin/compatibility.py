@@ -38,10 +38,10 @@ __all__ = [
     "affine_equivalence",
 ]
 
-# reconstruct: |F, A or B of the co-normal - the data| / max F; the CLI also holds the
-# compatibility residuals and the round trip's gap / max |q - q(u_min, v_min)| to it.
+# reconstruct: |F, A or B of the co-normal - the data| / max F; also the compatibility
+# residuals and a round trip's gap / max |q - q(u_min, v_min)|.
 TOL_COMPAT = 1e-7
-TOL_EQUIV = 1e-6   # max |L qa + t - qb| / max |qb - qb(u_min, v_min)|, and the CLI's |det L - 1|
+TOL_EQUIV = 1e-6   # max |L qa + t - qb| / max |qb - qb(u_min, v_min)|, and ||det L| - 1|
 TOL_SEED = 1e-9    # |det(q10 - q00, q01 - q00, q11 - q00) - F^2| / F^2 of the seed
 
 
@@ -51,7 +51,7 @@ def extract_fundamental_data(surface, tol: float = TOL_FORMS) -> CubicForm:
 
 
 class CompatibilityResiduals(NamedTuple):
-    """Worst relative residual of each of the three compatibility equations."""
+    """Worst relative residual of each compatibility equation; ``passed``: all <= ``TOL_COMPAT``."""
 
     r0: float
     r1: float
@@ -60,6 +60,10 @@ class CompatibilityResiduals(NamedTuple):
     @property
     def max(self) -> float:
         return float(np.max(tuple(self)))   # np.max(self) would call this property
+
+    @property
+    def passed(self) -> bool:
+        return self.max <= TOL_COMPAT
 
 
 def compatibility_residuals(data: FundamentalData) -> CompatibilityResiduals:
@@ -247,6 +251,17 @@ class AffineMap:
     @property
     def det(self) -> float:
         return float(np.linalg.det(self.linear))
+
+    @property
+    def unimodular(self) -> bool:
+        """Whether |det| is 1 within ``TOL_EQUIV``: the map keeps volumes up to sign."""
+        return abs(abs(self.det) - 1.0) <= TOL_EQUIV
+
+    @property
+    def closes_round_trip(self) -> bool:
+        """Whether, as the map of a canonical reconstruction onto its surface, it
+        closes the round trip: unimodular, with a gap within ``TOL_COMPAT``."""
+        return self.relative_gap <= TOL_COMPAT and self.unimodular
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points) @ self.linear.T + self.translation

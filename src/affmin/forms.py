@@ -205,11 +205,12 @@ def structural_residuals(surface, areas: FaceGrid, form: CubicForm) -> Structura
 
 @dataclass(frozen=True)
 class ClosedFormReport:
-    """Gap between closed-form A_2, B_1 and the direct differences d2(A), d1(B)."""
+    """Gap of closed-form A_2, B_1 to d2(A), d1(B); ``passed`` holds it to ``TOL_FORMS``."""
 
     max_gap: float
     scale: float
     relative_gap: float
+    passed: bool
 
 
 def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
@@ -247,9 +248,8 @@ def a2_b1_closed_form(surface, normals: FaceGrid, areas: FaceGrid,
         v_coeff_du=UEdgeGrid(form.v_coeff.domain, b1_closed),
     )
     gap, scale = float(np.max(gaps)), float(np.max(scales))
-    return derivs, ClosedFormReport(
-        max_gap=gap, scale=scale, relative_gap=float(gap / np.maximum(scale, TINY))
-    )
+    relative = float(gap / np.maximum(scale, TINY))
+    return derivs, ClosedFormReport(gap, scale, relative, relative <= TOL_FORMS)
 
 
 @dataclass(frozen=True)

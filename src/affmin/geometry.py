@@ -26,6 +26,8 @@ __all__ = [
     "edge_cross_products",
     "ConormalRecovery",
     "recover_conormal",
+    "AreaDensityBridge",
+    "area_density_bridge",
     "AsymptoticReport",
     "asymptotic_certificate",
     "PlanarSaddleReport",
@@ -34,8 +36,8 @@ __all__ = [
     "duality_certificate",
 ]
 
-# |nu . xi - 1|, |nu_1 x nu_2 + F xi| / max_k |F xi|_k and |e . nu| / (|e| |nu|); the
-# CLI also holds |F(nu) / F - 1| and, absolutely, the recovery spread of nu to it.
+# |nu . xi - 1|, |nu_1 x nu_2 + F xi| / max_k |F xi|_k, |e . nu| / (|e| |nu|) and
+# |F(nu) / F - 1|; absolutely, the recovery spread of nu.
 TOL_DUAL = 1e-9
 TOL_ASYMPTOTIC = 1e-9   # the zero determinants, absolutely, and |[e1, e2, q_uv] - M| / M
 
@@ -108,12 +110,13 @@ class ConormalRecovery:
     """Co-normals recovered from an immersion, with cross-formula agreement.
 
     Every vertex averages the estimates from its 1, 2 or 4 incident faces;
-    ``max_deviation`` is the worst per-component spread between estimates.
+    ``passed`` holds ``max_deviation``, the worst per-component spread of them, to ``TOL_DUAL``.
     """
 
     vectors: VertexGrid
     max_deviation: float
     worst_vertex: tuple
+    passed: bool
 
 
 def recover_conormal(surface) -> ConormalRecovery:
@@ -131,7 +134,24 @@ def recover_conormal(surface) -> ConormalRecovery:
         band_mean, spread = face_choice_mean(corner_estimates, band.values.shape)
         mean_out[own] = band_mean[own]
         worst.add(absmax(spread[own]), lo)
-    return ConormalRecovery(VertexGrid(dom, mean), worst.value, worst.index)
+    return ConormalRecovery(VertexGrid(dom, mean), worst.value, worst.index,
+                            worst.value <= TOL_DUAL)
+
+
+@dataclass(frozen=True)
+class AreaDensityBridge:
+    """Worst |F(nu) / F - 1| of a field's F to the surface's, held to ``TOL_DUAL`` by ``passed``."""
+
+    max_relative_gap: float
+    passed: bool
+
+
+def area_density_bridge(surface, areas: FaceGrid) -> AreaDensityBridge:
+    """Compare ``areas``, the F of a co-normal field, with the surface's own."""
+    q = as_positions(surface)
+    require_domain(q.domain, areas=areas)
+    gap = float(np.abs(areas.values / face_volumes(q).areas.values - 1.0).max())
+    return AreaDensityBridge(gap, gap <= TOL_DUAL)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,13 @@ __all__ = [
     "lelieuvre_edges",
     "integrate",
     "path_independence_residual",
+    "PathIndependenceReport",
+    "path_independence",
     "verify_lelieuvre",
     "LelieuvreReport",
 ]
 
-# Relative (to the longest edge) tolerance for edge-equation residuals.
+# Edge-equation residuals / the longest edge; the path obstruction / max(max |nu|^2, 1).
 TOL_INTEGRATE = 1e-10
 
 
@@ -98,6 +100,21 @@ def path_independence_residual(field) -> float:
         obstruction = cross3(nu[1:, :-1] + nu[:-1, 1:], nu[1:, 1:] + nu[:-1, :-1])
         worst.append(np.abs(obstruction).max())
     return float(np.max(worst))
+
+
+@dataclass(frozen=True)
+class PathIndependenceReport:
+    """``path_independence_residual``; ``passed``: <= ``TOL_INTEGRATE`` max(max |nu|^2, 1)."""
+
+    residual: float
+    passed: bool
+
+
+def path_independence(field) -> PathIndependenceReport:
+    vectors = as_conormal(field)
+    residual = path_independence_residual(vectors)
+    scale = max(float(np.abs(vectors.values).max()) ** 2, 1.0)
+    return PathIndependenceReport(residual, residual <= TOL_INTEGRATE * scale)
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,7 @@ def _face_block(nj: int, c0: int, c1: int):
     width = len(str(last)) + 1
     fields = np.zeros((last - first + 1, width), np.uint8)
     fields[:, 0] = ord(" ")
-    int_digits(np.arange(first, last + 1, dtype=np.uint32 if last < 1 << 32 else np.uint64),
-               fields[:, 1:].T)
+    int_digits(np.arange(first, last + 1, dtype=np.uint32), fields[:, 1:].T)
     field = fields.view(f"V{width}").reshape(c1 - c0 + 1, nj)
     text = np.empty((c1 - c0, nj - 1, 2, 3 * width + 2), np.uint8)
     text[..., 0], text[..., -1] = ord("f"), ord("\n")

@@ -42,6 +42,12 @@ GOLDEN_PARABOLOID = {
     "mesh_res8.obj": "796b9674b9940cec261f3f291eae84545fdfa8d8bfe6662166a161d52dc87192",
 }
 
+# check_report.json of `check --conormal` on cubic (1, 12, 1, 10), its surface's
+# vertex [5, 5] moved by 1e-6 of the largest |coordinate|, against the
+# generating co-normal: every section but path_independence fails, so this pins
+# the failing verdicts and the values beside them.
+GOLDEN_MOVED_CUBIC_CHECK = "c574e107c2e8efbbed7094ccca07674c966be0995d907bcb086e30e4375585ec"
+
 # Artifacts of two pipelines whose data is not dyadic, so nearly every
 # operation rounds: these bytes pin the summation order of every kernel and
 # the memory layout it runs on, on this platform.
@@ -166,6 +172,24 @@ class TestIntegrateAndCheck:
         assert body["lelieuvre"]["passed"] is True
         assert body["path_independence"]["passed"] is True
         assert body["area_density_bridge"]["passed"] is True
+
+    def test_golden_report_of_a_failing_net(self, tmp_path):
+        conormal, surface = tmp_path / "conormal.json", tmp_path / "surface.json"
+        assert run("generate", "--example", "cubic", "--box", 1, 12, 1, 10,
+                   "--out", conormal) == 0
+        assert run("integrate", "--conormal", conormal, "--out", surface) == 0
+        grid = read_grid(surface, "vertex")
+        values = grid.values.copy()
+        values[5, 5] += 1e-6 * np.abs(values).max()
+        write_grid(grid.with_values(values), surface)
+        report = tmp_path / "check_report.json"
+        assert run("check", "--surface", surface, "--conormal", conormal,
+                   "--report", report) == 1
+        body = json.loads(report.read_text())
+        assert [name for name, section in body.items()
+                if isinstance(section, dict) and section.get("passed") is True] == [
+            "path_independence"]
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_MOVED_CUBIC_CHECK
 
     def test_check_fails_on_corrupted_surface(self, tmp_path, paraboloid_files):
         _, surface = paraboloid_files
