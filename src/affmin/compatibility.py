@@ -16,7 +16,7 @@ import numpy as np
 
 from .conormal import face_area_density
 from .errors import DegenerateQuadrangle, IncompatibleData, NotEquivalent, SeedDeterminantMismatch
-from .forms import TOL_FORMS, CubicForm, FundamentalData, cubic_coefficients
+from .forms import CubicForm, FundamentalData, cubic_coefficients
 from .geometry import affine_normal, face_volumes
 from .grids import (TINY, VALUE_BOUND, BandMax, GridDomain, VertexGrid, absmax, as_positions,
                     cross3, det3, div3, outer_sum3, relative_residual, require_bounded,
@@ -45,9 +45,9 @@ TOL_EQUIV = 1e-6   # max |L qa + t - qb| / max |qb - qb(u_min, v_min)|, and ||de
 TOL_SEED = 1e-9    # |det(q10 - q00, q01 - q00, q11 - q00) - F^2| / F^2 of the seed
 
 
-def extract_fundamental_data(surface, tol: float = TOL_FORMS) -> CubicForm:
-    """Read (F, A, B) off an immersion: its cubic form (``tol`` bounds the spread)."""
-    return cubic_coefficients(surface, affine_normal(surface, face_volumes(surface).areas), tol)
+def extract_fundamental_data(surface) -> CubicForm:
+    """Read (F, A, B) off an immersion: its cubic form, whose spread ``TOL_FORMS`` bounds."""
+    return cubic_coefficients(surface, affine_normal(surface, face_volumes(surface).areas))
 
 
 class CompatibilityResiduals(NamedTuple):

@@ -113,24 +113,19 @@ def _face_choices(cross, xi, f, axis):
     return [((dot3(cross[c], xi[a]), f[a]), c) for c in across for a in along]
 
 
-def cubic_coefficients(surface, normals: FaceGrid, tol: float = TOL_FORMS) -> CubicForm:
+def cubic_coefficients(surface, normals: FaceGrid) -> CubicForm:
     """Cubic coefficients of an immersion given its affine normal field.
 
     Raises IllDefinedForm, naming the vertex of the largest spread (a NaN
-    first), unless ``max_spread_u`` and ``max_spread_v`` are at most ``tol``.
-    Stored on the position grid with ``normals``, whatever ``tol``.
+    first, A before B), unless both spreads are at most ``TOL_FORMS``.  Only
+    a form that passed is stored on the position grid with ``normals``.
     """
     q = as_positions(surface)
     require_domain(q.domain, normals=normals)
-    form, worst = q.memo("cubic_coefficients", (normals,),
-                         lambda: _cubic_coefficients(q, normals))
-    for spread, vertex in zip((form.max_spread_u, form.max_spread_v), worst):
-        if not spread <= tol:
-            raise IllDefinedForm(vertex, spread)
-    return form
+    return q.memo("cubic_coefficients", (normals,), lambda: _cubic_coefficients(q, normals))
 
 
-def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
+def _cubic_coefficients(q: VertexGrid, normals: FaceGrid) -> CubicForm:
     dom = q.domain.require_interior("the cubic form")
     areas = face_volumes(q).areas
     a, b = np.empty((dom.n_u - 2, dom.n_v)), np.empty((dom.n_u, dom.n_v - 2))
@@ -140,6 +135,9 @@ def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
         cross_u, cross_v = edge_cross_products(d1(band).values, d2(band).values)
         _average(_face_choices(cross_u, xi, f, 0), cross_u.shape[:2], a_out, own, spreads[0], lo)
         _average(_face_choices(cross_v, xi, f, 1), cross_v.shape[:2], b_out, own, spreads[1], lo)
+    for spread in spreads:   # A first, then B
+        if not spread.value <= TOL_FORMS:
+            raise IllDefinedForm(spread.index, spread.value)
 
     return CubicForm(
         areas=areas,
@@ -147,7 +145,7 @@ def _cubic_coefficients(q: VertexGrid, normals: FaceGrid):
         v_coeff=VertexGrid(dom.shrink(dv_lo=1, dv_hi=1), b),
         max_spread_u=spreads[0].value,
         max_spread_v=spreads[1].value,
-    ), (spreads[0].index, spreads[1].index)   # the vertices of the largest spreads
+    )
 
 
 @dataclass(frozen=True)

@@ -413,8 +413,9 @@ def div3(v, s, out=None):
 
 
 def outer_sum3(a, b):
-    """``a[:, None] + b[None]`` of (m, 3) and (n, 3) arrays, bit for bit, into new
-    (m, n) component planes: one outer sum per component, no broadcast loop."""
+    """``a[:, None] + b[None]`` of (m, 3) and (n, 3) arrays into new (m, n) component
+    planes, one outer sum per component (no broadcast loop): the same bits, but the
+    sign of a NaN summed from NaNs of both signs may differ."""
     a, b = np.asarray(a), np.asarray(b)
     out = empty3((len(a), len(b), 3), np.result_type(a, b))
     for k in range(3):

@@ -122,7 +122,7 @@ def fd_gradient_check(surface, vertex, direction, h: float) -> FdGradientCheck:
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    """Whether the interior area gradient vanishes relative to the mean F.
+    """Whether the interior area gradient is at most ``TOL_CRIT`` times the mean F.
 
     ``vacuous`` flags nets without interior vertices, where every compactly
     supported deformation moves only boundary stencils and the test passes
@@ -136,7 +136,7 @@ class CriticalityReport:
     vacuous: bool = False
 
 
-def criticality_certificate(surface, tol: float = TOL_CRIT) -> CriticalityReport:
+def criticality_certificate(surface) -> CriticalityReport:
     q = as_positions(surface)
     f = face_volumes(q).areas.values
     mean_area = float(f.mean())
@@ -151,5 +151,5 @@ def criticality_certificate(surface, tol: float = TOL_CRIT) -> CriticalityReport
         max_gradient=worst.value,
         mean_area=mean_area,
         worst_vertex=worst.index,
-        passed=worst.value <= tol * mean_area,
+        passed=worst.value <= TOL_CRIT * mean_area,
     )

@@ -124,8 +124,8 @@ def test_criterion_4_criticality_and_first_variation(surfaces):
     ok = True
     details = []
     for name, (field, surf) in surfaces.items():
-        crit = criticality_certificate(surf, tol=1e-9)
-        ok &= crit.passed
+        crit = criticality_certificate(surf)
+        ok &= crit.max_gradient <= 1e-9 * crit.mean_area
 
         dom = surf.domain
         center = ((dom.u_min + dom.u_max) // 2, (dom.v_min + dom.v_max) // 2)

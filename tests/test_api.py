@@ -17,6 +17,8 @@
   as component planes and summed in one order.
 * Each ``Grid.memo`` key has one call, in the function that derives its
   quantity: no function reads another function's stored result.
+* No function takes a parameter named ``tol`` or ``tol_*``: each certificate
+  and gate holds its quantity to its module's fixed ``TOL_*`` constant.
 """
 
 import ast
@@ -101,6 +103,27 @@ def test_each_memo_key_has_one_call():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "memo"]
     assert sorted(keys) == ["affine_normal", "cubic_coefficients", "face_volumes"]
+
+
+def tolerance_parameters(tree: ast.AST) -> list:
+    """(function, parameter) for each parameter named ``tol`` or ``tol_*``."""
+    return [(node.name, arg.arg) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+            and (arg.arg == "tol" or arg.arg.startswith("tol_"))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_function_takes_a_tolerance(path):
+    knobs = tolerance_parameters(parse(path))
+    assert not knobs, f"{path.name} has settable tolerances: {knobs}"
+
+
+def test_guard_sees_a_tolerance_parameter():
+    tree = ast.parse("def f(q, tol=1e-8): pass\n"
+                     "def g(q, *, tol_forms): pass\n"
+                     "def h(q, tolerance, total, atol): pass\n")
+    assert tolerance_parameters(tree) == [("f", "tol"), ("g", "tol_forms")]
 
 
 def new_axis_operands(tree: ast.AST, exempt=()) -> list:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import affmin as am
-from affmin import grids
+from affmin import forms, grids
 from affmin.errors import AffminError, IllDefinedForm, IncompatibleData, NotEquivalent
 from affmin.grids import BandMax, GridDomain, VertexGrid, row_bands, worst_index
 
@@ -110,7 +110,7 @@ def reports(field, positions, vectors):
     surf = am.Immersion(positions)
     vols = am.face_volumes(surf)
     xi = am.affine_normal(surf, vols.areas)
-    form = am.cubic_coefficients(surf, xi, tol=1.0)
+    form = am.cubic_coefficients(surf, xi)
     derivs, closed = am.a2_b1_closed_form(surf, xi, vols.areas, form)
     return canonical({
         "face_volumes": vols,
@@ -123,9 +123,9 @@ def reports(field, positions, vectors):
         "structural": am.structural_residuals(surf, vols.areas, form),
         "closed_form": (derivs, closed),
         "normal": am.normal_derivative_residuals(surf, xi, vols.areas, derivs),
-        "fundamental": am.extract_fundamental_data(surf, tol=1.0),
-        "reconstruct": reconstructions(surf, am.extract_fundamental_data(surf, tol=1.0)),
-        "compatibility": am.compatibility_residuals(am.extract_fundamental_data(surf, tol=1.0)),
+        "fundamental": am.extract_fundamental_data(surf),
+        "reconstruct": reconstructions(surf, am.extract_fundamental_data(surf)),
+        "compatibility": am.compatibility_residuals(am.extract_fundamental_data(surf)),
         "equivalence": equivalences(surf),
         "conormal": conormals(vectors),
         "criticality": am.criticality_certificate(surf),
@@ -172,6 +172,8 @@ def test_pins_hold_on_many_bands(monkeypatch, rows, name, field):
 @pytest.mark.parametrize("name, field, positions, vectors", NETS, ids=[n[0] for n in NETS])
 def test_every_report_field_equals_the_whole_grid(monkeypatch, rows, name, field, positions,
                                                   vectors):
+    # The noisy nets' cubic forms spread by about 1e-6: let them through the gate.
+    monkeypatch.setattr(forms, "TOL_FORMS", 1.0)
     whole = reports(field, positions, vectors)
     rows_per_band(monkeypatch, rows, positions.domain.n_v)
     banded = reports(field, positions, vectors)

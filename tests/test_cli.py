@@ -17,6 +17,7 @@ from affmin.cli import build_parser, main
 from affmin.compatibility import (TOL_COMPAT, TOL_EQUIV, TOL_SEED, extract_fundamental_data,
                                   reconstruct)
 from affmin.conormal import TOL_HARMONIC
+from affmin.errors import IllDefinedForm
 from affmin.forms import TOL_FORMS
 from affmin.geometry import TOL_ASYMPTOTIC, TOL_DUAL
 from affmin.gridio import read_grid, write_grid
@@ -361,9 +362,10 @@ class TestFormsReconstructCompare:
         surface.write_text(json.dumps(body))
         assert run("forms", "--surface", surface, "--out", forms) == 1
         assert not forms.exists()
-        # The CLI holds the spread to TOL_FORMS; the library takes a looser one.
-        form = extract_fundamental_data(read_grid(surface), tol=1e-2)
-        assert 1e-8 < max(form.max_spread_u, form.max_spread_v) <= 1e-2
+        # The library holds the spread to TOL_FORMS too, and names it.
+        with pytest.raises(IllDefinedForm) as err:
+            extract_fundamental_data(read_grid(surface))
+        assert TOL_FORMS < err.value.spread <= 1e-2
 
     @pytest.mark.parametrize("which", ["seed", "forms", "A"])
     def test_reconstruct_rejects_json_that_is_not_an_object(self, tmp_path, capsys,

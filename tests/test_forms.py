@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import affmin as am
+from affmin import forms
 from affmin.errors import DomainMismatch, DomainTooSmall, IllDefinedForm
 from affmin.forms import (
     CubicForm,
@@ -98,7 +99,7 @@ class TestCubicCoefficients:
         with pytest.raises(IllDefinedForm):
             cubic_coefficients(surf, xi.with_values(bent))
 
-    def test_ill_defined_form_names_the_largest_relative_spread(self, cubic):
+    def test_ill_defined_form_names_the_largest_relative_spread(self, cubic, monkeypatch):
         p = cubic[1].positions
         rng = np.random.default_rng(11)
         q = VertexGrid(p.domain, p.values * (1.0 + 1e-7 * rng.standard_normal(p.values.shape)))
@@ -116,11 +117,13 @@ class TestCubicCoefficients:
                 spreads[u, v] = (max(dets) - min(dets)) / scale
         worst = max(spreads, key=spreads.get)
         for tol in (1e-30, 1e-8, 1e-6):
+            monkeypatch.setattr(forms, "TOL_FORMS", tol)
             with pytest.raises(IllDefinedForm) as err:
-                cubic_coefficients(q, xi, tol)
+                cubic_coefficients(q, xi)
             assert err.value.vertex == worst
             assert err.value.spread == pytest.approx(spreads[worst], rel=1e-6)
-        form = cubic_coefficients(q, xi, 1e-5)
+        monkeypatch.setattr(forms, "TOL_FORMS", 1e-5)
+        form = cubic_coefficients(q, xi)
         assert form.max_spread_u == err.value.spread
 
     def test_sphere_coefficients_separate(self, sphere):
@@ -175,10 +178,11 @@ def perturbed(field, seed=5):
     lambda: am.integrate(am.hyperbolic_paraboloid(am.GridDomain(0, 30, 0, 30))).positions,
     lambda: am.integrate(am.improper_sphere(am.GridDomain(31, 60, 0, 29))).positions,
 ], ids=["perturbed-cubic-40x300", "helicoid-41x501", "paraboloid-31", "sphere-30"])
-def test_structural_residuals_equal_a_whole_grid_reference(net):
+def test_structural_residuals_equal_a_whole_grid_reference(net, monkeypatch):
     q = net()
     areas = face_volumes(q).areas
-    form = cubic_coefficients(q, affine_normal(q, areas), tol=1.0)
+    monkeypatch.setattr(forms, "TOL_FORMS", 1.0)   # the perturbed net's form spreads
+    form = cubic_coefficients(q, affine_normal(q, areas))
     report = structural_residuals(q, areas, form)
     expected = structural_reference(q.values, areas.values, form.u_coeff.values,
                                     form.v_coeff.values)

@@ -4,9 +4,9 @@
 results on the position grid (``Grid.memo``), each with the inputs it was
 computed from: no inputs, the areas, the normals.  A call with the stored
 inputs (``is``) gets the stored result; other inputs compute again and
-replace it, and a computation that raises stores nothing.  The cubic form
-does not depend on its tolerance: it is stored once, and each call checks its
-own tolerance against it.
+replace it.  A gate runs inside its computation (every M > 0; the cubic
+form's face-choice spreads within ``TOL_FORMS``), so a stored result is one
+that passed it, and a computation that raises stores nothing and runs again.
 """
 
 import numpy as np
@@ -129,24 +129,29 @@ def perturbed_cubic(cubic):
     return VertexGrid(p.domain, p.values * (1.0 + 1e-7 * rng.standard_normal(p.values.shape)))
 
 
-def test_tighter_tolerance_is_checked_again(cubic):
+def test_ill_defined_form_is_raised_on_every_call(cubic):
     s = perturbed_cubic(cubic)
     xi = am.affine_normal(s, am.face_volumes(s).areas)
-    loose = am.cubic_coefficients(s, xi, tol=1.0)
-    assert am.cubic_coefficients(s, xi, tol=1.0) is loose
-    for _ in range(2):
-        with pytest.raises(IllDefinedForm):
-            am.cubic_coefficients(s, xi)
+    raised = []
+    for call in (lambda: am.cubic_coefficients(s, xi), lambda: am.extract_fundamental_data(s)) * 2:
+        with pytest.raises(IllDefinedForm) as err:
+            call()
+        raised.append((err.value.vertex, err.value.spread))
+    assert len(set(raised)) == 1
 
 
-def test_every_tolerance_shares_one_stored_form(cubic, monkeypatch):
+def test_a_failing_form_is_computed_again_and_stores_nothing(cubic, monkeypatch):
     s = perturbed_cubic(cubic)
     xi = am.affine_normal(s, am.face_volumes(s).areas)
     computed, compute = [], forms._cubic_coefficients
     monkeypatch.setattr(forms, "_cubic_coefficients",
                         lambda *args: computed.append(args) or compute(*args))
-    with pytest.raises(IllDefinedForm):
-        am.cubic_coefficients(s, xi, tol=1e-8)
-    loose = am.cubic_coefficients(s, xi, tol=1.0)
-    assert am.cubic_coefficients(s, xi, tol=1e-5) is loose
-    assert len(computed) == 1
+    for _ in range(3):
+        with pytest.raises(IllDefinedForm):
+            am.cubic_coefficients(s, xi)
+    assert len(computed) == 3
+    # A form that passes the gate is stored as itself and computed once.
+    monkeypatch.setattr(forms, "TOL_FORMS", 1.0)
+    form = am.cubic_coefficients(s, xi)
+    assert am.cubic_coefficients(s, xi) is form and len(computed) == 4
+    assert s.memo("cubic_coefficients", (xi,), lambda: None) is form
